@@ -21,7 +21,6 @@ from .core import (
     ImpressionRecord,
     Query,
     TEMPLATE_IDS,
-    collect_stats,
     conditional_click_distribution,
     engagement_rate,
 )
@@ -71,10 +70,7 @@ def click_entropy(stats: EngagementStats) -> float:
     return float(-(positive * np.log(positive)).sum())
 
 
-def _eligible_stats(
-    log: Iterable[ImpressionRecord], panes: Mapping[str, ClarificationPane]
-) -> dict[str, EngagementStats]:
-    stats = collect_stats(log, panes)
+def _eligible(stats: Mapping[str, EngagementStats]) -> dict[str, EngagementStats]:
     return {pid: s for pid, s in stats.items() if s.impressions >= MIN_IMPRESSIONS}
 
 
@@ -96,14 +92,15 @@ def _equal_width_bins(values: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 def engagement_breakdown(
-    log: Iterable[ImpressionRecord],
+    stats: Mapping[str, EngagementStats],
     panes: Mapping[str, ClarificationPane],
     queries: Mapping[str, Query],
     dimension: str,
     historical_clicks: Mapping[str, Sequence[tuple[str, int]]] | None = None,
     n_bins: int = 5,
 ) -> BreakdownTable:
-    """Relative engagement per bucket of the requested dimension.
+    """Relative engagement per bucket of the requested dimension, from the
+    per-pane stats of `collect_stats`.
 
     Binned dimensions (click entropy, URL stats) also carry box-plot
     quartiles of the per-pane relative engagement, unweighted over panes.
@@ -114,9 +111,9 @@ def engagement_breakdown(
     if dimension in ("unique_url_bin", "url_entropy_bin") and historical_clicks is None:
         raise ValueError(f"dimension {dimension!r} needs historical clicks per query")
     if dimension == "query_type":
-        return engagement_by_query_type(log, panes, queries)
+        return engagement_by_query_type(stats, panes, queries)
 
-    stats = _eligible_stats(log, panes)
+    stats = _eligible(stats)
     if dimension == "click_entropy_bin":
         stats = {pid: s for pid, s in stats.items() if panes[pid].answer_count == 5}
     if not stats:
@@ -193,14 +190,14 @@ _QUERY_TYPE_FACETS = (
 
 
 def engagement_by_query_type(
-    log: Iterable[ImpressionRecord],
+    stats: Mapping[str, EngagementStats],
     panes: Mapping[str, ClarificationPane],
     queries: Mapping[str, Query],
 ) -> BreakdownTable:
     """Relative engagement per query-type facet.  Each pane contributes to
     one bucket per facet group (question-ness, ambiguity, traffic), so the
     three groups each average to 1.0 under impression weighting."""
-    stats = _eligible_stats(log, panes)
+    stats = _eligible(stats)
     if not stats:
         raise ValueError(f"no panes with >= {MIN_IMPRESSIONS} impressions")
     total_impressions = sum(s.impressions for s in stats.values())
@@ -217,7 +214,7 @@ def engagement_by_query_type(
 
 
 def conditional_click_by_position(
-    log: Iterable[ImpressionRecord],
+    stats: Mapping[str, EngagementStats],
     panes: Mapping[str, ClarificationPane],
     queries: Mapping[str, Query],
     ambiguity_class: str,
@@ -226,7 +223,7 @@ def conditional_click_by_position(
     """Average conditional click distribution over engaged impressions of
     panes whose query has the given ambiguity class and which have exactly
     answer_count answers."""
-    stats = _eligible_stats(log, panes)
+    stats = _eligible(stats)
     selected = [
         pid
         for pid in sorted(stats)

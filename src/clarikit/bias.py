@@ -24,7 +24,6 @@ from .core import ClarificationPane, EngagementStats
 from .intents import normalize_phrase
 from .tensor.text import fnv1a
 
-CLICK_MODEL_KINDS = ("best_possible", "blind", "no_bias", "examination", "cascade", "logistic")
 FEATURE_NAMES = ("intercept", "ctr_l", "ctr_r", "size_diff", "offset")
 
 _EPS = 1e-6
@@ -325,14 +324,6 @@ class LogRegCvReport:
     fold_weights_l: list[np.ndarray]
     fold_weights_r: list[np.ndarray]
 
-    @property
-    def mean_weights_l(self) -> np.ndarray:
-        return np.mean(self.fold_weights_l, axis=0)
-
-    @property
-    def mean_weights_r(self) -> np.ndarray:
-        return np.mean(self.fold_weights_r, axis=0)
-
 
 def triple_fold(triple: SwapTriple, folds: int) -> int:
     return fnv1a(triple.query_id) % folds
@@ -390,25 +381,6 @@ def cross_entropy(true_rates: Sequence[float], predicted_rates: Sequence[float])
     if ((q <= 0.0) | (q >= 1.0)).any():
         raise ValueError("predicted rates must be strictly inside (0, 1)")
     return float(-(p * np.log(q) + (1.0 - p) * np.log(1.0 - q)).mean())
-
-
-@dataclass
-class ExaminationModel:
-    """Position examination probabilities (position 1 pinned to 1.0) with
-    per-answer attractiveness recovered from observed rates at fit time."""
-
-    exam_probs: np.ndarray
-
-    def predict_swap(self, triple, panes, stats) -> tuple[float, float]:
-        i = triple.swap_index
-        eps = self.exam_probs
-        rate_i = smoothed_rate(stats[triple.pane_c], i)
-        rate_next = smoothed_rate(stats[triple.pane_c], i + 1)
-        # label L: the answer observed at i+1 moves up to i
-        attract_l = rate_next / max(eps[i], _EPS)
-        # label R: the answer observed at i moves down to i+1
-        attract_r = rate_i / max(eps[i - 1], _EPS)
-        return float(attract_l * eps[i - 1]), float(attract_r * eps[i])
 
 
 def fit_examination_em(
@@ -478,30 +450,6 @@ def fit_examination_em(
     return eps
 
 
-@dataclass
-class CascadeModel:
-    """Sequential scan model: the per-answer click probabilities are the
-    closed-form maximum-likelihood estimates given observed rates, since
-    examinations are observable when at most one answer is clicked."""
-
-    def attractiveness(self, stats: EngagementStats) -> np.ndarray:
-        rates = np.array(
-            [smoothed_rate(stats, pos) for pos in range(1, len(stats.per_position_clicks) + 1)]
-        )
-        seen_before = np.concatenate([[0.0], np.cumsum(rates)[:-1]])
-        return np.clip(rates / np.maximum(1.0 - seen_before, _EPS), _EPS, 1.0 - _EPS)
-
-    def predict_swap(self, triple, panes, stats) -> tuple[float, float]:
-        attract = self.attractiveness(stats[triple.pane_c])
-        i = triple.swap_index
-        order = list(range(len(attract)))
-        order[i - 1], order[i] = order[i], order[i - 1]
-        reordered = attract[order]
-        no_click_before = np.concatenate([[1.0], np.cumprod(1.0 - reordered)[:-1]])
-        predicted = reordered * no_click_before
-        return float(predicted[i - 1]), float(predicted[i])
-
-
 def fit_cascade_attractiveness(
     pane_stats: Mapping[str, EngagementStats], panes: Mapping[str, ClarificationPane]
 ) -> dict[tuple[str, str], float]:
@@ -533,75 +481,118 @@ def fit_cascade_attractiveness(
     return out
 
 
-@dataclass
-class ClickModel:
-    """Unified click-rate predictor over swap triples.
-
-    best_possible echoes the observed swapped-pane rates (the entropy
-    floor); blind predicts one global rate; no_bias carries each answer's
-    observed rate across the swap; examination rescales by fitted position
-    examination probabilities; cascade recomposes pooled attractiveness in
-    the swapped order; logistic applies the cross-validated regression's
-    mean weights.
-    """
-
-    kind: str
-    global_rate: float = 0.5
-    exam_probs: np.ndarray | None = None
-    weights_l: np.ndarray | None = None
-    weights_r: np.ndarray | None = None
-
-    def predict_swap(
-        self,
-        triple: SwapTriple,
-        panes: Mapping[str, ClarificationPane],
-        stats: Mapping[str, EngagementStats],
-    ) -> tuple[float, float]:
-        i = triple.swap_index
-        if self.kind == "best_possible":
-            return swap_targets(stats[triple.pane_c_prime], i)
-        if self.kind == "blind":
-            return self.global_rate, self.global_rate
-        if self.kind == "no_bias":
-            return smoothed_rate(stats[triple.pane_c], i + 1), smoothed_rate(stats[triple.pane_c], i)
-        if self.kind == "examination":
-            return ExaminationModel(self.exam_probs).predict_swap(triple, panes, stats)
-        if self.kind == "cascade":
-            return CascadeModel().predict_swap(triple, panes, stats)
-        row = swap_features(panes[triple.pane_c], stats[triple.pane_c], i).as_row()
-        q_l = float(_sigmoid(row @ self.weights_l))
-        q_r = float(_sigmoid(row @ self.weights_r))
-        return q_l, q_r
+# -- comparison click models ---------------------------------------------------
+#
+# Each entry of CLICK_MODELS is fit on the training triples of one fold and
+# returns a predictor of the swapped pane's (label L, label R) rates for test
+# triples:
+#   fit(train triples, panes, stats, logistic weights (L, R) of the fold)
+#       -> predict(test triples) -> (rates L, rates R)
 
 
-def fit_click_model(
-    kind: str,
-    triples: Sequence[SwapTriple],
-    panes: Mapping[str, ClarificationPane],
-    stats: Mapping[str, EngagementStats],
-    folds: int = 10,
-) -> ClickModel:
-    """Fit one of the comparison click models on a swap dataset."""
-    if kind not in CLICK_MODEL_KINDS:
-        raise ValueError(f"unknown click model kind {kind!r}")
-    if kind == "blind":
-        total_clicks = 0.0
-        total_slots = 0.0
-        for t in triples:
-            s = stats[t.pane_c]
-            total_clicks += sum(s.per_position_clicks)
-            total_slots += s.impressions * len(s.per_position_clicks)
-        return ClickModel(kind=kind, global_rate=(total_clicks + 1.0) / (total_slots + 2.0))
-    if kind == "examination":
-        observed = {}
-        for t in triples:
-            observed[t.pane_c] = stats[t.pane_c]
-            observed[t.pane_c_prime] = stats[t.pane_c_prime]
-        return ClickModel(kind=kind, exam_probs=fit_examination_em(observed, panes))
-    if kind == "logistic":
-        report = fit_click_logreg(triples, panes, stats, folds=folds)
-        return ClickModel(kind=kind, weights_l=report.mean_weights_l, weights_r=report.mean_weights_r)
-    return ClickModel(kind=kind)
+def _observed_rates(triples, stats) -> tuple[np.ndarray, np.ndarray]:
+    """The swapped panes' rates at the swap positions: the evaluation truths."""
+    return _columns(swap_targets(stats[t.pane_c_prime], t.swap_index) for t in triples)
+
+
+def _columns(pairs) -> tuple[np.ndarray, np.ndarray]:
+    pairs = list(pairs)
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+def _fit_best_possible(train, panes, stats, logreg):
+    """Echo the observed swapped-pane rates: the entropy floor."""
+    return lambda test: _observed_rates(test, stats)
+
+
+def _fit_blind(train, panes, stats, logreg):
+    """One smoothed click rate over every training slot, predicted everywhere."""
+    total_clicks = 0.0
+    total_slots = 0.0
+    for t in train:
+        s = stats[t.pane_c]
+        total_clicks += sum(s.per_position_clicks)
+        total_slots += s.impressions * len(s.per_position_clicks)
+    rate = (total_clicks + 1.0) / (total_slots + 2.0)
+    return lambda test: (np.full(len(test), rate), np.full(len(test), rate))
+
+
+def _fit_no_bias(train, panes, stats, logreg):
+    """Each answer keeps the rate observed at its old position."""
+    return lambda test: _columns(
+        (smoothed_rate(stats[t.pane_c], t.swap_index + 1), smoothed_rate(stats[t.pane_c], t.swap_index))
+        for t in test
+    )
+
+
+def _fit_examination(train, panes, stats, logreg):
+    """Position examination probabilities fit by EM on the training panes
+    (position 1 pinned to 1.0); each swapped answer's attractiveness is its
+    observed rate over the examination probability of its old position."""
+    observed = {}
+    for t in train:
+        observed[t.pane_c] = stats[t.pane_c]
+        observed[t.pane_c_prime] = stats[t.pane_c_prime]
+    eps = fit_examination_em(observed, panes)
+
+    def predict_swap(t: SwapTriple) -> tuple[float, float]:
+        i = t.swap_index
+        # label L: the answer observed at i+1 moves up to i
+        attract_l = smoothed_rate(stats[t.pane_c], i + 1) / max(eps[i], _EPS)
+        # label R: the answer observed at i moves down to i+1
+        attract_r = smoothed_rate(stats[t.pane_c], i) / max(eps[i - 1], _EPS)
+        return float(attract_l * eps[i - 1]), float(attract_r * eps[i])
+
+    return lambda test: _columns(predict_swap(t) for t in test)
+
+
+def cascade_attractiveness(stats: EngagementStats) -> np.ndarray:
+    """Per-answer click probabilities of one pane under the sequential scan
+    model: the closed-form maximum-likelihood estimates from its smoothed
+    rates, since examinations are observable when at most one answer is
+    clicked."""
+    rates = np.array([smoothed_rate(stats, pos) for pos in range(1, len(stats.per_position_clicks) + 1)])
+    seen_before = np.concatenate([[0.0], np.cumsum(rates)[:-1]])
+    return np.clip(rates / np.maximum(1.0 - seen_before, _EPS), _EPS, 1.0 - _EPS)
+
+
+def _fit_cascade(train, panes, stats, logreg):
+    """The observed pane's own attractiveness recomposed in the swapped
+    order; nothing is fit on the training folds."""
+
+    def predict_swap(t: SwapTriple) -> tuple[float, float]:
+        attract = cascade_attractiveness(stats[t.pane_c])
+        i = t.swap_index
+        order = list(range(len(attract)))
+        order[i - 1], order[i] = order[i], order[i - 1]
+        reordered = attract[order]
+        no_click_before = np.concatenate([[1.0], np.cumprod(1.0 - reordered)[:-1]])
+        predicted = reordered * no_click_before
+        return float(predicted[i - 1]), float(predicted[i])
+
+    return lambda test: _columns(predict_swap(t) for t in test)
+
+
+def _fit_logistic(train, panes, stats, logreg):
+    """The fold's regression weights from fit_click_logreg applied to the
+    observed pane's swap features."""
+    weights_l, weights_r = logreg
+
+    def predict(test):
+        rows = np.array([swap_features(panes[t.pane_c], stats[t.pane_c], t.swap_index).as_row() for t in test])
+        return _sigmoid(rows @ weights_l), _sigmoid(rows @ weights_r)
+
+    return predict
+
+
+CLICK_MODELS = {
+    "best_possible": _fit_best_possible,
+    "blind": _fit_blind,
+    "no_bias": _fit_no_bias,
+    "examination": _fit_examination,
+    "cascade": _fit_cascade,
+    "logistic": _fit_logistic,
+}
 
 
 @dataclass
@@ -614,9 +605,11 @@ class CeCell:
 @dataclass
 class CeReport:
     """Cross entropy per model, overall and per answer count, with the mean
-    and standard deviation taken over cross-validation folds."""
+    and standard deviation taken over cross-validation folds, plus the
+    logistic model's per-fold weights when it was evaluated."""
 
     cells: dict[tuple[str, str], CeCell]  # (model, group) -> cell
+    logreg: LogRegCvReport | None = None
 
     def mean(self, model: str, group: str = "overall") -> float:
         return self.cells[(model, group)].mean
@@ -626,7 +619,7 @@ def evaluate_click_models(
     triples: Sequence[SwapTriple],
     panes: Mapping[str, ClarificationPane],
     stats: Mapping[str, EngagementStats],
-    kinds: Sequence[str] = CLICK_MODEL_KINDS,
+    kinds: Sequence[str] = tuple(CLICK_MODELS),
     folds: int = 10,
     logreg_tol: float = 1e-10,
     logreg_max_iter: int = 100_000,
@@ -635,30 +628,28 @@ def evaluate_click_models(
     model's predictions.  Models that need fitting (blind mean, examination
     positions, logistic weights) are fit on the training folds only."""
     for kind in kinds:
-        if kind not in CLICK_MODEL_KINDS:
+        if kind not in CLICK_MODELS:
             raise ValueError(f"unknown click model kind {kind!r}")
     triples = list(triples)
     if len(triples) < folds:
         raise ValueError(f"need at least {folds} triples")
-    rows, targets_l, targets_r, weights = regression_data(triples, panes, stats)
-    fold_ids = np.array([triple_fold(t, folds) for t in triples])
+    logreg = None
+    if "logistic" in kinds:
+        logreg = fit_click_logreg(triples, panes, stats, folds=folds, tol=logreg_tol, max_iter=logreg_max_iter)
+    fold_ids = [triple_fold(t, folds) for t in triples]
 
     per_fold: dict[tuple[str, str], list[float]] = {}
     for fold in range(folds):
-        train_mask = fold_ids != fold
-        test_mask = ~train_mask
-        if not test_mask.any() or not train_mask.any():
+        train = [t for t, f in zip(triples, fold_ids) if f != fold]
+        test = [t for t, f in zip(triples, fold_ids) if f == fold]
+        if not train or not test:
             continue
-        test_triples = [t for t, m in zip(triples, test_mask) if m]
-        truths = np.concatenate([targets_l[test_mask], targets_r[test_mask]])
-        groups = np.array([str(t.answer_count) for t in test_triples] * 2)
-
-        predictions = _fold_predictions(
-            kinds, triples, panes, stats, rows, targets_l, targets_r, weights,
-            train_mask, test_mask, test_triples, logreg_tol, logreg_max_iter,
-        )
-        for kind, preds in predictions.items():
-            preds = np.clip(preds, _EPS, 1.0 - _EPS)
+        fold_weights = (logreg.fold_weights_l[fold], logreg.fold_weights_r[fold]) if logreg else None
+        truths = np.concatenate(_observed_rates(test, stats))
+        groups = np.array([str(t.answer_count) for t in test] * 2)
+        for kind in kinds:
+            predict = CLICK_MODELS[kind](train, panes, stats, fold_weights)
+            preds = np.clip(np.concatenate(predict(test)), _EPS, 1.0 - _EPS)
             per_fold.setdefault((kind, "overall"), []).append(cross_entropy(truths, preds))
             for group in sorted(set(groups.tolist())):
                 sel = groups == group
@@ -668,51 +659,4 @@ def evaluate_click_models(
         key: CeCell(mean=float(np.mean(vals)), std=float(np.std(vals)), folds=len(vals))
         for key, vals in per_fold.items()
     }
-    return CeReport(cells=cells)
-
-
-def _fold_predictions(
-    kinds, triples, panes, stats, rows, targets_l, targets_r, weights,
-    train_mask, test_mask, test_triples, logreg_tol, logreg_max_iter,
-) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    if "best_possible" in kinds:
-        out["best_possible"] = np.concatenate([targets_l[test_mask], targets_r[test_mask]])
-    if "blind" in kinds:
-        total_clicks = 0.0
-        total_slots = 0.0
-        for t, m in zip(triples, train_mask):
-            if not m:
-                continue
-            s = stats[t.pane_c]
-            total_clicks += sum(s.per_position_clicks)
-            total_slots += s.impressions * len(s.per_position_clicks)
-        global_rate = (total_clicks + 1.0) / (total_slots + 2.0)
-        out["blind"] = np.full(2 * len(test_triples), global_rate)
-    if "no_bias" in kinds:
-        # the answer keeps the rate observed at its old position
-        preds_l = [smoothed_rate(stats[t.pane_c], t.swap_index + 1) for t in test_triples]
-        preds_r = [smoothed_rate(stats[t.pane_c], t.swap_index) for t in test_triples]
-        out["no_bias"] = np.array(preds_l + preds_r)
-    if "examination" in kinds:
-        train_panes = {}
-        for t, m in zip(triples, train_mask):
-            if m:
-                train_panes[t.pane_c] = stats[t.pane_c]
-                train_panes[t.pane_c_prime] = stats[t.pane_c_prime]
-        model = ExaminationModel(exam_probs=fit_examination_em(train_panes, panes))
-        pairs = [model.predict_swap(t, panes, stats) for t in test_triples]
-        out["examination"] = np.array([p[0] for p in pairs] + [p[1] for p in pairs])
-    if "cascade" in kinds:
-        model = CascadeModel()
-        pairs = [model.predict_swap(t, panes, stats) for t in test_triples]
-        out["cascade"] = np.array([p[0] for p in pairs] + [p[1] for p in pairs])
-    if "logistic" in kinds:
-        fit_l = fit_fractional_logreg(
-            rows[train_mask], targets_l[train_mask], weights[train_mask], tol=logreg_tol, max_iter=logreg_max_iter
-        )
-        fit_r = fit_fractional_logreg(
-            rows[train_mask], targets_r[train_mask], weights[train_mask], tol=logreg_tol, max_iter=logreg_max_iter
-        )
-        out["logistic"] = np.concatenate([fit_l.predict(rows[test_mask]), fit_r.predict(rows[test_mask])])
-    return out
+    return CeReport(cells=cells, logreg=logreg)

@@ -228,13 +228,14 @@ def cmd_analyze(args, out: Outputs) -> None:
     queries, panes = _load_corpus_files(args)
     log = dataio.load_impressions(args.impressions)
     history = _load_history(args.history) if args.history else _derive_history(log, panes)
+    stats = collect_stats(log, panes)
 
     for dimension in analytics.DIMENSIONS:
         if dimension in ("unique_url_bin", "url_entropy_bin") and not history:
             continue
         try:
             table = analytics.engagement_breakdown(
-                log, panes, queries, dimension, historical_clicks=history, n_bins=int(config["entropy_bins"])
+                stats, panes, queries, dimension, historical_clicks=history, n_bins=int(config["entropy_bins"])
             )
         except ValueError:
             continue  # dimension has no eligible panes in this log
@@ -253,7 +254,7 @@ def cmd_analyze(args, out: Outputs) -> None:
     for ambiguity in ("ambiguous", "faceted"):
         for count in (2, 3, 4, 5):
             try:
-                curve = analytics.conditional_click_by_position(log, panes, queries, ambiguity, count)
+                curve = analytics.conditional_click_by_position(stats, panes, queries, ambiguity, count)
             except ValueError:
                 continue
             curves.append([ambiguity, count] + [float(v) for v in curve])
@@ -312,11 +313,11 @@ def cmd_bias(args, out: Outputs) -> None:
         [[k, i, pct, n] for (k, i), (pct, n) in sorted(cells.items())],
     )
 
-    folds = int(config["folds"])
-    report = bias.fit_click_logreg(
-        triples, panes, stats, folds=folds,
-        tol=float(config["logreg_tol"]), max_iter=int(config["logreg_max_iter"]),
+    ce_report = bias.evaluate_click_models(
+        triples, panes, stats, folds=int(config["folds"]),
+        logreg_tol=float(config["logreg_tol"]), logreg_max_iter=int(config["logreg_max_iter"]),
     )
+    report = ce_report.logreg
     weight_rows = []
     for label, per_fold in (("L", report.fold_weights_l), ("R", report.fold_weights_r)):
         for fold, weights in enumerate(per_fold):
@@ -326,10 +327,6 @@ def cmd_bias(args, out: Outputs) -> None:
             weight_rows.append([label, "mean", name, float(value)])
     dataio.write_tsv(out.path("logreg_weights.tsv"), ["label", "fold", "feature", "weight"], weight_rows)
 
-    ce_report = bias.evaluate_click_models(
-        triples, panes, stats, folds=folds,
-        logreg_tol=float(config["logreg_tol"]), logreg_max_iter=int(config["logreg_max_iter"]),
-    )
     ce_rows = [
         [model, group, cell.mean, cell.std, cell.folds]
         for (model, group), cell in sorted(ce_report.cells.items())
@@ -647,7 +644,6 @@ def cmd_plot_data(args, out: Outputs) -> None:
 def _add_common(sub, *, seed=False, corpus=False, impressions=False, intents=False, lexicon=False, history=False):
     sub.add_argument("--out", help="output directory (or CLARIKIT_OUT_DIR)")
     sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--threads", type=int, help="worker cap (or CLARIKIT_THREADS); results never depend on it")
     if seed:
         sub.add_argument("--seed", type=int, default=0)
     if corpus:
@@ -758,10 +754,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     out_dir = args.out or os.environ.get("CLARIKIT_OUT_DIR")
     if not out_dir:
         parser.error("--out (or CLARIKIT_OUT_DIR) is required")
-    threads = args.threads if args.threads is not None else int(os.environ.get("CLARIKIT_THREADS", "1"))
-    if threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 1
     outputs = Outputs(out_dir)
     try:
         args.func(args, outputs)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterable, Iterator
+from typing import Callable, Iterable
 
 from .core import CandidateAnswer, ClarificationPane, ImpressionRecord, PaneLabels, Query
 
@@ -25,16 +25,27 @@ def write_jsonl(path: str, records: Iterable[dict]) -> None:
             fh.write("\n")
 
 
-def read_jsonl(path: str) -> Iterator[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid record: {exc}") from None
+def read_jsonl(path: str) -> list:
+    return _load_records(path, lambda d: d)
+
+
+def _load_records(path: str, convert: Callable[[dict], object]) -> list:
+    """Every non-blank line of a JSON-lines file, decoded and passed through
+    convert.  A line that is not JSON, or whose record does not convert
+    (missing field, wrong shape or value), fails as a ValueError naming its
+    path:line."""
+    out = []
+    lineno = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    out.append(convert(json.loads(line)))
+    except KeyError as exc:
+        raise ValueError(f"{path}:{lineno}: invalid record: missing field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}:{lineno}: invalid record: {exc}") from None
+    return out
 
 
 def query_to_dict(q: Query) -> dict:
@@ -135,11 +146,7 @@ def save_queries(path: str, queries: Iterable[Query]) -> None:
 
 
 def load_queries(path: str) -> dict[str, Query]:
-    out = {}
-    for d in read_jsonl(path):
-        q = query_from_dict(d)
-        out[q.id] = q
-    return out
+    return {q.id: q for q in _load_records(path, query_from_dict)}
 
 
 def save_panes(path: str, panes: Iterable[ClarificationPane]) -> None:
@@ -147,11 +154,7 @@ def save_panes(path: str, panes: Iterable[ClarificationPane]) -> None:
 
 
 def load_panes(path: str) -> dict[str, ClarificationPane]:
-    out = {}
-    for d in read_jsonl(path):
-        p = pane_from_dict(d)
-        out[p.id] = p
-    return out
+    return {p.id: p for p in _load_records(path, pane_from_dict)}
 
 
 def save_impressions(path: str, log: Iterable[ImpressionRecord]) -> None:
@@ -159,7 +162,7 @@ def save_impressions(path: str, log: Iterable[ImpressionRecord]) -> None:
 
 
 def load_impressions(path: str) -> list[ImpressionRecord]:
-    return [impression_from_dict(d) for d in read_jsonl(path)]
+    return _load_records(path, impression_from_dict)
 
 
 def write_tsv(path: str, header: Iterable[str], rows: Iterable[Iterable]) -> None:

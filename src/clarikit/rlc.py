@@ -16,7 +16,6 @@ the higher engagement label.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -144,13 +143,9 @@ class RlcModel:
         texts: list[str | None] = [text for text, _ in items] + [None] * (n - len(items))
         weights = np.zeros(n)
         weights[: len(items)] = [w for _, w in items]
-        if weights.sum() <= 0.0:
-            if intent_set is not None and len(items) > 0:
-                warnings.warn(f"intent set for {intent_set.query_id} has zero total weight; using uniform")
-                weights[: len(items)] = 1.0
-            else:
-                # no intents at all: a single uniformly weighted null slot
-                weights[0] = 1.0
+        if not items:
+            # no intents at all: a single uniformly weighted null slot
+            weights[0] = 1.0
         return texts, weights / weights.sum()
 
     def _padded_answers(self, pane: ClarificationPane) -> tuple[list[str | None], np.ndarray]:

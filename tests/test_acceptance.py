@@ -19,7 +19,6 @@ from clarikit.bias import (
     build_swap_dataset,
     evaluate_click_models,
     fit_cascade_attractiveness,
-    fit_click_logreg,
     fit_examination_em,
     fit_scatter_line,
     pct_above_diagonal,
@@ -212,9 +211,8 @@ def size_offset_experiment():
     model = UserModel.size_offset_logistic(bias=-3.5, w_relevance=4.0, w_size=-1.8, w_offset=-1.2, w_pixel=-0.35)
     stats = simulate_stats(corpus, model, 200, seed=3)
     triples = build_swap_dataset(corpus.panes)
-    logreg = fit_click_logreg(triples, corpus.panes, stats)
     ce = evaluate_click_models(triples, corpus.panes, stats)
-    return corpus, stats, triples, logreg, ce, time.time() - started
+    return corpus, stats, triples, ce.logreg, ce, time.time() - started
 
 
 def test_criterion_04_regression_sign_pattern(size_offset_experiment):

@@ -12,7 +12,7 @@ from clarikit.analytics import (
     multi_click_rate,
     normalized_entropy,
 )
-from clarikit.core import CandidateAnswer, ClarificationPane, ImpressionRecord, Query
+from clarikit.core import CandidateAnswer, ClarificationPane, ImpressionRecord, Query, collect_stats
 from clarikit.synthlog import CorpusConfig, UserModel, gen_corpus, simulate_impressions
 
 
@@ -35,7 +35,7 @@ class TestEngagementBreakdown:
         panes = {"p1": make_pane("p1", "q1", template_id="T2")}
         queries = {"q1": Query("q1", "jaguar")}
         log = impressions("p1", 20, [{1}] * 5)
-        table = engagement_breakdown(log, panes, queries, "template")
+        table = engagement_breakdown(collect_stats(log, panes), panes, queries, "template")
         assert len(table.rows) == 1
         assert table.rows[0].relative_engagement == pytest.approx(1.0)
 
@@ -48,7 +48,7 @@ class TestEngagementBreakdown:
         }
         queries = {"q1": Query("q1", "jaguar"), "q2": Query("q2", "python")}
         log = impressions("p1", 20, [{1}] * 2) + impressions("p2", 20, [{1}] * 6)
-        table = engagement_breakdown(log, panes, queries, "template")
+        table = engagement_breakdown(collect_stats(log, panes), panes, queries, "template")
         by_bucket = {r.bucket: r.relative_engagement for r in table.rows}
         assert by_bucket["T1"] == pytest.approx(0.5)
         assert by_bucket["T2"] == pytest.approx(1.5)
@@ -58,7 +58,7 @@ class TestEngagementBreakdown:
         queries = {"q1": Query("q1", "jaguar"), "q2": Query("q2", "python")}
         log = impressions("pu", 20, [{1}, {2}, {3}, {4}, {5}] * 4)
         log += impressions("pc", 20, [{1}] * 20)
-        table = engagement_breakdown(log, panes, queries, "click_entropy_bin")
+        table = engagement_breakdown(collect_stats(log, panes), panes, queries, "click_entropy_bin")
         top = [r for r in table.rows if r.bucket == "bin5"]
         assert len(top) == 1 and top[0].impressions == 20
         assert any(r.bucket == "bin1" for r in table.rows)
@@ -67,14 +67,14 @@ class TestEngagementBreakdown:
         panes = {"p5": make_pane("p5", "q1", k=5), "p3": make_pane("p3", "q2", k=3)}
         queries = {"q1": Query("q1", "jaguar"), "q2": Query("q2", "python")}
         log = impressions("p5", 15, [{1}] * 6) + impressions("p3", 15, [{1}] * 6)
-        table = engagement_breakdown(log, panes, queries, "click_entropy_bin")
+        table = engagement_breakdown(collect_stats(log, panes), panes, queries, "click_entropy_bin")
         assert sum(r.impressions for r in table.rows) == 15
 
     def test_min_impressions_dropped(self):
         panes = {"p1": make_pane("p1", "q1"), "p2": make_pane("p2", "q2")}
         queries = {"q1": Query("q1", "jaguar"), "q2": Query("q2", "python")}
         log = impressions("p1", 9, [{1}] * 9) + impressions("p2", 10, [{1}] * 2)
-        table = engagement_breakdown(log, panes, queries, "answer_count")
+        table = engagement_breakdown(collect_stats(log, panes), panes, queries, "answer_count")
         assert sum(r.impressions for r in table.rows) == 10
 
     def test_url_dimensions_need_history(self):
@@ -82,17 +82,17 @@ class TestEngagementBreakdown:
         queries = {"q1": Query("q1", "jaguar")}
         log = impressions("p1", 10, [{1}] * 2)
         with pytest.raises(ValueError, match="historical"):
-            engagement_breakdown(log, panes, queries, "unique_url_bin")
+            engagement_breakdown(collect_stats(log, panes), panes, queries, "unique_url_bin")
 
     def test_unknown_dimension(self):
         with pytest.raises(ValueError):
-            engagement_breakdown([], {}, {}, "astrology")
+            engagement_breakdown({}, {}, {}, "astrology")
 
     def test_empty_log_rejected(self):
         panes = {"p1": make_pane("p1", "q1")}
         queries = {"q1": Query("q1", "jaguar")}
         with pytest.raises(ValueError):
-            engagement_breakdown([], panes, queries, "template")
+            engagement_breakdown(collect_stats([], panes), panes, queries, "template")
 
 
 @pytest.fixture(scope="module")
@@ -114,14 +114,14 @@ class TestBreakdownInvariant:
     )
     def test_impression_weighted_mean_relative_is_one(self, corpus_log, dimension):
         corpus, log, history = corpus_log
-        table = engagement_breakdown(log, corpus.panes, corpus.queries, dimension, historical_clicks=history)
+        table = engagement_breakdown(collect_stats(log, corpus.panes), corpus.panes, corpus.queries, dimension, historical_clicks=history)
         weighted = sum(r.impressions * r.relative_engagement for r in table.rows)
         total = sum(r.impressions for r in table.rows)
         assert weighted / total == pytest.approx(1.0, abs=1e-9)
 
     def test_query_type_groups_each_average_to_one(self, corpus_log):
         corpus, log, _ = corpus_log
-        table = engagement_breakdown(log, corpus.panes, corpus.queries, "query_type")
+        table = engagement_breakdown(collect_stats(log, corpus.panes), corpus.panes, corpus.queries, "query_type")
         groups = {
             "questionness": ("question", "not_question"),
             "ambiguity": ("faceted", "ambiguous", "ambiguity_unknown"),
@@ -149,26 +149,26 @@ class TestConditionalClickByPosition:
     def test_all_clicks_first_position(self):
         panes, queries = self._setup()
         log = impressions("p1", 12, [{1}] * 12)
-        curve = conditional_click_by_position(log, panes, queries, "ambiguous", 2)
+        curve = conditional_click_by_position(collect_stats(log, panes), panes, queries, "ambiguous", 2)
         np.testing.assert_allclose(curve, [1.0, 0.0])
 
     def test_equal_engaged_mass_averages(self):
         panes, queries = self._setup()
         log = impressions("p1", 10, [{1}] * 10) + impressions("p2", 10, [{2}] * 10)
-        curve = conditional_click_by_position(log, panes, queries, "ambiguous", 2)
+        curve = conditional_click_by_position(collect_stats(log, panes), panes, queries, "ambiguous", 2)
         np.testing.assert_allclose(curve, [0.5, 0.5])
 
     def test_sums_to_one(self):
         panes, queries = self._setup()
         log = impressions("p1", 15, [{1}, {2}, {1, 2}] * 4) + impressions("p2", 11, [{2}] * 7)
-        curve = conditional_click_by_position(log, panes, queries, "ambiguous", 2)
+        curve = conditional_click_by_position(collect_stats(log, panes), panes, queries, "ambiguous", 2)
         assert abs(curve.sum() - 1.0) < 1e-9
 
     def test_no_matching_panes(self):
         panes, queries = self._setup()
         log = impressions("p1", 10, [{1}] * 10)
         with pytest.raises(ValueError):
-            conditional_click_by_position(log, panes, queries, "faceted", 2)
+            conditional_click_by_position(collect_stats(log, panes), panes, queries, "faceted", 2)
 
 
 class TestDissatisfaction:

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from clarikit.bias import (
-    CascadeModel,
+    CLICK_MODELS,
     NumericalError,
     SwapFeatures,
     build_swap_dataset,
+    cascade_attractiveness,
     cross_entropy,
     evaluate_click_models,
     fit_cascade_attractiveness,
     fit_click_logreg,
-    fit_click_model,
     fit_examination_em,
     fit_fractional_logreg,
     fit_scatter_line,
@@ -306,13 +306,34 @@ class TestExaminationRecovery:
             fit_examination_em(stats, panes)
 
 
+def cascade_rates(attraction):
+    """Per-position click rates of a cascade user with these attractions."""
+    rates, no_click_before = [], 1.0
+    for a in attraction:
+        rates.append(a * no_click_before)
+        no_click_before *= 1.0 - a
+    return rates
+
+
 class TestCascadeModel:
     def test_attractiveness_inverts_cascade_rates(self):
-        # cascade with attraction (0.2, 0.5): observed rates (0.2, 0.4)
+        # cascade with attraction (0.2, 0.5, 0.5): observed rates (0.2, 0.4, 0.2)
         n = 1_000_000
-        stats = EngagementStats(n, 0, (int(0.2 * n), int(0.4 * n)))
-        attract = CascadeModel().attractiveness(stats)
-        np.testing.assert_allclose(attract, [0.2, 0.5], atol=1e-3)
+        stats = EngagementStats(n, 0, tuple(int(r * n) for r in cascade_rates((0.2, 0.5, 0.5))))
+        np.testing.assert_allclose(cascade_attractiveness(stats), [0.2, 0.5, 0.5], atol=1e-3)
+        panes = {
+            "a": pane_of(["x", "y", "z"], "a"),
+            "b": pane_of(["y", "x", "z"], "b"),
+            "c": pane_of(["x", "z", "y"], "c"),
+        }
+        triples = build_swap_dataset(panes)
+        assert [(t.pane_c, t.pane_c_prime, t.swap_index) for t in triples] == [("a", "b", 1), ("a", "c", 2)]
+        stats = {"a": stats, "b": EngagementStats(n, 0, (0, 0, 0)), "c": EngagementStats(n, 0, (0, 0, 0))}
+        q_l, q_r = CLICK_MODELS["cascade"](triples, panes, stats, None)(triples)
+        # the recovered attractions, recomposed in each swapped order
+        expected = [cascade_rates((0.5, 0.2, 0.5)), cascade_rates((0.2, 0.5, 0.5))]
+        np.testing.assert_allclose(q_l, [expected[0][0], expected[1][1]], atol=1e-3)
+        np.testing.assert_allclose(q_r, [expected[0][1], expected[1][2]], atol=1e-3)
 
     def test_swap_prediction_recomposes(self):
         panes = {
@@ -325,7 +346,7 @@ class TestCascadeModel:
             "a": EngagementStats(n, 0, (int(0.2 * n), int(0.4 * n))),
             "b": EngagementStats(n, 0, (0, 0)),
         }
-        q_l, q_r = CascadeModel().predict_swap(triple, panes, stats)
+        [q_l], [q_r] = CLICK_MODELS["cascade"]([triple], panes, stats, None)([triple])
         # promoted answer y keeps attraction 0.5 at the top; x clicks at
         # 0.2 * (1 - 0.5) once behind it
         assert q_l == pytest.approx(0.5, abs=1e-3)
@@ -344,33 +365,43 @@ class TestFitClickModel:
 
     def test_unknown_kind_rejected(self, swap_data):
         corpus, stats, triples = swap_data
-        with pytest.raises(ValueError):
-            fit_click_model("oracle", triples, corpus.panes, stats)
+        with pytest.raises(ValueError, match="oracle"):
+            evaluate_click_models(triples, corpus.panes, stats, kinds=("blind", "oracle"), folds=3)
 
     def test_blind_predicts_global_mean_everywhere(self, swap_data):
         corpus, stats, triples = swap_data
-        model = fit_click_model("blind", triples, corpus.panes, stats)
+        predict = CLICK_MODELS["blind"](triples, corpus.panes, stats, None)
         clicks = sum(sum(stats[t.pane_c].per_position_clicks) for t in triples)
         slots = sum(stats[t.pane_c].impressions * t.answer_count for t in triples)
         expected = (clicks + 1.0) / (slots + 2.0)
-        predictions = {model.predict_swap(t, corpus.panes, stats) for t in triples[:5]}
-        assert predictions == {(expected, expected)}
+        q_l, q_r = predict(triples[:5])
+        assert set(q_l.tolist()) | set(q_r.tolist()) == {expected}
 
     def test_no_bias_carries_old_position_rates(self, swap_data):
         corpus, stats, triples = swap_data
-        model = fit_click_model("no_bias", triples, corpus.panes, stats)
         t = triples[0]
-        q_l, q_r = model.predict_swap(t, corpus.panes, stats)
+        [q_l], [q_r] = CLICK_MODELS["no_bias"](triples, corpus.panes, stats, None)([t])
         assert q_l == smoothed_rate(stats[t.pane_c], t.swap_index + 1)
         assert q_r == smoothed_rate(stats[t.pane_c], t.swap_index)
 
     @pytest.mark.parametrize("kind", ["best_possible", "blind", "no_bias", "examination", "cascade", "logistic"])
     def test_all_kinds_predict_valid_rates(self, swap_data, kind):
         corpus, stats, triples = swap_data
-        model = fit_click_model(kind, triples, corpus.panes, stats)
-        for t in triples[:8]:
-            q_l, q_r = model.predict_swap(t, corpus.panes, stats)
-            assert 0.0 < q_l < 1.0 and 0.0 < q_r < 1.0
+        report = fit_click_logreg(triples, corpus.panes, stats, folds=3)
+        weights = (report.fold_weights_l[0], report.fold_weights_r[0])
+        q_l, q_r = CLICK_MODELS[kind](triples, corpus.panes, stats, weights)(triples[:8])
+        assert len(q_l) == len(q_r) == 8
+        assert ((0.0 < q_l) & (q_l < 1.0)).all() and ((0.0 < q_r) & (q_r < 1.0)).all()
+
+    def test_report_carries_the_logistic_fold_weights(self, swap_data):
+        corpus, stats, triples = swap_data
+        report = evaluate_click_models(triples, corpus.panes, stats, kinds=("logistic",), folds=3)
+        direct = fit_click_logreg(triples, corpus.panes, stats, folds=3)
+        assert len(report.logreg.fold_weights_l) == 3
+        for got, want in zip(report.logreg.fold_weights_l + report.logreg.fold_weights_r,
+                             direct.fold_weights_l + direct.fold_weights_r):
+            np.testing.assert_array_equal(got, want)
+        assert evaluate_click_models(triples, corpus.panes, stats, kinds=("blind",), folds=3).logreg is None
 
     def test_pooled_cascade_attractiveness_identifiable(self, swap_data):
         corpus, stats, _ = swap_data

@@ -110,6 +110,29 @@ class TestAnalyze:
         assert code == 1
         assert not os.path.exists(tmp_path / "r" / "summary.tsv")
 
+    @pytest.mark.parametrize("name,field,value", [
+        ("panes", "answers", 5),
+        ("impressions", "answer_clicks", 3),
+        ("impressions", "pane_id", None),
+    ])
+    def test_malformed_record_exits_one_with_file_line(self, corpus_dir, tmp_path, capsys, name, field, value):
+        files = corpus_files(corpus_dir)
+        lines = open(files[name], encoding="utf-8").read().splitlines()
+        record = json.loads(lines[2])
+        if value is None:
+            del record[field]
+        else:
+            record[field] = value
+        lines[2] = json.dumps(record)
+        bad = tmp_path / f"{name}.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        files[name] = str(bad)
+        code = run_cli("analyze", "--out", tmp_path / "r", "--queries", files["queries"],
+                       "--panes", files["panes"], "--impressions", files["impressions"])
+        assert code == 1
+        assert f"{bad}:3:" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "r") == []
+
 
 class TestBias:
     def test_full_report(self, corpus_dir, tmp_path):
@@ -257,9 +280,3 @@ class TestEnvironment:
         code = run_cli("rank", "--queries", files["queries"], "--panes", files["panes"])
         assert code == 0
         assert os.path.exists(tmp_path / "envout" / "ranked.tsv")
-
-    def test_bad_threads_rejected(self, corpus_dir, tmp_path):
-        files = corpus_files(corpus_dir)
-        code = run_cli("rank", "--out", tmp_path / "r", "--queries", files["queries"],
-                       "--panes", files["panes"], "--threads", 0)
-        assert code == 1

@@ -1,0 +1,82 @@
+"""Golden artifacts: synth-gen, analyze and bias on one small seeded corpus
+must keep writing byte-identical files, manifest.json included.
+
+The digests were recorded before the analytics and click-model code was
+restructured; a change meant to preserve behaviour must leave them as they
+are.  Update them only with a change that is meant to alter an artifact, and
+say which one and why.
+"""
+
+import hashlib
+import json
+import os
+
+from clarikit.cli import main
+
+SYNTH_CONFIG = {
+    "n_queries": 24,
+    "panes_per_query": 2,
+    "swap_fraction": 0.5,
+    "n_per_pane": 40,
+    "reformulation_rate": 0.2,
+    "result_click_rate": 0.3,
+    "user_model": {"kind": "examination"},
+}
+
+GOLDEN = {
+    "data": {
+        "entity_lexicon.tsv": "bc719de7f5636394bafcca69f40dc270e4042883a7e8647d1778385ccc5d14fa",
+        "ground_truth.jsonl": "2538aeb452905c076ea8de45d900ba516f21886b41aa3fcef7756774e4a83828",
+        "impressions.jsonl": "a1c7ec1d2c75abfcd90d88d5f8d576883a5c394db107b4805079d76ae50cd6f5",
+        "intents.jsonl": "9b8d1d7c93b4dd6333db518606105283718a1cf85c3337cbaf8fc6d54736d362",
+        "manifest.json": "bf618bbecdacb812f0a5309bd3bf81c8f9004a02fd9c5f337a44ac10d3881cfb",
+        "panes.jsonl": "f9d9aca5d0bc6630ba22da148a940e85093e79d1c2c95951b7d999703c6facaa",
+        "queries.jsonl": "6beb1ad6b9fe2c5e364c1156435645fab9d6855edb7ea0195c2498c4d433afca",
+    },
+    "analyze": {
+        "breakdown_answer_count.tsv": "668fbb144198289cbdf34306a2c876fd7e1aec328bd7e25dc328112fb4de4ec8",
+        "breakdown_click_entropy_bin.tsv": "a042dd54f4583b3444ba201ce5ec1904ea102a9252b18dd20b103f5734986f02",
+        "breakdown_query_length.tsv": "2bacdebcbce78225b98625d0b9ef8ff293b749bd34622c7c7cd09ba62997c1e6",
+        "breakdown_query_type.tsv": "77ea83109aa8cb80a22527c584a0f9911dd24184c83e8031d67e9a6e5f199240",
+        "breakdown_template.tsv": "0df8de8e4f13b6f5fd0b4c28844b00f1a473507c81a214cf7bc69186904df0e6",
+        "breakdown_unique_url_bin.tsv": "d18537aa93eb330abe8b14586ff28ee1247a519bb7f545e72f10ef0af9eabf02",
+        "breakdown_url_entropy_bin.tsv": "00b08efd204ce55c7d0f430bff394a2a4a7862d7d8c90ab0e6de8421390b65df",
+        "conditional_click_by_position.tsv": "59018c71c247bf899ad57fe3360fc9f05a4a93b899c0ac48101eb23e7ddd3f14",
+        "manifest.json": "412a1c5cddfabb1da06d04e8b3ddf0e882b85d1b679b3e0ee3b86ae73f07ab84",
+        "summary.tsv": "f116d05e29dc708fb404bd894680bf0cb5cb1afc709412601a553487f8d12b7b",
+    },
+    "bias": {
+        "above_diagonal.tsv": "84828e722d1a8dffe5ec50eb8c1f67130d2f08f45cb1348a5bbfd65f21a30a15",
+        "cross_entropy.tsv": "6634142af6fef2f982876634c934d4981148f6ace0285a989dd9ced31bfc06bb",
+        "logreg_weights.tsv": "250908cd688ecf670ee0e1455ed1c038d17512bf5e3e114c04847188cafb1170",
+        "manifest.json": "b32df687f53caabe283a988e6ecca68c1a0fc533b0d16cc6074c624cfef3b5fd",
+        "scatter.tsv": "c752c1d6344d4711e59b65fb2f83bea3dbad065ec6bb371b9c8723ddd3b24896",
+        "scatter_fit.tsv": "ff58ebb465752f121518f3b8d5d6784992afeb5ee4f927568090267692c4bf93",
+    },
+}
+
+
+def tree_digests(directory) -> dict:
+    out = {}
+    for base, _dirs, files in os.walk(directory):
+        for name in files:
+            path = os.path.join(base, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, directory)] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def test_golden_artifacts(tmp_path):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps(SYNTH_CONFIG))
+    data = tmp_path / "data"
+    assert main(["synth-gen", "--out", str(data), "--config", str(config), "--seed", "11"]) == 0
+    corpus = [
+        "--queries", str(data / "queries.jsonl"),
+        "--panes", str(data / "panes.jsonl"),
+        "--impressions", str(data / "impressions.jsonl"),
+    ]
+    assert main(["analyze", "--out", str(tmp_path / "analyze"), *corpus]) == 0
+    assert main(["bias", "--out", str(tmp_path / "bias"), *corpus, "--folds", "3"]) == 0
+    for out, expected in GOLDEN.items():
+        assert tree_digests(tmp_path / out) == expected, out
