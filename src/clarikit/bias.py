@@ -217,105 +217,62 @@ class LogisticFit:
     iterations: int
     gradient_norm: float
 
-    def predict(self, rows: np.ndarray) -> np.ndarray:
-        return _sigmoid(rows @ self.weights)
-
 
 def fit_fractional_logreg(
     rows: np.ndarray,
     targets: np.ndarray,
     sample_weights: np.ndarray | None = None,
     tol: float = 1e-10,
-    max_iter: int = 100_000,
+    max_iter: int = 100,
 ) -> LogisticFit:
     """Logistic regression with fractional labels (targets are rates), fit by
-    batch gradient descent with backtracking line search.
+    Newton's method, halving a step while it raises the loss.
 
     Equivalent to impression-weighted binary regression: the cross-entropy
     objective -[y log s + (1-y) log(1-s)] is linear in y.  Deterministic and
-    seed-free.  Raises NumericalError if the gradient norm never reaches tol.
-
-    Non-constant columns are standardized internally for conditioning (the
-    stopping tolerance applies to the standardized problem) and the returned
-    weights are mapped back to the raw feature scale.
+    seed-free.  Column 0 is the intercept; a constant column cannot be told
+    apart from it and keeps weight 0.  Stops once the max-norm of the
+    gradient (sample weights normalized to sum 1) is below tol; raises
+    NumericalError if that does not happen within max_iter steps.
     """
-    n, d = rows.shape
-    w = np.ones(n) if sample_weights is None else np.asarray(sample_weights, dtype=np.float64)
+    w = np.ones(len(rows)) if sample_weights is None else np.asarray(sample_weights, dtype=np.float64)
     w = w / w.sum()
     y = np.asarray(targets, dtype=np.float64)
+    free = np.ptp(rows, axis=0) > 0.0
+    free[0] = True
+    x = rows[:, free]
 
-    raw = rows
-    center = raw.mean(axis=0)
-    scale = raw.std(axis=0)
-    constant = scale < 1e-12
-    center[constant] = 0.0
-    scale[constant] = 1.0
-    center[0] = 0.0  # column 0 is the intercept; keep it as-is
-    scale[0] = 1.0
-    rows = (raw - center) / scale
-    theta = np.zeros(d)
-
-    def loss_and_grad(params):
-        z = rows @ params
+    def loss(params: np.ndarray) -> float:
+        z = x @ params
         # -[y z - log(1 + e^z)] summed with weights, stable via logaddexp
-        loss = float((w * (np.logaddexp(0.0, z) - y * z)).sum())
-        grad = rows.T @ (w * (_sigmoid(z) - y))
-        return loss, grad
+        return float((w * (np.logaddexp(0.0, z) - y * z)).sum())
 
-    def to_raw_scale(params: np.ndarray) -> np.ndarray:
-        unscaled = params / scale
-        unscaled[0] = params[0] - float((params[1:] * center[1:] / scale[1:]).sum())
-        return unscaled
-
-    # curvature bound: the logistic Hessian is at most X^T diag(w)/4 X, so
-    # steps of 1/L always descend once line-search progress is unmeasurable
-    gram_spectral = _power_iteration_spectral_norm(rows * np.sqrt(w)[:, None])
-    safe_step = 1.0 / max(0.25 * gram_spectral, 1e-12)
-
-    loss, grad = loss_and_grad(theta)
-    step = 1.0
-    polishing = False
-    for iterations in range(1, max_iter + 1):
+    theta = np.zeros(x.shape[1])
+    current = loss(theta)
+    iterations = 0
+    while True:
+        p = _sigmoid(x @ theta)
+        grad = x.T @ (w * (p - y))
         gnorm = float(np.abs(grad).max())
         if gnorm < tol:
-            return LogisticFit(weights=to_raw_scale(theta), iterations=iterations - 1, gradient_norm=gnorm)
-        grad_sq = float(grad @ grad)
-        if not polishing and 1e-4 * safe_step * grad_sq < 1e-15 * max(1.0, abs(loss)):
-            polishing = True  # decreases are below float resolution of the loss
-        if polishing:
-            theta = theta - safe_step * grad
-            loss, grad = loss_and_grad(theta)
-            continue
-        step = min(step * 2.0, 1e8)  # allow the step to grow back after cautious phases
-        while True:
-            candidate = theta - step * grad
-            new_loss, new_grad = loss_and_grad(candidate)
-            if new_loss <= loss - 1e-4 * step * grad_sq:
-                break
-            step *= 0.5
-            if step < 1e-18:
-                raise NumericalError(
-                    f"line search stalled at iteration {iterations}; gradient norm {gnorm:.3e}"
-                )
-        theta, loss, grad = candidate, new_loss, new_grad
-    gnorm = float(np.abs(grad).max())
-    raise NumericalError(
-        f"logistic regression did not converge in {max_iter} iterations; final gradient norm {gnorm:.3e}"
-    )
-
-
-def _power_iteration_spectral_norm(matrix: np.ndarray, iterations: int = 60) -> float:
-    """Largest eigenvalue of matrix^T matrix, by deterministic power iteration."""
-    v = np.ones(matrix.shape[1]) / np.sqrt(matrix.shape[1])
-    value = 0.0
-    for _ in range(iterations):
-        u = matrix.T @ (matrix @ v)
-        norm = float(np.linalg.norm(u))
-        if norm == 0.0:
-            return 0.0
-        value = norm
-        v = u / norm
-    return value
+            weights = np.zeros(rows.shape[1])
+            weights[free] = theta
+            return LogisticFit(weights=weights, iterations=iterations, gradient_norm=gnorm)
+        if iterations == max_iter:
+            raise NumericalError(
+                f"logistic regression did not converge in {max_iter} iterations; final gradient norm {gnorm:.3e}"
+            )
+        iterations += 1
+        hessian = x.T @ (x * (w * p * (1.0 - p))[:, None])
+        try:
+            step = np.linalg.solve(hessian, grad)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Newton step {iterations}: {exc}; gradient norm {gnorm:.3e}") from None
+        # halve while the loss rises by more than the rounding of its sum; a
+        # step that never descends shrinks to zero and ends at max_iter
+        while (new := loss(theta - step)) > current + 1e-14 * abs(current):
+            step = 0.5 * step
+        theta, current = theta - step, new
 
 
 @dataclass
@@ -352,8 +309,6 @@ def fit_click_logreg(
     panes: Mapping[str, ClarificationPane],
     stats: Mapping[str, EngagementStats],
     folds: int = 10,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
 ) -> LogRegCvReport:
     """Cross-validated regressions for the two labels (promoted and demoted
     answer rates), returning the per-fold weight vectors."""
@@ -366,10 +321,8 @@ def fit_click_logreg(
         train = fold_ids != fold
         if train.sum() == 0:
             raise ValueError(f"fold {fold} has no training triples")
-        fit_l = fit_fractional_logreg(rows[train], targets_l[train], weights[train], tol=tol, max_iter=max_iter)
-        fit_r = fit_fractional_logreg(rows[train], targets_r[train], weights[train], tol=tol, max_iter=max_iter)
-        report.fold_weights_l.append(fit_l.weights)
-        report.fold_weights_r.append(fit_r.weights)
+        report.fold_weights_l.append(fit_fractional_logreg(rows[train], targets_l[train], weights[train]).weights)
+        report.fold_weights_r.append(fit_fractional_logreg(rows[train], targets_r[train], weights[train]).weights)
     return report
 
 
@@ -413,10 +366,13 @@ def fit_examination_em(
     impressions = np.array([c[2] for c in cells], dtype=np.float64)
     clicks = np.array([c[3] for c in cells], dtype=np.float64)
 
-    observed_positions = set(positions.tolist())
-    missing = [k for k in range(max_positions) if k not in observed_positions]
-    if missing:
-        warnings.warn(f"positions {[m + 1 for m in missing]} never observed; examination probability pinned")
+    no_click = impressions - clicks
+    position_impressions = np.bincount(positions, weights=impressions, minlength=max_positions)
+    item_impressions = np.maximum(np.bincount(items, weights=impressions, minlength=len(item_ids)), 1.0)
+    observed = position_impressions > 0
+    missing = np.flatnonzero(~observed)
+    if missing.size:
+        warnings.warn(f"positions {(missing + 1).tolist()} never observed; examination probability pinned")
 
     eps = np.full(max_positions, 0.5)
     eps[0] = 1.0
@@ -424,7 +380,6 @@ def fit_examination_em(
     for _ in range(max_iter):
         e = eps[positions]
         a = alpha[items]
-        no_click = impressions - clicks
         denom = np.maximum(1.0 - e * a, _EPS)
         examined_given_no = e * (1.0 - a) / denom
         attracted_given_no = a * (1.0 - e) / denom
@@ -432,14 +387,9 @@ def fit_examination_em(
         exam_events = clicks + no_click * examined_given_no
         attract_events = clicks + no_click * attracted_given_no
 
-        new_eps = eps.copy()
-        for k in range(max_positions):
-            sel = positions == k
-            if sel.any():
-                new_eps[k] = exam_events[sel].sum() / impressions[sel].sum()
-        new_alpha = np.bincount(items, weights=attract_events, minlength=len(item_ids)) / np.maximum(
-            np.bincount(items, weights=impressions, minlength=len(item_ids)), 1.0
-        )
+        position_exams = np.bincount(positions, weights=exam_events, minlength=max_positions)
+        new_eps = np.where(observed, position_exams / np.maximum(position_impressions, 1.0), eps)
+        new_alpha = np.bincount(items, weights=attract_events, minlength=len(item_ids)) / item_impressions
         scale = max(new_eps[0], _EPS)
         new_eps = np.clip(new_eps / scale, _EPS, 1.0)
         new_alpha = np.clip(new_alpha * scale, _EPS, 1.0 - _EPS)
@@ -621,8 +571,6 @@ def evaluate_click_models(
     stats: Mapping[str, EngagementStats],
     kinds: Sequence[str] = tuple(CLICK_MODELS),
     folds: int = 10,
-    logreg_tol: float = 1e-10,
-    logreg_max_iter: int = 100_000,
 ) -> CeReport:
     """Fold-wise cross entropy between observed swapped-pane rates and each
     model's predictions.  Models that need fitting (blind mean, examination
@@ -635,7 +583,7 @@ def evaluate_click_models(
         raise ValueError(f"need at least {folds} triples")
     logreg = None
     if "logistic" in kinds:
-        logreg = fit_click_logreg(triples, panes, stats, folds=folds, tol=logreg_tol, max_iter=logreg_max_iter)
+        logreg = fit_click_logreg(triples, panes, stats, folds=folds)
     fold_ids = [triple_fold(t, folds) for t in triples]
 
     per_fold: dict[tuple[str, str], list[float]] = {}

@@ -76,34 +76,15 @@ def _load_corpus_files(args) -> tuple[dict, dict]:
 
 
 def _load_lexicon(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
-    lexicon = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 tab-separated columns")
-            lexicon[cols[0]] = cols[1]
-    return lexicon
+    return dict(dataio.read_tsv_rows(path, (str, str))) if path else {}
 
 
-def _load_history(path: str | None) -> dict[str, list[tuple[str, int]]]:
+def _load_history(path: str) -> dict[str, list[tuple[str, int]]]:
     """Per-query URL click history from a (query_id, url, count) TSV."""
     history: dict[str, dict[str, int]] = {}
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                cols = line.split("\t")
-                if len(cols) != 3:
-                    raise ValueError(f"{path}:{lineno}: expected 3 tab-separated columns")
-                history.setdefault(cols[0], {})[cols[1]] = history.get(cols[0], {}).get(cols[1], 0) + int(cols[2])
+    for query_id, url, count in dataio.read_tsv_rows(path, (str, str, int)):
+        bucket = history.setdefault(query_id, {})
+        bucket[url] = bucket.get(url, 0) + count
     return {qid: sorted(urls.items()) for qid, urls in history.items()}
 
 
@@ -282,18 +263,14 @@ def cmd_analyze(args, out: Outputs) -> None:
     )
 
 
-BIAS_DEFAULTS = {
-    "folds": 10,
-    "logreg_tol": 1e-10,
-    "logreg_max_iter": 100000,
-}
+BIAS_DEFAULTS = {"folds": 10}
 
 
 def cmd_bias(args, out: Outputs) -> None:
     config = _merge_config(args, BIAS_DEFAULTS)
     _, panes = _load_corpus_files(args)
-    log = dataio.load_impressions(args.impressions)
-    stats = collect_stats(log, panes)
+    # the log is dropped once counted, so what the fits allocate stays below the load's peak
+    stats = collect_stats(dataio.load_impressions(args.impressions), panes)
     triples = bias.build_swap_dataset(panes)
     triples = [t for t in triples if t.pane_c in stats and t.pane_c_prime in stats]
     if not triples:
@@ -313,10 +290,7 @@ def cmd_bias(args, out: Outputs) -> None:
         [[k, i, pct, n] for (k, i), (pct, n) in sorted(cells.items())],
     )
 
-    ce_report = bias.evaluate_click_models(
-        triples, panes, stats, folds=int(config["folds"]),
-        logreg_tol=float(config["logreg_tol"]), logreg_max_iter=int(config["logreg_max_iter"]),
-    )
+    ce_report = bias.evaluate_click_models(triples, panes, stats, folds=int(config["folds"]))
     report = ce_report.logreg
     weight_rows = []
     for label, per_fold in (("L", report.fold_weights_l), ("R", report.fold_weights_r)):

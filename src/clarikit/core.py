@@ -151,9 +151,10 @@ class ImpressionRecord:
             raise ValueError("dwell seconds must be >= 0")
         if self.reformulation is not None:
             text, delta = self.reformulation
+            delta = float(delta)
             if delta < 0:
                 raise ValueError("reformulation delta seconds must be >= 0")
-            object.__setattr__(self, "reformulation", (text, float(delta)))
+            object.__setattr__(self, "reformulation", (text, delta))
 
     @property
     def engaged(self) -> bool:

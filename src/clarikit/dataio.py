@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .core import CandidateAnswer, ClarificationPane, ImpressionRecord, PaneLabels, Query
 
@@ -118,23 +118,14 @@ def impression_to_dict(rec: ImpressionRecord) -> dict:
 
 
 def impression_from_dict(d: dict) -> ImpressionRecord:
-    reform = d.get("reformulation")
+    # ImpressionRecord converts the click and reformulation fields itself
     return ImpressionRecord(
         pane_id=d["pane_id"],
         timestamp=int(d["timestamp"]),
-        answer_clicks=frozenset(int(p) for p in d.get("answer_clicks", ())),
-        result_clicks=tuple((url, float(dw)) for url, dw in d.get("result_clicks", ())),
-        reformulation=(reform[0], float(reform[1])) if reform else None,
+        answer_clicks=d.get("answer_clicks", ()),
+        result_clicks=d.get("result_clicks", ()),
+        reformulation=d.get("reformulation") or None,
     )
-
-
-def labels_to_dict(query_id: str, pane_id: str, labels: PaneLabels) -> dict:
-    return {
-        "query_id": query_id,
-        "pane_id": pane_id,
-        "overall": labels.overall,
-        "landing": list(labels.landing),
-    }
 
 
 def labels_from_dict(d: dict) -> tuple[str, str, PaneLabels]:
@@ -183,6 +174,27 @@ def read_tsv(path: str) -> tuple[list[str], list[list[str]]]:
         raise ValueError(f"{path}: empty table")
     header = lines[0].split("\t")
     return header, [line.split("\t") for line in lines[1:]]
+
+
+def read_tsv_rows(path: str, types: tuple[Callable, ...]) -> Iterator[tuple]:
+    """The non-blank rows of a headerless TSV input, each column passed
+    through its entry of types.  A wrong column count or a value that does
+    not convert fails as a ValueError naming its path:line."""
+    converted = [(i, convert) for i, convert in enumerate(types) if convert is not str]
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            cols = line.split("\t")
+            if len(cols) != len(types):
+                raise ValueError(f"{path}:{lineno}: expected {len(types)} tab-separated columns, got {len(cols)}")
+            try:
+                for i, convert in converted:
+                    cols[i] = convert(cols[i])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            yield tuple(cols)
 
 
 def _format_cell(value) -> str:

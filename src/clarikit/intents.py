@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .core import tokenize
+from .dataio import read_jsonl, read_tsv_rows, write_jsonl
 
 SOURCES = ("reformulation", "click_title")
 
@@ -29,9 +30,6 @@ class IntentSet:
         if len(set(texts)) != len(texts):
             raise ValueError("intent texts must be unique within a set")
         object.__setattr__(self, "items", tuple(sorted(items, key=lambda it: (-it[1], it[0]))))
-
-    def weights_total(self) -> float:
-        return sum(w for _, w in self.items)
 
 
 def normalize_phrase(text: str) -> str:
@@ -138,28 +136,14 @@ def truncate_intents(intent_set: IntentSet, n_max: int) -> IntentSet:
 
 
 def read_reformulations_tsv(path: str) -> Iterator[tuple[str, str, int]]:
-    yield from ((q, qp, int(w)) for q, qp, w in _read_tsv_rows(path, 3))
+    return read_tsv_rows(path, (str, str, int))
 
 
 def read_click_titles_tsv(path: str) -> Iterator[tuple[str, str, str, int]]:
-    yield from ((q, url, title, int(f)) for q, url, title, f in _read_tsv_rows(path, 4))
-
-
-def _read_tsv_rows(path: str, n_cols: int) -> Iterator[tuple]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != n_cols:
-                raise ValueError(f"{path}:{lineno}: expected {n_cols} tab-separated columns, got {len(cols)}")
-            yield tuple(cols)
+    return read_tsv_rows(path, (str, str, str, int))
 
 
 def save_intent_sets(path: str, sets: Iterable[IntentSet]) -> None:
-    from .dataio import write_jsonl
-
     write_jsonl(
         path,
         (
@@ -171,8 +155,6 @@ def save_intent_sets(path: str, sets: Iterable[IntentSet]) -> None:
 
 def load_intent_sets(path: str) -> dict[str, dict[str, IntentSet]]:
     """Load as query_id -> source -> IntentSet."""
-    from .dataio import read_jsonl
-
     out: dict[str, dict[str, IntentSet]] = {}
     for d in read_jsonl(path):
         s = IntentSet(

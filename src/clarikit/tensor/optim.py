@@ -51,10 +51,6 @@ class Adam:
         for p in self.params.values():
             p.grad = None
 
-    def effective_lr(self, step: int | None = None) -> float:
-        step = self.step_count + 1 if step is None else step
-        return self.config.lr * schedule_factor(step, self.config.warmup_steps, self.config.total_steps)
-
     def step(self) -> float:
         """Apply one update from the accumulated gradients.  Returns the
         effective learning rate used.  Missing gradients count as zero."""

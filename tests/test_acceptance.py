@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Every criterion runs at its stated tolerance on fixed seeds, so outcomes are
-deterministic.  Run with `pytest tests/test_acceptance.py -v -s` to see the
-per-criterion lines and timings.
+deterministic.  One more test checks that the swap regressions behind
+criteria 4 and 5 converge.  Run with `pytest tests/test_acceptance.py -v -s`
+to see the per-criterion lines and timings.
 """
 
 import itertools
@@ -20,9 +21,12 @@ from clarikit.bias import (
     evaluate_click_models,
     fit_cascade_attractiveness,
     fit_examination_em,
+    fit_fractional_logreg,
     fit_scatter_line,
     pct_above_diagonal,
+    regression_data,
     scatter_points,
+    triple_fold,
 )
 from clarikit.cli import main as cli_main
 from clarikit.core import (
@@ -248,6 +252,25 @@ def test_criterion_05_cross_entropy_ordering(size_offset_experiment):
         "best_possible_is_floor": all(v >= values["best_possible"] - 1e-12 for v in values.values()),
     }
     _finish(5, "click-model cross-entropy ordering", started, 300, checks)
+
+
+def test_swap_regression_folds_converge(size_offset_experiment):
+    # every fold's regression behind criteria 4 and 5 is a converged Newton
+    # fit; the gradient at the reported weights is recomputed here
+    corpus, stats, triples, logreg, _, _ = size_offset_experiment
+    rows, targets_l, targets_r, impressions = regression_data(triples, corpus.panes, stats)
+    folds = len(logreg.fold_weights_l)
+    fold_ids = np.array([triple_fold(t, folds) for t in triples])
+    for fold in range(folds):
+        train = fold_ids != fold
+        x = rows[train]
+        w = impressions[train] / impressions[train].sum()
+        for targets, reported in ((targets_l, logreg.fold_weights_l[fold]), (targets_r, logreg.fold_weights_r[fold])):
+            fit = fit_fractional_logreg(x, targets[train], impressions[train])
+            assert fit.iterations <= 20
+            np.testing.assert_array_equal(fit.weights, reported)
+            gradient = x.T @ (w * (1.0 / (1.0 + np.exp(-(x @ reported))) - targets[train]))
+            assert np.abs(gradient).max() < 1e-10
 
 
 # -- criterion 6: memorization -------------------------------------------------

@@ -223,8 +223,9 @@ class TestFractionalLogreg:
         rows = np.column_stack([np.ones(200), np.zeros(200)])
         targets = np.full(200, 0.3)
         fit = fit_fractional_logreg(rows, targets)
-        predictions = fit.predict(rows)
+        predictions = 1.0 / (1.0 + np.exp(-(rows @ fit.weights)))
         np.testing.assert_allclose(predictions, 0.3, atol=1e-9)
+        assert fit.weights[1] == 0.0
 
     def test_size_dominates_when_size_determines_clicks(self):
         rng = np.random.default_rng(1)
@@ -255,12 +256,21 @@ class TestFractionalLogreg:
         with pytest.raises(NumericalError, match="gradient norm"):
             fit_fractional_logreg(rows, targets, max_iter=2)
 
+    def test_singular_design_is_diagnosed(self):
+        # two equal varying columns leave the Newton system without a solution
+        x = np.linspace(0.0, 1.0, 20)
+        rows = np.column_stack([np.ones(20), x, x])
+        targets = np.random.default_rng(7).uniform(0.2, 0.6, 20)
+        with pytest.raises(NumericalError, match="Singular"):
+            fit_fractional_logreg(rows, targets)
+
     def test_weighting_matters(self):
         rows = np.column_stack([np.ones(4), np.array([0.0, 0.0, 1.0, 1.0])])
         targets = np.array([0.2, 0.8, 0.2, 0.8])
         heavy_low = fit_fractional_logreg(rows, targets, np.array([9.0, 1.0, 9.0, 1.0]))
         heavy_high = fit_fractional_logreg(rows, targets, np.array([1.0, 9.0, 1.0, 9.0]))
-        assert heavy_low.predict(rows[:1])[0] < heavy_high.predict(rows[:1])[0]
+        # rows[0] is (1, 0): its prediction is the sigmoid of the intercept
+        assert heavy_low.weights[0] < heavy_high.weights[0]
 
     def test_cv_needs_enough_triples(self):
         with pytest.raises(ValueError):

@@ -148,6 +148,17 @@ class TestBias:
         models = {r[0] for r in rows}
         assert {"best_possible", "blind", "no_bias", "examination", "cascade", "logistic"} <= models
 
+    @pytest.mark.parametrize("key,value", [("logreg_tol", 1e-10), ("logreg_max_iter", 100000)])
+    def test_solver_keys_are_unknown(self, corpus_dir, tmp_path, key, value):
+        files = corpus_files(corpus_dir)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({key: value}))
+        code = run_cli("bias", "--out", tmp_path / "r", "--queries", files["queries"],
+                       "--panes", files["panes"], "--impressions", files["impressions"],
+                       "--config", config_path)
+        assert code == 1
+        assert os.listdir(tmp_path / "r") == []
+
 
 class TestIntents:
     def test_build_from_tsv(self, tmp_path):
@@ -166,6 +177,25 @@ class TestIntents:
 
     def test_requires_some_input(self, tmp_path):
         assert run_cli("intents", "--out", tmp_path / "r") == 1
+
+
+@pytest.mark.parametrize("flag,row", [
+    ("--history", "q000001\thttp://a\tmany"),
+    ("--reformulations", "jaguar\tjaguar car\tfive"),
+    ("--click-titles", "jaguar\thttp://a\tJaguar Cars\t4.5"),
+])
+def test_non_integer_count_exits_one_with_file_line(corpus_dir, tmp_path, capsys, flag, row):
+    bad = tmp_path / "counts.tsv"
+    bad.write_text(row + "\n")
+    if flag == "--history":
+        files = corpus_files(corpus_dir)
+        command = ["analyze", "--queries", files["queries"], "--panes", files["panes"],
+                   "--impressions", files["impressions"]]
+    else:
+        command = ["intents"]
+    assert run_cli(*command, "--out", tmp_path / "r", flag, bad) == 1
+    assert f"{bad}:1:" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "r") == []
 
 
 @pytest.fixture(scope="module")

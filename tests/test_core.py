@@ -1,5 +1,8 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clarikit.core import (
     CandidateAnswer,
@@ -183,3 +186,21 @@ class TestCollectStats:
         first = collect_stats(log[:7], panes)["p1"]
         second = collect_stats(log[7:], panes)["p1"]
         assert merge_stats(first, second) == whole
+
+    # one pane per answer count; clicks up to position 6 include some that
+    # fall outside a pane and must be ignored the same way in every part
+    PANES = {f"p{k}": make_pane(f"p{k}", texts=tuple(f"a{i}" for i in range(k))) for k in range(2, 6)}
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(sorted(PANES)), st.frozensets(st.integers(1, 6), max_size=4), st.integers(0, 3),
+    ), max_size=60))
+    def test_partition_merges_to_single_pass(self, entries):
+        log = [ImpressionRecord(pane_id, t, clicks) for t, (pane_id, clicks, _part) in enumerate(entries)]
+        per_part: dict[str, list] = {}
+        for part in range(4):
+            subset = [rec for rec, entry in zip(log, entries) if entry[2] == part]
+            for pane_id, stats in collect_stats(subset, self.PANES).items():
+                per_part.setdefault(pane_id, []).append(stats)
+        merged = {pane_id: reduce(merge_stats, parts) for pane_id, parts in per_part.items()}
+        assert merged == collect_stats(log, self.PANES)
