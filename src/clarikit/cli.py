@@ -1,9 +1,10 @@
 """Batch command-line surface.
 
-Every command reads declarative parameters from an optional JSON config file
-(--config), lets individual flags override file values, writes plain
-delimited or line-delimited artifacts into --out, and drops a manifest.json
-(command, version, seed, resolved config, input digests) next to them.
+Every command but rank and plot-data reads declarative parameters from an
+optional JSON config file (--config) and lets individual flags override file
+values.  Every command writes plain delimited or line-delimited artifacts
+into --out and drops a manifest.json (command, version, seed, resolved
+config, input digests) next to them.
 Partial outputs are removed when a command fails.
 
 Exit codes: 0 success, 1 input or validation error, 2 numerical failure.
@@ -104,9 +105,14 @@ def _rlc_scorer(model_path: str | None, intent_sets, lexicon):
     if not model_path:
         return None
     model = rlc_mod.RlcModel.load(model_path)
+    scores: dict[tuple[str, str], float] = {}
 
     def scorer(query, pane):
-        return model.score(query, pane, intent_sets.get(query.id, {}), lexicon)
+        # eval ranks the same panes for the engagement and the labelled set
+        key = (query.id, pane.id)
+        if key not in scores:
+            scores[key] = model.score(query, pane, intent_sets.get(query.id, {}), lexicon)
+        return scores[key]
 
     return scorer
 
@@ -366,10 +372,12 @@ TRAIN_RLC_DEFAULTS = {
 def cmd_train_rlc(args, out: Outputs) -> None:
     config = _merge_config(args, TRAIN_RLC_DEFAULTS)
     queries, panes = _load_corpus_files(args)
-    log = dataio.load_impressions(args.impressions)
+    # the log is dropped once the triples are built, so it is not held through training
+    triples = _engagement_triples(
+        queries, panes, dataio.load_impressions(args.impressions), int(config["min_impressions"])
+    )
     intent_sets = intents_mod.load_intent_sets(args.intents) if args.intents else {}
     lexicon = _load_lexicon(args.lexicon)
-    triples = _engagement_triples(queries, panes, log, int(config["min_impressions"]))
     if not triples:
         raise ValueError("no queries with >= 2 panes of distinct engagement rates")
     model_config = rlc_mod.RlcConfig(
@@ -615,9 +623,12 @@ def cmd_plot_data(args, out: Outputs) -> None:
 # -- argument wiring ---------------------------------------------------------
 
 
-def _add_common(sub, *, seed=False, corpus=False, impressions=False, intents=False, lexicon=False, history=False):
+def _add_common(
+    sub, *, config=True, seed=False, corpus=False, impressions=False, intents=False, lexicon=False, history=False
+):
     sub.add_argument("--out", help="output directory (or CLARIKIT_OUT_DIR)")
-    sub.add_argument("--config", help="JSON config file; flags override its values")
+    if config:
+        sub.add_argument("--config", help="JSON config file; flags override its values")
     if seed:
         sub.add_argument("--seed", type=int, default=0)
     if corpus:
@@ -697,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_train_ranker)
 
     sub = commands.add_parser("rank", help="rank the panes of each query")
-    _add_common(sub, corpus=True, intents=True, lexicon=True, history=True)
+    _add_common(sub, config=False, corpus=True, intents=True, lexicon=True, history=True)
     sub.add_argument("--ensemble")
     sub.add_argument("--rlc-model", dest="rlc_model")
     sub.add_argument("--query-id", dest="query_id")
@@ -714,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_eval)
 
     sub = commands.add_parser("plot-data", help="re-emit a report as a plotting-ready table")
-    _add_common(sub)
+    _add_common(sub, config=False)
     sub.add_argument("--input", required=True)
     sub.add_argument("--name")
     sub.set_defaults(func=cmd_plot_data)

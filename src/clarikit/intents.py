@@ -135,12 +135,20 @@ def truncate_intents(intent_set: IntentSet, n_max: int) -> IntentSet:
     )
 
 
+def _frequency(value: str) -> int:
+    """A count column: an integer of at least 1."""
+    count = int(value)
+    if count < 1:
+        raise ValueError(f"frequency must be >= 1, got {count}")
+    return count
+
+
 def read_reformulations_tsv(path: str) -> Iterator[tuple[str, str, int]]:
-    return read_tsv_rows(path, (str, str, int))
+    return read_tsv_rows(path, (str, str, _frequency))
 
 
 def read_click_titles_tsv(path: str) -> Iterator[tuple[str, str, str, int]]:
-    return read_tsv_rows(path, (str, str, str, int))
+    return read_tsv_rows(path, (str, str, str, _frequency))
 
 
 def save_intent_sets(path: str, sets: Iterable[IntentSet]) -> None:

@@ -149,6 +149,8 @@ class RlcModel:
         return texts, weights / weights.sum()
 
     def _padded_answers(self, pane: ClarificationPane) -> tuple[list[str | None], np.ndarray]:
+        if not pane.answers:
+            raise ValueError(f"pane {pane.id} has no answers")
         k = self.config.answer_slots
         texts: list[str | None] = [a.text for a in pane.answers[:k]]
         texts += [None] * (k - len(texts))
@@ -161,38 +163,36 @@ class RlcModel:
         """Coverage branch for one intent source: encode every (query, answer,
         intent) triplet, summarize the answers per intent, contextualize
         across intents, weight by normalized intent weight, sum, and refine
-        with two point-wise feed-forward layers."""
+        with two point-wise feed-forward layers.
+
+        The triplets form one (intents x answers) block of rows: one text
+        encoding, one pass per answers-encoder layer with a block-diagonal
+        mask (each intent's answers attend only to each other), and one
+        pooling matmul."""
         cfg = self.config
-        table = self.params["embed.table"]
-        proj = self.params[f"ice.{source}.proj"]
         query_tokens = tokenize(query.text)
         answer_texts, answer_mask = self._padded_answers(pane)
         intent_texts, weights = self._padded_intents(intent_set)
-        zero_row = Tensor(np.zeros((1, cfg.dim)))
+        answer_tokens = [None if t is None else tokenize(t) for t in answer_texts]
+        intent_tokens = [None if t is None else tokenize(t) for t in intent_texts]
+        triplets = [
+            None if intent is None or answer is None else [query_tokens, answer, intent]
+            for intent in intent_tokens
+            for answer in answer_tokens
+        ]
+        seq = text_encode(triplets, self.params["embed.table"], self.params[f"ice.{source}.proj"])
+        block_mask = np.kron(np.eye(cfg.max_intents), np.ones((cfg.answer_slots, cfg.answer_slots)))
+        block_mask *= np.tile(answer_mask, cfg.max_intents)
+        for layer in range(cfg.layers):
+            seq = transformer_encoder_layer(seq, self._encoder(f"ice.{source}.answers_enc", layer), key_mask=block_mask)
+        # mean over each intent's real answers; a padded intent is a zero row
+        real_intents = np.array([0.0 if t is None else 1.0 for t in intent_texts])
+        pooling = np.kron(np.diag(real_intents), answer_mask / answer_mask.sum())
+        intents_seq = ad.matmul(Tensor(pooling), seq)
 
-        per_intent_rows: list[Tensor] = []
-        for intent_text in intent_texts:
-            if intent_text is None:
-                per_intent_rows.append(zero_row)
-                continue
-            intent_tokens = tokenize(intent_text)
-            triplet_rows = []
-            for answer_text in answer_texts:
-                if answer_text is None:
-                    triplet_rows.append(zero_row)
-                else:
-                    triplet_rows.append(
-                        text_encode([query_tokens, tokenize(answer_text), intent_tokens], table, proj)
-                    )
-            seq = ad.concat(triplet_rows, axis=0)
-            for layer in range(cfg.layers):
-                seq = transformer_encoder_layer(seq, self._encoder(f"ice.{source}.answers_enc", layer), key_mask=answer_mask)
-            per_intent_rows.append(masked_mean_rows(seq, answer_mask))
-
-        intent_mask = np.array([0.0 if t is None else 1.0 for t in intent_texts])
+        intent_mask = real_intents.copy()
         if intent_mask.sum() == 0:
             intent_mask[0] = 1.0  # the null slot carries the uniform weight
-        intents_seq = ad.concat(per_intent_rows, axis=0)
         for layer in range(cfg.layers):
             intents_seq = transformer_encoder_layer(intents_seq, self._encoder(f"ice.{source}.intents_enc", layer), key_mask=intent_mask)
         # weight each contextualized intent by its normalized frequency and sum
@@ -210,18 +210,14 @@ class RlcModel:
         table = self.params["embed.table"]
         lexicon = entity_lexicon or {}
         answer_texts, answer_mask = self._padded_answers(pane)
-        rows: list[Tensor] = []
-        for text in answer_texts:
-            if text is None:
-                rows.append(Tensor(np.zeros((1, cfg.dim))))
-                continue
-            entity_type = lexicon.get(text, "")
-            rows.append(
-                text_encode([tokenize(text), tokenize(entity_type)], table, self.params["ace.answer.proj"])
-            )
-        rows.append(text_encode([tokenize(pane.question_text)], table, self.params["ace.question.proj"]))
+        answers = text_encode(
+            [None if t is None else [tokenize(t), tokenize(lexicon.get(t, ""))] for t in answer_texts],
+            table,
+            self.params["ace.answer.proj"],
+        )
+        question = text_encode([[tokenize(pane.question_text)]], table, self.params["ace.question.proj"])
         mask = np.concatenate([answer_mask, [1.0]])
-        seq = ad.concat(rows, axis=0)
+        seq = ad.concat([answers, question], axis=0)
         for layer in range(cfg.layers):
             seq = transformer_encoder_layer(seq, self._encoder("ace.enc", layer), key_mask=mask)
         return masked_mean_rows(seq, mask)

@@ -8,21 +8,14 @@ from .autodiff import (
     check_gradients,
     concat,
     embedding_lookup,
-    exp,
-    finite_difference_gradient,
     layer_norm,
-    log,
     matmul,
     max_relative_error,
-    mean,
     mul,
     neg,
     relu,
-    sigmoid,
     softmax,
     softplus,
-    split,
-    stack_rows,
     sum_,
     transpose,
     zero_grads,
@@ -40,4 +33,4 @@ from .nn import (
     transformer_encoder_layer,
 )
 from .optim import Adam, AdamConfig, NonFiniteGradientError, schedule_factor
-from .text import encode_text, sequence_ids, text_encode
+from .text import sequence_ids, text_encode

@@ -188,30 +188,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(out_data, tuple(tensors), backward, "concat")
 
 
-def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack 1-row tensors (1, d) into (n, d)."""
-    return concat(tensors, axis=0)
-
-
-def split(a: Tensor, sections: int, axis: int = -1) -> list[Tensor]:
-    axis = axis % a.data.ndim
-    if a.shape[axis] % sections != 0:
-        raise ValueError(f"cannot split axis of size {a.shape[axis]} into {sections} sections")
-    pieces = np.split(a.data, sections, axis=axis)
-    width = a.shape[axis] // sections
-    outs = []
-    for i, piece in enumerate(pieces):
-        def backward(grad, i=i):
-            full = np.zeros_like(a.data)
-            index = [slice(None)] * a.data.ndim
-            index[axis] = slice(i * width, (i + 1) * width)
-            full[tuple(index)] = grad
-            _accumulate(a, full)
-
-        outs.append(_make(piece, (a,), backward, "split"))
-    return outs
-
-
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
@@ -224,11 +200,6 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out_data, (a,), backward, "sum")
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), Tensor(1.0 / count))
-
-
 def relu(a: Tensor) -> Tensor:
     mask = (a.data > 0).astype(np.float64)
 
@@ -236,34 +207,6 @@ def relu(a: Tensor) -> Tensor:
         _accumulate(a, grad * mask)
 
     return _make(a.data * mask, (a,), backward, "relu")
-
-
-def log(a: Tensor) -> Tensor:
-    if (a.data <= 0).any():
-        raise ValueError("log of non-positive value")
-
-    def backward(grad):
-        _accumulate(a, grad / a.data)
-
-    return _make(np.log(a.data), (a,), backward, "log")
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def backward(grad):
-        _accumulate(a, grad * out_data)
-
-    return _make(out_data, (a,), backward, "exp")
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out_data = np.where(a.data >= 0, 1.0 / (1.0 + np.exp(-a.data)), np.exp(a.data) / (1.0 + np.exp(a.data)))
-
-    def backward(grad):
-        _accumulate(a, grad * out_data * (1.0 - out_data))
-
-    return _make(out_data, (a,), backward, "sigmoid")
 
 
 def softplus(a: Tensor) -> Tensor:

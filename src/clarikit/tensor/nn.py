@@ -2,7 +2,9 @@
 
 Everything operates on (seq, dim) matrices.  Padding positions are removed
 with an additive key mask inside the attention softmax and must additionally
-be excluded from any pooling by the caller.
+be excluded from any pooling by the caller.  A (seq, seq) mask instead gives
+each row its own keys, so several independent sequences can share one
+block-diagonal pass.
 """
 
 from __future__ import annotations
@@ -69,12 +71,15 @@ def init_encoder_layer(dim: int, n_heads: int, ff_dim: int, rng: np.random.Gener
 
 
 def _mask_bias(key_mask: np.ndarray | None, seq_len: int) -> Tensor | None:
+    """Additive attention bias: 0 where kept, MASK_NEG where masked.  A
+    (seq,) key mask applies to every query row; a (seq, seq) mask gives each
+    query row its own keys."""
     if key_mask is None:
         return None
     key_mask = np.asarray(key_mask, dtype=np.float64)
-    if key_mask.shape != (seq_len,):
+    if key_mask.shape not in ((seq_len,), (seq_len, seq_len)):
         raise ValueError(f"key mask shape {key_mask.shape} does not match sequence length {seq_len}")
-    return Tensor((1.0 - key_mask)[None, :] * MASK_NEG)  # 0 where kept, MASK_NEG where masked
+    return Tensor((1.0 - key_mask) * MASK_NEG)
 
 
 def multi_head_self_attention(

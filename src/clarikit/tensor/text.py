@@ -10,10 +10,11 @@ behind the same interface.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from ..core import tokenize
-from .autodiff import Tensor, embedding_lookup, matmul, mean
+from .autodiff import Tensor, embedding_lookup, matmul
 
 BEGIN = "<b>"
 SEP = "<s>"
@@ -22,6 +23,9 @@ END = "<e>"
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+# token and bigram hashes are reused across steps, epochs and panes; the
+# bound keeps a long run over a large vocabulary from growing without limit
+_HASH_CACHE_SIZE = 1 << 16
 
 
 def fnv1a(data: str | bytes) -> int:
@@ -34,10 +38,12 @@ def fnv1a(data: str | bytes) -> int:
     return h
 
 
+@functools.lru_cache(maxsize=_HASH_CACHE_SIZE)
 def hash_token(token: str, buckets: int) -> int:
     return fnv1a(token) % buckets
 
 
+@functools.lru_cache(maxsize=_HASH_CACHE_SIZE)
 def hash_bigram(left: str, right: str, buckets: int) -> int:
     return fnv1a(left + "\x1f" + right) % buckets
 
@@ -62,13 +68,16 @@ def sequence_ids(parts: list[list[str]], buckets: int) -> np.ndarray:
     return np.asarray(ids, dtype=np.int64)
 
 
-def text_encode(parts: list[list[str]], table: Tensor, projection: Tensor) -> Tensor:
-    """Encode token-list parts to a (1, model_dim) vector."""
-    ids = sequence_ids(parts, table.shape[0])
-    rows = embedding_lookup(table, ids)
-    pooled = mean(rows, axis=0, keepdims=True)
-    return matmul(pooled, projection)
-
-
-def encode_text(text: str, table: Tensor, projection: Tensor) -> Tensor:
-    return text_encode([tokenize(text)], table, projection)
+def text_encode(items: list[list[list[str]] | None], table: Tensor, projection: Tensor) -> Tensor:
+    """Encode each item, a list of token-list parts, to one row of an
+    (len(items), model_dim) matrix.  A None item (a padded slot) is a zero
+    row.  All items share one embedding lookup; a constant pooling matrix
+    takes each item's mean over its own ids."""
+    encoded = [(row, sequence_ids(parts, table.shape[0])) for row, parts in enumerate(items) if parts is not None]
+    ids = np.concatenate([np.zeros(0, dtype=np.int64)] + [seq for _, seq in encoded])
+    pooling = np.zeros((len(items), len(ids)))
+    offset = 0
+    for row, seq in encoded:
+        pooling[row, offset : offset + len(seq)] = 1.0 / len(seq)
+        offset += len(seq)
+    return matmul(matmul(Tensor(pooling), embedding_lookup(table, ids)), projection)

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 
@@ -183,6 +184,8 @@ class TestIntents:
     ("--history", "q000001\thttp://a\tmany"),
     ("--reformulations", "jaguar\tjaguar car\tfive"),
     ("--click-titles", "jaguar\thttp://a\tJaguar Cars\t4.5"),
+    ("--reformulations", "jaguar\tjaguar car\t0"),
+    ("--click-titles", "jaguar\thttp://a\tJaguar Cars\t0"),
 ])
 def test_non_integer_count_exits_one_with_file_line(corpus_dir, tmp_path, capsys, flag, row):
     bad = tmp_path / "counts.tsv"
@@ -285,6 +288,55 @@ class TestRankAndEval:
         header, rows = dataio.read_tsv(str(tmp_path / "r" / "eval.tsv"))
         metrics = {r[0] for r in rows}
         assert "engagement_improvement_pct" in metrics
+
+    def test_eval_scores_each_pane_once(self, corpus_dir, trained_dir, tmp_path, monkeypatch):
+        """The engagement and the labelled sets rank the same panes; each
+        pane is scored once, and eval.tsv matches a scorer that re-scores."""
+        from clarikit import cli, rlc
+
+        files = corpus_files(corpus_dir)
+        panes = dataio.load_panes(files["panes"])
+        labels_path = tmp_path / "labels.jsonl"
+        labels_path.write_text("".join(
+            json.dumps({"query_id": p.query_id, "pane_id": p.id, "overall": "Good" if i % 2 else "Bad", "landing": []}) + "\n"
+            for i, p in enumerate(sorted(panes.values(), key=lambda p: p.id))
+        ))
+        argv = ["eval", "--queries", files["queries"], "--panes", files["panes"],
+                "--impressions", files["impressions"], "--labels", labels_path,
+                "--intents", files["intents"], "--lexicon", files["lexicon"],
+                "--rlc-model", os.path.join(trained_dir, "rlc", "rlc_model.json"),
+                "--ensemble", os.path.join(trained_dir, "ranker", "ensemble.json"), "--seed", 1]
+        calls = collections.Counter()
+        score = rlc.RlcModel.score
+
+        def counted(model, query, pane, *args):
+            calls[(query.id, pane.id)] += 1
+            return score(model, query, pane, *args)
+
+        monkeypatch.setattr(rlc.RlcModel, "score", counted)
+        assert run_cli(*argv, "--out", tmp_path / "once") == 0
+        assert set(calls) == {(p.query_id, p.id) for p in panes.values()}
+        assert set(calls.values()) == {1}
+
+        def rescoring(model_path, intent_sets, lexicon):
+            model = rlc.RlcModel.load(model_path)
+            return lambda query, pane: model.score(query, pane, intent_sets.get(query.id, {}), lexicon)
+
+        monkeypatch.setattr(cli, "_rlc_scorer", rescoring)
+        calls.clear()
+        assert run_cli(*argv, "--out", tmp_path / "rescored") == 0
+        assert max(calls.values()) == 2
+        assert (tmp_path / "once" / "eval.tsv").read_bytes() == (tmp_path / "rescored" / "eval.tsv").read_bytes()
+
+    def test_rank_takes_no_config(self, corpus_dir, tmp_path):
+        files = corpus_files(corpus_dir)
+        config = tmp_path / "config.json"
+        config.write_text("{}")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("rank", "--out", tmp_path / "r", "--queries", files["queries"],
+                    "--panes", files["panes"], "--config", config)
+        assert exc.value.code != 0
+        assert not (tmp_path / "r").exists()
 
     def test_eval_requires_some_input(self, corpus_dir, tmp_path):
         files = corpus_files(corpus_dir)

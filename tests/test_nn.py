@@ -44,6 +44,23 @@ def test_masked_keys_get_zero_weight(layer):
         assert (w[:, 4] == 0).all()
 
 
+def test_per_row_mask_zeroes_masked_keys_row_by_row(layer):
+    """A (seq, seq) mask: each query row attends only to its own kept keys."""
+    x = Tensor(np.random.default_rng(4).standard_normal((5, 8)))
+    mask = np.array([
+        [1, 1, 0, 0, 0],
+        [1, 1, 0, 0, 0],
+        [0, 0, 1, 0, 1],
+        [0, 0, 0, 1, 0],
+        [0, 0, 1, 0, 1],
+    ], dtype=float)
+    for w in attention_weights(x, layer, key_mask=mask):
+        for row in range(5):
+            assert (w[row, mask[row] == 0] == 0).all()
+            assert (w[row, mask[row] == 1] > 0).all()
+        np.testing.assert_allclose(w.sum(axis=-1), np.ones(5), atol=1e-12)
+
+
 def test_one_head_identity_projections_match_hand_softmax():
     """2-token, one-head attention with identity projections reduces to an
     explicit 2x2 softmax times the input."""
@@ -130,7 +147,7 @@ def test_attention_and_layer_gradients(layer):
     def f():
         out = transformer_encoder_layer(x, layer, key_mask=np.array([1.0, 1.0, 1.0, 0.0]))
         diff = ad.add(out, ad.neg(target))
-        return ad.mean(ad.mul(diff, diff))
+        return ad.sum_(ad.mul(diff, diff))
 
     errors = ad.check_gradients(f, params)
     assert max(errors.values()) < 1e-4, errors

@@ -5,7 +5,8 @@ from clarikit.tensor import autodiff as ad
 from clarikit.tensor.autodiff import Tensor
 from clarikit.tensor.checkpoint import load_tensors, save_tensors
 from clarikit.tensor.optim import Adam, AdamConfig, NonFiniteGradientError, schedule_factor
-from clarikit.tensor.text import encode_text, hash_token, sequence_ids, text_encode
+from clarikit.core import tokenize
+from clarikit.tensor.text import hash_token, sequence_ids, text_encode
 
 
 class TestSchedule:
@@ -80,14 +81,14 @@ class TestTextEncoder:
 
     def test_deterministic(self, tables):
         table, proj = tables
-        a = encode_text("which jaguar do you mean", table, proj)
-        b = encode_text("which jaguar do you mean", table, proj)
+        a = text_encode([[tokenize("which jaguar do you mean")]], table, proj)
+        b = text_encode([[tokenize("which jaguar do you mean")]], table, proj)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_output_dim_independent_of_length(self, tables):
         table, proj = tables
         for text in ("a", "a much longer sequence of tokens here"):
-            assert encode_text(text, table, proj).shape == (1, 8)
+            assert text_encode([[tokenize(text)]], table, proj).shape == (1, 8)
 
     def test_hash_is_stable(self):
         # frozen value (computed once from the FNV-1a reference constants)
@@ -101,9 +102,9 @@ class TestTextEncoder:
         table, proj = tables
         vocab = [f"term{i}" for i in range(30)]
         base = ["alpha", "beta", "gamma"]
-        base_vec = text_encode([base], table, proj).data
+        base_vec = text_encode([[base]], table, proj).data
         for word in vocab:
-            changed = text_encode([["alpha", "beta", word]], table, proj).data
+            changed = text_encode([[["alpha", "beta", word]]], table, proj).data
             assert not np.allclose(changed, base_vec)
 
     def test_boundary_tokens_included(self, tables):
@@ -112,11 +113,25 @@ class TestTextEncoder:
         # <b> x <s> y <e> gives 5 tokens and 4 bigrams
         assert len(ids) == 9
 
+    def test_batch_rows_are_per_item_means(self, tables):
+        """Each row is its item's mean embedding, projected; a None item is a
+        zero row, and a batch of only None items is all zeros."""
+        table, proj = tables
+        items = [[["alpha", "beta"], ["gamma"]], None, [["delta"]]]
+        out = text_encode(items, table, proj)
+        assert out.shape == (3, 8)
+        for row, parts in enumerate(items):
+            expected = np.zeros(8) if parts is None else table.data[sequence_ids(parts, 64)].mean(axis=0) @ proj.data
+            np.testing.assert_allclose(out.data[row], expected, atol=1e-15)
+        np.testing.assert_array_equal(text_encode([None, None], table, proj).data, np.zeros((2, 8)))
+
     def test_gradients_flow_to_table_and_projection(self, tables):
         table, proj = tables
+        weights = Tensor(np.array([[1.0], [-2.0], [0.5]]))
 
         def f():
-            return ad.sum_(encode_text("alpha beta", table, proj))
+            rows = text_encode([[["alpha", "beta"]], None, [["beta", "gamma"], ["x"]]], table, proj)
+            return ad.sum_(ad.mul(rows, weights))
 
         errors = ad.check_gradients(f, {"table": table, "proj": proj})
         assert max(errors.values()) < 1e-4

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from clarikit.core import CandidateAnswer, ClarificationPane, Query
+from clarikit.core import CandidateAnswer, ClarificationPane, Query, tokenize
 from clarikit.intents import IntentSet
 from clarikit.rlc import (
     RlcConfig,
@@ -34,6 +34,18 @@ def make_pane(pane_id, query_id, texts, question="Which one do you mean?"):
 @pytest.fixture
 def micro_model():
     return RlcModel.init(MICRO, seed=5)
+
+
+@pytest.fixture
+def wide_model():
+    """Two layers, more answer and intent slots than the fixtures fill, and
+    every parameter perturbed (non-zero biases, as after training), so a
+    padded slot does not encode to zero by accident."""
+    model = RlcModel.init(dataclasses.replace(MICRO, answer_slots=4, max_intents=3, layers=2), seed=7)
+    rng = np.random.default_rng(8)
+    for param in model.params.values():
+        param.data += rng.standard_normal(param.shape) * 0.1
+    return model
 
 
 @pytest.fixture
@@ -70,6 +82,11 @@ class TestScoreBasics:
             if abs(model.score(query, pane, sets, lexicon) - model.score(query, other, sets, lexicon)) > 1e-9:
                 differing += 1
         assert differing >= 4
+
+    def test_pane_without_answers_rejected(self, micro_model, fixtures):
+        query, _, sets, lexicon = fixtures
+        with pytest.raises(ValueError, match="no answers"):
+            micro_model.score(query, make_pane("p0", "q1", ()), sets, lexicon)
 
     def test_save_load_round_trip(self, micro_model, fixtures, tmp_path):
         query, pane, sets, lexicon = fixtures
@@ -145,46 +162,61 @@ class TestPairMath:
         assert loss.item() == pytest.approx(math.log(2), abs=1e-12)
 
 
+def _np_params(model):
+    return {k: t.data for k, t in model.params.items()}
+
+
+def _np_encode(model, parts, proj):
+    """Mean of the sequence's embedding rows, projected."""
+    ids = sequence_ids(parts, model.config.hash_buckets)
+    return model.params["embed.table"].data[ids].mean(axis=0, keepdims=True) @ proj
+
+
+def _np_enc_layer(model, x, prefix, mask):
+    """One encoder layer over (seq, dim) rows with a (seq,) key mask."""
+    p = _np_params(model)
+
+    def ln(v, g, b):
+        mu = v.mean(axis=-1, keepdims=True)
+        var = ((v - mu) ** 2).mean(axis=-1, keepdims=True)
+        return (v - mu) / np.sqrt(var + 1e-5) * g + b
+
+    bias = (1.0 - mask)[None, :] * -1e9
+    attended = np.zeros_like(x)
+    for h in range(model.config.heads):
+        wq, wk, wv, wo = (p[f"{prefix}.h{h}.{n}"] for n in ("wq", "wk", "wv", "wo"))
+        s = (x @ wq) @ (x @ wk).T / np.sqrt(wq.shape[1]) + bias
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        a = e / e.sum(axis=-1, keepdims=True)
+        attended += (a @ (x @ wv)) @ wo
+    x1 = ln(x + attended, p[f"{prefix}.ln1_gain"], p[f"{prefix}.ln1_bias"])
+    ff = np.maximum(x1 @ p[f"{prefix}.ff_w1"] + p[f"{prefix}.ff_b1"], 0.0) @ p[f"{prefix}.ff_w2"] + p[f"{prefix}.ff_b2"]
+    return ln(x1 + ff, p[f"{prefix}.ln2_gain"], p[f"{prefix}.ln2_bias"])
+
+
+def _np_answers(model, pane):
+    answers = [a.text for a in pane.answers[: model.config.answer_slots]]
+    answers += [None] * (model.config.answer_slots - len(answers))
+    return answers, np.array([0.0 if a is None else 1.0 for a in answers])
+
+
 def straight_line_ice(model, query, pane, intent_set, source):
-    """Independent numpy recomputation of the intent coverage branch."""
+    """Independent numpy recomputation of the intent coverage branch: one
+    encoder pass per intent, a zero row per padded slot."""
     cfg = model.config
-    p = {k: t.data for k, t in model.params.items()}
-    table, proj = p["embed.table"], p[f"ice.{source}.proj"]
-
-    from clarikit.core import tokenize
-
-    def encode(parts):
-        ids = sequence_ids(parts, cfg.hash_buckets)
-        return table[ids].mean(axis=0, keepdims=True) @ proj
-
-    def enc_layer(x, prefix, mask):
-        def ln(v, g, b):
-            mu = v.mean(axis=-1, keepdims=True)
-            var = ((v - mu) ** 2).mean(axis=-1, keepdims=True)
-            return (v - mu) / np.sqrt(var + 1e-5) * g + b
-
-        bias = (1.0 - mask)[None, :] * -1e9
-        attended = np.zeros_like(x)
-        for h in range(cfg.heads):
-            wq, wk, wv, wo = (p[f"{prefix}.h{h}.{n}"] for n in ("wq", "wk", "wv", "wo"))
-            s = (x @ wq) @ (x @ wk).T / np.sqrt(wq.shape[1]) + bias
-            e = np.exp(s - s.max(axis=-1, keepdims=True))
-            a = e / e.sum(axis=-1, keepdims=True)
-            attended += (a @ (x @ wv)) @ wo
-        x1 = ln(x + attended, p[f"{prefix}.ln1_gain"], p[f"{prefix}.ln1_bias"])
-        ff = np.maximum(x1 @ p[f"{prefix}.ff_w1"] + p[f"{prefix}.ff_b1"], 0.0) @ p[f"{prefix}.ff_w2"] + p[f"{prefix}.ff_b2"]
-        return ln(x1 + ff, p[f"{prefix}.ln2_gain"], p[f"{prefix}.ln2_bias"])
+    p = _np_params(model)
+    proj = p[f"ice.{source}.proj"]
 
     q_tokens = tokenize(query.text)
-    answers = [a.text for a in pane.answers[: cfg.answer_slots]]
-    answers += [None] * (cfg.answer_slots - len(answers))
-    a_mask = np.array([0.0 if a is None else 1.0 for a in answers])
-    items = list(intent_set.items[: cfg.max_intents])
+    answers, a_mask = _np_answers(model, pane)
+    items = list(intent_set.items[: cfg.max_intents]) if intent_set is not None else []
     intents = [t for t, _ in items] + [None] * (cfg.max_intents - len(items))
     weights = np.zeros(cfg.max_intents)
     weights[: len(items)] = [w for _, w in items]
-    weights = weights / weights.sum()
     i_mask = np.array([0.0 if t is None else 1.0 for t in intents])
+    if not items:
+        weights[0] = i_mask[0] = 1.0  # the null slot
+    weights = weights / weights.sum()
 
     per_intent = []
     for intent in intents:
@@ -192,17 +224,48 @@ def straight_line_ice(model, query, pane, intent_set, source):
             per_intent.append(np.zeros((1, cfg.dim)))
             continue
         rows = [
-            np.zeros((1, cfg.dim)) if a is None else encode([q_tokens, tokenize(a), tokenize(intent)])
+            np.zeros((1, cfg.dim)) if a is None else _np_encode(model, [q_tokens, tokenize(a), tokenize(intent)], proj)
             for a in answers
         ]
         seq = np.concatenate(rows, axis=0)
-        seq = enc_layer(seq, f"ice.{source}.answers_enc.l0", a_mask)
+        for layer in range(cfg.layers):
+            seq = _np_enc_layer(model, seq, f"ice.{source}.answers_enc.l{layer}", a_mask)
         per_intent.append((a_mask / a_mask.sum())[None, :] @ seq)
     seq = np.concatenate(per_intent, axis=0)
-    seq = enc_layer(seq, f"ice.{source}.intents_enc.l0", i_mask)
+    for layer in range(cfg.layers):
+        seq = _np_enc_layer(model, seq, f"ice.{source}.intents_enc.l{layer}", i_mask)
     pooled = weights[None, :] @ seq
     hidden = np.maximum(pooled @ p[f"ice.{source}.ff_w1"] + p[f"ice.{source}.ff_b1"], 0.0)
     return hidden @ p[f"ice.{source}.ff_w2"] + p[f"ice.{source}.ff_b2"]
+
+
+def straight_line_ace(model, pane, lexicon):
+    """Independent numpy recomputation of the answers consistency branch."""
+    cfg = model.config
+    p = _np_params(model)
+    answers, a_mask = _np_answers(model, pane)
+    rows = [
+        np.zeros((1, cfg.dim)) if a is None
+        else _np_encode(model, [tokenize(a), tokenize(lexicon.get(a, ""))], p["ace.answer.proj"])
+        for a in answers
+    ]
+    rows.append(_np_encode(model, [tokenize(pane.question_text)], p["ace.question.proj"]))
+    mask = np.append(a_mask, 1.0)
+    seq = np.concatenate(rows, axis=0)
+    for layer in range(cfg.layers):
+        seq = _np_enc_layer(model, seq, f"ace.enc.l{layer}", mask)
+    return (mask / mask.sum())[None, :] @ seq
+
+
+def straight_line_score(model, query, pane, sets, lexicon):
+    p = _np_params(model)
+    joined = np.concatenate(
+        [straight_line_ice(model, query, pane, sets.get(source), source) for source in ("reformulation", "click_title")]
+        + [straight_line_ace(model, pane, lexicon)],
+        axis=1,
+    )
+    hidden = np.maximum(joined @ p["head.w1"] + p["head.b1"], 0.0)
+    return float((hidden @ p["head.w2"] + p["head.b2"]).sum())
 
 
 class TestDualImplementationOracle:
@@ -211,6 +274,25 @@ class TestDualImplementationOracle:
         expected = straight_line_ice(micro_model, query, pane, sets["reformulation"], "reformulation")
         got = micro_model.encode_intent_coverage(query, pane, sets["reformulation"], "reformulation")
         np.testing.assert_allclose(got.data, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("texts", [
+        ("car engine", "animal habitat"),
+        ("car engine", "animal habitat", "football team", "guitar chords"),
+    ])
+    def test_consistency_matches_straight_line(self, wide_model, fixtures, texts):
+        _, _, _, lexicon = fixtures
+        pane = make_pane("p3", "q1", texts)
+        got = wide_model.encode_answer_consistency(pane, lexicon)
+        np.testing.assert_allclose(got.data, straight_line_ace(wide_model, pane, lexicon), atol=1e-12)
+
+    @pytest.mark.parametrize("kept_sources", [("reformulation", "click_title"), ("click_title",), ()])
+    def test_score_matches_straight_line(self, wide_model, fixtures, kept_sources):
+        """A 2-answer pane in 4 answer slots, with both, one or no intent
+        sets (no set at all scores through the null intent slot)."""
+        query, pane, sets, lexicon = fixtures
+        kept = {source: sets[source] for source in kept_sources}
+        got = wide_model.score_tensor(query, pane, kept, lexicon).item()
+        assert abs(got - straight_line_score(wide_model, query, pane, kept, lexicon)) < 1e-12
 
     def test_consistency_branch_mean_pools_question_and_answers(self, micro_model, fixtures):
         """With the encoder collapsed to identity-ish behaviour the branch
