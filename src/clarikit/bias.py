@@ -336,20 +336,41 @@ def cross_entropy(true_rates: Sequence[float], predicted_rates: Sequence[float])
     return float(-(p * np.log(q) + (1.0 - p) * np.log(1.0 - q)).mean())
 
 
+@dataclass
+class ExaminationFit:
+    eps: np.ndarray  # per position; position 1 is 1.0
+    attractiveness: dict[tuple[str, str], float]  # per (query, answer text)
+    iterations: int
+    gradient_norm: float
+
+
 def fit_examination_em(
     pane_stats: Mapping[str, EngagementStats],
     panes: Mapping[str, ClarificationPane],
     max_positions: int = 5,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
-) -> np.ndarray:
-    """Maximum-likelihood position examination probabilities under the
-    examination model, by EM over latent examine/attract events.
+    tol: float = 1e-10,
+    max_iter: int = 100,
+) -> ExaminationFit:
+    """Maximum-likelihood position examination probabilities eps and answer
+    attractiveness alpha under the examination model (click probability
+    eps * alpha), on the box eps in [_EPS, 1], alpha in [_EPS, 1 - _EPS].
 
     Answers are identified by (query, answer text) across panes, which is
     what lets swapped panes separate position from attractiveness.  The
     first position is pinned to 1.0; the product with attractiveness is what
-    the likelihood identifies.
+    the likelihood identifies.  Positions never observed keep 0.5 with a
+    warning.
+
+    Fit by projected Newton steps (Bertsekas 1982) on the negative
+    log-likelihood per cell impression, taken in log eps and log alpha: there
+    the loss of a cell depends on log eps + log alpha only and is convex, so
+    every cell adds one weight to its position's diagonal, its item's
+    diagonal and their cross entry.  The Newton step solves the Schur
+    complement onto the free positions (at most max_positions - 1) and
+    back-substitutes the items.  A variable at a bound whose gradient points
+    out of the box is held for the step.  Stops once the max-norm of the
+    projected gradient in (eps, alpha) is below tol; raises NumericalError if
+    that does not happen within max_iter steps.
     """
     cells = []  # (position index, item index, impressions, clicks)
     item_ids: dict[tuple[str, str], int] = {}
@@ -361,43 +382,86 @@ def fit_examination_em(
             item = item_ids.setdefault(item_key, len(item_ids))
             cells.append((pos - 1, item, stats.impressions, stats.per_position_clicks[pos - 1]))
 
-    positions = np.array([c[0] for c in cells])
-    items = np.array([c[1] for c in cells])
+    n_params = max_positions + len(item_ids)  # log eps per position, then log alpha per item
+    positions = np.array([c[0] for c in cells], dtype=np.intp)
+    items = max_positions + np.array([c[1] for c in cells], dtype=np.intp)
     impressions = np.array([c[2] for c in cells], dtype=np.float64)
     clicks = np.array([c[3] for c in cells], dtype=np.float64)
+    total = max(impressions.sum(), 1.0)
+    k, m = clicks / total, (impressions - clicks) / total
 
-    no_click = impressions - clicks
-    position_impressions = np.bincount(positions, weights=impressions, minlength=max_positions)
-    item_impressions = np.maximum(np.bincount(items, weights=impressions, minlength=len(item_ids)), 1.0)
-    observed = position_impressions > 0
-    missing = np.flatnonzero(~observed)
+    def per_param(cell_values: np.ndarray) -> np.ndarray:
+        return np.bincount(positions, cell_values, n_params) + np.bincount(items, cell_values, n_params)
+
+    param_k, param_m = per_param(k), per_param(m)
+    movable = param_k + param_m > 0.0
+    missing = np.flatnonzero(~movable[:max_positions])
     if missing.size:
         warnings.warn(f"positions {(missing + 1).tolist()} never observed; examination probability pinned")
+    movable[0] = False
+    lower = np.full(n_params, np.log(_EPS))
+    upper = np.full(n_params, np.log1p(-_EPS))
+    upper[:max_positions] = 0.0
+    # start with every observed position examined and every answer at its
+    # pooled click rate; a parameter whose cells were never (always) clicked
+    # has its optimum at the lower (upper) bound whatever the others are, and
+    # started there it is held from the first step (it has no curvature when
+    # always clicked)
+    theta = np.log(np.clip(param_k / np.maximum(param_k + param_m, _EPS), 0.01, 0.99))
+    theta[:max_positions] = np.where(movable[:max_positions], 0.0, np.log(0.5))
+    theta[0] = 0.0
+    never, always = movable & (param_k == 0.0), movable & (param_m == 0.0)
+    theta[never], theta[always] = lower[never], upper[always]
 
-    eps = np.full(max_positions, 0.5)
-    eps[0] = 1.0
-    alpha = np.full(len(item_ids), 0.2)
-    for _ in range(max_iter):
-        e = eps[positions]
-        a = alpha[items]
-        denom = np.maximum(1.0 - e * a, _EPS)
-        examined_given_no = e * (1.0 - a) / denom
-        attracted_given_no = a * (1.0 - e) / denom
+    def loss(params: np.ndarray) -> float:
+        s = params[positions] + params[items]
+        return float(-(k * s + m * np.log(-np.expm1(s))).sum())
 
-        exam_events = clicks + no_click * examined_given_no
-        attract_events = clicks + no_click * attracted_given_no
-
-        position_exams = np.bincount(positions, weights=exam_events, minlength=max_positions)
-        new_eps = np.where(observed, position_exams / np.maximum(position_impressions, 1.0), eps)
-        new_alpha = np.bincount(items, weights=attract_events, minlength=len(item_ids)) / item_impressions
-        scale = max(new_eps[0], _EPS)
-        new_eps = np.clip(new_eps / scale, _EPS, 1.0)
-        new_alpha = np.clip(new_alpha * scale, _EPS, 1.0 - _EPS)
-        delta = max(np.abs(new_eps - eps).max(), np.abs(new_alpha - alpha).max())
-        eps, alpha = new_eps, new_alpha
-        if delta < tol:
-            break
-    return eps
+    current = loss(theta)
+    iterations = 0
+    while True:
+        s = theta[positions] + theta[items]
+        no_click = -np.expm1(s)  # 1 - eps * alpha
+        odds = np.exp(s) / no_click
+        # first and second derivative of each cell's loss in s
+        d1, d2 = m * odds - k, m * odds / no_click
+        grad = per_param(d1)
+        held = ~movable | ((theta <= lower) & (grad > 0.0)) | ((theta >= upper) & (grad < 0.0))
+        # d loss / d eps = (d loss / d log eps) / eps, and the same for alpha
+        gnorm = float(np.abs(np.where(held, 0.0, grad / np.exp(theta))).max())
+        if not np.isfinite(gnorm) or not np.isfinite(current):
+            raise NumericalError(f"examination fit step {iterations}: non-finite loss or gradient norm")
+        if gnorm < tol:
+            fitted = np.exp(theta)
+            attractiveness = dict(zip(item_ids, fitted[max_positions:].tolist()))
+            return ExaminationFit(fitted[:max_positions], attractiveness, iterations, gnorm)
+        if iterations == max_iter:
+            raise NumericalError(
+                f"examination fit did not converge in {max_iter} iterations; final gradient norm {gnorm:.3e}"
+            )
+        iterations += 1
+        curvature = per_param(d2)
+        free = np.flatnonzero(~held)
+        free_eps, free_alpha = free[free < max_positions], free[free >= max_positions]
+        cross = np.bincount(positions * n_params + items, d2, max_positions * n_params).reshape(max_positions, n_params)
+        cross = cross[np.ix_(free_eps, free_alpha)]
+        scaled = cross / curvature[free_alpha]
+        schur = np.diag(curvature[free_eps]) - scaled @ cross.T
+        rhs = grad[free_eps] - scaled @ grad[free_alpha]
+        # scaled by the positions' own curvature, the Schur matrix has its
+        # eigenvalues in [0, 1]; it is singular when a position's examination
+        # is not identified (its answers are seen nowhere else), hence the
+        # small ridge
+        scale = 1.0 / np.sqrt(curvature[free_eps])
+        scaled_schur = schur * np.outer(scale, scale) + 1e-8 * np.eye(len(free_eps))
+        step = np.zeros(n_params)
+        step[free_eps] = scale * np.linalg.solve(scaled_schur, scale * rhs)
+        step[free_alpha] = (grad[free_alpha] - cross.T @ step[free_eps]) / curvature[free_alpha]
+        # halve while the loss rises by more than the rounding of its sum; a
+        # step that never descends shrinks to zero and ends at max_iter
+        while (new := loss(candidate := np.clip(theta - step, lower, upper))) > current + 1e-14 * abs(current):
+            step = 0.5 * step
+        theta, current = candidate, new
 
 
 def fit_cascade_attractiveness(
@@ -476,14 +540,15 @@ def _fit_no_bias(train, panes, stats, logreg):
 
 
 def _fit_examination(train, panes, stats, logreg):
-    """Position examination probabilities fit by EM on the training panes
-    (position 1 pinned to 1.0); each swapped answer's attractiveness is its
-    observed rate over the examination probability of its old position."""
+    """Position examination probabilities fit by maximum likelihood on the
+    training panes (position 1 pinned to 1.0); each swapped answer's
+    attractiveness is its observed rate over the examination probability of
+    its old position."""
     observed = {}
     for t in train:
         observed[t.pane_c] = stats[t.pane_c]
         observed[t.pane_c_prime] = stats[t.pane_c_prime]
-    eps = fit_examination_em(observed, panes)
+    eps = fit_examination_em(observed, panes).eps
 
     def predict_swap(t: SwapTriple) -> tuple[float, float]:
         i = t.swap_index

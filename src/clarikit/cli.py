@@ -422,10 +422,7 @@ FINE_TUNE_DEFAULTS = {
 def cmd_fine_tune_rlc(args, out: Outputs) -> None:
     config = _merge_config(args, FINE_TUNE_DEFAULTS)
     queries, panes = _load_corpus_files(args)
-    labels = {}
-    for d in dataio.read_jsonl(args.labels):
-        _query_id, pane_id, pane_labels = dataio.labels_from_dict(d)
-        labels[pane_id] = pane_labels.overall
+    labels = {pane_id: pane_labels.overall for _qid, pane_id, pane_labels in dataio.load_labels(args.labels)}
     intent_sets = intents_mod.load_intent_sets(args.intents) if args.intents else {}
     lexicon = _load_lexicon(args.lexicon)
     model = rlc_mod.RlcModel.load(args.model)
@@ -575,10 +572,10 @@ def cmd_eval(args, out: Outputs) -> None:
             rows.append(["engagement_queries", len(test_set)])
 
     if args.labels:
-        labels: dict[str, float] = {}
-        for d in dataio.read_jsonl(args.labels):
-            _qid, pane_id, pane_labels = dataio.labels_from_dict(d)
-            labels[pane_id] = rlc_mod.LABEL_VALUES[pane_labels.overall]
+        labels = {
+            pane_id: rlc_mod.LABEL_VALUES[pane_labels.overall]
+            for _qid, pane_id, pane_labels in dataio.load_labels(args.labels)
+        }
         by_query = {}
         for pane_id in labels:
             if pane_id in panes:
@@ -741,13 +738,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--out (or CLARIKIT_OUT_DIR) is required")
     outputs = Outputs(out_dir)
     try:
-        args.func(args, outputs)
+        try:
+            args.func(args, outputs)
+        except BaseException:
+            # whatever failed, nothing half-written stays; unexpected
+            # exceptions keep their traceback
+            outputs.discard_all()
+            raise
     except (NumericalError, NonFiniteGradientError) as exc:
-        outputs.discard_all()
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        outputs.discard_all()
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

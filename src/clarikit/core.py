@@ -23,17 +23,6 @@ MAX_ANSWERS = 5
 
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
 
-# Question templates, matched case-insensitively with a free-text blank slot.
-_TEMPLATE_PATTERNS = (
-    ("T1", re.compile(r"^what (?:would you like|do you want) to know about .+\?$")),
-    ("T2", re.compile(r"^(?:which|what) .+ do you mean\?$")),
-    ("T3", re.compile(r"^(?:which|what) .+ are you looking for\?$")),
-    ("T4", re.compile(r"^what (?:would you like|do you want) to do with .+\?$")),
-    ("T5", re.compile(r"^who are you shopping for\?$")),
-    ("T6", re.compile(r"^what are you trying to do\?$")),
-    ("T7", re.compile(r"^do you have .+ in mind\?$")),
-)
-
 
 class DomainError(ValueError):
     """An operation was called outside its domain (e.g. zero impressions)."""
@@ -42,14 +31,6 @@ class DomainError(ValueError):
 def tokenize(text: str) -> list[str]:
     """Lowercased whitespace/punctuation tokenization used everywhere."""
     return _TOKEN_RE.findall(text.lower())
-
-
-def classify_template(question_text: str) -> str:
-    q = " ".join(question_text.lower().split())
-    for template_id, pattern in _TEMPLATE_PATTERNS:
-        if pattern.match(q):
-            return template_id
-    return "other"
 
 
 @dataclass(frozen=True)

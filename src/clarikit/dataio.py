@@ -25,10 +25,6 @@ def write_jsonl(path: str, records: Iterable[dict]) -> None:
             fh.write("\n")
 
 
-def read_jsonl(path: str) -> list:
-    return _load_records(path, lambda d: d)
-
-
 def _load_records(path: str, convert: Callable[[dict], object]) -> list:
     """Every non-blank line of a JSON-lines file, decoded and passed through
     convert.  A line that is not JSON, or whose record does not convert
@@ -130,6 +126,10 @@ def impression_from_dict(d: dict) -> ImpressionRecord:
 
 def labels_from_dict(d: dict) -> tuple[str, str, PaneLabels]:
     return d["query_id"], d["pane_id"], PaneLabels(overall=d["overall"], landing=tuple(d["landing"]))
+
+
+def load_labels(path: str) -> list[tuple[str, str, PaneLabels]]:
+    return _load_records(path, labels_from_dict)
 
 
 def save_queries(path: str, queries: Iterable[Query]) -> None:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .core import tokenize
-from .dataio import read_jsonl, read_tsv_rows, write_jsonl
+from .dataio import _load_records, read_tsv_rows, write_jsonl
 
 SOURCES = ("reformulation", "click_title")
 
@@ -161,12 +161,14 @@ def save_intent_sets(path: str, sets: Iterable[IntentSet]) -> None:
     )
 
 
+def intent_set_from_dict(d: dict) -> IntentSet:
+    return IntentSet(query_id=d["query_id"], source=d["source"], items=tuple((t, float(w)) for t, w in d["items"]))
+
+
 def load_intent_sets(path: str) -> dict[str, dict[str, IntentSet]]:
-    """Load as query_id -> source -> IntentSet."""
+    """Load as query_id -> source -> IntentSet; a malformed record fails as
+    a ValueError naming its path:line."""
     out: dict[str, dict[str, IntentSet]] = {}
-    for d in read_jsonl(path):
-        s = IntentSet(
-            query_id=d["query_id"], source=d["source"], items=tuple((t, float(w)) for t, w in d["items"])
-        )
+    for s in _load_records(path, intent_set_from_dict):
         out.setdefault(s.query_id, {})[s.source] = s
     return out

@@ -336,12 +336,6 @@ def rank_panes(
     return [p for _, p in keyed]
 
 
-def mean_ndcg(
-    ranked_labels_per_query: Sequence[Sequence[float]], k: int
-) -> float:
-    return float(np.mean([ndcg_at_k(labels, k) for labels in ranked_labels_per_query]))
-
-
 def engagement_improvement(
     ranker: Callable[[Query, Sequence[ClarificationPane]], Sequence[ClarificationPane]],
     test_set: Sequence[tuple[Query, Sequence[ClarificationPane], Mapping[str, float]]],

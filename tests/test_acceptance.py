@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Every criterion runs at its stated tolerance on fixed seeds, so outcomes are
-deterministic.  One more test checks that the swap regressions behind
-criteria 4 and 5 converge.  Run with `pytest tests/test_acceptance.py -v -s`
-to see the per-criterion lines and timings.
+deterministic.  Two more tests check that the swap regressions and the
+examination fits behind criteria 4 and 5 converge.  Run with
+`pytest tests/test_acceptance.py -v -s` to see the per-criterion lines and
+timings.
 """
 
 import itertools
@@ -191,7 +192,7 @@ def test_criterion_03_click_model_recovery():
     report = evaluate_click_models(triples, corpus.panes, stats, kinds=("best_possible", "examination"))
     floor = report.mean("best_possible")
     checks["examination_ce_within_1pct"] = report.mean("examination") <= floor * 1.01
-    recovered = fit_examination_em(stats, corpus.panes)
+    recovered = fit_examination_em(stats, corpus.panes).eps
     checks["examination_params_within_0.02"] = float(np.abs(recovered - np.array(exam_probs)).max()) <= 0.02
     _finish(3, "click-model recovery", started, 300, checks)
 
@@ -266,6 +267,43 @@ def test_swap_regression_folds_converge(size_offset_experiment):
             np.testing.assert_array_equal(fit.weights, reported)
             gradient = x.T @ (w * (1.0 / (1.0 + np.exp(-(x @ reported))) - targets[train]))
             assert np.abs(gradient).max() < 1e-10
+
+
+def test_examination_folds_converge(size_offset_experiment):
+    # every fold's examination fit behind criterion 5 is a converged
+    # projected Newton fit; the projected gradient of the negative
+    # log-likelihood per cell impression is recomputed here from the returned
+    # examination and attractiveness
+    corpus, stats, triples, logreg, _, _ = size_offset_experiment
+    folds = len(logreg.fold_weights_l)
+    fold_ids = [triple_fold(t, folds) for t in triples]
+    for fold in range(folds):
+        train = {}
+        for t, f in zip(triples, fold_ids):
+            if f != fold:
+                train[t.pane_c], train[t.pane_c_prime] = stats[t.pane_c], stats[t.pane_c_prime]
+        fit = fit_examination_em(train, corpus.panes)
+        assert fit.iterations <= 60
+        grad_eps, grad_alpha = np.zeros(5), dict.fromkeys(fit.attractiveness, 0.0)
+        total = sum(s.impressions * corpus.panes[pid].answer_count for pid, s in train.items())
+        for pane_id, s in train.items():
+            pane = corpus.panes[pane_id]
+            for pos in range(pane.answer_count):
+                key = (pane.query_id, pane.answers[pos].text)
+                eps, alpha = fit.eps[pos], fit.attractiveness[key]
+                clicks = s.per_position_clicks[pos]
+                d = ((s.impressions - clicks) / (1 - eps * alpha) - clicks / (eps * alpha)) / total
+                grad_eps[pos] += d * alpha
+                grad_alpha[key] += d * eps
+        alpha = np.array(list(fit.attractiveness.values()))
+        g_alpha = np.array(list(grad_alpha.values()))
+        # position 1 is pinned; elsewhere a gradient pointing out of the box
+        # at a bound is not a violation
+        projected = np.concatenate([
+            fit.eps[1:] - np.clip(fit.eps[1:] - grad_eps[1:], 1e-6, 1.0),
+            alpha - np.clip(alpha - g_alpha, 1e-6, 1 - 1e-6),
+        ])
+        assert np.abs(projected).max() < 1e-8
 
 
 # -- criterion 6: memorization -------------------------------------------------

@@ -1,12 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clarikit.bias import (
     CLICK_MODELS,
     NumericalError,
     SwapFeatures,
+    _adjacent_swap_index,
     build_swap_dataset,
     cascade_attractiveness,
     cross_entropy,
@@ -71,6 +74,40 @@ class TestBuildSwapDataset:
         assert len(triples) == len(corpus.swap_pairs)
         found = {(t.pane_c, t.pane_c_prime, t.swap_index) for t in triples}
         assert found == set(corpus.swap_pairs)
+
+
+TEXTS = ("a", "b", "c", "d", "e")
+
+
+@st.composite
+def answer_orders(draw):
+    """Two answer orders over the same texts; the second is a permutation
+    of the first, often followed by one adjacent transposition."""
+    first = draw(st.permutations(TEXTS[: draw(st.integers(2, 5))]))
+    second = list(draw(st.one_of(st.just(first), st.permutations(first))))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(second) - 2))
+        second[i], second[i + 1] = second[i + 1], second[i]
+    return first, second
+
+
+class TestSwapProperties:
+    @settings(derandomize=True, deadline=None)
+    @given(answer_orders())
+    def test_swap_index_is_symmetric(self, orders):
+        a, b = pane_of(orders[0], "a"), pane_of(orders[1], "b")
+        assert _adjacent_swap_index(a, b) == _adjacent_swap_index(b, a)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(("q1", "q2")), st.permutations(TEXTS[:4])), max_size=8))
+    def test_each_swap_pair_found_once(self, specs):
+        panes = {f"p{j}": pane_of(texts, f"p{j}", query_id=q) for j, (q, texts) in enumerate(specs)}
+        found = sorted((t.pane_c, t.pane_c_prime) for t in build_swap_dataset(panes))
+        expected = [
+            (x, y) for x, y in itertools.combinations(sorted(panes), 2)
+            if panes[x].query_id == panes[y].query_id and _adjacent_swap_index(panes[x], panes[y]) is not None
+        ]
+        assert found == expected
 
 
 class TestSwapGeometry:
@@ -306,7 +343,7 @@ class TestExaminationRecovery:
             CorpusConfig(n_queries=0, cell_plan=plan, relevance=("uniform", 0.2, 0.7)), seed=21
         )
         stats = simulate_stats(corpus, UserModel.examination(exam_probs), 500, seed=22)
-        recovered = fit_examination_em(stats, corpus.panes)
+        recovered = fit_examination_em(stats, corpus.panes).eps
         np.testing.assert_allclose(recovered, exam_probs, atol=0.02)
 
     def test_unobserved_position_warns(self):
@@ -314,6 +351,46 @@ class TestExaminationRecovery:
         stats = {"a": EngagementStats(100, 30, (30, 10))}
         with pytest.warns(UserWarning, match="pinned"):
             fit_examination_em(stats, panes)
+
+    @staticmethod
+    def _planted():
+        plan = ((2, 1, 4), (3, 2, 4), (4, 3, 4), (5, 4, 4), (5, 1, 4))
+        corpus = gen_corpus(CorpusConfig(n_queries=0, cell_plan=plan, relevance=("uniform", 0.2, 0.7)), seed=23)
+        stats = simulate_stats(corpus, UserModel.examination((1.0, 0.85, 0.72, 0.61, 0.52)), 2000, seed=24)
+        return stats, corpus.panes
+
+    def test_newton_reaches_em_oracle_maximum(self):
+        stats, panes = self._planted()
+        cells = [
+            (pos, (panes[pid].query_id, panes[pid].answers[pos].text), s.impressions, s.per_position_clicks[pos])
+            for pid, s in sorted(stats.items()) for pos in range(panes[pid].answer_count)
+        ]
+        keys = sorted({c[1] for c in cells})
+        position = np.array([c[0] for c in cells])
+        item = np.array([keys.index(c[1]) for c in cells])
+        n, k = np.array([c[2] for c in cells], dtype=float), np.array([c[3] for c in cells], dtype=float)
+        # plain EM over latent examine/attract events, run to convergence
+        eps, alpha = np.full(5, 0.5), np.full(len(keys), 0.2)
+        eps[0] = 1.0
+        for _ in range(5000):
+            e, a = eps[position], alpha[item]
+            eps = np.bincount(position, k + (n - k) * e * (1 - a) / (1 - e * a)) / np.bincount(position, n)
+            alpha = np.bincount(item, k + (n - k) * a * (1 - e) / (1 - e * a)) / np.bincount(item, n)
+
+        def loglik(eps, alpha):
+            q = eps[position] * alpha[item]
+            return float((k * np.log(q) + (n - k) * np.log1p(-q)).sum())
+
+        fit = fit_examination_em(stats, panes)
+        newton = loglik(fit.eps, np.array([fit.attractiveness[key] for key in keys]))
+        oracle = loglik(eps, alpha)
+        assert newton >= oracle - 1e-9 * abs(oracle)
+        np.testing.assert_allclose(fit.eps, eps, rtol=0, atol=1e-6)
+
+    def test_non_convergence_is_diagnosed(self):
+        stats, panes = self._planted()
+        with pytest.raises(NumericalError, match="gradient norm"):
+            fit_examination_em(stats, panes, max_iter=1)
 
 
 def cascade_rates(attraction):

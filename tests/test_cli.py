@@ -344,6 +344,37 @@ class TestRankAndEval:
                        "--panes", files["panes"]) == 1
 
 
+@pytest.mark.parametrize("command,flag,record", [
+    ("rank", "--intents", {"query_id": "q000001", "source": "reformulation", "items": 5}),
+    ("fine-tune-rlc", "--labels", {"query_id": "q000001", "pane_id": "q000001:p0", "landing": []}),
+    ("eval", "--labels", {"query_id": "q000001", "pane_id": "q000001:p0", "landing": []}),
+])
+def test_malformed_intents_or_labels_exit_one_with_file_line(corpus_dir, trained_dir, tmp_path, capsys,
+                                                              command, flag, record):
+    files = corpus_files(corpus_dir)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(record) + "\n")
+    extra = ["--model", os.path.join(trained_dir, "rlc", "rlc_model.json")] if command == "fine-tune-rlc" else []
+    code = run_cli(command, "--out", tmp_path / "r", "--queries", files["queries"], "--panes", files["panes"],
+                   flag, bad, *extra)
+    assert code == 1
+    assert f"{bad}:1:" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "r") == []
+
+
+def test_unexpected_exception_leaves_no_partial_output(tmp_path, monkeypatch):
+    # plot-data writes its table, then the manifest write fails
+    def fail(*args, **kwargs):
+        raise RuntimeError("manifest write failed")
+
+    monkeypatch.setattr(dataio, "write_manifest", fail)
+    source = tmp_path / "table.tsv"
+    source.write_text("metric\tvalue\nx\t1\n")
+    with pytest.raises(RuntimeError, match="manifest write failed"):
+        run_cli("plot-data", "--out", tmp_path / "r", "--input", source)
+    assert os.listdir(tmp_path / "r") == []
+
+
 class TestPlotData:
     def test_round_trip(self, corpus_dir, tmp_path):
         files = corpus_files(corpus_dir)

@@ -12,7 +12,6 @@ from clarikit.core import (
     ImpressionRecord,
     PaneLabels,
     Query,
-    classify_template,
     collect_stats,
     conditional_click_distribution,
     engagement_rate,
@@ -97,28 +96,6 @@ class TestValidatePane:
         answers = (CandidateAnswer("a", 1), CandidateAnswer("b", 2))
         pane = ClarificationPane("p", "q", "  ", answers)
         assert any("question" in v for v in validate_pane(pane))
-
-
-class TestTemplates:
-    @pytest.mark.parametrize(
-        "question,expected",
-        [
-            ("What would you like to know about python?", "T1"),
-            ("What do you want to know about jaguar cars?", "T1"),
-            ("Which jaguar do you mean?", "T2"),
-            ("What size are you looking for?", "T3"),
-            ("What do you want to do with this file?", "T4"),
-            ("Who are you shopping for?", "T5"),
-            ("What are you trying to do?", "T6"),
-            ("Do you have a brand in mind?", "T7"),
-            ("Is this a question?", "other"),
-        ],
-    )
-    def test_classification(self, question, expected):
-        assert classify_template(question) == expected
-
-    def test_case_insensitive(self):
-        assert classify_template("WHO ARE YOU SHOPPING FOR?") == "T5"
 
 
 class TestTypes:

@@ -60,7 +60,7 @@ def test_invalid_json_reports_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "q1", "text": "ok"}\n{broken\n')
     with pytest.raises(ValueError, match=":2:"):
-        list(dataio.read_jsonl(str(path)))
+        dataio.load_queries(str(path))
 
 
 def test_tsv_round_trip(tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clarikit.core import CandidateAnswer, ClarificationPane, Query
 from clarikit.ranker import (
@@ -13,7 +14,6 @@ from clarikit.ranker import (
     engagement_improvement,
     entropy_baseline_ranker,
     extract_features,
-    mean_ndcg,
     ndcg_at_k,
     randomization_test,
     rank_panes,
@@ -72,6 +72,11 @@ class TestNdcg:
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):
             ndcg_at_k([1], 0)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=12), st.integers(1, 15))
+    def test_lies_in_unit_interval(self, labels, k):
+        assert 0.0 <= ndcg_at_k(labels, k) <= 1.0
 
 
 class TestFeatures:
@@ -136,7 +141,7 @@ class TestLambdaMart:
         for rows, labels in per_query:
             order = np.argsort(-ensemble.predict(rows), kind="stable")
             ranked_labels.append(labels[order].tolist())
-        assert mean_ndcg(ranked_labels, 1) == 1.0
+        assert np.mean([ndcg_at_k(labels, 1) for labels in ranked_labels]) == 1.0
 
     def test_zero_trees_scores_zero(self):
         per_query = separable_training_set(n_queries=5)
