@@ -344,6 +344,22 @@ class ExaminationFit:
     gradient_norm: float
 
 
+def _connected_to_first(left: np.ndarray, right: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Which of n_nodes the edges (left[i], right[i]) connect to node 0: each
+    node takes the smallest label among itself and its neighbours until no
+    label changes, which leaves every component labelled by its smallest
+    node."""
+    label = np.arange(n_nodes)
+    while True:
+        low = np.minimum(label[left], label[right])
+        new = label.copy()
+        np.minimum.at(new, left, low)
+        np.minimum.at(new, right, low)
+        if np.array_equal(new, label):
+            return label == 0
+        label = new
+
+
 def fit_examination_em(
     pane_stats: Mapping[str, EngagementStats],
     panes: Mapping[str, ClarificationPane],
@@ -359,7 +375,10 @@ def fit_examination_em(
     what lets swapped panes separate position from attractiveness.  The
     first position is pinned to 1.0; the product with attractiveness is what
     the likelihood identifies.  Positions never observed keep 0.5 with a
-    warning.
+    warning.  A position that shares no answers, directly or through other
+    positions, with position 1 is fitted but not identified (any point of a
+    ridge fits equally well), and also warns; an answer never or always
+    clicked sits at its bound whatever the positions are, so it links none.
 
     Fit by projected Newton steps (Bertsekas 1982) on the negative
     log-likelihood per cell impression, taken in log eps and log alpha: there
@@ -412,6 +431,17 @@ def fit_examination_em(
     theta[0] = 0.0
     never, always = movable & (param_k == 0.0), movable & (param_m == 0.0)
     theta[never], theta[always] = lower[never], upper[always]
+    # positions and answers are the nodes of a graph with an edge per shown
+    # cell whose answer is not held at a bound; a free position outside
+    # position 1's component, with its answers, can trade examination for
+    # attractiveness along a flat ridge
+    linking = (impressions > 0) & ~(never | always)[items]
+    anchored = _connected_to_first(positions[linking], items[linking], n_params)
+    unanchored = np.flatnonzero(movable[:max_positions] & ~anchored[:max_positions])
+    if unanchored.size:
+        warnings.warn(
+            f"positions {(unanchored + 1).tolist()} share no answers with position 1; examination probability not identified"
+        )
 
     def loss(params: np.ndarray) -> float:
         s = params[positions] + params[items]

@@ -101,17 +101,29 @@ def _derive_history(log, panes) -> dict[str, list[tuple[str, int]]]:
     return {qid: sorted(urls.items()) for qid, urls in history.items()}
 
 
-def _rlc_scorer(model_path: str | None, intent_sets, lexicon):
-    if not model_path:
+def _load_rlc(model_path: str | None) -> rlc_mod.RlcModel | None:
+    # scoring only: without parameters that need a gradient a forward keeps
+    # no graph, so a batch's intermediates are freed as it goes
+    return rlc_mod.RlcModel.load(model_path, requires_grad=False) if model_path else None
+
+
+def _rlc_scorer(model: rlc_mod.RlcModel | None, intent_sets, lexicon, panes_by_query):
+    """A (query, pane) -> RLC score callable, or None without a model.
+    panes_by_query holds, per query id, the panes the command scores: the
+    first score asked of a query scores all of them in one forward, and
+    every later one is read from the memo.  A pane's score can differ in its
+    last few bits with the other panes of its batch, which set the shapes of
+    the forward's products; the same inputs always give the same bits."""
+    if model is None:
         return None
-    model = rlc_mod.RlcModel.load(model_path)
     scores: dict[tuple[str, str], float] = {}
 
     def scorer(query, pane):
-        # eval ranks the same panes for the engagement and the labelled set
         key = (query.id, pane.id)
         if key not in scores:
-            scores[key] = model.score(query, pane, intent_sets.get(query.id, {}), lexicon)
+            batch = panes_by_query[query.id]
+            values = model.score_tensor(query, batch, intent_sets.get(query.id, {}), lexicon).data
+            scores.update(zip([(query.id, p.id) for p in batch], values.tolist()))
         return scores[key]
 
     return scorer
@@ -363,14 +375,30 @@ TRAIN_RLC_DEFAULTS = {
     "steps": 500,
     "lr": 1e-5,
     "weight_decay": 0.0,
-    "warmup_steps": 5000,
+    "warmup_steps": 50,
     "total_steps": 100000,
     "min_impressions": 10,
 }
 
 
+def _adam_config(config: dict) -> AdamConfig:
+    """The optimizer settings of train-rlc and fine-tune-rlc.  A run shorter
+    than its warmup never reaches its peak learning rate, so it is
+    rejected."""
+    steps, warmup = int(config["steps"]), int(config["warmup_steps"])
+    if steps < warmup:
+        raise ValueError(f"steps ({steps}) is less than warmup_steps ({warmup}): the learning rate would never reach its peak")
+    return AdamConfig(
+        lr=float(config["lr"]),
+        weight_decay=float(config["weight_decay"]),
+        warmup_steps=warmup,
+        total_steps=int(config["total_steps"]),
+    )
+
+
 def cmd_train_rlc(args, out: Outputs) -> None:
     config = _merge_config(args, TRAIN_RLC_DEFAULTS)
+    adam = _adam_config(config)
     queries, panes = _load_corpus_files(args)
     # the log is dropped once the triples are built, so it is not held through training
     triples = _engagement_triples(
@@ -388,12 +416,6 @@ def cmd_train_rlc(args, out: Outputs) -> None:
         hash_buckets=int(config["hash_buckets"]),
     )
     model = rlc_mod.RlcModel.init(model_config, seed=args.seed)
-    adam = AdamConfig(
-        lr=float(config["lr"]),
-        weight_decay=float(config["weight_decay"]),
-        warmup_steps=int(config["warmup_steps"]),
-        total_steps=int(config["total_steps"]),
-    )
     report = rlc_mod.train_pairwise(
         model, triples, intent_sets, lexicon, adam, steps=int(config["steps"]), shuffle_seed=args.seed
     )
@@ -421,18 +443,13 @@ FINE_TUNE_DEFAULTS = {
 
 def cmd_fine_tune_rlc(args, out: Outputs) -> None:
     config = _merge_config(args, FINE_TUNE_DEFAULTS)
+    adam = _adam_config(config)
     queries, panes = _load_corpus_files(args)
     labels = {pane_id: pane_labels.overall for _qid, pane_id, pane_labels in dataio.load_labels(args.labels)}
     intent_sets = intents_mod.load_intent_sets(args.intents) if args.intents else {}
     lexicon = _load_lexicon(args.lexicon)
     model = rlc_mod.RlcModel.load(args.model)
     triples = rlc_mod.triples_from_labels(queries, panes, labels)
-    adam = AdamConfig(
-        lr=float(config["lr"]),
-        weight_decay=float(config["weight_decay"]),
-        warmup_steps=int(config["warmup_steps"]),
-        total_steps=int(config["total_steps"]),
-    )
     report = rlc_mod.fine_tune(
         model,
         triples,
@@ -479,10 +496,11 @@ def cmd_train_ranker(args, out: Outputs) -> None:
     history = _load_history(args.history) if args.history else _derive_history(log, panes)
     intent_sets = intents_mod.load_intent_sets(args.intents) if args.intents else {}
     lexicon = _load_lexicon(args.lexicon)
-    scorer = _rlc_scorer(args.rlc_model, intent_sets, lexicon)
+    model = _load_rlc(args.rlc_model)
     triples = _engagement_triples(queries, panes, log, int(config["min_impressions"]))
     if not triples:
         raise ValueError("no trainable queries in the impression log")
+    scorer = _rlc_scorer(model, intent_sets, lexicon, {t.query.id: t.panes for t in triples})
     per_query = []
     for triple in triples:
         rows = np.array(
@@ -510,11 +528,12 @@ def cmd_rank(args, out: Outputs) -> None:
     history = _load_history(args.history) if args.history else {}
     intent_sets = intents_mod.load_intent_sets(args.intents) if args.intents else {}
     lexicon = _load_lexicon(args.lexicon)
-    scorer = _rlc_scorer(args.rlc_model, intent_sets, lexicon)
+    model = _load_rlc(args.rlc_model)
     ensemble = ranker_mod.BoostedEnsemble.load(args.ensemble) if args.ensemble else None
     by_query: dict[str, list] = {}
     for pane in panes.values():
         by_query.setdefault(pane.query_id, []).append(pane)
+    scorer = _rlc_scorer(model, intent_sets, lexicon, by_query)
     wanted = [args.query_id] if args.query_id else sorted(by_query)
     rows = []
     for query_id in wanted:
@@ -539,7 +558,7 @@ def cmd_eval(args, out: Outputs) -> None:
     queries, panes = _load_corpus_files(args)
     intent_sets = intents_mod.load_intent_sets(args.intents) if args.intents else {}
     lexicon = _load_lexicon(args.lexicon)
-    scorer = _rlc_scorer(args.rlc_model, intent_sets, lexicon)
+    model = _load_rlc(args.rlc_model)
     ensemble = ranker_mod.BoostedEnsemble.load(args.ensemble) if args.ensemble else None
 
     log = dataio.load_impressions(args.impressions) if args.impressions else None
@@ -547,15 +566,9 @@ def cmd_eval(args, out: Outputs) -> None:
     if not history and log is not None:
         history = _derive_history(log, panes)
 
-    def method_ranker(query, query_panes):
-        return ranker_mod.rank_panes(query, query_panes, ensemble, history.get(query.id), scorer)
-
-    baseline = ranker_mod.entropy_baseline_ranker(history)
-    rows = []
-
+    test_set = []  # (query, panes, engagement rate per pane id)
     if log is not None:
         stats = collect_stats(log, panes)
-        test_set = []
         by_query: dict[str, list] = {}
         for pane_id, pane_stats in stats.items():
             if pane_stats.impressions >= int(config["min_impressions"]):
@@ -566,11 +579,8 @@ def cmd_eval(args, out: Outputs) -> None:
                 continue
             rates = {pid: engagement_rate(stats[pid]) for pid in pane_ids}
             test_set.append((queries[query_id], [panes[pid] for pid in pane_ids], rates))
-        if test_set:
-            improvement = ranker_mod.engagement_improvement(method_ranker, test_set, baseline)
-            rows.append(["engagement_improvement_pct", improvement])
-            rows.append(["engagement_queries", len(test_set)])
 
+    labeled = []  # (query, labelled panes)
     if args.labels:
         labels = {
             pane_id: rlc_mod.LABEL_VALUES[pane_labels.overall]
@@ -580,13 +590,30 @@ def cmd_eval(args, out: Outputs) -> None:
         for pane_id in labels:
             if pane_id in panes:
                 by_query.setdefault(panes[pane_id].query_id, []).append(pane_id)
+        labeled = [(queries[qid], [panes[pid] for pid in by_query[qid]]) for qid in sorted(by_query)]
+
+    # both sets rank mostly the same panes: each query's are scored in one forward
+    scored: dict[str, dict] = {}
+    for query, query_panes, *_ in test_set + labeled:
+        scored.setdefault(query.id, {}).update((p.id, p) for p in query_panes)
+    scorer = _rlc_scorer(model, intent_sets, lexicon, {qid: list(by_id.values()) for qid, by_id in scored.items()})
+
+    def method_ranker(query, query_panes):
+        return ranker_mod.rank_panes(query, query_panes, ensemble, history.get(query.id), scorer)
+
+    baseline = ranker_mod.entropy_baseline_ranker(history)
+    rows = []
+    if test_set:
+        improvement = ranker_mod.engagement_improvement(method_ranker, test_set, baseline)
+        rows.append(["engagement_improvement_pct", improvement])
+        rows.append(["engagement_queries", len(test_set)])
+
+    if args.labels:
         method_labels, baseline_labels = [], []
-        for query_id in sorted(by_query):
-            pane_ids = by_query[query_id]
-            query_panes = [panes[pid] for pid in pane_ids]
-            ranked = method_ranker(queries[query_id], query_panes)
+        for query, query_panes in labeled:
+            ranked = method_ranker(query, query_panes)
             method_labels.append([labels[p.id] for p in ranked])
-            ranked_baseline = baseline(queries[query_id], query_panes)
+            ranked_baseline = baseline(query, query_panes)
             baseline_labels.append([labels[p.id] for p in ranked_baseline])
         for k in (1, 3, 5):
             method_scores = [ranker_mod.ndcg_at_k(l, k) for l in method_labels]

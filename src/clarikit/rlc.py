@@ -4,7 +4,8 @@ One branch (the intents coverage encoder, one per intent source) measures how
 well the candidate answers cover the query's mined intents; the other (the
 answers consistency encoder) measures whether the answers are coherent with
 each other and the clarifying question.  A two-layer feed-forward head maps
-the concatenated branch outputs to a scalar score.
+the concatenated branch outputs to a scalar score.  A query's panes are
+scored as one batch: each branch and the head run once over all of them.
 
 Panes are padded to a fixed number of answer slots and intent sets to a fixed
 number of intent slots; padded slots are masked out of attention and pooling,
@@ -38,6 +39,16 @@ from .tensor.text import text_encode
 from .tensor import checkpoint
 
 INTENT_SOURCES = ("reformulation", "click_title")
+
+# the panes of one query, scored as one batch; a single pane is a batch of one
+PaneBatch = ClarificationPane | Sequence[ClarificationPane]
+
+
+def _as_batch(panes: PaneBatch) -> list[ClarificationPane]:
+    batch = [panes] if isinstance(panes, ClarificationPane) else list(panes)
+    if not batch:
+        raise ValueError("no panes to score")
+    return batch
 
 
 @dataclass(frozen=True)
@@ -148,46 +159,56 @@ class RlcModel:
             weights[0] = 1.0
         return texts, weights / weights.sum()
 
-    def _padded_answers(self, pane: ClarificationPane) -> tuple[list[str | None], np.ndarray]:
-        if not pane.answers:
-            raise ValueError(f"pane {pane.id} has no answers")
+    def _padded_answers(self, panes: list[ClarificationPane]) -> tuple[list[list[str | None]], np.ndarray]:
+        """Each pane's answer texts padded to answer_slots with None, and the
+        (B, answer_slots) mask of the real ones."""
         k = self.config.answer_slots
-        texts: list[str | None] = [a.text for a in pane.answers[:k]]
-        texts += [None] * (k - len(texts))
-        mask = np.array([0.0 if t is None else 1.0 for t in texts])
+        texts: list[list[str | None]] = []
+        for pane in panes:
+            if not pane.answers:
+                raise ValueError(f"pane {pane.id} has no answers")
+            real: list[str | None] = [a.text for a in pane.answers[:k]]
+            texts.append(real + [None] * (k - len(real)))
+        mask = np.array([[0.0 if t is None else 1.0 for t in row] for row in texts])
         return texts, mask
 
     def encode_intent_coverage(
-        self, query: Query, pane: ClarificationPane, intent_set: IntentSet | None, source: str
+        self, query: Query, panes: PaneBatch, intent_set: IntentSet | None, source: str
     ) -> Tensor:
-        """Coverage branch for one intent source: encode every (query, answer,
-        intent) triplet, summarize the answers per intent, contextualize
-        across intents, weight by normalized intent weight, sum, and refine
-        with two point-wise feed-forward layers.
+        """Coverage branch for one intent source, as a (B, dim) tensor: encode
+        every (query, answer, intent) triplet, summarize the answers per
+        intent, contextualize across intents, weight by normalized intent
+        weight, sum, and refine with two point-wise feed-forward layers.
 
-        The triplets form one (intents x answers) block of rows: one text
-        encoding, one pass per answers-encoder layer with a block-diagonal
-        mask (each intent's answers attend only to each other), and one
-        pooling matmul."""
+        Each pane's triplets form one (intents x answers) block of rows, and
+        the B blocks one (B, rows, dim) stack: one text encoding, one pass
+        per answers-encoder layer with a block-diagonal mask per pane (each
+        intent's answers attend only to each other), and one pooling
+        matmul."""
         cfg = self.config
+        panes = _as_batch(panes)
         query_tokens = tokenize(query.text)
-        answer_texts, answer_mask = self._padded_answers(pane)
+        answer_texts, answer_mask = self._padded_answers(panes)
         intent_texts, weights = self._padded_intents(intent_set)
-        answer_tokens = [None if t is None else tokenize(t) for t in answer_texts]
         intent_tokens = [None if t is None else tokenize(t) for t in intent_texts]
-        triplets = [
-            None if intent is None or answer is None else [query_tokens, answer, intent]
-            for intent in intent_tokens
-            for answer in answer_tokens
-        ]
+        triplets = []
+        for texts in answer_texts:
+            answer_tokens = [None if t is None else tokenize(t) for t in texts]
+            triplets.append([
+                None if intent is None or answer is None else [query_tokens, answer, intent]
+                for intent in intent_tokens
+                for answer in answer_tokens
+            ])
         seq = text_encode(triplets, self.params["embed.table"], self.params[f"ice.{source}.proj"])
-        block_mask = np.kron(np.eye(cfg.max_intents), np.ones((cfg.answer_slots, cfg.answer_slots)))
-        block_mask *= np.tile(answer_mask, cfg.max_intents)
+        # row i * answer_slots + a holds intent i with answer slot a
+        same_intent = np.repeat(np.repeat(np.eye(cfg.max_intents), cfg.answer_slots, axis=0), cfg.answer_slots, axis=1)
+        block_mask = same_intent * np.tile(answer_mask, cfg.max_intents)[:, None, :]
         for layer in range(cfg.layers):
             seq = transformer_encoder_layer(seq, self._encoder(f"ice.{source}.answers_enc", layer), key_mask=block_mask)
         # mean over each intent's real answers; a padded intent is a zero row
         real_intents = np.array([0.0 if t is None else 1.0 for t in intent_texts])
-        pooling = np.kron(np.diag(real_intents), answer_mask / answer_mask.sum())
+        answer_means = answer_mask / answer_mask.sum(axis=1, keepdims=True)
+        pooling = (np.diag(real_intents)[None, :, :, None] * answer_means[:, None, None, :]).reshape(len(panes), cfg.max_intents, -1)
         intents_seq = ad.matmul(Tensor(pooling), seq)
 
         intent_mask = real_intents.copy()
@@ -196,52 +217,60 @@ class RlcModel:
         for layer in range(cfg.layers):
             intents_seq = transformer_encoder_layer(intents_seq, self._encoder(f"ice.{source}.intents_enc", layer), key_mask=intent_mask)
         # weight each contextualized intent by its normalized frequency and sum
-        pooled = ad.matmul(Tensor(weights[None, :]), intents_seq)
+        pooled = ad.sum_(ad.matmul(Tensor(weights[None, :]), intents_seq), axis=1)
         h = ad.relu(ad.add(ad.matmul(pooled, self.params[f"ice.{source}.ff_w1"]), self.params[f"ice.{source}.ff_b1"]))
         return ad.add(ad.matmul(h, self.params[f"ice.{source}.ff_w2"]), self.params[f"ice.{source}.ff_b2"])
 
     def encode_answer_consistency(
-        self, pane: ClarificationPane, entity_lexicon: Mapping[str, str] | None = None
+        self, panes: PaneBatch, entity_lexicon: Mapping[str, str] | None = None
     ) -> Tensor:
-        """Consistency branch: encode each answer with its entity type, add
-        the question encoding, run the encoder over the slots, and mean-pool
-        the real ones."""
+        """Consistency branch, as a (B, dim) tensor: encode each answer with
+        its entity type, add the question encoding, run the encoder over the
+        slots, and mean-pool the real ones."""
         cfg = self.config
+        panes = _as_batch(panes)
         table = self.params["embed.table"]
         lexicon = entity_lexicon or {}
-        answer_texts, answer_mask = self._padded_answers(pane)
+        answer_texts, answer_mask = self._padded_answers(panes)
         answers = text_encode(
-            [None if t is None else [tokenize(t), tokenize(lexicon.get(t, ""))] for t in answer_texts],
+            [[None if t is None else [tokenize(t), tokenize(lexicon.get(t, ""))] for t in texts] for texts in answer_texts],
             table,
             self.params["ace.answer.proj"],
         )
-        question = text_encode([[tokenize(pane.question_text)]], table, self.params["ace.question.proj"])
-        mask = np.concatenate([answer_mask, [1.0]])
-        seq = ad.concat([answers, question], axis=0)
+        question = text_encode([[[tokenize(pane.question_text)]] for pane in panes], table, self.params["ace.question.proj"])
+        mask = np.concatenate([answer_mask, np.ones((len(panes), 1))], axis=1)
+        key_mask = np.broadcast_to(mask[:, None, :], (len(panes), mask.shape[1], mask.shape[1]))
+        seq = ad.concat([answers, question], axis=1)
         for layer in range(cfg.layers):
-            seq = transformer_encoder_layer(seq, self._encoder("ace.enc", layer), key_mask=mask)
-        return masked_mean_rows(seq, mask)
+            seq = transformer_encoder_layer(seq, self._encoder("ace.enc", layer), key_mask=key_mask)
+        return ad.sum_(masked_mean_rows(seq, mask), axis=1)
 
     def score_tensor(
         self,
         query: Query,
-        pane: ClarificationPane,
+        panes: PaneBatch,
         intent_sets: Mapping[str, IntentSet] | None,
         entity_lexicon: Mapping[str, str] | None = None,
     ) -> Tensor:
+        """Scores of B panes of one query as a (B,) tensor, from one forward
+        pass: every branch and the head run once over the whole batch.  A
+        pane's score agrees with its score in any other batch up to its last
+        few bits, not bit for bit: the batch sets the shapes of the
+        products."""
+        panes = _as_batch(panes)
         intent_sets = intent_sets or {}
         branches = [
-            self.encode_intent_coverage(query, pane, intent_sets.get(source), source)
+            self.encode_intent_coverage(query, panes, intent_sets.get(source), source)
             for source in INTENT_SOURCES
         ]
-        branches.append(self.encode_answer_consistency(pane, entity_lexicon))
+        branches.append(self.encode_answer_consistency(panes, entity_lexicon))
         joined = ad.concat(branches, axis=1)
         h = ad.relu(ad.add(ad.matmul(joined, self.params["head.w1"]), self.params["head.b1"]))
         out = ad.add(ad.matmul(h, self.params["head.w2"]), self.params["head.b2"])
-        return ad.sum_(out)
+        return ad.sum_(out, axis=1)
 
     def score(self, query, pane, intent_sets=None, entity_lexicon=None) -> float:
-        return self.score_tensor(query, pane, intent_sets, entity_lexicon).item()
+        return self.score_tensor(query, [pane], intent_sets, entity_lexicon).item()
 
     # -- persistence -------------------------------------------------------
 
@@ -249,8 +278,8 @@ class RlcModel:
         checkpoint.save_tensors(path, self.params, config=self.config.to_dict())
 
     @staticmethod
-    def load(path: str) -> "RlcModel":
-        tensors, config = checkpoint.load_tensors(path)
+    def load(path: str, requires_grad: bool = True) -> "RlcModel":
+        tensors, config = checkpoint.load_tensors(path, requires_grad=requires_grad)
         return RlcModel(RlcConfig.from_dict(config), tensors)
 
 
@@ -265,10 +294,13 @@ def pair_probabilities(score_a: float, score_b: float) -> tuple[float, float]:
     return 1.0 - p_hi, p_hi
 
 
-def pair_loss(score_winner: Tensor, score_loser: Tensor) -> Tensor:
-    """Binary cross entropy of the pairwise softmax with the winner as the
-    positive class: softplus(loser - winner)."""
-    return ad.softplus(ad.add(score_loser, ad.neg(score_winner)))
+_LOSER_MINUS_WINNER = Tensor([-1.0, 1.0])
+
+
+def pair_loss(scores: Tensor) -> Tensor:
+    """Binary cross entropy of the pairwise softmax over (winner, loser)
+    scores, with the winner as the positive class: softplus(loser - winner)."""
+    return ad.softplus(ad.sum_(ad.mul(scores, _LOSER_MINUS_WINNER)))
 
 
 @dataclass
@@ -303,8 +335,9 @@ def train_pairwise(
     shuffle_seed: int = 0,
 ) -> TrainReport:
     """Pairwise training: each step draws the next (winner, loser) pane pair
-    from a seeded shuffle (reshuffled per epoch) and applies one Adam update
-    of the softmax cross-entropy pair loss."""
+    from a seeded shuffle (reshuffled per epoch), scores both panes in one
+    forward and applies one Adam update of the softmax cross-entropy pair
+    loss."""
     pairs = training_pairs(triples)
     if not pairs:
         raise ValueError("no trainable pairs: every query needs >= 2 panes with distinct labels")
@@ -319,9 +352,7 @@ def train_pairwise(
         triple = triples[t_idx]
         sets = intent_sets.get(triple.query.id, {})
         optimizer.zero_grad()
-        score_w = model.score_tensor(triple.query, triple.panes[win], sets, entity_lexicon)
-        score_l = model.score_tensor(triple.query, triple.panes[lose], sets, entity_lexicon)
-        loss = pair_loss(score_w, score_l)
+        loss = pair_loss(model.score_tensor(triple.query, [triple.panes[win], triple.panes[lose]], sets, entity_lexicon))
         loss.backward()
         optimizer.step()
         report.losses.append(loss.item())
@@ -334,17 +365,19 @@ def pairwise_accuracy(
     intent_sets: Mapping[str, Mapping[str, IntentSet]],
     entity_lexicon: Mapping[str, str] | None = None,
 ) -> float:
-    """Fraction of distinct-label pane pairs the model orders correctly."""
+    """Fraction of distinct-label pane pairs the model orders correctly.
+    Each query's panes are scored in one forward."""
     pairs = training_pairs(triples)
     if not pairs:
         raise ValueError("no scorable pairs")
+    scores: dict[int, np.ndarray] = {}
     correct = 0
     for t_idx, win, lose in pairs:
-        triple = triples[t_idx]
-        sets = intent_sets.get(triple.query.id, {})
-        s_win = model.score(triple.query, triple.panes[win], sets, entity_lexicon)
-        s_lose = model.score(triple.query, triple.panes[lose], sets, entity_lexicon)
-        if s_win > s_lose:
+        if t_idx not in scores:
+            triple = triples[t_idx]
+            sets = intent_sets.get(triple.query.id, {})
+            scores[t_idx] = model.score_tensor(triple.query, triple.panes, sets, entity_lexicon).data
+        if scores[t_idx][win] > scores[t_idx][lose]:
             correct += 1
     return correct / len(pairs)
 

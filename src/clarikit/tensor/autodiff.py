@@ -1,9 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Small and explicit by design: every op records its inputs and a closure that
-pushes the output adjoint back to them.  backward() runs the closures in
-reverse topological order.  Values are never mutated by ops, so tensors can
+Small and explicit by design: every op on a tensor that requires a gradient
+records its inputs and a closure that pushes the output adjoint back to
+them; an op on detached inputs records nothing.  backward() runs the
+closures in reverse topological order.  Values are never mutated by ops, so tensors can
 be shared freely; only the optimizer writes to parameter data in place.
+
+Ops broadcast like numpy.  matmul and transpose act on the last two axes, so
+a leading batch axis runs a whole batch through one op; the gradient of an
+operand with fewer batch axes (a shared parameter) is summed over the rest.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ class Tensor:
         return self.data.shape
 
     def item(self) -> float:
-        return float(self.data)
+        return self.data.item()
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op or 'leaf'}, requires_grad={self.requires_grad})"
@@ -120,8 +125,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _make(data, parents: tuple[Tensor, ...], backward, op: str) -> Tensor:
-    requires = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=requires, _parents=parents, _backward=backward if requires else None, _op=op)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(data, requires_grad=True, _parents=parents, _backward=backward, _op=op)
+    # nothing upstream needs a gradient: keep no graph, so the inputs can be
+    # freed as soon as the caller drops them
+    return Tensor(data, _op=op)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -151,25 +160,33 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), backward, "mul")
 
 
+def _swap_last(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Product over the last two axes; leading batch axes broadcast as in
+    np.matmul."""
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     out_data = a.data @ b.data
 
     def backward(grad):
-        _accumulate(a, grad @ b.data.T)
-        _accumulate(b, a.data.T @ grad)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(grad @ _swap_last(b.data), a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(_swap_last(a.data) @ grad, b.shape))
 
     return _make(out_data, (a, b), backward, "matmul")
 
 
 def transpose(a: Tensor) -> Tensor:
-    def backward(grad):
-        _accumulate(a, grad.T)
+    """Swap the last two axes."""
 
-    return _make(a.data.T, (a,), backward, "transpose")
+    def backward(grad):
+        _accumulate(a, _swap_last(grad))
+
+    return _make(_swap_last(a.data), (a,), backward, "transpose")
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -1,10 +1,12 @@
 """Transformer encoder building blocks on top of the autodiff tensors.
 
-Everything operates on (seq, dim) matrices.  Padding positions are removed
+Everything operates on (seq, dim) matrices, or on a (batch, seq, dim) stack
+of them that runs through each op at once.  Padding positions are removed
 with an additive key mask inside the attention softmax and must additionally
 be excluded from any pooling by the caller.  A (seq, seq) mask instead gives
 each row its own keys, so several independent sequences can share one
-block-diagonal pass.
+block-diagonal pass; a (batch, seq, seq) mask gives each sequence of a stack
+its own.
 """
 
 from __future__ import annotations
@@ -70,15 +72,17 @@ def init_encoder_layer(dim: int, n_heads: int, ff_dim: int, rng: np.random.Gener
     )
 
 
-def _mask_bias(key_mask: np.ndarray | None, seq_len: int) -> Tensor | None:
+def _mask_bias(key_mask: np.ndarray | None, x_shape: tuple[int, ...]) -> Tensor | None:
     """Additive attention bias: 0 where kept, MASK_NEG where masked.  A
     (seq,) key mask applies to every query row; a (seq, seq) mask gives each
-    query row its own keys."""
+    query row its own keys; a (batch, seq, seq) mask gives each sequence of
+    a (batch, seq, dim) input its own (seq, seq) mask."""
     if key_mask is None:
         return None
     key_mask = np.asarray(key_mask, dtype=np.float64)
-    if key_mask.shape not in ((seq_len,), (seq_len, seq_len)):
-        raise ValueError(f"key mask shape {key_mask.shape} does not match sequence length {seq_len}")
+    seq_len = x_shape[-2]
+    if key_mask.shape not in ((seq_len,), (seq_len, seq_len), x_shape[:-2] + (seq_len, seq_len)):
+        raise ValueError(f"key mask shape {key_mask.shape} does not match input shape {x_shape}")
     return Tensor((1.0 - key_mask) * MASK_NEG)
 
 
@@ -88,10 +92,9 @@ def multi_head_self_attention(
     """Scaled dot-product self-attention; per-head results are projected back
     to model dim and summed (equivalent to concat followed by one output
     projection)."""
-    seq_len, dim = x.shape
     head_dim = params.heads[0].wq.shape[1]
     scale = Tensor(1.0 / np.sqrt(head_dim))
-    bias = _mask_bias(key_mask, seq_len)
+    bias = _mask_bias(key_mask, x.shape)
     out = None
     for head in params.heads:
         q = matmul(x, head.wq)
@@ -108,14 +111,13 @@ def multi_head_self_attention(
 
 def attention_weights(x: Tensor, params: EncoderLayerParams, key_mask: np.ndarray | None = None) -> list[np.ndarray]:
     """Forward-only attention matrices per head, for inspection and tests."""
-    seq_len, _ = x.shape
     head_dim = params.heads[0].wq.shape[1]
-    bias = _mask_bias(key_mask, seq_len)
+    bias = _mask_bias(key_mask, x.shape)
     weights = []
     for head in params.heads:
         q = x.data @ head.wq.data
         k = x.data @ head.wk.data
-        scores = q @ k.T / np.sqrt(head_dim)
+        scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(head_dim)
         if bias is not None:
             scores = scores + bias.data
         shifted = scores - scores.max(axis=-1, keepdims=True)
@@ -137,12 +139,14 @@ def transformer_encoder_layer(
 
 
 def masked_mean_rows(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Mean over rows where mask is 1, as a (1, dim) tensor."""
+    """Mean over rows where mask is 1: a (seq,) mask over (seq, dim) rows
+    gives a (1, dim) tensor, a (batch, seq) mask over a (batch, seq, dim)
+    stack a (batch, 1, dim) one."""
     mask = np.asarray(mask, dtype=np.float64)
-    kept = mask.sum()
-    if kept == 0:
+    kept = mask.sum(axis=-1, keepdims=True)
+    if (kept == 0).any():
         raise ValueError("masked mean over an empty selection")
-    weights = Tensor((mask / kept)[None, :])
+    weights = Tensor((mask / kept)[..., None, :])
     return matmul(weights, x)
 
 

@@ -68,16 +68,19 @@ def sequence_ids(parts: list[list[str]], buckets: int) -> np.ndarray:
     return np.asarray(ids, dtype=np.int64)
 
 
-def text_encode(items: list[list[list[str]] | None], table: Tensor, projection: Tensor) -> Tensor:
-    """Encode each item, a list of token-list parts, to one row of an
-    (len(items), model_dim) matrix.  A None item (a padded slot) is a zero
-    row.  All items share one embedding lookup; a constant pooling matrix
-    takes each item's mean over its own ids."""
-    encoded = [(row, sequence_ids(parts, table.shape[0])) for row, parts in enumerate(items) if parts is not None]
-    ids = np.concatenate([np.zeros(0, dtype=np.int64)] + [seq for _, seq in encoded])
-    pooling = np.zeros((len(items), len(ids)))
-    offset = 0
-    for row, seq in encoded:
-        pooling[row, offset : offset + len(seq)] = 1.0 / len(seq)
-        offset += len(seq)
+def text_encode(batch: list[list[list[list[str]] | None]], table: Tensor, projection: Tensor) -> Tensor:
+    """Encode B equal-length lists of items, each item a list of token-list
+    parts, to a (B, items, model_dim) tensor: each item's row is the mean of
+    its embedding rows, projected.  A None item (a padded slot) is a zero
+    row.  The whole batch is one embedding lookup of its distinct ids and
+    one constant (B, items, ids) pooling matrix that holds each item's mean
+    weights over them."""
+    real = [(b, row, sequence_ids(parts, table.shape[0])) for b, items in enumerate(batch) for row, parts in enumerate(items) if parts is not None]
+    slots = np.array([(b, row) for b, row, _ in real], dtype=np.int64).reshape(-1, 2)
+    lengths = np.array([len(seq) for _, _, seq in real], dtype=np.int64)
+    ids, column = np.unique(np.concatenate([np.zeros(0, dtype=np.int64)] + [seq for _, _, seq in real]), return_inverse=True)
+    pooling = np.zeros((len(batch), len(batch[0]), len(ids)))
+    # every id occurrence adds 1 / (its item's length) to the item's row
+    slot_of_id = np.repeat(slots, lengths, axis=0)
+    np.add.at(pooling, (slot_of_id[:, 0], slot_of_id[:, 1], column), np.repeat(1.0 / lengths, lengths))
     return matmul(matmul(Tensor(pooling), embedding_lookup(table, ids)), projection)

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,10 @@ def test_criterion_01_gradient_fidelity():
     bias = Tensor(rng.standard_normal(4), requires_grad=True)
     table = Tensor(rng.standard_normal((11, 4)), requires_grad=True)
     ids = np.array([0, 3, 3, 10])
+    # batched forms: a (batch, rows, cols) stack against a shared matrix or
+    # another stack, and a sum over one axis
+    x3 = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    y3 = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
     op_cases = {
         "add": ({"a": a, "b": b}, lambda: ad.sum_(ad.mul(ad.add(a, b), ad.add(a, b)))),
         "neg": ({"a": a}, lambda: ad.sum_(ad.mul(ad.neg(a), a))),
@@ -94,13 +99,19 @@ def test_criterion_01_gradient_fidelity():
         "softmax": ({"a": a, "b": b}, lambda: ad.sum_(ad.mul(ad.softmax(a, axis=-1), b))),
         "layer_norm": ({"a": a, "gain": gain, "bias": bias}, lambda: ad.sum_(ad.mul(ad.layer_norm(a, gain, bias), b))),
         "embedding_lookup": ({"table": table}, lambda: ad.sum_(ad.mul(ad.embedding_lookup(table, ids), ad.embedding_lookup(table, ids)))),
+        "matmul_batched_shared": ({"x3": x3, "m": m}, lambda: ad.sum_(ad.mul(ad.matmul(x3, m), ad.matmul(x3, m)))),
+        "matmul_batched_stacks": ({"x3": x3, "y3": y3}, lambda: ad.sum_(ad.mul(ad.matmul(x3, ad.transpose(y3)), ad.matmul(x3, ad.transpose(y3))))),
+        "transpose_batched": ({"x3": x3}, lambda: ad.sum_(ad.mul(ad.matmul(ad.transpose(x3), x3), ad.matmul(ad.transpose(x3), x3)))),
+        "sum_axis": ({"x3": x3}, lambda: ad.sum_(ad.mul(ad.sum_(x3, axis=1), ad.sum_(ad.mul(x3, x3), axis=1)))),
     }
     for name, (params, f) in op_cases.items():
         errors = ad.check_gradients(f, params)
         checks[f"op:{name}"] = max(errors.values()) < 1e-4
 
-    # the full pane-pair loss, swept over every parameter of a micro model
-    config = RlcConfig(dim=8, heads=2, layers=1, answer_slots=2, max_intents=2, hash_buckets=48, ff_dim=12, head_hidden=8)
+    # the full pane-pair loss of one batched (winner, loser) forward, swept
+    # over every parameter of a micro model; the panes fill different numbers
+    # of answer slots, so each carries its own (seq, seq) attention masks
+    config = RlcConfig(dim=8, heads=2, layers=1, answer_slots=3, max_intents=2, hash_buckets=48, ff_dim=12, head_hidden=8)
     model = RlcModel.init(config, seed=5)
     query = Query("q1", "jaguar parts")
     pane_a = ClarificationPane(
@@ -109,7 +120,7 @@ def test_criterion_01_gradient_fidelity():
     )
     pane_b = ClarificationPane(
         "p2", "q1", "Which one do you mean?",
-        (CandidateAnswer("book review", 1), CandidateAnswer("city map", 2)),
+        (CandidateAnswer("book review", 1), CandidateAnswer("city map", 2), CandidateAnswer("train schedule", 3)),
     )
     sets = {
         "reformulation": IntentSet("q1", "reformulation", (("jaguar parts car", 6.0), ("jaguar parts engine", 2.0))),
@@ -118,10 +129,7 @@ def test_criterion_01_gradient_fidelity():
     lexicon = {"car engine": "vehicle", "animal habitat": "animal"}
 
     def full_loss():
-        return pair_loss(
-            model.score_tensor(query, pane_a, sets, lexicon),
-            model.score_tensor(query, pane_b, sets, lexicon),
-        )
+        return pair_loss(model.score_tensor(query, [pane_a, pane_b], sets, lexicon))
 
     errors = ad.check_gradients(full_loss, model.params)
     checks["full_rlc_loss"] = max(errors.values()) < 1e-4
@@ -282,7 +290,10 @@ def test_examination_folds_converge(size_offset_experiment):
         for t, f in zip(triples, fold_ids):
             if f != fold:
                 train[t.pane_c], train[t.pane_c_prime] = stats[t.pane_c], stats[t.pane_c_prime]
-        fit = fit_examination_em(train, corpus.panes)
+        with warnings.catch_warnings():
+            # every position of every fold is identified: none warns
+            warnings.simplefilter("error")
+            fit = fit_examination_em(train, corpus.panes)
         assert fit.iterations <= 60
         grad_eps, grad_alpha = np.zeros(5), dict.fromkeys(fit.attractiveness, 0.0)
         total = sum(s.impressions * corpus.panes[pid].answer_count for pid, s in train.items())

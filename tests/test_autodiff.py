@@ -70,6 +70,11 @@ class TestBackwardBasics:
         with pytest.raises(ad.GraphError):
             loss.backward()
 
+    def test_ops_on_detached_inputs_keep_no_graph(self):
+        x = Tensor(np.ones((2, 2)))
+        out = ad.relu(ad.matmul(x, ad.transpose(x)))
+        assert not out.requires_grad and out._parents == () and out._backward_fn is None
+
     def test_backward_needs_scalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ad.GraphError):

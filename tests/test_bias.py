@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -350,6 +351,30 @@ class TestExaminationRecovery:
         panes = {"a": pane_of(["x", "y"], "a")}
         stats = {"a": EngagementStats(100, 30, (30, 10))}
         with pytest.warns(UserWarning, match="pinned"):
+            fit_examination_em(stats, panes)
+
+    def test_unidentified_position_warns(self):
+        """No swap touches position 5, so its answers appear nowhere else: its
+        examination trades against their attractiveness along a ridge."""
+        plan = ((2, 1, 4), (3, 2, 4), (4, 3, 4), (5, 1, 4))
+        corpus = gen_corpus(CorpusConfig(n_queries=0, cell_plan=plan, relevance=("uniform", 0.2, 0.7)), seed=23)
+        stats = simulate_stats(corpus, UserModel.examination((1.0, 0.85, 0.72, 0.61, 0.52)), 2000, seed=24)
+        with pytest.warns(UserWarning, match=r"positions \[5\] share no answers with position 1"):
+            fit_examination_em(stats, corpus.panes)
+
+    def test_position_linked_only_through_a_pinned_answer_warns(self):
+        """z, never clicked, is held at its lower bound whatever the positions
+        are, so it carries nothing that ties position 5 to position 1."""
+        panes = {"a": pane_of(["p", "q", "r", "s", "z"], "a"), "b": pane_of(["z", "p", "q", "r", "t"], "b")}
+        stats = {"a": EngagementStats(400, 200, (120, 80, 60, 40, 0)),
+                 "b": EngagementStats(400, 200, (0, 100, 70, 50, 30))}
+        with pytest.warns(UserWarning, match=r"positions \[5\] share no answers with position 1"):
+            fit_examination_em(stats, panes)
+
+    def test_identified_positions_do_not_warn(self):
+        stats, panes = self._planted()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             fit_examination_em(stats, panes)
 
     @staticmethod

@@ -254,7 +254,40 @@ class TestTraining:
         assert os.path.exists(tmp_path / "ft" / "rlc_model.json")
 
 
+    @pytest.mark.parametrize("command", ["train-rlc", "fine-tune-rlc"])
+    def test_steps_below_warmup_exit_one(self, command, corpus_dir, trained_dir, tmp_path, capsys):
+        files = corpus_files(corpus_dir)
+        if command == "train-rlc":
+            extra = ["--impressions", files["impressions"]]
+        else:
+            labels_path = tmp_path / "labels.jsonl"
+            labels_path.write_text("")
+            extra = ["--model", os.path.join(trained_dir, "rlc", "rlc_model.json"), "--labels", labels_path]
+        code = run_cli(command, "--out", tmp_path / "r", "--queries", files["queries"], "--panes", files["panes"],
+                       *extra, "--steps", 20, "--warmup-steps", 30)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "steps (20)" in err and "warmup_steps (30)" in err
+        assert os.listdir(tmp_path / "r") == []
+
+    def test_default_schedules_are_coherent(self):
+        from clarikit.cli import FINE_TUNE_DEFAULTS, TRAIN_RLC_DEFAULTS, _adam_config
+
+        for defaults in (TRAIN_RLC_DEFAULTS, FINE_TUNE_DEFAULTS):
+            assert _adam_config(defaults).warmup_steps <= defaults["steps"]
+
+
 class TestRankAndEval:
+    def test_version_1_model_exits_one(self, corpus_dir, tmp_path, capsys):
+        files = corpus_files(corpus_dir)
+        model = tmp_path / "v1.json"
+        model.write_text('{"config":{},"format":"clarikit-tensors","format_version":1,"tensors":{}}\n')
+        code = run_cli("rank", "--out", tmp_path / "r", "--queries", files["queries"], "--panes", files["panes"],
+                       "--rlc-model", model)
+        assert code == 1
+        assert f"{model}: unsupported format version 1" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "r") == []
+
     def test_rank_single_pane_query(self, corpus_dir, tmp_path):
         files = corpus_files(corpus_dir)
         queries = dataio.load_queries(files["queries"])
@@ -291,7 +324,8 @@ class TestRankAndEval:
 
     def test_eval_scores_each_pane_once(self, corpus_dir, trained_dir, tmp_path, monkeypatch):
         """The engagement and the labelled sets rank the same panes; each
-        pane is scored once, and eval.tsv matches a scorer that re-scores."""
+        query's panes are scored in one forward, each pane once, and
+        eval.tsv matches a scorer that re-scores."""
         from clarikit import cli, rlc
 
         files = corpus_files(corpus_dir)
@@ -306,26 +340,35 @@ class TestRankAndEval:
                 "--intents", files["intents"], "--lexicon", files["lexicon"],
                 "--rlc-model", os.path.join(trained_dir, "rlc", "rlc_model.json"),
                 "--ensemble", os.path.join(trained_dir, "ranker", "ensemble.json"), "--seed", 1]
+        forwards = collections.Counter()
         calls = collections.Counter()
-        score = rlc.RlcModel.score
+        score_tensor = rlc.RlcModel.score_tensor
 
-        def counted(model, query, pane, *args):
-            calls[(query.id, pane.id)] += 1
-            return score(model, query, pane, *args)
+        def counted(model, query, batch, *args):
+            forwards[query.id] += 1
+            calls.update((query.id, pane.id) for pane in batch)
+            return score_tensor(model, query, batch, *args)
 
-        monkeypatch.setattr(rlc.RlcModel, "score", counted)
+        monkeypatch.setattr(rlc.RlcModel, "score_tensor", counted)
         assert run_cli(*argv, "--out", tmp_path / "once") == 0
         assert set(calls) == {(p.query_id, p.id) for p in panes.values()}
         assert set(calls.values()) == {1}
+        assert set(forwards.values()) == {1}
 
-        def rescoring(model_path, intent_sets, lexicon):
-            model = rlc.RlcModel.load(model_path)
-            return lambda query, pane: model.score(query, pane, intent_sets.get(query.id, {}), lexicon)
+        scorer_calls = collections.Counter()
+
+        def rescoring(model, intent_sets, lexicon, panes_by_query):
+            def scorer(query, pane):
+                scorer_calls[(query.id, pane.id)] += 1
+                batch = panes_by_query[query.id]
+                values = model.score_tensor(query, batch, intent_sets.get(query.id, {}), lexicon).data
+                return float(values[[p.id for p in batch].index(pane.id)])
+
+            return scorer
 
         monkeypatch.setattr(cli, "_rlc_scorer", rescoring)
-        calls.clear()
         assert run_cli(*argv, "--out", tmp_path / "rescored") == 0
-        assert max(calls.values()) == 2
+        assert max(scorer_calls.values()) == 2
         assert (tmp_path / "once" / "eval.tsv").read_bytes() == (tmp_path / "rescored" / "eval.tsv").read_bytes()
 
     def test_rank_takes_no_config(self, corpus_dir, tmp_path):

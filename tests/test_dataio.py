@@ -1,7 +1,20 @@
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clarikit import dataio
-from clarikit.core import CandidateAnswer, ClarificationPane, ImpressionRecord, Query
+from clarikit.core import (
+    AMBIGUITY_CLASSES,
+    TEMPLATE_IDS,
+    TRAFFIC_CLASSES,
+    CandidateAnswer,
+    ClarificationPane,
+    ImpressionRecord,
+    PaneLabels,
+    Query,
+)
 
 
 @pytest.fixture
@@ -83,3 +96,71 @@ def test_manifest(tmp_path, sample):
     assert manifest["command"] == "synth-gen"
     assert manifest["seed"] == 7
     assert manifest["inputs"]["queries"] == dataio.file_digest(qpath)
+
+
+# -- round trips of generated records ------------------------------------------
+
+ids = st.text(min_size=1, max_size=12)
+texts = st.text(max_size=20)
+seconds = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
+grades = st.sampled_from(("Good", "Fair", "Bad"))
+
+queries = st.builds(
+    Query,
+    id=ids,
+    # a query needs at least one token
+    text=st.builds(str.__add__, st.from_regex(r"[a-z0-9]{1,8}", fullmatch=True), texts),
+    is_question=st.booleans(),
+    ambiguity_class=st.sampled_from(AMBIGUITY_CLASSES),
+    traffic_class=st.sampled_from(TRAFFIC_CLASSES),
+)
+
+
+@st.composite
+def panes(draw):
+    answers = tuple(
+        CandidateAnswer(
+            text=draw(texts),
+            position=position,
+            render_size=draw(st.floats(min_value=0.01, max_value=1e6)),
+            entity_type=draw(st.none() | texts),
+        )
+        for position in range(1, draw(st.integers(1, 5)) + 1)
+    )
+    return ClarificationPane(draw(ids), draw(ids), draw(texts), answers, template_id=draw(st.sampled_from(TEMPLATE_IDS)))
+
+
+impressions = st.builds(
+    ImpressionRecord,
+    pane_id=ids,
+    timestamp=st.integers(0, 2**40),
+    answer_clicks=st.frozensets(st.integers(1, 5)),
+    result_clicks=st.lists(st.tuples(texts, seconds), max_size=3).map(tuple),
+    reformulation=st.none() | st.tuples(texts, seconds),
+)
+labels = st.tuples(ids, ids, st.builds(PaneLabels, overall=grades, landing=st.lists(grades, max_size=5).map(tuple)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.lists(queries, max_size=4, unique_by=lambda q: q.id),
+    st.lists(panes(), max_size=4, unique_by=lambda p: p.id),
+    st.lists(impressions, max_size=6),
+    st.lists(labels, max_size=4),
+)
+def test_records_round_trip(query_list, pane_list, log, label_list):
+    """Every record type comes back equal from its file: click sets, dwell
+    floats and reformulation deltas included."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.jsonl")
+        dataio.save_queries(path, query_list)
+        assert list(dataio.load_queries(path).values()) == query_list
+        dataio.save_panes(path, pane_list)
+        assert list(dataio.load_panes(path).values()) == pane_list
+        dataio.save_impressions(path, log)
+        assert dataio.load_impressions(path) == log
+        dataio.write_jsonl(path, (
+            {"query_id": qid, "pane_id": pid, "overall": lab.overall, "landing": list(lab.landing)}
+            for qid, pid, lab in label_list
+        ))
+        assert dataio.load_labels(path) == label_list

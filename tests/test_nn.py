@@ -151,3 +151,35 @@ def test_attention_and_layer_gradients(layer):
 
     errors = ad.check_gradients(f, params)
     assert max(errors.values()) < 1e-4, errors
+
+
+def test_batched_layer_matches_each_sequence_alone(layer):
+    """A (batch, seq, dim) stack with a (batch, seq, seq) mask runs each
+    sequence as if alone under its own mask; a (seq,) mask applies to all."""
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((3, 4, 8))
+    masks = np.ones((3, 4, 4))
+    masks[0, :, 3] = 0.0
+    masks[2] = np.kron(np.eye(2), np.ones((2, 2)))
+    out = transformer_encoder_layer(Tensor(x), layer, key_mask=masks)
+    shared = transformer_encoder_layer(Tensor(x), layer, key_mask=np.array([1.0, 1.0, 0.0, 1.0]))
+    weights = attention_weights(Tensor(x), layer, key_mask=masks)
+    for b in range(3):
+        alone = transformer_encoder_layer(Tensor(x[b]), layer, key_mask=masks[b])
+        np.testing.assert_allclose(out.data[b], alone.data, atol=1e-12)
+        alone = transformer_encoder_layer(Tensor(x[b]), layer, key_mask=np.array([1.0, 1.0, 0.0, 1.0]))
+        np.testing.assert_allclose(shared.data[b], alone.data, atol=1e-12)
+        for w in weights:
+            assert (w[b][masks[b] == 0] == 0).all()
+
+
+def test_batched_mask_shape_checked(layer):
+    x = Tensor(np.zeros((2, 3, 8)))
+    with pytest.raises(ValueError, match="key mask shape"):
+        transformer_encoder_layer(x, layer, key_mask=np.ones((3, 3, 3)))
+
+
+def test_masked_mean_rows_batched():
+    x = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0], [100.0, 100.0]], [[5.0, 6.0], [7.0, 8.0], [9.0, 10.0]]]))
+    out = masked_mean_rows(x, np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    np.testing.assert_allclose(out.data, [[[2.0, 3.0]], [[9.0, 10.0]]])

@@ -1,3 +1,7 @@
+import base64
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,7 @@ from clarikit.tensor.autodiff import Tensor
 from clarikit.tensor.checkpoint import load_tensors, save_tensors
 from clarikit.tensor.optim import Adam, AdamConfig, NonFiniteGradientError, schedule_factor
 from clarikit.core import tokenize
+from clarikit.rlc import RlcConfig, RlcModel
 from clarikit.tensor.text import hash_token, sequence_ids, text_encode
 
 
@@ -71,6 +76,56 @@ class TestAdam:
         np.testing.assert_allclose(p.data, [4.0 - 0.1 * 0.5 * 4.0])
 
 
+    def test_parameters_become_views_into_one_buffer(self):
+        a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        b = Tensor([7.0, 8.0], requires_grad=True)
+        opt = Adam({"a": a, "b": b}, AdamConfig(lr=0.1, warmup_steps=1, total_steps=10))
+        np.testing.assert_array_equal(a.data, np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(b.data, [7.0, 8.0])
+        assert a.data.base is b.data.base is not None
+        opt.zero_grad()
+        assert a.grad.base is b.grad.base is not None
+
+    def test_flat_update_matches_per_tensor_loop(self):
+        """Ten steps over one flat buffer equal, bit for bit, the per-tensor
+        loop the optimizer used to run; gradients arrive accumulated by
+        backward, assigned, or missing."""
+        rng = np.random.default_rng(12)
+        shapes = {"w": (4, 3), "b": (3,), "table": (6, 2)}
+        start = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        config = AdamConfig(lr=0.05, weight_decay=0.01, warmup_steps=3, total_steps=20)
+        params = {name: Tensor(value.copy(), requires_grad=True) for name, value in start.items()}
+        opt = Adam(params, config)
+        expected = {name: value.copy() for name, value in start.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        for t in range(1, 11):
+            grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+            if t == 4:
+                grads["b"] = np.zeros(3)
+            opt.zero_grad()
+            ad.sum_(ad.mul(params["w"], Tensor(grads["w"]))).backward()
+            params["table"].grad = grads["table"].copy()
+            if t == 4:
+                params["b"].grad = None
+            else:
+                params["b"].grad += grads["b"]
+            lr = opt.step()
+
+            assert lr == config.lr * schedule_factor(t, config.warmup_steps, config.total_steps)
+            bias1 = 1.0 - config.beta1**t
+            bias2 = 1.0 - config.beta2**t
+            for name, g in grads.items():
+                m[name] *= config.beta1
+                m[name] += (1.0 - config.beta1) * g
+                v[name] *= config.beta2
+                v[name] += (1.0 - config.beta2) * g * g
+                update = (m[name] / bias1) / (np.sqrt(v[name] / bias2) + config.eps)
+                update = update + config.weight_decay * expected[name]
+                expected[name] -= lr * update
+                np.testing.assert_array_equal(params[name].data, expected[name])
+
+
 class TestTextEncoder:
     @pytest.fixture
     def tables(self):
@@ -81,14 +136,14 @@ class TestTextEncoder:
 
     def test_deterministic(self, tables):
         table, proj = tables
-        a = text_encode([[tokenize("which jaguar do you mean")]], table, proj)
-        b = text_encode([[tokenize("which jaguar do you mean")]], table, proj)
+        a = text_encode([[[tokenize("which jaguar do you mean")]]], table, proj)
+        b = text_encode([[[tokenize("which jaguar do you mean")]]], table, proj)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_output_dim_independent_of_length(self, tables):
         table, proj = tables
         for text in ("a", "a much longer sequence of tokens here"):
-            assert text_encode([[tokenize(text)]], table, proj).shape == (1, 8)
+            assert text_encode([[[tokenize(text)]]], table, proj).shape == (1, 1, 8)
 
     def test_hash_is_stable(self):
         # frozen value (computed once from the FNV-1a reference constants)
@@ -102,9 +157,9 @@ class TestTextEncoder:
         table, proj = tables
         vocab = [f"term{i}" for i in range(30)]
         base = ["alpha", "beta", "gamma"]
-        base_vec = text_encode([[base]], table, proj).data
+        base_vec = text_encode([[[base]]], table, proj).data
         for word in vocab:
-            changed = text_encode([[["alpha", "beta", word]]], table, proj).data
+            changed = text_encode([[[["alpha", "beta", word]]]], table, proj).data
             assert not np.allclose(changed, base_vec)
 
     def test_boundary_tokens_included(self, tables):
@@ -115,22 +170,27 @@ class TestTextEncoder:
 
     def test_batch_rows_are_per_item_means(self, tables):
         """Each row is its item's mean embedding, projected; a None item is a
-        zero row, and a batch of only None items is all zeros."""
+        zero row, and a batch of only None items is all zeros.  Lists of
+        different id counts share one lookup of the batch's distinct ids."""
         table, proj = tables
-        items = [[["alpha", "beta"], ["gamma"]], None, [["delta"]]]
-        out = text_encode(items, table, proj)
-        assert out.shape == (3, 8)
-        for row, parts in enumerate(items):
-            expected = np.zeros(8) if parts is None else table.data[sequence_ids(parts, 64)].mean(axis=0) @ proj.data
-            np.testing.assert_allclose(out.data[row], expected, atol=1e-15)
-        np.testing.assert_array_equal(text_encode([None, None], table, proj).data, np.zeros((2, 8)))
+        batch = [
+            [[["alpha", "beta"], ["gamma"]], None, [["delta"]]],
+            [None, [["epsilon"]], [["zeta", "eta", "theta"], ["iota"]]],
+        ]
+        out = text_encode(batch, table, proj)
+        assert out.shape == (2, 3, 8)
+        for b, items in enumerate(batch):
+            for row, parts in enumerate(items):
+                expected = np.zeros(8) if parts is None else table.data[sequence_ids(parts, 64)].mean(axis=0) @ proj.data
+                np.testing.assert_allclose(out.data[b, row], expected, atol=1e-15)
+        np.testing.assert_array_equal(text_encode([[None, None]], table, proj).data, np.zeros((1, 2, 8)))
 
     def test_gradients_flow_to_table_and_projection(self, tables):
         table, proj = tables
         weights = Tensor(np.array([[1.0], [-2.0], [0.5]]))
 
         def f():
-            rows = text_encode([[["alpha", "beta"]], None, [["beta", "gamma"], ["x"]]], table, proj)
+            rows = text_encode([[[["alpha", "beta"]], None, [["beta", "gamma"], ["x"]]], [None, [["y"]], None]], table, proj)
             return ad.sum_(ad.mul(rows, weights))
 
         errors = ad.check_gradients(f, {"table": table, "proj": proj})
@@ -150,6 +210,33 @@ class TestCheckpoint:
         assert config == {"dim": 4}
         for name in tensors:
             np.testing.assert_array_equal(loaded[name].data, tensors[name].data)
+
+    def test_default_model_round_trip_bit_exact(self, tmp_path):
+        model = RlcModel.init(RlcConfig(), seed=3)
+        assert sum(p.data.size for p in model.params.values()) > 470_000
+        path = str(tmp_path / "model.json")
+        model.save(path)
+        loaded = RlcModel.load(path)
+        assert loaded.config == model.config
+        assert set(loaded.params) == set(model.params)
+        for name, p in model.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes(), name
+
+    def test_payload_is_base64_little_endian_float64(self, tmp_path):
+        values = np.array([[0.1, -2.5e-300], [np.pi, 1e300]])
+        path = tmp_path / "ckpt.json"
+        save_tensors(str(path), {"t": Tensor(values)}, config={"dim": 2})
+        payload = json.loads(path.read_text())
+        assert (payload["format"], payload["format_version"], payload["config"]) == ("clarikit-tensors", 2, {"dim": 2})
+        spec = payload["tensors"]["t"]
+        assert (spec["dtype"], spec["shape"]) == ("<f8", [2, 2])
+        assert base64.b64decode(spec["data"]) == values.astype("<f8").tobytes()
+
+    def test_rejects_version_1(self, tmp_path):
+        path = tmp_path / "v1.json"
+        path.write_text('{"config":{},"format":"clarikit-tensors","format_version":1,"tensors":{"t":{"shape":[1],"values":[0.5]}}}')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unsupported format version 1$"):
+            load_tensors(str(path))
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"

@@ -97,6 +97,18 @@ class TestScoreBasics:
         assert loaded.score(query, pane, sets, lexicon) == micro_model.score(query, pane, sets, lexicon)
 
 
+    def test_detached_load_scores_the_same(self, micro_model, fixtures, tmp_path):
+        query, pane, sets, lexicon = fixtures
+        other = make_pane("p2", "q1", ("book review", "city map"))
+        path = str(tmp_path / "model.json")
+        micro_model.save(path)
+        detached = RlcModel.load(path, requires_grad=False)
+        assert not any(p.requires_grad for p in detached.params.values())
+        scores = detached.score_tensor(query, [pane, other], sets, lexicon)
+        assert scores._parents == ()
+        np.testing.assert_array_equal(scores.data, micro_model.score_tensor(query, [pane, other], sets, lexicon).data)
+
+
 class TestIntentWeightInvariance:
     def test_rescaling_weights_is_exact_noop(self, micro_model, fixtures):
         query, pane, sets, lexicon = fixtures
@@ -157,8 +169,7 @@ class TestPairMath:
         assert p_b == pytest.approx(soft[1], abs=1e-12)
 
     def test_equal_scores_lose_ln2(self):
-        s = Tensor([1.7])
-        loss = pair_loss(ad.sum_(s), ad.sum_(Tensor([1.7])))
+        loss = pair_loss(Tensor([1.7, 1.7]))
         assert loss.item() == pytest.approx(math.log(2), abs=1e-12)
 
 
@@ -303,6 +314,68 @@ class TestDualImplementationOracle:
         assert np.isfinite(out.data).all()
 
 
+def _many_panes(n_queries=25):
+    """n_queries queries with 4 or 5 panes each of 2 to 4 answers, and intent
+    sets that are full, partial or missing."""
+    rng = np.random.default_rng(17)
+    words = ["car", "engine", "animal", "habitat", "book", "review", "city", "map", "guitar", "chords", "team"]
+    batches = []
+    for q in range(n_queries):
+        query = Query(f"q{q}", f"{words[q % len(words)]} {words[(3 * q + 1) % len(words)]}")
+        panes = [
+            make_pane(f"q{q}:p{j}", query.id, tuple(" ".join(rng.choice(words, 2)) for _ in range(int(rng.integers(2, 5)))))
+            for j in range(4 + q % 2)
+        ]
+        sets = {}
+        if q % 3:
+            sets["reformulation"] = IntentSet(query.id, "reformulation", ((f"{query.text} {words[q % 5]}", 3.0), (f"{words[q % 7]}", 1.0)))
+        if q % 4:
+            sets["click_title"] = IntentSet(query.id, "click_title", ((f"{words[(q + 2) % 11]} guide", 2.0),))
+        batches.append((query, panes, sets))
+    return batches
+
+
+class TestBatchedForward:
+    def test_batch_scores_match_one_pane_at_a_time(self, wide_model):
+        batches = _many_panes()
+        assert sum(len(panes) for _, panes, _ in batches) >= 100
+        lexicon = {"car engine": "vehicle"}
+        worst = 0.0
+        for query, panes, sets in batches:
+            batched = wide_model.score_tensor(query, panes, sets, lexicon)
+            assert batched.shape == (len(panes),)
+            single = [wide_model.score(query, pane, sets, lexicon) for pane in panes]
+            worst = max(worst, float(np.abs(batched.data - single).max()))
+        assert worst < 1e-12
+
+    def test_pair_loss_gradients_match_two_forward_loss(self, fixtures):
+        """One (winner, loser) forward gives the gradients of the loss built
+        from two single-pane forwards, softplus(loser - winner).  The loser
+        fills all three answer slots and the winner two, so the two panes'
+        masks differ."""
+        query, pane, sets, lexicon = fixtures
+        other = make_pane("p2", "q1", ("book review", "city map", "guitar chords"))
+        model = RlcModel.init(dataclasses.replace(MICRO, answer_slots=3), seed=5)
+
+        def gradients(loss_fn):
+            ad.zero_grads(model.params.values())
+            loss_fn().backward()
+            return {name: p.grad.copy() for name, p in model.params.items()}
+
+        batched = gradients(lambda: pair_loss(model.score_tensor(query, [pane, other], sets, lexicon)))
+        two_forward = gradients(lambda: ad.softplus(ad.add(
+            model.score_tensor(query, other, sets, lexicon), ad.neg(model.score_tensor(query, pane, sets, lexicon))
+        )))
+        for name, expected in two_forward.items():
+            scale = max(float(np.abs(expected).max()), 1e-300)
+            assert float(np.abs(batched[name] - expected).max()) / scale <= 1e-12, name
+
+    def test_empty_batch_rejected(self, micro_model, fixtures):
+        query, _, sets, lexicon = fixtures
+        with pytest.raises(ValueError, match="no panes"):
+            micro_model.score_tensor(query, [], sets, lexicon)
+
+
 class TestGradients:
     def test_pair_loss_gradients_spot_check(self, micro_model, fixtures):
         query, pane, sets, lexicon = fixtures
@@ -324,9 +397,7 @@ class TestGradients:
         }
 
         def f():
-            s_a = micro_model.score_tensor(query, pane, sets, lexicon)
-            s_b = micro_model.score_tensor(query, other, sets, lexicon)
-            return pair_loss(s_a, s_b)
+            return pair_loss(micro_model.score_tensor(query, [pane, other], sets, lexicon))
 
         errors = ad.check_gradients(f, spot)
         assert max(errors.values()) < 1e-4, errors
