@@ -74,7 +74,9 @@ def _eligible(stats: Mapping[str, EngagementStats]) -> dict[str, EngagementStats
     return {pid: s for pid, s in stats.items() if s.impressions >= MIN_IMPRESSIONS}
 
 
-def _url_stats(history: Sequence[tuple[str, int]]) -> tuple[int, float]:
+def url_stats(history: Sequence[tuple[str, int]]) -> tuple[int, float]:
+    """A query's distinct clicked URLs (count > 0) and the normalized entropy
+    of their click counts; (0, 0.0) without history."""
     counts = np.asarray([c for _, c in history], dtype=np.float64) if history else np.zeros(0)
     counts = counts[counts > 0]
     if counts.size == 0:
@@ -156,12 +158,12 @@ def _assign_buckets(dimension, pane_ids, stats, panes, queries, historical_click
         return {pid: f"bin{j + 1}" for pid, j in zip(pane_ids, idx)}
     if dimension == "unique_url_bin":
         values = np.array(
-            [float(_url_stats(historical_clicks.get(panes[pid].query_id, ()))[0]) for pid in pane_ids]
+            [float(url_stats(historical_clicks.get(panes[pid].query_id, ()))[0]) for pid in pane_ids]
         )
         idx = _equal_width_bins(values, n_bins)
         return {pid: f"bin{j + 1}" for pid, j in zip(pane_ids, idx)}
     values = np.array(
-        [_url_stats(historical_clicks.get(panes[pid].query_id, ()))[1] for pid in pane_ids]
+        [url_stats(historical_clicks.get(panes[pid].query_id, ()))[1] for pid in pane_ids]
     )
     idx = _equal_width_bins(values, n_bins)
     return {pid: f"bin{j + 1}" for pid, j in zip(pane_ids, idx)}

@@ -1,11 +1,14 @@
 """Batch command-line surface.
 
-Every command but rank and plot-data reads declarative parameters from an
-optional JSON config file (--config) and lets individual flags override file
-values.  Every command writes plain delimited or line-delimited artifacts
-into --out and drops a manifest.json (command, version, seed, resolved
-config, input digests) next to them.
-Partial outputs are removed when a command fails.
+Each command is declared once, in COMMANDS: its function, its config keys
+and their defaults, whether it takes --seed, and its input-file flags.  The
+parser is built from that table.  Every int or float config key is also a
+flag, its name in kebab case; a command with config keys reads them from an
+optional JSON config file (--config), and flags override file values.
+Every command writes plain delimited or line-delimited artifacts into --out
+and a manifest.json (command, version, seed, resolved config, a digest of
+every input file given) next to them.  A failed command leaves --out as it
+was.
 
 Exit codes: 0 success, 1 input or validation error, 2 numerical failure.
 """
@@ -15,8 +18,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
-from typing import Sequence
+import tempfile
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,24 +34,25 @@ from .tensor.optim import AdamConfig, NonFiniteGradientError
 
 
 class Outputs:
-    """Tracks files written by one command so failures can clean up."""
+    """Stages the files of one command in a directory inside --out.  Only a
+    command that succeeded moves them into --out, the manifest last; a
+    failed one, rerun or not, leaves --out as it was."""
 
     def __init__(self, out_dir: str):
-        self.out_dir = out_dir
-        self.created: list[str] = []
         os.makedirs(out_dir, exist_ok=True)
+        self.out_dir = out_dir
+        self.staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
 
     def path(self, name: str) -> str:
-        full = os.path.join(self.out_dir, name)
-        self.created.append(full)
-        return full
+        return os.path.join(self.staging, name)
 
-    def discard_all(self) -> None:
-        for path in self.created:
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
+    def commit(self) -> None:
+        for name in sorted(os.listdir(self.staging), key=lambda name: (name == "manifest.json", name)):
+            os.replace(os.path.join(self.staging, name), os.path.join(self.out_dir, name))
+        os.rmdir(self.staging)
+
+    def discard(self) -> None:
+        shutil.rmtree(self.staging, ignore_errors=True)
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
@@ -76,35 +83,41 @@ def _load_corpus_files(args) -> tuple[dict, dict]:
     return queries, panes
 
 
-def _load_lexicon(path: str | None) -> dict[str, str]:
-    return dict(dataio.read_tsv_rows(path, (str, str))) if path else {}
+def _load_text_inputs(args) -> tuple[dict, dict[str, str]]:
+    """The --intents sets and the --lexicon entity types, empty when not given."""
+    intent_sets = intents_mod.load_intent_sets(args.intents) if args.intents else {}
+    lexicon = dict(dataio.read_tsv_rows(args.lexicon, (str, str))) if args.lexicon else {}
+    return intent_sets, lexicon
 
 
-def _load_history(path: str) -> dict[str, list[tuple[str, int]]]:
-    """Per-query URL click history from a (query_id, url, count) TSV."""
+def _history(args, log, panes) -> dict[str, list[tuple[str, int]]]:
+    """Per-query URL click history: the --history (query_id, url, count) TSV
+    if given, else one click per result click of the impressions the
+    command read, else none."""
+    if args.history:
+        rows = dataio.read_tsv_rows(args.history, (str, str, int))
+    else:
+        rows = (
+            (panes[rec.pane_id].query_id, url, 1)
+            for rec in log or () if rec.pane_id in panes
+            for url, _dwell in rec.result_clicks
+        )
     history: dict[str, dict[str, int]] = {}
-    for query_id, url, count in dataio.read_tsv_rows(path, (str, str, int)):
+    for query_id, url, count in rows:
         bucket = history.setdefault(query_id, {})
         bucket[url] = bucket.get(url, 0) + count
     return {qid: sorted(urls.items()) for qid, urls in history.items()}
 
 
-def _derive_history(log, panes) -> dict[str, list[tuple[str, int]]]:
-    history: dict[str, dict[str, int]] = {}
-    for rec in log:
-        pane = panes.get(rec.pane_id)
-        if pane is None:
-            continue
-        for url, _dwell in rec.result_clicks:
-            bucket = history.setdefault(pane.query_id, {})
-            bucket[url] = bucket.get(url, 0) + 1
-    return {qid: sorted(urls.items()) for qid, urls in history.items()}
-
-
-def _load_rlc(model_path: str | None) -> rlc_mod.RlcModel | None:
+def _load_scorer(args) -> Callable:
+    """Reads --intents, --lexicon and --rlc-model, each if given, so a
+    malformed file fails even when no model will use it.  Returns
+    panes_by_query -> the scorer of _rlc_scorer."""
+    intent_sets, lexicon = _load_text_inputs(args)
     # scoring only: without parameters that need a gradient a forward keeps
     # no graph, so a batch's intermediates are freed as it goes
-    return rlc_mod.RlcModel.load(model_path, requires_grad=False) if model_path else None
+    model = rlc_mod.RlcModel.load(args.rlc_model, requires_grad=False) if args.rlc_model else None
+    return lambda panes_by_query: _rlc_scorer(model, intent_sets, lexicon, panes_by_query)
 
 
 def _rlc_scorer(model: rlc_mod.RlcModel | None, intent_sets, lexicon, panes_by_query):
@@ -171,8 +184,7 @@ SYNTH_DEFAULTS = {
 }
 
 
-def cmd_synth_gen(args, out: Outputs) -> None:
-    config = _merge_config(args, SYNTH_DEFAULTS)
+def cmd_synth_gen(args, config: dict, out: Outputs) -> None:
     model_params = dict(config["user_model"])
     kind = model_params.pop("kind")
     if "exam_probs" in model_params:
@@ -212,7 +224,6 @@ def cmd_synth_gen(args, out: Outputs) -> None:
         ["answer_text", "entity_type"],
         sorted(corpus.entity_lexicon.items()),
     )
-    dataio.write_manifest(out.out_dir, "synth-gen", config, {}, seed=args.seed)
 
 
 ANALYZE_DEFAULTS = {
@@ -222,11 +233,10 @@ ANALYZE_DEFAULTS = {
 }
 
 
-def cmd_analyze(args, out: Outputs) -> None:
-    config = _merge_config(args, ANALYZE_DEFAULTS)
+def cmd_analyze(args, config: dict, out: Outputs) -> None:
     queries, panes = _load_corpus_files(args)
     log = dataio.load_impressions(args.impressions)
-    history = _load_history(args.history) if args.history else _derive_history(log, panes)
+    history = _history(args, log, panes)
     stats = collect_stats(log, panes)
 
     for dimension in analytics.DIMENSIONS:
@@ -274,18 +284,12 @@ def cmd_analyze(args, out: Outputs) -> None:
     except ValueError:
         pass
     dataio.write_tsv(out.path("summary.tsv"), ["metric", "value"], summary)
-    dataio.write_manifest(
-        out.out_dir, "analyze", config,
-        {"queries": args.queries, "panes": args.panes, "impressions": args.impressions},
-        seed=None,
-    )
 
 
 BIAS_DEFAULTS = {"folds": 10}
 
 
-def cmd_bias(args, out: Outputs) -> None:
-    config = _merge_config(args, BIAS_DEFAULTS)
+def cmd_bias(args, config: dict, out: Outputs) -> None:
     _, panes = _load_corpus_files(args)
     # the log is dropped once counted, so what the fits allocate stays below the load's peak
     stats = collect_stats(dataio.load_impressions(args.impressions), panes)
@@ -328,18 +332,12 @@ def cmd_bias(args, out: Outputs) -> None:
         out.path("scatter_fit.tsv"), ["metric", "value"],
         [["slope", slope], ["intercept", intercept], ["points", len(points)]],
     )
-    dataio.write_manifest(
-        out.out_dir, "bias", config,
-        {"queries": args.queries, "panes": args.panes, "impressions": args.impressions},
-        seed=None,
-    )
 
 
 INTENTS_DEFAULTS = {"min_freq": 2, "n_max": 8}
 
 
-def cmd_intents(args, out: Outputs) -> None:
-    config = _merge_config(args, INTENTS_DEFAULTS)
+def cmd_intents(args, config: dict, out: Outputs) -> None:
     if not args.reformulations and not args.click_titles:
         raise ValueError("need --reformulations and/or --click-titles input")
     query_ids = None
@@ -358,12 +356,6 @@ def cmd_intents(args, out: Outputs) -> None:
         built = intents_mod.intents_from_click_titles(records, min_freq=min_freq, query_ids=query_ids)
         sets.extend(intents_mod.truncate_intents(s, n_max) for s in built.values())
     intents_mod.save_intent_sets(out.path("intents.jsonl"), sets)
-    inputs = {}
-    if args.reformulations:
-        inputs["reformulations"] = args.reformulations
-    if args.click_titles:
-        inputs["click_titles"] = args.click_titles
-    dataio.write_manifest(out.out_dir, "intents", config, inputs, seed=None)
 
 
 TRAIN_RLC_DEFAULTS = {
@@ -396,16 +388,14 @@ def _adam_config(config: dict) -> AdamConfig:
     )
 
 
-def cmd_train_rlc(args, out: Outputs) -> None:
-    config = _merge_config(args, TRAIN_RLC_DEFAULTS)
+def cmd_train_rlc(args, config: dict, out: Outputs) -> None:
     adam = _adam_config(config)
     queries, panes = _load_corpus_files(args)
     # the log is dropped once the triples are built, so it is not held through training
     triples = _engagement_triples(
         queries, panes, dataio.load_impressions(args.impressions), int(config["min_impressions"])
     )
-    intent_sets = intents_mod.load_intent_sets(args.intents) if args.intents else {}
-    lexicon = _load_lexicon(args.lexicon)
+    intent_sets, lexicon = _load_text_inputs(args)
     if not triples:
         raise ValueError("no queries with >= 2 panes of distinct engagement rates")
     model_config = rlc_mod.RlcConfig(
@@ -423,12 +413,6 @@ def cmd_train_rlc(args, out: Outputs) -> None:
     dataio.write_tsv(
         out.path("loss.tsv"), ["step", "loss"], [[i + 1, loss] for i, loss in enumerate(report.losses)]
     )
-    inputs = {"queries": args.queries, "panes": args.panes, "impressions": args.impressions}
-    if args.intents:
-        inputs["intents"] = args.intents
-    if args.lexicon:
-        inputs["lexicon"] = args.lexicon
-    dataio.write_manifest(out.out_dir, "train-rlc", config, inputs, seed=args.seed)
 
 
 FINE_TUNE_DEFAULTS = {
@@ -441,13 +425,11 @@ FINE_TUNE_DEFAULTS = {
 }
 
 
-def cmd_fine_tune_rlc(args, out: Outputs) -> None:
-    config = _merge_config(args, FINE_TUNE_DEFAULTS)
+def cmd_fine_tune_rlc(args, config: dict, out: Outputs) -> None:
     adam = _adam_config(config)
     queries, panes = _load_corpus_files(args)
     labels = {pane_id: pane_labels.overall for _qid, pane_id, pane_labels in dataio.load_labels(args.labels)}
-    intent_sets = intents_mod.load_intent_sets(args.intents) if args.intents else {}
-    lexicon = _load_lexicon(args.lexicon)
+    intent_sets, lexicon = _load_text_inputs(args)
     model = rlc_mod.RlcModel.load(args.model)
     triples = rlc_mod.triples_from_labels(queries, panes, labels)
     report = rlc_mod.fine_tune(
@@ -464,11 +446,6 @@ def cmd_fine_tune_rlc(args, out: Outputs) -> None:
     model.save(out.path("rlc_model.json"))
     dataio.write_tsv(
         out.path("loss.tsv"), ["step", "loss"], [[i + 1, loss] for i, loss in enumerate(report.losses)]
-    )
-    dataio.write_manifest(
-        out.out_dir, "fine-tune-rlc", config,
-        {"queries": args.queries, "panes": args.panes, "labels": args.labels, "model": args.model},
-        seed=args.seed,
     )
 
 
@@ -489,18 +466,15 @@ def _label_scale(rates: Sequence[float]) -> list[float]:
     return [2.0 * r / top for r in rates]
 
 
-def cmd_train_ranker(args, out: Outputs) -> None:
-    config = _merge_config(args, TRAIN_RANKER_DEFAULTS)
+def cmd_train_ranker(args, config: dict, out: Outputs) -> None:
     queries, panes = _load_corpus_files(args)
     log = dataio.load_impressions(args.impressions)
-    history = _load_history(args.history) if args.history else _derive_history(log, panes)
-    intent_sets = intents_mod.load_intent_sets(args.intents) if args.intents else {}
-    lexicon = _load_lexicon(args.lexicon)
-    model = _load_rlc(args.rlc_model)
+    history = _history(args, log, panes)
+    make_scorer = _load_scorer(args)
     triples = _engagement_triples(queries, panes, log, int(config["min_impressions"]))
     if not triples:
         raise ValueError("no trainable queries in the impression log")
-    scorer = _rlc_scorer(model, intent_sets, lexicon, {t.query.id: t.panes for t in triples})
+    scorer = make_scorer({t.query.id: t.panes for t in triples})
     per_query = []
     for triple in triples:
         rows = np.array(
@@ -517,23 +491,17 @@ def cmd_train_ranker(args, out: Outputs) -> None:
         ),
     )
     ensemble.save(out.path("ensemble.json"))
-    inputs = {"queries": args.queries, "panes": args.panes, "impressions": args.impressions}
-    if args.rlc_model:
-        inputs["rlc_model"] = args.rlc_model
-    dataio.write_manifest(out.out_dir, "train-ranker", config, inputs, seed=args.seed)
 
 
-def cmd_rank(args, out: Outputs) -> None:
+def cmd_rank(args, config: dict, out: Outputs) -> None:
     queries, panes = _load_corpus_files(args)
-    history = _load_history(args.history) if args.history else {}
-    intent_sets = intents_mod.load_intent_sets(args.intents) if args.intents else {}
-    lexicon = _load_lexicon(args.lexicon)
-    model = _load_rlc(args.rlc_model)
+    history = _history(args, None, panes)
+    make_scorer = _load_scorer(args)
     ensemble = ranker_mod.BoostedEnsemble.load(args.ensemble) if args.ensemble else None
     by_query: dict[str, list] = {}
     for pane in panes.values():
         by_query.setdefault(pane.query_id, []).append(pane)
-    scorer = _rlc_scorer(model, intent_sets, lexicon, by_query)
+    scorer = make_scorer(by_query)
     wanted = [args.query_id] if args.query_id else sorted(by_query)
     rows = []
     for query_id in wanted:
@@ -545,26 +513,18 @@ def cmd_rank(args, out: Outputs) -> None:
         for position, pane in enumerate(ranked, start=1):
             rows.append([query_id, position, pane.id])
     dataio.write_tsv(out.path("ranked.tsv"), ["query_id", "rank", "pane_id"], rows)
-    dataio.write_manifest(
-        out.out_dir, "rank", {}, {"queries": args.queries, "panes": args.panes}, seed=None
-    )
 
 
 EVAL_DEFAULTS = {"min_impressions": 10, "randomization_rounds": 10000}
 
 
-def cmd_eval(args, out: Outputs) -> None:
-    config = _merge_config(args, EVAL_DEFAULTS)
+def cmd_eval(args, config: dict, out: Outputs) -> None:
     queries, panes = _load_corpus_files(args)
-    intent_sets = intents_mod.load_intent_sets(args.intents) if args.intents else {}
-    lexicon = _load_lexicon(args.lexicon)
-    model = _load_rlc(args.rlc_model)
+    make_scorer = _load_scorer(args)
     ensemble = ranker_mod.BoostedEnsemble.load(args.ensemble) if args.ensemble else None
 
     log = dataio.load_impressions(args.impressions) if args.impressions else None
-    history = _load_history(args.history) if args.history else {}
-    if not history and log is not None:
-        history = _derive_history(log, panes)
+    history = _history(args, log, panes)
 
     test_set = []  # (query, panes, engagement rate per pane id)
     if log is not None:
@@ -596,7 +556,7 @@ def cmd_eval(args, out: Outputs) -> None:
     scored: dict[str, dict] = {}
     for query, query_panes, *_ in test_set + labeled:
         scored.setdefault(query.id, {}).update((p.id, p) for p in query_panes)
-    scorer = _rlc_scorer(model, intent_sets, lexicon, {qid: list(by_id.values()) for qid, by_id in scored.items()})
+    scorer = make_scorer({qid: list(by_id.values()) for qid, by_id in scored.items()})
 
     def method_ranker(query, query_panes):
         return ranker_mod.rank_panes(query, query_panes, ensemble, history.get(query.id), scorer)
@@ -632,40 +592,75 @@ def cmd_eval(args, out: Outputs) -> None:
     if not rows:
         raise ValueError("nothing to evaluate: provide --impressions and/or --labels")
     dataio.write_tsv(out.path("eval.tsv"), ["metric", "value"], rows)
-    dataio.write_manifest(
-        out.out_dir, "eval", config, {"queries": args.queries, "panes": args.panes}, seed=args.seed
-    )
 
 
-def cmd_plot_data(args, out: Outputs) -> None:
+def cmd_plot_data(args, config: dict, out: Outputs) -> None:
     header, rows = dataio.read_tsv(args.input)
     name = args.name or os.path.basename(args.input)
     dataio.write_tsv(out.path(name), header, rows)
-    dataio.write_manifest(out.out_dir, "plot-data", {}, {"input": args.input}, seed=None)
 
 
-# -- argument wiring ---------------------------------------------------------
+# -- the command table and argument wiring --------------------------------
 
 
-def _add_common(
-    sub, *, config=True, seed=False, corpus=False, impressions=False, intents=False, lexicon=False, history=False
-):
-    sub.add_argument("--out", help="output directory (or CLARIKIT_OUT_DIR)")
-    if config:
-        sub.add_argument("--config", help="JSON config file; flags override its values")
-    if seed:
-        sub.add_argument("--seed", type=int, default=0)
-    if corpus:
-        sub.add_argument("--queries", required=True)
-        sub.add_argument("--panes", required=True)
-    if impressions:
-        sub.add_argument("--impressions", required=True)
-    if intents:
-        sub.add_argument("--intents")
-    if lexicon:
-        sub.add_argument("--lexicon")
-    if history:
-        sub.add_argument("--history")
+@dataclass(frozen=True)
+class Command:
+    """One subcommand.  defaults: its config keys and their values, or None
+    for a command that takes no --config.  required and optional: the dests
+    of its input-file flags, each of which the manifest digests when given.
+    extras: the dests of its other string flags."""
+
+    func: Callable[[argparse.Namespace, dict, Outputs], None]
+    help: str
+    defaults: dict | None = None
+    seed: bool = False
+    required: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    extras: tuple[str, ...] = ()
+
+
+CORPUS = ("queries", "panes")
+TEXT = ("intents", "lexicon")
+
+COMMANDS = {
+    "synth-gen": Command(cmd_synth_gen, "generate a synthetic corpus and impression log", SYNTH_DEFAULTS, seed=True),
+    "analyze": Command(
+        cmd_analyze, "engagement breakdowns and interaction quality metrics", ANALYZE_DEFAULTS,
+        required=CORPUS + ("impressions",), optional=("history",),
+    ),
+    "bias": Command(cmd_bias, "swap-experiment click bias report", BIAS_DEFAULTS, required=CORPUS + ("impressions",)),
+    "intents": Command(
+        cmd_intents, "build intent sets from reformulations and click titles", INTENTS_DEFAULTS,
+        optional=("reformulations", "click_titles", "queries"),
+    ),
+    "train-rlc": Command(
+        cmd_train_rlc, "train the pane scoring model on click data", TRAIN_RLC_DEFAULTS, seed=True,
+        required=CORPUS + ("impressions",), optional=TEXT,
+    ),
+    "fine-tune-rlc": Command(
+        cmd_fine_tune_rlc, "continue training on human-labeled panes", FINE_TUNE_DEFAULTS, seed=True,
+        required=CORPUS + ("model", "labels"), optional=TEXT,
+    ),
+    "train-ranker": Command(
+        cmd_train_ranker, "train the boosted re-ranker on click data", TRAIN_RANKER_DEFAULTS, seed=True,
+        required=CORPUS + ("impressions",), optional=TEXT + ("history", "rlc_model"),
+    ),
+    "rank": Command(
+        cmd_rank, "rank the panes of each query",
+        required=CORPUS, optional=TEXT + ("history", "ensemble", "rlc_model"), extras=("query_id",),
+    ),
+    "eval": Command(
+        cmd_eval, "nDCG on labels and engagement improvement on clicks", EVAL_DEFAULTS, seed=True,
+        required=CORPUS, optional=TEXT + ("history", "impressions", "labels", "ensemble", "rlc_model"),
+    ),
+    "plot-data": Command(
+        cmd_plot_data, "re-emit a report as a plotting-ready table", required=("input",), extras=("name",)
+    ),
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -674,86 +669,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Engagement analytics, click-bias estimation, and learned re-ranking for search clarification panes.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("synth-gen", help="generate a synthetic corpus and impression log")
-    _add_common(sub, seed=True)
-    for key, value in SYNTH_DEFAULTS.items():
-        if key in ("answer_count_weights", "relevance", "cell_plan", "user_model"):
-            continue  # config-file only (structured values)
-        sub.add_argument(f"--{key.replace('_', '-')}", type=type(value), default=None)
-    sub.set_defaults(func=cmd_synth_gen)
-
-    sub = commands.add_parser("analyze", help="engagement breakdowns and interaction quality metrics")
-    _add_common(sub, corpus=True, impressions=True, history=True)
-    sub.add_argument("--dwell-threshold-s", dest="dwell_threshold_s", type=float, default=None)
-    sub.add_argument("--reformulation-window-s", dest="reformulation_window_s", type=float, default=None)
-    sub.add_argument("--entropy-bins", dest="entropy_bins", type=int, default=None)
-    sub.set_defaults(func=cmd_analyze)
-
-    sub = commands.add_parser("bias", help="swap-experiment click bias report")
-    _add_common(sub, corpus=True, impressions=True)
-    sub.add_argument("--folds", type=int, default=None)
-    sub.set_defaults(func=cmd_bias)
-
-    sub = commands.add_parser("intents", help="build intent sets from reformulations and click titles")
-    _add_common(sub)
-    sub.add_argument("--reformulations")
-    sub.add_argument("--click-titles", dest="click_titles")
-    sub.add_argument("--queries")
-    sub.add_argument("--min-freq", dest="min_freq", type=int, default=None)
-    sub.add_argument("--n-max", dest="n_max", type=int, default=None)
-    sub.set_defaults(func=cmd_intents)
-
-    sub = commands.add_parser("train-rlc", help="train the pane scoring model on click data")
-    _add_common(sub, seed=True, corpus=True, impressions=True, intents=True, lexicon=True)
-    for key in ("dim", "heads", "layers", "max_intents", "hash_buckets", "steps", "warmup_steps", "total_steps", "min_impressions"):
-        sub.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int, default=None)
-    sub.add_argument("--lr", type=float, default=None)
-    sub.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-    sub.set_defaults(func=cmd_train_rlc)
-
-    sub = commands.add_parser("fine-tune-rlc", help="continue training on human-labeled panes")
-    _add_common(sub, seed=True, corpus=True, intents=True, lexicon=True)
-    sub.add_argument("--model", required=True)
-    sub.add_argument("--labels", required=True)
-    for key in ("steps", "warmup_steps", "total_steps", "panes_per_query"):
-        sub.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int, default=None)
-    sub.add_argument("--lr", type=float, default=None)
-    sub.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-    sub.set_defaults(func=cmd_fine_tune_rlc)
-
-    sub = commands.add_parser("train-ranker", help="train the boosted re-ranker on click data")
-    _add_common(sub, seed=True, corpus=True, impressions=True, intents=True, lexicon=True, history=True)
-    sub.add_argument("--rlc-model", dest="rlc_model")
-    sub.add_argument("--trees", type=int, default=None)
-    sub.add_argument("--depth", type=int, default=None)
-    sub.add_argument("--shrinkage", type=float, default=None)
-    sub.add_argument("--min-impressions", dest="min_impressions", type=int, default=None)
-    sub.set_defaults(func=cmd_train_ranker)
-
-    sub = commands.add_parser("rank", help="rank the panes of each query")
-    _add_common(sub, config=False, corpus=True, intents=True, lexicon=True, history=True)
-    sub.add_argument("--ensemble")
-    sub.add_argument("--rlc-model", dest="rlc_model")
-    sub.add_argument("--query-id", dest="query_id")
-    sub.set_defaults(func=cmd_rank)
-
-    sub = commands.add_parser("eval", help="nDCG on labels and engagement improvement on clicks")
-    _add_common(sub, seed=True, corpus=True, intents=True, lexicon=True, history=True)
-    sub.add_argument("--impressions")
-    sub.add_argument("--labels")
-    sub.add_argument("--ensemble")
-    sub.add_argument("--rlc-model", dest="rlc_model")
-    sub.add_argument("--min-impressions", dest="min_impressions", type=int, default=None)
-    sub.add_argument("--randomization-rounds", dest="randomization_rounds", type=int, default=None)
-    sub.set_defaults(func=cmd_eval)
-
-    sub = commands.add_parser("plot-data", help="re-emit a report as a plotting-ready table")
-    _add_common(sub, config=False)
-    sub.add_argument("--input", required=True)
-    sub.add_argument("--name")
-    sub.set_defaults(func=cmd_plot_data)
-
+    for name, command in COMMANDS.items():
+        sub = commands.add_parser(name, help=command.help)
+        sub.add_argument("--out", help="output directory (or CLARIKIT_OUT_DIR)")
+        if command.defaults is not None:
+            sub.add_argument("--config", help="JSON config file; flags override its values")
+        if command.seed:
+            sub.add_argument("--seed", type=int, default=0)
+        for dest in command.required + command.optional:
+            sub.add_argument(_flag(dest), required=dest in command.required)
+        for dest in command.extras:
+            sub.add_argument(_flag(dest))
+        for key, value in (command.defaults or {}).items():
+            if type(value) in (int, float):  # structured values are config-file only
+                sub.add_argument(_flag(key), type=type(value), default=None)
     return parser
 
 
@@ -763,14 +692,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     out_dir = args.out or os.environ.get("CLARIKIT_OUT_DIR")
     if not out_dir:
         parser.error("--out (or CLARIKIT_OUT_DIR) is required")
+    command = COMMANDS[args.command]
     outputs = Outputs(out_dir)
     try:
         try:
-            args.func(args, outputs)
+            config = _merge_config(args, command.defaults or {})
+            command.func(args, config, outputs)
+            given = [dest for dest in command.required + command.optional if getattr(args, dest)]
+            inputs = {dest: getattr(args, dest) for dest in given}
+            dataio.write_manifest(outputs.staging, args.command, config, inputs, seed=getattr(args, "seed", None))
+            outputs.commit()
         except BaseException:
-            # whatever failed, nothing half-written stays; unexpected
+            # whatever failed, --out keeps what it held; unexpected
             # exceptions keep their traceback
-            outputs.discard_all()
+            outputs.discard()
             raise
     except (NumericalError, NonFiniteGradientError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

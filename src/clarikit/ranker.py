@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .analytics import normalized_entropy
+from .analytics import url_stats
 from .core import ClarificationPane, Query, TEMPLATE_IDS
 
 TRAFFIC_ONE_HOT = ("head", "torso", "tail", "unknown")
@@ -28,7 +28,6 @@ FEATURE_NAMES = tuple(
     + [f"traffic_{t}" for t in TRAFFIC_ONE_HOT]
     + ["answer_count", "unique_clicked_urls", "url_click_entropy_norm", "rlc_score"]
 )
-RLC_FEATURE_INDEX = FEATURE_NAMES.index("rlc_score")
 
 
 @dataclass(frozen=True)
@@ -53,13 +52,7 @@ def extract_features(
     if sum(template) != 1.0:
         template = [0.0] * (len(TEMPLATE_IDS) - 1) + [1.0]  # unknown ids count as "other"
     traffic = [1.0 if query.traffic_class == t else 0.0 for t in TRAFFIC_ONE_HOT]
-    history = [(u, c) for u, c in (historical_clicks or ()) if c > 0]
-    unique_urls = float(len(history))
-    if history:
-        counts = np.array([c for _, c in history], dtype=np.float64)
-        url_entropy = normalized_entropy(counts / counts.sum())
-    else:
-        url_entropy = 0.0
+    unique_urls, url_entropy = url_stats(historical_clicks or ())
     rlc_score = float(rlc_scorer(query, pane)) if rlc_scorer is not None else 0.0
     values = tuple(
         template
@@ -70,7 +63,7 @@ def extract_features(
             1.0 if query.ambiguity_class == "ambiguous" else 0.0,
         ]
         + traffic
-        + [float(pane.answer_count), unique_urls, url_entropy, rlc_score]
+        + [float(pane.answer_count), float(unique_urls), url_entropy, rlc_score]
     )
     return FeatureVector(values=values, has_rlc_score=rlc_scorer is not None)
 
@@ -365,15 +358,13 @@ def entropy_baseline_ranker(
     panes, so this mostly exercises the evaluation plumbing."""
 
     def ranker(query: Query, panes: Sequence[ClarificationPane]) -> list[ClarificationPane]:
-        history = [(u, c) for u, c in historical_clicks.get(query.id, ()) if c > 0]
-        if history:
-            counts = np.array([c for _, c in history], dtype=np.float64)
-            entropy = normalized_entropy(counts / counts.sum())
-        else:
-            entropy = 0.0
+        entropy = url_stats(historical_clicks.get(query.id, ()))[1]
         return sorted(panes, key=lambda p: (-(entropy + 0.01 * p.answer_count), p.id))
 
     return ranker
+
+
+_SIGN_BLOCK_ROUNDS = 1000
 
 
 def randomization_test(
@@ -391,6 +382,10 @@ def randomization_test(
     diffs = a - b
     observed = abs(diffs.mean())
     rng = np.random.default_rng(seed)
-    signs = rng.choice([-1.0, 1.0], size=(rounds, diffs.size))
-    permuted = np.abs((signs * diffs).mean(axis=1))
-    return float((np.sum(permuted >= observed - 1e-15) + 1) / (rounds + 1))
+    # the signs are drawn and reduced a block of rounds at a time, so memory
+    # stays bounded; the draws follow one another as in one (rounds, n) draw
+    extreme = 0
+    for start in range(0, rounds, _SIGN_BLOCK_ROUNDS):
+        signs = rng.choice([-1.0, 1.0], size=(min(_SIGN_BLOCK_ROUNDS, rounds - start), diffs.size))
+        extreme += int(np.sum(np.abs((signs * diffs).mean(axis=1)) >= observed - 1e-15))
+    return float((extreme + 1) / (rounds + 1))

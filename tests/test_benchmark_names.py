@@ -1,22 +1,32 @@
-"""The benchmark's traced run wraps program functions by name: the SPANNED
-table of perfbench/spans.py, plus Tensor.__init__ and RlcModel.score, which
-Tracer.install patches as counters.  Installing fails when any of these names
-disappears, so each must still resolve to a callable."""
+"""The benchmark names parts of the program from outside it: its traced run
+wraps program functions by name (the SPANNED table of perfbench/spans.py,
+plus Tensor.__init__ and RlcModel.score, which Tracer.install patches as
+counters), and its workloads run CLI stages with fixed flags
+(perfbench/workloads.py).  A name or flag that disappears breaks a benchmark
+run, so each is checked here."""
 
 import importlib
 import importlib.util
 import os
+import sys
 
 import pytest
 
-SPANS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench", "spans.py")
+from clarikit.cli import SYNTH_DEFAULTS, build_parser
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+
+
+def _perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
 
 
 def _spanned() -> tuple:
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.SPANNED
+    return _perfbench("spans").SPANNED
 
 
 COUNTED = (("clarikit.tensor.autodiff", "Tensor", "__init__"), ("clarikit.rlc", "RlcModel", "score"))
@@ -32,3 +42,24 @@ def test_traced_name_resolves_to_callable(module_name, class_name, attr):
     if class_name is not None:
         owner = getattr(owner, class_name)
     assert callable(getattr(owner, attr))
+
+
+WORKLOADS = _perfbench("workloads").WORKLOADS.values()
+
+
+@pytest.mark.parametrize(
+    "workload, stage",
+    [(w, s) for w in WORKLOADS for s in w.stages],
+    ids=lambda value: getattr(value, "name", None) or getattr(value, "command", None),
+)
+def test_benchmark_stage_parses(workload, stage):
+    """Every stage's arguments, built with dummy paths and seed, parse under
+    the CLI parser: argparse exits on a flag the parser does not declare."""
+    outs = {s.command: os.path.join("out", s.command) for s in workload.stages}
+    args = build_parser().parse_args([stage.command, *stage.args("inp", outs, 1), "--out", "out"])
+    assert args.command == stage.command
+
+
+@pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
+def test_benchmark_synth_config_keys_are_known(workload):
+    assert set(workload.synth_config) <= set(SYNTH_DEFAULTS)

@@ -418,6 +418,86 @@ def test_unexpected_exception_leaves_no_partial_output(tmp_path, monkeypatch):
     assert os.listdir(tmp_path / "r") == []
 
 
+def test_failed_rerun_leaves_the_previous_run_intact(corpus_dir, tmp_path):
+    """A rerun into the same --out that fails after writing some artifacts
+    (bias writes its scatter and above-diagonal tables before the folds are
+    checked) leaves every file of the earlier run as it was."""
+    files = corpus_files(corpus_dir)
+    argv = ["bias", "--out", tmp_path / "r", "--queries", files["queries"], "--panes", files["panes"],
+            "--impressions", files["impressions"]]
+    assert run_cli(*argv, "--folds", 3) == 0
+    before = {name: (tmp_path / "r" / name).read_bytes() for name in os.listdir(tmp_path / "r")}
+    assert run_cli(*argv, "--folds", 1000) == 1
+    assert {name: (tmp_path / "r" / name).read_bytes() for name in os.listdir(tmp_path / "r")} == before
+    assert json.loads(before["manifest.json"])["config"]["folds"] == 3
+
+
+@pytest.fixture(scope="module")
+def side_files(corpus_dir, trained_dir, tmp_path_factory):
+    """Every input file some command takes, by flag."""
+    out = tmp_path_factory.mktemp("side")
+    files = corpus_files(corpus_dir)
+    panes = sorted(dataio.load_panes(files["panes"]).values(), key=lambda p: p.id)
+    queries = dataio.load_queries(files["queries"])
+    (out / "history.tsv").write_text("".join(f"{p.query_id}\thttp://h/{p.id}\t3\n" for p in panes))
+    (out / "labels.jsonl").write_text("".join(
+        json.dumps({"query_id": p.query_id, "pane_id": p.id, "overall": "Good" if i % 2 else "Bad", "landing": []}) + "\n"
+        for i, p in enumerate(panes)
+    ))
+    text = queries[panes[0].query_id].text
+    (out / "reformulations.tsv").write_text(f"{text}\t{text} one\t3\n")
+    (out / "click_titles.tsv").write_text(f"{text}\thttp://a\tOne Title - Site\t4\n")
+    (out / "table.tsv").write_text("metric\tvalue\nx\t1\n")
+    model = os.path.join(trained_dir, "rlc", "rlc_model.json")
+    return {
+        "--queries": files["queries"], "--panes": files["panes"], "--impressions": files["impressions"],
+        "--intents": files["intents"], "--lexicon": files["lexicon"], "--history": str(out / "history.tsv"),
+        "--labels": str(out / "labels.jsonl"), "--reformulations": str(out / "reformulations.tsv"),
+        "--click-titles": str(out / "click_titles.tsv"), "--input": str(out / "table.tsv"),
+        "--model": model, "--rlc-model": model,
+        "--ensemble": os.path.join(trained_dir, "ranker", "ensemble.json"),
+    }
+
+
+CORPUS_FLAGS = ["--queries", "--panes"]
+TEXT_FLAGS = ["--intents", "--lexicon"]
+
+
+PROVENANCE_RUNS = [
+    ("synth-gen", [], ["--n-queries", 3, "--n-per-pane", 2]),
+    ("analyze", CORPUS_FLAGS + ["--impressions", "--history"], []),
+    ("bias", CORPUS_FLAGS + ["--impressions"], ["--folds", 3]),
+    ("intents", ["--reformulations", "--click-titles", "--queries"], ["--min-freq", 1]),
+    ("train-rlc", CORPUS_FLAGS + ["--impressions"] + TEXT_FLAGS,
+     ["--dim", 16, "--hash-buckets", 256, "--steps", 2, "--warmup-steps", 1]),
+    ("fine-tune-rlc", CORPUS_FLAGS + TEXT_FLAGS + ["--model", "--labels"], ["--steps", 2, "--warmup-steps", 1]),
+    ("train-ranker", CORPUS_FLAGS + ["--impressions"] + TEXT_FLAGS + ["--history", "--rlc-model"],
+     ["--trees", 2, "--depth", 1]),
+    ("rank", CORPUS_FLAGS + TEXT_FLAGS + ["--history", "--ensemble", "--rlc-model"], []),
+    ("eval", CORPUS_FLAGS + TEXT_FLAGS + ["--history", "--impressions", "--labels", "--ensemble", "--rlc-model"],
+     ["--randomization-rounds", 10]),
+    ("plot-data", ["--input"], []),
+]
+
+
+@pytest.mark.parametrize("command,input_flags,extra", PROVENANCE_RUNS, ids=[run[0] for run in PROVENANCE_RUNS])
+def test_manifest_digests_every_input_file_given(side_files, tmp_path, command, input_flags, extra):
+    """With every optional input file given, the manifest holds exactly one
+    digest per input-file flag passed, and --config is not an input."""
+    argv = [command, "--out", tmp_path / "r"]
+    if command not in ("rank", "plot-data"):
+        config = tmp_path / "config.json"
+        config.write_text("{}")
+        argv += ["--config", config]
+    for flag in input_flags:
+        argv += [flag, side_files[flag]]
+    assert run_cli(*argv, *extra) == 0
+    manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+    assert manifest["inputs"] == {
+        flag[2:].replace("-", "_"): dataio.file_digest(side_files[flag]) for flag in input_flags
+    }
+
+
 class TestPlotData:
     def test_round_trip(self, corpus_dir, tmp_path):
         files = corpus_files(corpus_dir)

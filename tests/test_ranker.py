@@ -279,3 +279,30 @@ class TestRandomizationTest:
         a = [0.9] * 12
         b = [0.1] * 12
         assert randomization_test(a, b, rounds=2000, seed=1) < 0.01
+
+    @pytest.mark.parametrize("rounds", [2345, 999, 1000, 1])
+    def test_blocks_match_one_full_sign_matrix(self, rounds):
+        """The blocked draws give the same p-value, to the bit, as one
+        (rounds, queries) sign matrix, also for a partial last block."""
+        rng = np.random.default_rng(5)
+        a, b = rng.random(17), rng.random(17)
+        diffs = a - b
+        signs = np.random.default_rng(9).choice([-1.0, 1.0], size=(rounds, diffs.size))
+        permuted = np.abs((signs * diffs).mean(axis=1))
+        oracle = float((np.sum(permuted >= abs(diffs.mean()) - 1e-15) + 1) / (rounds + 1))
+        assert randomization_test(a, b, rounds=rounds, seed=9) == oracle
+
+    def test_memory_does_not_grow_with_rounds(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        a, b = rng.random(400), rng.random(400)
+        tracemalloc.start()
+        try:
+            randomization_test(a, b, rounds=10_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # drawing one (10,000, 400) sign matrix at once peaks at 64 MB; a
+        # block of 1,000 rounds needs under 10 MB
+        assert peak < 20e6
