@@ -4,11 +4,13 @@ Each command is declared once, in COMMANDS: its function, its config keys
 and their defaults, whether it takes --seed, and its input-file flags.  The
 parser is built from that table.  Every int or float config key is also a
 flag, its name in kebab case; a command with config keys reads them from an
-optional JSON config file (--config), and flags override file values.
-Every command writes plain delimited or line-delimited artifacts into --out
-and a manifest.json (command, version, seed, resolved config, a digest of
-every input file given) next to them.  A failed command leaves --out as it
-was.
+optional JSON config file (--config), whose values for those keys must be
+numbers of their default's type, and flags override file values.  Every
+command writes plain delimited or line-delimited artifacts into --out and a
+manifest.json (command, version, seed, resolved config, a digest of every
+input file given) next to them.  An --out that holds another command's
+manifest is refused.  A failed command leaves --out as it was, and leaves
+no directory it created.
 
 Exit codes: 0 success, 1 input or validation error, 2 numerical failure.
 """
@@ -36,9 +38,15 @@ from .tensor.optim import AdamConfig, NonFiniteGradientError
 class Outputs:
     """Stages the files of one command in a directory inside --out.  Only a
     command that succeeded moves them into --out, the manifest last; a
-    failed one, rerun or not, leaves --out as it was."""
+    failed one, rerun or not, leaves --out as it was, and removes the
+    directories it created for it."""
 
     def __init__(self, out_dir: str):
+        self.created: list[str] = []  # deepest first
+        missing = os.path.abspath(out_dir)
+        while not os.path.exists(missing):
+            self.created.append(missing)
+            missing = os.path.dirname(missing)
         os.makedirs(out_dir, exist_ok=True)
         self.out_dir = out_dir
         self.staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
@@ -53,10 +61,48 @@ class Outputs:
 
     def discard(self) -> None:
         shutil.rmtree(self.staging, ignore_errors=True)
+        for directory in self.created:
+            try:
+                os.rmdir(directory)
+            except OSError:
+                break  # something else wrote into it meanwhile
+
+
+def _typed(path: str, key: str, value, default):
+    """A config-file value of a key whose default is an int or a float, as
+    that type: an int key takes an integral number, a float key any number,
+    and neither takes a bool.  Values of other keys pass through."""
+    kind = type(default)
+    if kind not in (int, float):
+        return value
+    number = type(value) in (int, float)
+    if kind is int and number and (type(value) is int or value.is_integer()):
+        return int(value)
+    if kind is float and number:
+        return float(value)
+    expected = "an integer" if kind is int else "a number"
+    raise ValueError(f"{path}: config key {key!r} expects {expected}, got {json.dumps(value)}")
+
+
+def _refuse_other_command(out_dir: str, command: str) -> None:
+    """An --out whose manifest.json records another command is refused: this
+    run would replace that command's provenance.  A rerun of the same
+    command may replace its own."""
+    path = os.path.join(out_dir, "manifest.json")
+    if not os.path.exists(path):
+        return
+    try:
+        with open(path, encoding="utf-8") as fh:
+            previous = json.load(fh)["command"]
+    except (ValueError, KeyError, TypeError):
+        raise ValueError(f"{path}: --out holds a manifest.json that is not a clarikit manifest") from None
+    if previous != command:
+        raise ValueError(f"{path}: --out holds the outputs of {previous!r}; give {command!r} a directory of its own")
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """Defaults, then config-file values, then explicit flags."""
+    """Defaults, then config-file values (each of the type of its default),
+    then explicit flags."""
     merged = dict(defaults)
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -66,7 +112,7 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(file_values) - set(defaults)
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {sorted(unknown)}")
-        merged.update(file_values)
+        merged.update((key, _typed(args.config, key, value, defaults[key])) for key, value in file_values.items())
     for key in defaults:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -185,25 +231,32 @@ SYNTH_DEFAULTS = {
 
 
 def cmd_synth_gen(args, config: dict, out: Outputs) -> None:
-    model_params = dict(config["user_model"])
-    kind = model_params.pop("kind")
-    if "exam_probs" in model_params:
-        model_params["exam_probs"] = tuple(model_params["exam_probs"])
-    user_model = UserModel(kind=kind, **model_params)
-    corpus_config = CorpusConfig(
-        n_queries=int(config["n_queries"]),
-        panes_per_query=int(config["panes_per_query"]),
-        swap_fraction=float(config["swap_fraction"]),
-        answer_count_weights=tuple(config["answer_count_weights"]),
-        relevance=tuple(config["relevance"]),
-        intents_per_query=int(config["intents_per_query"]),
-        question_fraction=float(config["question_fraction"]),
-        reformulation_rate=float(config["reformulation_rate"]),
-        result_click_rate=float(config["result_click_rate"]),
-        cell_plan=tuple(tuple(row) for row in config["cell_plan"]) if config["cell_plan"] else None,
-    )
+    # the structured keys are set only by the config file: a value of the
+    # wrong shape is reported against it
+    try:
+        if not isinstance(config["user_model"], dict):
+            raise TypeError("user_model must be a JSON object")
+        model_params = dict(config["user_model"])
+        kind = model_params.pop("kind")
+        if "exam_probs" in model_params:
+            model_params["exam_probs"] = tuple(model_params["exam_probs"])
+        user_model = UserModel(kind=kind, **model_params)
+        corpus_config = CorpusConfig(
+            n_queries=config["n_queries"],
+            panes_per_query=config["panes_per_query"],
+            swap_fraction=config["swap_fraction"],
+            answer_count_weights=tuple(config["answer_count_weights"]),
+            relevance=tuple(config["relevance"]),
+            intents_per_query=config["intents_per_query"],
+            question_fraction=config["question_fraction"],
+            reformulation_rate=config["reformulation_rate"],
+            result_click_rate=config["result_click_rate"],
+            cell_plan=tuple(tuple(row) for row in config["cell_plan"]) if config["cell_plan"] else None,
+        )
+    except (TypeError, KeyError) as exc:
+        raise ValueError(f"{args.config}: malformed user_model, answer_count_weights, relevance or cell_plan: {exc}") from None
     corpus = gen_corpus(corpus_config, seed=args.seed)
-    log = simulate_impressions(corpus, user_model, int(config["n_per_pane"]), seed=args.seed)
+    log = simulate_impressions(corpus, user_model, config["n_per_pane"], seed=args.seed)
 
     dataio.save_queries(out.path("queries.jsonl"), [corpus.queries[k] for k in sorted(corpus.queries)])
     dataio.save_panes(out.path("panes.jsonl"), [corpus.panes[k] for k in sorted(corpus.panes)])
@@ -244,7 +297,7 @@ def cmd_analyze(args, config: dict, out: Outputs) -> None:
             continue
         try:
             table = analytics.engagement_breakdown(
-                stats, panes, queries, dimension, historical_clicks=history, n_bins=int(config["entropy_bins"])
+                stats, panes, queries, dimension, historical_clicks=history, n_bins=config["entropy_bins"]
             )
         except ValueError:
             continue  # dimension has no eligible panes in this log
@@ -277,7 +330,7 @@ def cmd_analyze(args, config: dict, out: Outputs) -> None:
 
     summary = [
         ["dissatisfaction_rate", analytics.dissatisfaction_rate(
-            log, float(config["dwell_threshold_s"]), float(config["reformulation_window_s"]))],
+            log, config["dwell_threshold_s"], config["reformulation_window_s"])],
     ]
     try:
         summary.append(["multi_click_rate", analytics.multi_click_rate(log)])
@@ -312,7 +365,7 @@ def cmd_bias(args, config: dict, out: Outputs) -> None:
         [[k, i, pct, n] for (k, i), (pct, n) in sorted(cells.items())],
     )
 
-    ce_report = bias.evaluate_click_models(triples, panes, stats, folds=int(config["folds"]))
+    ce_report = bias.evaluate_click_models(triples, panes, stats, folds=config["folds"])
     report = ce_report.logreg
     weight_rows = []
     for label, per_fold in (("L", report.fold_weights_l), ("R", report.fold_weights_r)):
@@ -345,8 +398,8 @@ def cmd_intents(args, config: dict, out: Outputs) -> None:
         queries = dataio.load_queries(args.queries)
         query_ids = {intents_mod.normalize_phrase(q.text): q.id for q in queries.values()}
     sets: list = []
-    min_freq = int(config["min_freq"])
-    n_max = int(config["n_max"])
+    min_freq = config["min_freq"]
+    n_max = config["n_max"]
     if args.reformulations:
         triples = intents_mod.read_reformulations_tsv(args.reformulations)
         built = intents_mod.intents_from_reformulations(triples, min_freq=min_freq, query_ids=query_ids)
@@ -377,14 +430,14 @@ def _adam_config(config: dict) -> AdamConfig:
     """The optimizer settings of train-rlc and fine-tune-rlc.  A run shorter
     than its warmup never reaches its peak learning rate, so it is
     rejected."""
-    steps, warmup = int(config["steps"]), int(config["warmup_steps"])
+    steps, warmup = config["steps"], config["warmup_steps"]
     if steps < warmup:
         raise ValueError(f"steps ({steps}) is less than warmup_steps ({warmup}): the learning rate would never reach its peak")
     return AdamConfig(
-        lr=float(config["lr"]),
-        weight_decay=float(config["weight_decay"]),
+        lr=config["lr"],
+        weight_decay=config["weight_decay"],
         warmup_steps=warmup,
-        total_steps=int(config["total_steps"]),
+        total_steps=config["total_steps"],
     )
 
 
@@ -393,21 +446,21 @@ def cmd_train_rlc(args, config: dict, out: Outputs) -> None:
     queries, panes = _load_corpus_files(args)
     # the log is dropped once the triples are built, so it is not held through training
     triples = _engagement_triples(
-        queries, panes, dataio.load_impressions(args.impressions), int(config["min_impressions"])
+        queries, panes, dataio.load_impressions(args.impressions), config["min_impressions"]
     )
     intent_sets, lexicon = _load_text_inputs(args)
     if not triples:
         raise ValueError("no queries with >= 2 panes of distinct engagement rates")
     model_config = rlc_mod.RlcConfig(
-        dim=int(config["dim"]),
-        heads=int(config["heads"]),
-        layers=int(config["layers"]),
-        max_intents=int(config["max_intents"]),
-        hash_buckets=int(config["hash_buckets"]),
+        dim=config["dim"],
+        heads=config["heads"],
+        layers=config["layers"],
+        max_intents=config["max_intents"],
+        hash_buckets=config["hash_buckets"],
     )
     model = rlc_mod.RlcModel.init(model_config, seed=args.seed)
     report = rlc_mod.train_pairwise(
-        model, triples, intent_sets, lexicon, adam, steps=int(config["steps"]), shuffle_seed=args.seed
+        model, triples, intent_sets, lexicon, adam, steps=config["steps"], shuffle_seed=args.seed
     )
     model.save(out.path("rlc_model.json"))
     dataio.write_tsv(
@@ -437,10 +490,10 @@ def cmd_fine_tune_rlc(args, config: dict, out: Outputs) -> None:
         triples,
         list(panes.values()),
         adam,
-        steps=int(config["steps"]),
+        steps=config["steps"],
         intent_sets=intent_sets,
         entity_lexicon=lexicon,
-        panes_per_query=int(config["panes_per_query"]),
+        panes_per_query=config["panes_per_query"],
         pad_seed=args.seed,
     )
     model.save(out.path("rlc_model.json"))
@@ -471,7 +524,7 @@ def cmd_train_ranker(args, config: dict, out: Outputs) -> None:
     log = dataio.load_impressions(args.impressions)
     history = _history(args, log, panes)
     make_scorer = _load_scorer(args)
-    triples = _engagement_triples(queries, panes, log, int(config["min_impressions"]))
+    triples = _engagement_triples(queries, panes, log, config["min_impressions"])
     if not triples:
         raise ValueError("no trainable queries in the impression log")
     scorer = make_scorer({t.query.id: t.panes for t in triples})
@@ -487,7 +540,7 @@ def cmd_train_ranker(args, config: dict, out: Outputs) -> None:
     ensemble = ranker_mod.train_lambdamart(
         per_query,
         ranker_mod.LambdaMartConfig(
-            n_trees=int(config["trees"]), max_depth=int(config["depth"]), shrinkage=float(config["shrinkage"])
+            n_trees=config["trees"], max_depth=config["depth"], shrinkage=config["shrinkage"]
         ),
     )
     ensemble.save(out.path("ensemble.json"))
@@ -531,7 +584,7 @@ def cmd_eval(args, config: dict, out: Outputs) -> None:
         stats = collect_stats(log, panes)
         by_query: dict[str, list] = {}
         for pane_id, pane_stats in stats.items():
-            if pane_stats.impressions >= int(config["min_impressions"]):
+            if pane_stats.impressions >= config["min_impressions"]:
                 by_query.setdefault(panes[pane_id].query_id, []).append(pane_id)
         for query_id in sorted(by_query):
             pane_ids = by_query[query_id]
@@ -584,7 +637,7 @@ def cmd_eval(args, config: dict, out: Outputs) -> None:
                 [
                     f"ndcg@{k}_randomization_p",
                     ranker_mod.randomization_test(
-                        method_scores, baseline_scores, rounds=int(config["randomization_rounds"]), seed=args.seed or 0
+                        method_scores, baseline_scores, rounds=config["randomization_rounds"], seed=args.seed or 0
                     ),
                 ]
             )
@@ -693,8 +746,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not out_dir:
         parser.error("--out (or CLARIKIT_OUT_DIR) is required")
     command = COMMANDS[args.command]
-    outputs = Outputs(out_dir)
     try:
+        _refuse_other_command(out_dir, args.command)
+        outputs = Outputs(out_dir)
         try:
             config = _merge_config(args, command.defaults or {})
             command.func(args, config, outputs)

@@ -26,14 +26,7 @@ from .core import ClarificationPane, Query, tokenize
 from .intents import IntentSet
 from .tensor import autodiff as ad
 from .tensor.autodiff import Tensor
-from .tensor.nn import (
-    EncoderLayerParams,
-    encoder_layer_params_dict,
-    encoder_layer_params_from_dict,
-    init_encoder_layer,
-    masked_mean_rows,
-    transformer_encoder_layer,
-)
+from .tensor.nn import init_encoder_layer, masked_mean_rows, transformer_encoder_layer
 from .tensor.optim import Adam, AdamConfig
 from .tensor.text import text_encode
 from .tensor import checkpoint
@@ -127,24 +120,19 @@ class RlcModel:
         for source in INTENT_SOURCES:
             for stage in ("answers_enc", "intents_enc"):
                 for layer in range(config.layers):
-                    enc = init_encoder_layer(d, config.heads, config.ff_dim, rng)
-                    params.update(encoder_layer_params_dict(f"ice.{source}.{stage}.l{layer}", enc))
+                    params.update(init_encoder_layer(f"ice.{source}.{stage}.l{layer}", d, config.heads, config.ff_dim, rng))
             params[f"ice.{source}.ff_w1"] = Tensor(rng.standard_normal((d, d)) * (1.0 / np.sqrt(d)), requires_grad=True)
             params[f"ice.{source}.ff_b1"] = Tensor(np.zeros(d), requires_grad=True)
             params[f"ice.{source}.ff_w2"] = Tensor(rng.standard_normal((d, d)) * (1.0 / np.sqrt(d)), requires_grad=True)
             params[f"ice.{source}.ff_b2"] = Tensor(np.zeros(d), requires_grad=True)
         for layer in range(config.layers):
-            enc = init_encoder_layer(d, config.heads, config.ff_dim, rng)
-            params.update(encoder_layer_params_dict(f"ace.enc.l{layer}", enc))
+            params.update(init_encoder_layer(f"ace.enc.l{layer}", d, config.heads, config.ff_dim, rng))
         concat_dim = 3 * d  # two intent sources + the consistency branch
         params["head.w1"] = Tensor(rng.standard_normal((concat_dim, config.head_hidden)) * (1.0 / np.sqrt(concat_dim)), requires_grad=True)
         params["head.b1"] = Tensor(np.zeros(config.head_hidden), requires_grad=True)
         params["head.w2"] = Tensor(rng.standard_normal((config.head_hidden, 1)) * (1.0 / np.sqrt(config.head_hidden)), requires_grad=True)
         params["head.b2"] = Tensor(np.zeros(1), requires_grad=True)
         return RlcModel(config, params)
-
-    def _encoder(self, prefix: str, layer: int) -> EncoderLayerParams:
-        return encoder_layer_params_from_dict(f"{prefix}.l{layer}", self.params, self.config.heads)
 
     # -- forward ----------------------------------------------------------
 
@@ -204,7 +192,7 @@ class RlcModel:
         same_intent = np.repeat(np.repeat(np.eye(cfg.max_intents), cfg.answer_slots, axis=0), cfg.answer_slots, axis=1)
         block_mask = same_intent * np.tile(answer_mask, cfg.max_intents)[:, None, :]
         for layer in range(cfg.layers):
-            seq = transformer_encoder_layer(seq, self._encoder(f"ice.{source}.answers_enc", layer), key_mask=block_mask)
+            seq = transformer_encoder_layer(seq, self.params, f"ice.{source}.answers_enc.l{layer}", key_mask=block_mask)
         # mean over each intent's real answers; a padded intent is a zero row
         real_intents = np.array([0.0 if t is None else 1.0 for t in intent_texts])
         answer_means = answer_mask / answer_mask.sum(axis=1, keepdims=True)
@@ -215,7 +203,9 @@ class RlcModel:
         if intent_mask.sum() == 0:
             intent_mask[0] = 1.0  # the null slot carries the uniform weight
         for layer in range(cfg.layers):
-            intents_seq = transformer_encoder_layer(intents_seq, self._encoder(f"ice.{source}.intents_enc", layer), key_mask=intent_mask)
+            intents_seq = transformer_encoder_layer(
+                intents_seq, self.params, f"ice.{source}.intents_enc.l{layer}", key_mask=intent_mask
+            )
         # weight each contextualized intent by its normalized frequency and sum
         pooled = ad.sum_(ad.matmul(Tensor(weights[None, :]), intents_seq), axis=1)
         h = ad.relu(ad.add(ad.matmul(pooled, self.params[f"ice.{source}.ff_w1"]), self.params[f"ice.{source}.ff_b1"]))
@@ -242,7 +232,7 @@ class RlcModel:
         key_mask = np.broadcast_to(mask[:, None, :], (len(panes), mask.shape[1], mask.shape[1]))
         seq = ad.concat([answers, question], axis=1)
         for layer in range(cfg.layers):
-            seq = transformer_encoder_layer(seq, self._encoder("ace.enc", layer), key_mask=key_mask)
+            seq = transformer_encoder_layer(seq, self.params, f"ace.enc.l{layer}", key_mask=key_mask)
         return ad.sum_(masked_mean_rows(seq, mask), axis=1)
 
     def score_tensor(

@@ -144,30 +144,27 @@ def oracle_click_rates(model: UserModel, pane: ClarificationPane, relevances: Se
     return _logistic_probs(model, pane, rel)
 
 
-def _independent_probs(model: UserModel, pane: ClarificationPane, rel: np.ndarray) -> np.ndarray:
-    if model.kind == "relevance_only":
-        return rel
-    if model.kind == "examination":
-        return np.array(model.exam_probs[: len(rel)]) * rel
-    return _logistic_probs(model, pane, rel)
-
-
 def click_matrix(
     model: UserModel, pane: ClarificationPane, relevances: Sequence[float], n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Boolean (n, answers) click outcomes for n impressions of one pane."""
-    rel = np.asarray(relevances, dtype=np.float64)
+    """Boolean (n, answers) click outcomes for n impressions of one pane.
+    Every kind but cascade clicks each answer independently, with its
+    oracle_click_rates probability."""
     k = len(pane.answers)
     u = rng.random((n, k))
     if model.kind == "cascade":
-        attract = model.cascade_scale * rel
+        attract = model.cascade_scale * np.asarray(relevances, dtype=np.float64)
         attracted = u < attract[None, :]
         first = np.argmax(attracted, axis=1)
         any_click = attracted.any(axis=1)
         clicks = np.zeros((n, k), dtype=bool)
         clicks[np.arange(n)[any_click], first[any_click]] = True
         return clicks
-    return u < _independent_probs(model, pane, rel)[None, :]
+    return u < oracle_click_rates(model, pane, relevances)[None, :]
+
+
+# numbers after the scheme name in CorpusConfig.relevance
+_RELEVANCE_PARAMS = {"beta": 2, "uniform": 2, "bimodal": 5, "planted": 0}
 
 
 @dataclass(frozen=True)
@@ -193,12 +190,19 @@ class CorpusConfig:
             raise ValueError(f"swap fraction {self.swap_fraction} not in [0, 1]")
         if self.panes_per_query < 1:
             raise ValueError("panes_per_query must be >= 1")
-        if len(self.answer_count_weights) != 4 or min(self.answer_count_weights) < 0:
-            raise ValueError("answer_count_weights must be 4 non-negative weights for 2..5 answers")
-        if self.relevance[0] not in ("beta", "uniform", "bimodal", "planted"):
-            raise ValueError(f"unknown relevance scheme {self.relevance[0]!r}")
+        weights = self.answer_count_weights
+        if len(weights) != 4 or min(weights) < 0 or sum(weights) <= 0:
+            raise ValueError("answer_count_weights must be 4 non-negative weights for 2..5 answers, not all 0")
+        scheme, *numbers = self.relevance or (None,)
+        if scheme not in _RELEVANCE_PARAMS:
+            raise ValueError(f"unknown relevance scheme {scheme!r}")
+        if len(numbers) != _RELEVANCE_PARAMS[scheme] or any(type(v) not in (int, float) for v in numbers):
+            raise ValueError(f"relevance scheme {scheme!r} takes {_RELEVANCE_PARAMS[scheme]} numbers, got {numbers}")
         if self.cell_plan is not None:
-            for k, i, count in self.cell_plan:
+            for row in self.cell_plan:
+                if len(row) != 3 or any(type(v) is not int for v in row):
+                    raise ValueError(f"cell plan row {tuple(row)} must be 3 integers")
+                k, i, count = row
                 if not (2 <= k <= 5 and 1 <= i <= k - 1 and count >= 1):
                     raise ValueError(f"bad cell plan row ({k}, {i}, {count})")
         if not 0.0 <= self.reformulation_rate <= 1.0 or not 0.0 <= self.result_click_rate <= 1.0:

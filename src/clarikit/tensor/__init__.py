@@ -21,16 +21,6 @@ from .autodiff import (
     zero_grads,
 )
 from .checkpoint import load_tensors, save_tensors
-from .nn import (
-    AttentionHeadParams,
-    EncoderLayerParams,
-    attention_weights,
-    encoder_layer_params_dict,
-    encoder_layer_params_from_dict,
-    init_encoder_layer,
-    masked_mean_rows,
-    multi_head_self_attention,
-    transformer_encoder_layer,
-)
+from .nn import attention_weights, init_encoder_layer, masked_mean_rows, multi_head_self_attention, transformer_encoder_layer
 from .optim import Adam, AdamConfig, NonFiniteGradientError, schedule_factor
 from .text import sequence_ids, text_encode

@@ -7,11 +7,13 @@ be excluded from any pooling by the caller.  A (seq, seq) mask instead gives
 each row its own keys, so several independent sequences can share one
 block-diagonal pass; a (batch, seq, seq) mask gives each sequence of a stack
 its own.
+
+Parameters live in one flat name -> Tensor dict: a layer reads its weights
+as params[f"{prefix}.<name>"], and its head count is the number of
+{prefix}.h{i}.wq names present.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,28 +22,10 @@ from .autodiff import Tensor, add, layer_norm, matmul, mul, relu, softmax, trans
 MASK_NEG = -1e9
 
 
-@dataclass
-class AttentionHeadParams:
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    wo: Tensor  # (head_dim, dim); per-head outputs are projected and summed
-
-
-@dataclass
-class EncoderLayerParams:
-    heads: list[AttentionHeadParams]
-    ff_w1: Tensor
-    ff_b1: Tensor
-    ff_w2: Tensor
-    ff_b2: Tensor
-    ln1_gain: Tensor
-    ln1_bias: Tensor
-    ln2_gain: Tensor
-    ln2_bias: Tensor
-
-
-def init_encoder_layer(dim: int, n_heads: int, ff_dim: int, rng: np.random.Generator) -> EncoderLayerParams:
+def init_encoder_layer(prefix: str, dim: int, n_heads: int, ff_dim: int, rng: np.random.Generator) -> dict[str, Tensor]:
+    """One encoder layer's parameters, named {prefix}.h{i}.wq/wk/wv/wo per
+    head, then {prefix}.ff_* and {prefix}.ln*_*.  Each head's wo is
+    (head_dim, dim): per-head outputs are projected and summed."""
     if dim % n_heads != 0:
         raise ValueError(f"model dim {dim} not divisible by {n_heads} heads")
     head_dim = dim // n_heads
@@ -49,27 +33,33 @@ def init_encoder_layer(dim: int, n_heads: int, ff_dim: int, rng: np.random.Gener
     def w(rows, cols, scale):
         return Tensor(rng.standard_normal((rows, cols)) * scale, requires_grad=True)
 
+    def const(value, size):
+        return Tensor(np.full(size, value), requires_grad=True)
+
     attn_scale = 1.0 / np.sqrt(dim)
-    heads = [
-        AttentionHeadParams(
-            wq=w(dim, head_dim, attn_scale),
-            wk=w(dim, head_dim, attn_scale),
-            wv=w(dim, head_dim, attn_scale),
-            wo=w(head_dim, dim, 1.0 / np.sqrt(head_dim)),
-        )
-        for _ in range(n_heads)
-    ]
-    return EncoderLayerParams(
-        heads=heads,
-        ff_w1=w(dim, ff_dim, 1.0 / np.sqrt(dim)),
-        ff_b1=Tensor(np.zeros(ff_dim), requires_grad=True),
-        ff_w2=w(ff_dim, dim, 1.0 / np.sqrt(ff_dim)),
-        ff_b2=Tensor(np.zeros(dim), requires_grad=True),
-        ln1_gain=Tensor(np.ones(dim), requires_grad=True),
-        ln1_bias=Tensor(np.zeros(dim), requires_grad=True),
-        ln2_gain=Tensor(np.ones(dim), requires_grad=True),
-        ln2_bias=Tensor(np.zeros(dim), requires_grad=True),
-    )
+    params = {}
+    for i in range(n_heads):
+        params[f"{prefix}.h{i}.wq"] = w(dim, head_dim, attn_scale)
+        params[f"{prefix}.h{i}.wk"] = w(dim, head_dim, attn_scale)
+        params[f"{prefix}.h{i}.wv"] = w(dim, head_dim, attn_scale)
+        params[f"{prefix}.h{i}.wo"] = w(head_dim, dim, 1.0 / np.sqrt(head_dim))
+    params[f"{prefix}.ff_w1"] = w(dim, ff_dim, 1.0 / np.sqrt(dim))
+    params[f"{prefix}.ff_b1"] = const(0.0, ff_dim)
+    params[f"{prefix}.ff_w2"] = w(ff_dim, dim, 1.0 / np.sqrt(ff_dim))
+    params[f"{prefix}.ff_b2"] = const(0.0, dim)
+    params[f"{prefix}.ln1_gain"] = const(1.0, dim)
+    params[f"{prefix}.ln1_bias"] = const(0.0, dim)
+    params[f"{prefix}.ln2_gain"] = const(1.0, dim)
+    params[f"{prefix}.ln2_bias"] = const(0.0, dim)
+    return params
+
+
+def _heads(params: dict[str, Tensor], prefix: str) -> list[str]:
+    """The {prefix}.h{i} name stems of a layer's heads, in order."""
+    stems = []
+    while f"{prefix}.h{len(stems)}.wq" in params:
+        stems.append(f"{prefix}.h{len(stems)}")
+    return stems
 
 
 def _mask_bias(key_mask: np.ndarray | None, x_shape: tuple[int, ...]) -> Tensor | None:
@@ -87,36 +77,37 @@ def _mask_bias(key_mask: np.ndarray | None, x_shape: tuple[int, ...]) -> Tensor 
 
 
 def multi_head_self_attention(
-    x: Tensor, params: EncoderLayerParams, key_mask: np.ndarray | None = None
+    x: Tensor, params: dict[str, Tensor], prefix: str, key_mask: np.ndarray | None = None
 ) -> Tensor:
     """Scaled dot-product self-attention; per-head results are projected back
     to model dim and summed (equivalent to concat followed by one output
     projection)."""
-    head_dim = params.heads[0].wq.shape[1]
-    scale = Tensor(1.0 / np.sqrt(head_dim))
+    scale = Tensor(1.0 / np.sqrt(params[f"{prefix}.h0.wq"].shape[1]))
     bias = _mask_bias(key_mask, x.shape)
     out = None
-    for head in params.heads:
-        q = matmul(x, head.wq)
-        k = matmul(x, head.wk)
-        v = matmul(x, head.wv)
+    for head in _heads(params, prefix):
+        q = matmul(x, params[f"{head}.wq"])
+        k = matmul(x, params[f"{head}.wk"])
+        v = matmul(x, params[f"{head}.wv"])
         scores = mul(matmul(q, transpose(k)), scale)
         if bias is not None:
             scores = add(scores, bias)
         attn = softmax(scores, axis=-1)
-        projected = matmul(matmul(attn, v), head.wo)
+        projected = matmul(matmul(attn, v), params[f"{head}.wo"])
         out = projected if out is None else add(out, projected)
     return out
 
 
-def attention_weights(x: Tensor, params: EncoderLayerParams, key_mask: np.ndarray | None = None) -> list[np.ndarray]:
+def attention_weights(
+    x: Tensor, params: dict[str, Tensor], prefix: str, key_mask: np.ndarray | None = None
+) -> list[np.ndarray]:
     """Forward-only attention matrices per head, for inspection and tests."""
-    head_dim = params.heads[0].wq.shape[1]
+    head_dim = params[f"{prefix}.h0.wq"].shape[1]
     bias = _mask_bias(key_mask, x.shape)
     weights = []
-    for head in params.heads:
-        q = x.data @ head.wq.data
-        k = x.data @ head.wk.data
+    for head in _heads(params, prefix):
+        q = x.data @ params[f"{head}.wq"].data
+        k = x.data @ params[f"{head}.wk"].data
         scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(head_dim)
         if bias is not None:
             scores = scores + bias.data
@@ -127,15 +118,17 @@ def attention_weights(x: Tensor, params: EncoderLayerParams, key_mask: np.ndarra
 
 
 def transformer_encoder_layer(
-    x: Tensor, params: EncoderLayerParams, key_mask: np.ndarray | None = None
+    x: Tensor, params: dict[str, Tensor], prefix: str, key_mask: np.ndarray | None = None
 ) -> Tensor:
     """Attention sublayer with residual + layer norm, then a position-wise
-    feed-forward sublayer with residual + layer norm."""
-    attended = multi_head_self_attention(x, params, key_mask=key_mask)
-    x1 = layer_norm(add(x, attended), params.ln1_gain, params.ln1_bias)
-    hidden = relu(add(matmul(x1, params.ff_w1), params.ff_b1))
-    ff = add(matmul(hidden, params.ff_w2), params.ff_b2)
-    return layer_norm(add(x1, ff), params.ln2_gain, params.ln2_bias)
+    feed-forward sublayer with residual + layer norm.  Reads the weights of
+    init_encoder_layer(prefix, ...) from params."""
+    p = f"{prefix}."
+    attended = multi_head_self_attention(x, params, prefix, key_mask=key_mask)
+    x1 = layer_norm(add(x, attended), params[p + "ln1_gain"], params[p + "ln1_bias"])
+    hidden = relu(add(matmul(x1, params[p + "ff_w1"]), params[p + "ff_b1"]))
+    ff = add(matmul(hidden, params[p + "ff_w2"]), params[p + "ff_b2"])
+    return layer_norm(add(x1, ff), params[p + "ln2_gain"], params[p + "ln2_bias"])
 
 
 def masked_mean_rows(x: Tensor, mask: np.ndarray) -> Tensor:
@@ -148,44 +141,3 @@ def masked_mean_rows(x: Tensor, mask: np.ndarray) -> Tensor:
         raise ValueError("masked mean over an empty selection")
     weights = Tensor((mask / kept)[..., None, :])
     return matmul(weights, x)
-
-
-def encoder_layer_params_dict(prefix: str, params: EncoderLayerParams) -> dict[str, Tensor]:
-    out = {}
-    for i, head in enumerate(params.heads):
-        out[f"{prefix}.h{i}.wq"] = head.wq
-        out[f"{prefix}.h{i}.wk"] = head.wk
-        out[f"{prefix}.h{i}.wv"] = head.wv
-        out[f"{prefix}.h{i}.wo"] = head.wo
-    out[f"{prefix}.ff_w1"] = params.ff_w1
-    out[f"{prefix}.ff_b1"] = params.ff_b1
-    out[f"{prefix}.ff_w2"] = params.ff_w2
-    out[f"{prefix}.ff_b2"] = params.ff_b2
-    out[f"{prefix}.ln1_gain"] = params.ln1_gain
-    out[f"{prefix}.ln1_bias"] = params.ln1_bias
-    out[f"{prefix}.ln2_gain"] = params.ln2_gain
-    out[f"{prefix}.ln2_bias"] = params.ln2_bias
-    return out
-
-
-def encoder_layer_params_from_dict(prefix: str, tensors: dict[str, Tensor], n_heads: int) -> EncoderLayerParams:
-    heads = [
-        AttentionHeadParams(
-            wq=tensors[f"{prefix}.h{i}.wq"],
-            wk=tensors[f"{prefix}.h{i}.wk"],
-            wv=tensors[f"{prefix}.h{i}.wv"],
-            wo=tensors[f"{prefix}.h{i}.wo"],
-        )
-        for i in range(n_heads)
-    ]
-    return EncoderLayerParams(
-        heads=heads,
-        ff_w1=tensors[f"{prefix}.ff_w1"],
-        ff_b1=tensors[f"{prefix}.ff_b1"],
-        ff_w2=tensors[f"{prefix}.ff_w2"],
-        ff_b2=tensors[f"{prefix}.ff_b2"],
-        ln1_gain=tensors[f"{prefix}.ln1_gain"],
-        ln1_bias=tensors[f"{prefix}.ln1_bias"],
-        ln2_gain=tensors[f"{prefix}.ln2_gain"],
-        ln2_bias=tensors[f"{prefix}.ln2_bias"],
-    )

@@ -80,6 +80,38 @@ class TestSynthGen:
         config_path.write_text(json.dumps({"swap_fractions": 0.5}))
         assert run_cli("synth-gen", "--out", tmp_path / "o", "--config", config_path, "--seed", 1) == 1
 
+    @pytest.mark.parametrize("value", [2.7, True, "3"], ids=["fraction", "bool", "string"])
+    def test_int_key_rejects_a_non_integer(self, tmp_path, capsys, value):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n_queries": value}))
+        assert run_cli("synth-gen", "--out", tmp_path / "o", "--config", config_path, "--seed", 1) == 1
+        err = capsys.readouterr().err
+        assert f"{config_path}: config key 'n_queries' expects an integer, got {json.dumps(value)}" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_records_config_values_as_run(self, tmp_path):
+        """An integral float for an int key runs and is recorded as an int,
+        an int for a float key as a float."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"n_queries": 3.0, "swap_fraction": 1, "n_per_pane": 2}))
+        assert run_cli("synth-gen", "--out", tmp_path / "o", "--config", config_path, "--seed", 1) == 0
+        assert len(dataio.load_queries(str(tmp_path / "o" / "queries.jsonl"))) == 3
+        config = json.loads((tmp_path / "o" / "manifest.json").read_text())["config"]
+        assert (type(config["n_queries"]), type(config["swap_fraction"])) == (int, float)
+
+    @pytest.mark.parametrize("values,message", [
+        ({"relevance": 5}, "{config}: "),
+        ({"user_model": {"kind": "cascade", "foo": 1}}, "{config}: "),
+        ({"user_model": "cascade"}, "{config}: "),
+        ({"cell_plan": [[2.5, 1, 3]]}, "cell plan row (2.5, 1, 3) must be 3 integers"),
+    ], ids=["relevance", "user_model", "user_model_string", "cell_plan_float"])
+    def test_malformed_structured_key_exits_one(self, tmp_path, capsys, values, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(values))
+        assert run_cli("synth-gen", "--out", tmp_path / "o", "--config", config_path, "--seed", 1) == 1
+        assert message.format(config=config_path) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestAnalyze:
     def test_reports_written(self, corpus_dir, tmp_path):
@@ -132,7 +164,7 @@ class TestAnalyze:
                        "--panes", files["panes"], "--impressions", files["impressions"])
         assert code == 1
         assert f"{bad}:3:" in capsys.readouterr().err
-        assert os.listdir(tmp_path / "r") == []
+        assert not (tmp_path / "r").exists()
 
 
 class TestBias:
@@ -158,7 +190,7 @@ class TestBias:
                        "--panes", files["panes"], "--impressions", files["impressions"],
                        "--config", config_path)
         assert code == 1
-        assert os.listdir(tmp_path / "r") == []
+        assert not (tmp_path / "r").exists()
 
 
 class TestIntents:
@@ -198,7 +230,7 @@ def test_non_integer_count_exits_one_with_file_line(corpus_dir, tmp_path, capsys
         command = ["intents"]
     assert run_cli(*command, "--out", tmp_path / "r", flag, bad) == 1
     assert f"{bad}:1:" in capsys.readouterr().err
-    assert os.listdir(tmp_path / "r") == []
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.fixture(scope="module")
@@ -268,7 +300,7 @@ class TestTraining:
         assert code == 1
         err = capsys.readouterr().err
         assert "steps (20)" in err and "warmup_steps (30)" in err
-        assert os.listdir(tmp_path / "r") == []
+        assert not (tmp_path / "r").exists()
 
     def test_default_schedules_are_coherent(self):
         from clarikit.cli import FINE_TUNE_DEFAULTS, TRAIN_RLC_DEFAULTS, _adam_config
@@ -286,7 +318,7 @@ class TestRankAndEval:
                        "--rlc-model", model)
         assert code == 1
         assert f"{model}: unsupported format version 1" in capsys.readouterr().err
-        assert os.listdir(tmp_path / "r") == []
+        assert not (tmp_path / "r").exists()
 
     def test_rank_single_pane_query(self, corpus_dir, tmp_path):
         files = corpus_files(corpus_dir)
@@ -402,7 +434,7 @@ def test_malformed_intents_or_labels_exit_one_with_file_line(corpus_dir, trained
                    flag, bad, *extra)
     assert code == 1
     assert f"{bad}:1:" in capsys.readouterr().err
-    assert os.listdir(tmp_path / "r") == []
+    assert not (tmp_path / "r").exists()
 
 
 def test_unexpected_exception_leaves_no_partial_output(tmp_path, monkeypatch):
@@ -415,7 +447,7 @@ def test_unexpected_exception_leaves_no_partial_output(tmp_path, monkeypatch):
     source.write_text("metric\tvalue\nx\t1\n")
     with pytest.raises(RuntimeError, match="manifest write failed"):
         run_cli("plot-data", "--out", tmp_path / "r", "--input", source)
-    assert os.listdir(tmp_path / "r") == []
+    assert not (tmp_path / "r").exists()
 
 
 def test_failed_rerun_leaves_the_previous_run_intact(corpus_dir, tmp_path):
@@ -430,6 +462,29 @@ def test_failed_rerun_leaves_the_previous_run_intact(corpus_dir, tmp_path):
     assert run_cli(*argv, "--folds", 1000) == 1
     assert {name: (tmp_path / "r" / name).read_bytes() for name in os.listdir(tmp_path / "r")} == before
     assert json.loads(before["manifest.json"])["config"]["folds"] == 3
+
+
+def test_failed_run_removes_the_directories_it_created(tmp_path):
+    (tmp_path / "fresh").mkdir()
+    (tmp_path / "fresh" / "keep.txt").write_text("x")
+    for out in (tmp_path / "fresh" / "deep" / "er", tmp_path / "new" / "deep"):
+        assert run_cli("bias", "--out", out, "--queries", tmp_path / "missing.jsonl",
+                       "--panes", tmp_path / "missing.jsonl", "--impressions", tmp_path / "missing.jsonl") == 1
+    assert sorted(os.listdir(tmp_path)) == ["fresh"]
+    assert os.listdir(tmp_path / "fresh") == ["keep.txt"]
+
+
+def test_out_holding_another_commands_manifest_is_refused(corpus_dir, tmp_path, capsys):
+    """intents into synth-gen's --out would replace its manifest (and its
+    intents.jsonl): refused, with the directory untouched."""
+    data = tmp_path / "data"
+    assert run_cli("synth-gen", "--out", data, "--seed", 1, "--n-queries", 3, "--n-per-pane", 2) == 0
+    before = {name: (data / name).read_bytes() for name in os.listdir(data)}
+    reform = tmp_path / "reform.tsv"
+    reform.write_text("jaguar\tjaguar car\t5\n")
+    assert run_cli("intents", "--out", data, "--reformulations", reform) == 1
+    assert f"{data / 'manifest.json'}: --out holds the outputs of 'synth-gen'" in capsys.readouterr().err
+    assert {name: (data / name).read_bytes() for name in os.listdir(data)} == before
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
-"""Golden artifacts: synth-gen, analyze and bias on one small seeded corpus
-must keep writing byte-identical files, manifest.json included.
+"""Golden artifacts: synth-gen, analyze and bias on one small seeded corpus,
+and train-rlc, train-ranker with the trained scorer and rank on the same
+corpus, must keep writing byte-identical files, manifest.json included.
 
 The digests were recorded before the analytics and click-model code was
 restructured; a change meant to preserve behaviour must leave them as they
@@ -74,17 +75,63 @@ def tree_digests(directory) -> dict:
     return out
 
 
-def test_golden_artifacts(tmp_path):
+def golden_corpus(tmp_path) -> list:
+    """Writes the golden corpus under tmp_path/data; its corpus flags."""
     config = tmp_path / "synth.json"
     config.write_text(json.dumps(SYNTH_CONFIG))
     data = tmp_path / "data"
     assert main(["synth-gen", "--out", str(data), "--config", str(config), "--seed", "11"]) == 0
-    corpus = [
+    return [
         "--queries", str(data / "queries.jsonl"),
         "--panes", str(data / "panes.jsonl"),
         "--impressions", str(data / "impressions.jsonl"),
     ]
+
+
+def test_golden_artifacts(tmp_path):
+    corpus = golden_corpus(tmp_path)
     assert main(["analyze", "--out", str(tmp_path / "analyze"), *corpus]) == 0
     assert main(["bias", "--out", str(tmp_path / "bias"), *corpus, "--folds", "3"]) == 0
     for out, expected in GOLDEN.items():
+        assert tree_digests(tmp_path / out) == expected, out
+
+
+# A two-layer, two-head scorer with small dims, so the run stays short yet
+# every encoder stage stacks layers and splits heads.
+RLC_GOLDEN = {
+    "rlc": {
+        "loss.tsv": "954dc63dfc1f9f2008cbbd1f9b4394fd2cec6ddc261d3e22bb665a2a3e09e6dd",
+        "manifest.json": "c8496680cbab2e57929d995c7653541444d72730944c27f85937f35b79b76bd3",
+        "rlc_model.json": "49cc7d191207afb57b4ed415cdc609ef02f57af3a14c5fbd3f41f51d42aed385",
+    },
+    "ranker": {
+        "ensemble.json": "fcce2411153dec29b99f922e1b4e094d242074ebf20ef3aa00123dd918d62d8d",
+        "manifest.json": "a3a32f96597e3be9236325872e63530df4825439907a112873205df966a4f3be",
+    },
+    "rank": {
+        "manifest.json": "39a2649dcc3d53f3de24a6ca26112e46810cd23165c6d83cc72179a1d9235e2f",
+        "ranked.tsv": "4af5bf719214238f31eed08bf470b52f7abab85d9fd0710104e57aa47704f28f",
+    },
+}
+
+
+def test_golden_rlc_artifacts(tmp_path):
+    corpus = golden_corpus(tmp_path)
+    data = tmp_path / "data"
+    text = ["--intents", str(data / "intents.jsonl"), "--lexicon", str(data / "entity_lexicon.tsv")]
+    model = str(tmp_path / "rlc" / "rlc_model.json")
+    assert main([
+        "train-rlc", "--out", str(tmp_path / "rlc"), *corpus, *text, "--seed", "3",
+        "--dim", "8", "--heads", "2", "--layers", "2", "--max-intents", "4", "--hash-buckets", "64",
+        "--steps", "20", "--lr", "0.001", "--warmup-steps", "5", "--total-steps", "100",
+    ]) == 0
+    assert main([
+        "train-ranker", "--out", str(tmp_path / "ranker"), *corpus, *text, "--rlc-model", model,
+        "--trees", "5", "--depth", "2", "--seed", "3",
+    ]) == 0
+    assert main([
+        "rank", "--out", str(tmp_path / "rank"), *corpus[:4], *text, "--rlc-model", model,
+        "--ensemble", str(tmp_path / "ranker" / "ensemble.json"),
+    ]) == 0
+    for out, expected in RLC_GOLDEN.items():
         assert tree_digests(tmp_path / out) == expected, out

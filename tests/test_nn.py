@@ -5,7 +5,6 @@ from clarikit.tensor import autodiff as ad
 from clarikit.tensor.autodiff import Tensor
 from clarikit.tensor.nn import (
     attention_weights,
-    encoder_layer_params_dict,
     init_encoder_layer,
     masked_mean_rows,
     multi_head_self_attention,
@@ -15,31 +14,32 @@ from clarikit.tensor.nn import (
 
 @pytest.fixture
 def layer():
+    """Two heads, named enc.h0.* and enc.h1.*."""
     rng = np.random.default_rng(11)
-    return init_encoder_layer(dim=8, n_heads=2, ff_dim=16, rng=rng)
+    return init_encoder_layer("enc", dim=8, n_heads=2, ff_dim=16, rng=rng)
 
 
 def test_head_count_must_divide_dim():
     with pytest.raises(ValueError):
-        init_encoder_layer(dim=10, n_heads=3, ff_dim=8, rng=np.random.default_rng(0))
+        init_encoder_layer("enc", dim=10, n_heads=3, ff_dim=8, rng=np.random.default_rng(0))
 
 
 def test_single_position_attention_weight_is_one(layer):
     x = Tensor(np.random.default_rng(1).standard_normal((1, 8)))
-    for w in attention_weights(x, layer):
+    for w in attention_weights(x, layer, "enc"):
         np.testing.assert_allclose(w, [[1.0]])
 
 
 def test_attention_rows_sum_to_one(layer):
     x = Tensor(np.random.default_rng(2).standard_normal((7, 8)))
-    for w in attention_weights(x, layer):
+    for w in attention_weights(x, layer, "enc"):
         np.testing.assert_allclose(w.sum(axis=-1), np.ones(7), atol=1e-9)
 
 
 def test_masked_keys_get_zero_weight(layer):
     x = Tensor(np.random.default_rng(3).standard_normal((5, 8)))
     mask = np.array([1, 1, 0, 1, 0], dtype=float)
-    for w in attention_weights(x, layer, key_mask=mask):
+    for w in attention_weights(x, layer, "enc", key_mask=mask):
         assert (w[:, 2] == 0).all()
         assert (w[:, 4] == 0).all()
 
@@ -54,7 +54,7 @@ def test_per_row_mask_zeroes_masked_keys_row_by_row(layer):
         [0, 0, 0, 1, 0],
         [0, 0, 1, 0, 1],
     ], dtype=float)
-    for w in attention_weights(x, layer, key_mask=mask):
+    for w in attention_weights(x, layer, "enc", key_mask=mask):
         for row in range(5):
             assert (w[row, mask[row] == 0] == 0).all()
             assert (w[row, mask[row] == 1] > 0).all()
@@ -65,14 +65,11 @@ def test_one_head_identity_projections_match_hand_softmax():
     """2-token, one-head attention with identity projections reduces to an
     explicit 2x2 softmax times the input."""
     dim = 2
-    layer = init_encoder_layer(dim=dim, n_heads=1, ff_dim=4, rng=np.random.default_rng(0))
-    head = layer.heads[0]
-    head.wq.data = np.eye(dim)
-    head.wk.data = np.eye(dim)
-    head.wv.data = np.eye(dim)
-    head.wo.data = np.eye(dim)
+    layer = init_encoder_layer("enc", dim=dim, n_heads=1, ff_dim=4, rng=np.random.default_rng(0))
+    for name in ("wq", "wk", "wv", "wo"):
+        layer[f"enc.h0.{name}"].data = np.eye(dim)
     x = np.array([[1.0, 0.5], [-0.25, 2.0]])
-    out = multi_head_self_attention(Tensor(x), layer)
+    out = multi_head_self_attention(Tensor(x), layer, "enc")
 
     scores = x @ x.T / np.sqrt(dim)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -82,21 +79,20 @@ def test_one_head_identity_projections_match_hand_softmax():
 
 def test_encoder_layer_preserves_shape():
     rng = np.random.default_rng(5)
-    layer = init_encoder_layer(dim=32, n_heads=4, ff_dim=64, rng=rng)
+    layer = init_encoder_layer("enc", dim=32, n_heads=4, ff_dim=64, rng=rng)
     x = Tensor(rng.standard_normal((7, 32)))
-    out = transformer_encoder_layer(x, layer)
+    out = transformer_encoder_layer(x, layer, "enc")
     assert out.shape == (7, 32)
 
 
 def test_zeroed_sublayers_reduce_to_layer_norms(layer):
     """With attention output and FF projections zeroed, only the residual
     path survives, so the layer is layer_norm(layer_norm(x))."""
-    for head in layer.heads:
-        head.wo.data = np.zeros_like(head.wo.data)
-    layer.ff_w2.data = np.zeros_like(layer.ff_w2.data)
+    for name in ("enc.h0.wo", "enc.h1.wo", "enc.ff_w2"):
+        layer[name].data = np.zeros_like(layer[name].data)
     rng = np.random.default_rng(6)
     x = rng.standard_normal((4, 8))
-    out = transformer_encoder_layer(Tensor(x), layer)
+    out = transformer_encoder_layer(Tensor(x), layer, "enc")
 
     def ln(v):
         mu = v.mean(axis=-1, keepdims=True)
@@ -110,7 +106,8 @@ def test_encoder_layer_matches_straight_line_oracle(layer):
     """Independent straight-line numpy recomputation of the whole layer."""
     rng = np.random.default_rng(9)
     x = rng.standard_normal((5, 8))
-    out = transformer_encoder_layer(Tensor(x), layer)
+    out = transformer_encoder_layer(Tensor(x), layer, "enc")
+    p = {name: tensor.data for name, tensor in layer.items()}
 
     def ln(v, g, b):
         mu = v.mean(axis=-1, keepdims=True)
@@ -118,17 +115,17 @@ def test_encoder_layer_matches_straight_line_oracle(layer):
         return (v - mu) / np.sqrt(var + 1e-5) * g + b
 
     attended = np.zeros_like(x)
-    for head in layer.heads:
-        q = x @ head.wq.data
-        k = x @ head.wk.data
-        v = x @ head.wv.data
-        s = q @ k.T / np.sqrt(head.wq.data.shape[1])
+    for head in ("enc.h0", "enc.h1"):
+        q = x @ p[f"{head}.wq"]
+        k = x @ p[f"{head}.wk"]
+        v = x @ p[f"{head}.wv"]
+        s = q @ k.T / np.sqrt(p[f"{head}.wq"].shape[1])
         e = np.exp(s - s.max(axis=-1, keepdims=True))
         a = e / e.sum(axis=-1, keepdims=True)
-        attended += (a @ v) @ head.wo.data
-    x1 = ln(x + attended, layer.ln1_gain.data, layer.ln1_bias.data)
-    ff = np.maximum(x1 @ layer.ff_w1.data + layer.ff_b1.data, 0.0) @ layer.ff_w2.data + layer.ff_b2.data
-    expected = ln(x1 + ff, layer.ln2_gain.data, layer.ln2_bias.data)
+        attended += (a @ v) @ p[f"{head}.wo"]
+    x1 = ln(x + attended, p["enc.ln1_gain"], p["enc.ln1_bias"])
+    ff = np.maximum(x1 @ p["enc.ff_w1"] + p["enc.ff_b1"], 0.0) @ p["enc.ff_w2"] + p["enc.ff_b2"]
+    expected = ln(x1 + ff, p["enc.ln2_gain"], p["enc.ln2_bias"])
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
@@ -142,14 +139,13 @@ def test_attention_and_layer_gradients(layer):
     rng = np.random.default_rng(20)
     x = Tensor(rng.standard_normal((4, 8)))
     target = Tensor(rng.standard_normal((4, 8)))
-    params = encoder_layer_params_dict("enc", layer)
 
     def f():
-        out = transformer_encoder_layer(x, layer, key_mask=np.array([1.0, 1.0, 1.0, 0.0]))
+        out = transformer_encoder_layer(x, layer, "enc", key_mask=np.array([1.0, 1.0, 1.0, 0.0]))
         diff = ad.add(out, ad.neg(target))
         return ad.sum_(ad.mul(diff, diff))
 
-    errors = ad.check_gradients(f, params)
+    errors = ad.check_gradients(f, layer)
     assert max(errors.values()) < 1e-4, errors
 
 
@@ -161,13 +157,13 @@ def test_batched_layer_matches_each_sequence_alone(layer):
     masks = np.ones((3, 4, 4))
     masks[0, :, 3] = 0.0
     masks[2] = np.kron(np.eye(2), np.ones((2, 2)))
-    out = transformer_encoder_layer(Tensor(x), layer, key_mask=masks)
-    shared = transformer_encoder_layer(Tensor(x), layer, key_mask=np.array([1.0, 1.0, 0.0, 1.0]))
-    weights = attention_weights(Tensor(x), layer, key_mask=masks)
+    out = transformer_encoder_layer(Tensor(x), layer, "enc", key_mask=masks)
+    shared = transformer_encoder_layer(Tensor(x), layer, "enc", key_mask=np.array([1.0, 1.0, 0.0, 1.0]))
+    weights = attention_weights(Tensor(x), layer, "enc", key_mask=masks)
     for b in range(3):
-        alone = transformer_encoder_layer(Tensor(x[b]), layer, key_mask=masks[b])
+        alone = transformer_encoder_layer(Tensor(x[b]), layer, "enc", key_mask=masks[b])
         np.testing.assert_allclose(out.data[b], alone.data, atol=1e-12)
-        alone = transformer_encoder_layer(Tensor(x[b]), layer, key_mask=np.array([1.0, 1.0, 0.0, 1.0]))
+        alone = transformer_encoder_layer(Tensor(x[b]), layer, "enc", key_mask=np.array([1.0, 1.0, 0.0, 1.0]))
         np.testing.assert_allclose(shared.data[b], alone.data, atol=1e-12)
         for w in weights:
             assert (w[b][masks[b] == 0] == 0).all()
@@ -176,7 +172,7 @@ def test_batched_layer_matches_each_sequence_alone(layer):
 def test_batched_mask_shape_checked(layer):
     x = Tensor(np.zeros((2, 3, 8)))
     with pytest.raises(ValueError, match="key mask shape"):
-        transformer_encoder_layer(x, layer, key_mask=np.ones((3, 3, 3)))
+        transformer_encoder_layer(x, layer, "enc", key_mask=np.ones((3, 3, 3)))
 
 
 def test_masked_mean_rows_batched():

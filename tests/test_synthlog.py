@@ -119,6 +119,20 @@ class TestGenCorpus:
         with pytest.raises(ValueError):
             CorpusConfig(n_queries=10, relevance=("zipf", 2))
 
+    @pytest.mark.parametrize("layout", [
+        {"answer_count_weights": (0.0, 0.0, 0.0, 0.0)},
+        {"cell_plan": ((2.5, 1, 3),)},
+        {"cell_plan": ((2, 1),)},
+    ])
+    def test_bad_layout_rejected(self, layout):
+        with pytest.raises(ValueError, match="answer_count_weights|cell plan row"):
+            CorpusConfig(n_queries=10, **layout)
+
+    @pytest.mark.parametrize("relevance", [(), ("beta",), ("uniform", 0.1, 0.5, 0.9), ("beta", "1", 3.0)])
+    def test_relevance_scheme_needs_its_numbers(self, relevance):
+        with pytest.raises(ValueError, match="relevance scheme"):
+            CorpusConfig(n_queries=10, relevance=relevance)
+
     def test_intent_sets_present_for_both_sources(self):
         corpus = gen_corpus(CorpusConfig(n_queries=5), seed=2)
         for qid in corpus.queries:
@@ -190,3 +204,10 @@ class TestSimulation:
         rng = np.random.default_rng(0)
         clicks = click_matrix(UserModel.relevance_only(), pane, [0.6, 0.6, 0.6], 1000, rng)
         assert clicks.sum(axis=1).max() > 1
+
+    def test_examination_needs_a_probability_per_position(self):
+        """click_matrix draws from oracle_click_rates, so a pane longer than
+        the examination probabilities fails with the oracle's message."""
+        pane = pane_of(["a", "b", "c"])
+        with pytest.raises(ValueError, match="examination model covers 2 positions, pane has 3"):
+            click_matrix(UserModel.examination([1.0, 0.5]), pane, [0.6, 0.6, 0.6], 10, np.random.default_rng(0))
