@@ -15,6 +15,7 @@ Click rates are per-impression answer click rates, Laplace-smoothed as
 from __future__ import annotations
 
 import warnings
+from itertools import compress
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -277,7 +278,11 @@ def fit_fractional_logreg(
 
 @dataclass
 class LogRegCvReport:
+    """The logistic model's weight vectors for the two labels, one per
+    evaluated fold, and the ids of those folds."""
+
     feature_names: tuple[str, ...]
+    folds: list[int]
     fold_weights_l: list[np.ndarray]
     fold_weights_r: list[np.ndarray]
 
@@ -302,28 +307,6 @@ def regression_data(
         targets_r.append(label_r)
         weights.append(stats[t.pane_c_prime].impressions)
     return np.array(rows), np.array(targets_l), np.array(targets_r), np.array(weights, dtype=np.float64)
-
-
-def fit_click_logreg(
-    triples: Sequence[SwapTriple],
-    panes: Mapping[str, ClarificationPane],
-    stats: Mapping[str, EngagementStats],
-    folds: int = 10,
-) -> LogRegCvReport:
-    """Cross-validated regressions for the two labels (promoted and demoted
-    answer rates), returning the per-fold weight vectors."""
-    if len(triples) < folds:
-        raise ValueError(f"need at least {folds} triples for {folds}-fold cross-validation")
-    rows, targets_l, targets_r, weights = regression_data(triples, panes, stats)
-    fold_ids = np.array([triple_fold(t, folds) for t in triples])
-    report = LogRegCvReport(feature_names=FEATURE_NAMES, fold_weights_l=[], fold_weights_r=[])
-    for fold in range(folds):
-        train = fold_ids != fold
-        if train.sum() == 0:
-            raise ValueError(f"fold {fold} has no training triples")
-        report.fold_weights_l.append(fit_fractional_logreg(rows[train], targets_l[train], weights[train]).weights)
-        report.fold_weights_r.append(fit_fractional_logreg(rows[train], targets_r[train], weights[train]).weights)
-    return report
 
 
 def cross_entropy(true_rates: Sequence[float], predicted_rates: Sequence[float]) -> float:
@@ -528,67 +511,66 @@ def fit_cascade_attractiveness(
 # -- comparison click models ---------------------------------------------------
 #
 # Each entry of CLICK_MODELS is fit on the training triples of one fold and
-# returns a predictor of the swapped pane's (label L, label R) rates for test
-# triples:
-#   fit(train triples, panes, stats, logistic weights (L, R) of the fold)
-#       -> predict(test triples) -> (rates L, rates R)
+# returns a predictor of the swapped pane's (label L, label R) rates for its
+# test triples; both sets are boolean masks over SwapData.triples:
+#   fit(data, train mask) -> predict(test mask) -> (rates L, rates R)
 
 
-def _observed_rates(triples, stats) -> tuple[np.ndarray, np.ndarray]:
-    """The swapped panes' rates at the swap positions: the evaluation truths."""
-    return _columns(swap_targets(stats[t.pane_c_prime], t.swap_index) for t in triples)
+@dataclass(frozen=True)
+class SwapData:
+    """The triples with what every click model reads of them: the swap
+    regression's feature rows (columns as FEATURE_NAMES), its two targets,
+    which are the evaluation truths, and its impression weights."""
+
+    triples: list[SwapTriple]
+    panes: Mapping[str, ClarificationPane]
+    stats: Mapping[str, EngagementStats]
+    rows: np.ndarray
+    targets_l: np.ndarray
+    targets_r: np.ndarray
+    weights: np.ndarray
 
 
-def _columns(pairs) -> tuple[np.ndarray, np.ndarray]:
-    pairs = list(pairs)
-    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
-
-
-def _fit_best_possible(train, panes, stats, logreg):
+def _fit_best_possible(data: SwapData, train: np.ndarray):
     """Echo the observed swapped-pane rates: the entropy floor."""
-    return lambda test: _observed_rates(test, stats)
+    return lambda test: (data.targets_l[test], data.targets_r[test])
 
 
-def _fit_blind(train, panes, stats, logreg):
+def _fit_blind(data: SwapData, train: np.ndarray):
     """One smoothed click rate over every training slot, predicted everywhere."""
-    total_clicks = 0.0
-    total_slots = 0.0
-    for t in train:
-        s = stats[t.pane_c]
-        total_clicks += sum(s.per_position_clicks)
-        total_slots += s.impressions * len(s.per_position_clicks)
-    rate = (total_clicks + 1.0) / (total_slots + 2.0)
-    return lambda test: (np.full(len(test), rate), np.full(len(test), rate))
+    observed = [data.stats[t.pane_c] for t in compress(data.triples, train)]
+    clicks = sum(sum(s.per_position_clicks) for s in observed)
+    slots = sum(s.impressions * len(s.per_position_clicks) for s in observed)
+    rate = (clicks + 1.0) / (slots + 2.0)
+    return lambda test: (np.full(test.sum(), rate), np.full(test.sum(), rate))
 
 
-def _fit_no_bias(train, panes, stats, logreg):
-    """Each answer keeps the rate observed at its old position."""
-    return lambda test: _columns(
-        (smoothed_rate(stats[t.pane_c], t.swap_index + 1), smoothed_rate(stats[t.pane_c], t.swap_index))
-        for t in test
-    )
+def _fit_no_bias(data: SwapData, train: np.ndarray):
+    """Each answer keeps the rate observed at its old position: label L is
+    the observed ctr_r, label R the observed ctr_l."""
+    return lambda test: (data.rows[test, 2], data.rows[test, 1])
 
 
-def _fit_examination(train, panes, stats, logreg):
+def _fit_examination(data: SwapData, train: np.ndarray):
     """Position examination probabilities fit by maximum likelihood on the
     training panes (position 1 pinned to 1.0); each swapped answer's
     attractiveness is its observed rate over the examination probability of
     its old position."""
     observed = {}
-    for t in train:
-        observed[t.pane_c] = stats[t.pane_c]
-        observed[t.pane_c_prime] = stats[t.pane_c_prime]
-    eps = fit_examination_em(observed, panes).eps
+    for t in compress(data.triples, train):
+        observed[t.pane_c] = data.stats[t.pane_c]
+        observed[t.pane_c_prime] = data.stats[t.pane_c_prime]
+    eps = fit_examination_em(observed, data.panes).eps
 
-    def predict_swap(t: SwapTriple) -> tuple[float, float]:
-        i = t.swap_index
-        # label L: the answer observed at i+1 moves up to i
-        attract_l = smoothed_rate(stats[t.pane_c], i + 1) / max(eps[i], _EPS)
-        # label R: the answer observed at i moves down to i+1
-        attract_r = smoothed_rate(stats[t.pane_c], i) / max(eps[i - 1], _EPS)
-        return float(attract_l * eps[i - 1]), float(attract_r * eps[i])
+    def predict(test):
+        ctr_l, ctr_r = data.rows[test, 1], data.rows[test, 2]
+        offset = data.rows[test, 4].astype(np.intp)
+        eps_i, eps_next = eps[offset], eps[offset + 1]  # swap positions i and i+1
+        # label L: the answer observed at i+1 moves up to i; label R: the
+        # answer observed at i moves down to i+1
+        return ctr_r / np.maximum(eps_next, _EPS) * eps_i, ctr_l / np.maximum(eps_i, _EPS) * eps_next
 
-    return lambda test: _columns(predict_swap(t) for t in test)
+    return predict
 
 
 def cascade_attractiveness(stats: EngagementStats) -> np.ndarray:
@@ -601,12 +583,12 @@ def cascade_attractiveness(stats: EngagementStats) -> np.ndarray:
     return np.clip(rates / np.maximum(1.0 - seen_before, _EPS), _EPS, 1.0 - _EPS)
 
 
-def _fit_cascade(train, panes, stats, logreg):
+def _fit_cascade(data: SwapData, train: np.ndarray):
     """The observed pane's own attractiveness recomposed in the swapped
     order; nothing is fit on the training folds."""
 
     def predict_swap(t: SwapTriple) -> tuple[float, float]:
-        attract = cascade_attractiveness(stats[t.pane_c])
+        attract = cascade_attractiveness(data.stats[t.pane_c])
         i = t.swap_index
         order = list(range(len(attract)))
         order[i - 1], order[i] = order[i], order[i - 1]
@@ -615,18 +597,26 @@ def _fit_cascade(train, panes, stats, logreg):
         predicted = reordered * no_click_before
         return float(predicted[i - 1]), float(predicted[i])
 
-    return lambda test: _columns(predict_swap(t) for t in test)
+    def predict(test):
+        pairs = np.array([predict_swap(t) for t in compress(data.triples, test)])
+        return pairs[:, 0], pairs[:, 1]
+
+    return predict
 
 
-def _fit_logistic(train, panes, stats, logreg):
-    """The fold's regression weights from fit_click_logreg applied to the
-    observed pane's swap features."""
-    weights_l, weights_r = logreg
+def _fit_logistic(data: SwapData, train: np.ndarray):
+    """The swap regression: one fractional logistic fit per label on the
+    training rows, applied to the test rows.  The predictor carries the two
+    weight vectors (L, R) as its weights attribute."""
+    weights = tuple(
+        fit_fractional_logreg(data.rows[train], targets[train], data.weights[train]).weights
+        for targets in (data.targets_l, data.targets_r)
+    )
 
     def predict(test):
-        rows = np.array([swap_features(panes[t.pane_c], stats[t.pane_c], t.swap_index).as_row() for t in test])
-        return _sigmoid(rows @ weights_l), _sigmoid(rows @ weights_r)
+        return tuple(_sigmoid(data.rows[test] @ w) for w in weights)
 
+    predict.weights = weights
     return predict
 
 
@@ -650,8 +640,9 @@ class CeCell:
 @dataclass
 class CeReport:
     """Cross entropy per model, overall and per answer count, with the mean
-    and standard deviation taken over cross-validation folds, plus the
-    logistic model's per-fold weights when it was evaluated."""
+    and standard deviation taken over the evaluated cross-validation folds,
+    plus the logistic model's weights per evaluated fold when it was among
+    the models."""
 
     cells: dict[tuple[str, str], CeCell]  # (model, group) -> cell
     logreg: LogRegCvReport | None = None
@@ -668,30 +659,38 @@ def evaluate_click_models(
     folds: int = 10,
 ) -> CeReport:
     """Fold-wise cross entropy between observed swapped-pane rates and each
-    model's predictions.  Models that need fitting (blind mean, examination
-    positions, logistic weights) are fit on the training folds only."""
+    model's predictions.  Triples fall into folds by query; a fold is
+    evaluated when it has both test and training triples, and every model
+    is fit on its training triples only.  Raises ValueError when there are
+    fewer triples than folds or no fold can be evaluated."""
     for kind in kinds:
         if kind not in CLICK_MODELS:
             raise ValueError(f"unknown click model kind {kind!r}")
+    if folds < 2:
+        raise ValueError(f"cross-validation needs at least 2 folds, got {folds}")
     triples = list(triples)
     if len(triples) < folds:
         raise ValueError(f"need at least {folds} triples")
-    logreg = None
-    if "logistic" in kinds:
-        logreg = fit_click_logreg(triples, panes, stats, folds=folds)
-    fold_ids = [triple_fold(t, folds) for t in triples]
+    fold_ids = np.array([triple_fold(t, folds) for t in triples])
+    # a fold holding triples has training triples when another one does
+    evaluated = sorted(set(fold_ids.tolist()))
+    if len(evaluated) < 2:
+        raise ValueError(f"no fold has both training and test triples: all {len(triples)} fall in fold {evaluated[0]}")
+    data = SwapData(triples, panes, stats, *regression_data(triples, panes, stats))
+    answer_counts = np.array([str(t.answer_count) for t in triples])
+    logreg = LogRegCvReport(FEATURE_NAMES, [], [], []) if "logistic" in kinds else None
 
     per_fold: dict[tuple[str, str], list[float]] = {}
-    for fold in range(folds):
-        train = [t for t, f in zip(triples, fold_ids) if f != fold]
-        test = [t for t, f in zip(triples, fold_ids) if f == fold]
-        if not train or not test:
-            continue
-        fold_weights = (logreg.fold_weights_l[fold], logreg.fold_weights_r[fold]) if logreg else None
-        truths = np.concatenate(_observed_rates(test, stats))
-        groups = np.array([str(t.answer_count) for t in test] * 2)
+    for fold in evaluated:
+        test = fold_ids == fold
+        truths = np.concatenate([data.targets_l[test], data.targets_r[test]])
+        groups = np.concatenate([answer_counts[test]] * 2)
         for kind in kinds:
-            predict = CLICK_MODELS[kind](train, panes, stats, fold_weights)
+            predict = CLICK_MODELS[kind](data, ~test)
+            if kind == "logistic":
+                logreg.folds.append(fold)
+                logreg.fold_weights_l.append(predict.weights[0])
+                logreg.fold_weights_r.append(predict.weights[1])
             preds = np.clip(np.concatenate(predict(test)), _EPS, 1.0 - _EPS)
             per_fold.setdefault((kind, "overall"), []).append(cross_entropy(truths, preds))
             for group in sorted(set(groups.tolist())):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -70,17 +71,17 @@ class Outputs:
 
 def _typed(path: str, key: str, value, default):
     """A config-file value of a key whose default is an int or a float, as
-    that type: an int key takes an integral number, a float key any number,
-    and neither takes a bool.  Values of other keys pass through."""
+    that type: an int key takes an integral number, a float key any finite
+    number, and neither takes a bool.  Values of other keys pass through."""
     kind = type(default)
     if kind not in (int, float):
         return value
-    number = type(value) in (int, float)
+    number = type(value) in (int, float) and math.isfinite(value)
     if kind is int and number and (type(value) is int or value.is_integer()):
         return int(value)
     if kind is float and number:
         return float(value)
-    expected = "an integer" if kind is int else "a number"
+    expected = "an integer" if kind is int else "a finite number"
     raise ValueError(f"{path}: config key {key!r} expects {expected}, got {json.dumps(value)}")
 
 
@@ -102,7 +103,7 @@ def _refuse_other_command(out_dir: str, command: str) -> None:
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     """Defaults, then config-file values (each of the type of its default),
-    then explicit flags."""
+    then explicit flags.  Numbers must be finite, from either source."""
     merged = dict(defaults)
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -116,6 +117,8 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     for key in defaults:
         flag = getattr(args, key, None)
         if flag is not None:
+            if not math.isfinite(flag):
+                raise ValueError(f"{_flag(key)} expects a finite number, got {flag}")
             merged[key] = flag
     return merged
 
@@ -369,7 +372,7 @@ def cmd_bias(args, config: dict, out: Outputs) -> None:
     report = ce_report.logreg
     weight_rows = []
     for label, per_fold in (("L", report.fold_weights_l), ("R", report.fold_weights_r)):
-        for fold, weights in enumerate(per_fold):
+        for fold, weights in zip(report.folds, per_fold):
             for name, value in zip(report.feature_names, weights):
                 weight_rows.append([label, fold, name, float(value)])
         for name, value in zip(report.feature_names, np.mean(per_fold, axis=0)):

@@ -11,7 +11,7 @@ import json
 import os
 from typing import Callable, Iterable, Iterator
 
-from .core import CandidateAnswer, ClarificationPane, ImpressionRecord, PaneLabels, Query
+from .core import CandidateAnswer, ClarificationPane, ImpressionRecord, PaneLabels, Query, validate_pane
 
 
 def _dumps(obj) -> str:
@@ -83,6 +83,8 @@ def pane_to_dict(p: ClarificationPane) -> dict:
 
 
 def pane_from_dict(d: dict) -> ClarificationPane:
+    """A pane record as a pane; one that violates a pane invariant (see
+    core.validate_pane) raises ValueError listing every violation."""
     answers = tuple(
         CandidateAnswer(
             text=a["text"],
@@ -92,13 +94,17 @@ def pane_from_dict(d: dict) -> ClarificationPane:
         )
         for a in d["answers"]
     )
-    return ClarificationPane(
+    pane = ClarificationPane(
         id=d["id"],
         query_id=d["query_id"],
         question_text=d["question_text"],
         answers=answers,
         template_id=d.get("template_id", "other"),
     )
+    violations = validate_pane(pane)
+    if violations:
+        raise ValueError(f"pane {pane.id!r}: " + "; ".join(violations))
+    return pane
 
 
 def impression_to_dict(rec: ImpressionRecord) -> dict:

@@ -22,6 +22,9 @@ from .core import ClarificationPane, Query, TEMPLATE_IDS
 
 TRAFFIC_ONE_HOT = ("head", "torso", "tail", "unknown")
 
+# the rank depth whose nDCG LambdaMART's gradients follow
+NDCG_CUTOFF = 10
+
 FEATURE_NAMES = tuple(
     [f"template_{t}" for t in TEMPLATE_IDS]
     + ["query_length", "is_question", "is_faceted", "is_ambiguous"]
@@ -138,8 +141,6 @@ class LambdaMartConfig:
     n_trees: int = 100
     max_depth: int = 3
     shrinkage: float = 0.1
-    min_samples_leaf: int = 1
-    ndcg_cutoff: int = 10
 
     def __post_init__(self):
         if self.max_depth > 4:
@@ -186,21 +187,21 @@ class BoostedEnsemble:
         )
 
 
-def _lambda_gradients(labels: np.ndarray, scores: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+def _lambda_gradients(labels: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LambdaRank gradients and second-order weights for one query.
 
     For every pair with unequal labels, the lambda magnitude is the sigmoid
-    miss times the absolute nDCG change from swapping the pair in the current
-    ranking.
+    miss times the absolute change in nDCG@NDCG_CUTOFF from swapping the pair
+    in the current ranking.
     """
     n = len(labels)
     lambdas = np.zeros(n)
     weights = np.zeros(n)
-    ideal = dcg(sorted(labels.tolist(), reverse=True), cutoff)
+    ideal = dcg(sorted(labels.tolist(), reverse=True), NDCG_CUTOFF)
     if ideal == 0.0:
         return lambdas, weights
     order = np.argsort(np.argsort(-scores, kind="stable"), kind="stable")  # rank of each item
-    discounts = np.array([1.0 / math.log2(r + 2) if r < cutoff else 0.0 for r in order])
+    discounts = np.array([1.0 / math.log2(r + 2) if r < NDCG_CUTOFF else 0.0 for r in order])
     gains = (2.0**labels - 1.0) / ideal
     for i in range(n):
         for j in range(n):
@@ -216,11 +217,11 @@ def _lambda_gradients(labels: np.ndarray, scores: np.ndarray, cutoff: int) -> tu
     return lambdas, weights
 
 
-def _best_split(rows: np.ndarray, targets: np.ndarray, min_leaf: int) -> tuple[int, float] | None:
-    """Exact greedy variance-reduction split; ties break by feature index,
-    then threshold."""
+def _best_split(rows: np.ndarray, targets: np.ndarray) -> tuple[int, float] | None:
+    """Exact greedy variance-reduction split into two leaves of at least one
+    row each; ties break by feature index, then threshold."""
     n, n_features = rows.shape
-    if n < 2 * min_leaf:
+    if n < 2:
         return None
     best = None
     best_score = -1e-12
@@ -234,10 +235,8 @@ def _best_split(rows: np.ndarray, targets: np.ndarray, min_leaf: int) -> tuple[i
         sorted_targets = targets[order]
         cum_sum = np.cumsum(sorted_targets)
         cum_sq = np.cumsum(sorted_targets**2)
-        for split_at in range(min_leaf, n - min_leaf + 1):
-            if split_at < n and sorted_vals[split_at - 1] == sorted_vals[split_at]:
-                continue
-            if split_at == n:
+        for split_at in range(1, n):
+            if sorted_vals[split_at - 1] == sorted_vals[split_at]:
                 continue
             left_n = split_at
             right_n = n - split_at
@@ -257,11 +256,10 @@ def _build_tree(
     lambdas: np.ndarray,
     weights: np.ndarray,
     depth: int,
-    min_leaf: int,
 ) -> TreeNode:
     if depth == 0:
         return _leaf(lambdas, weights)
-    split = _best_split(rows, lambdas, min_leaf)
+    split = _best_split(rows, lambdas)
     if split is None:
         return _leaf(lambdas, weights)
     feature, threshold = split
@@ -271,8 +269,8 @@ def _build_tree(
     return TreeNode(
         feature=feature,
         threshold=threshold,
-        left=_build_tree(rows[mask], lambdas[mask], weights[mask], depth - 1, min_leaf),
-        right=_build_tree(rows[~mask], lambdas[~mask], weights[~mask], depth - 1, min_leaf),
+        left=_build_tree(rows[mask], lambdas[mask], weights[mask], depth - 1),
+        right=_build_tree(rows[~mask], lambdas[~mask], weights[~mask], depth - 1),
     )
 
 
@@ -303,10 +301,10 @@ def train_lambdamart(
         weights = np.zeros(len(all_rows))
         for q_idx, (_, labels) in enumerate(per_query):
             lo, hi = offsets[q_idx], offsets[q_idx + 1]
-            l, w = _lambda_gradients(labels, scores[lo:hi], config.ndcg_cutoff)
+            l, w = _lambda_gradients(labels, scores[lo:hi])
             lambdas[lo:hi] = l
             weights[lo:hi] = w
-        tree = _build_tree(all_rows, lambdas, weights, config.max_depth, config.min_samples_leaf)
+        tree = _build_tree(all_rows, lambdas, weights, config.max_depth)
         ensemble.trees.append(tree)
         scores += config.shrinkage * np.array([tree.predict_one(r) for r in all_rows])
     return ensemble

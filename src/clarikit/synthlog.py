@@ -70,6 +70,11 @@ _TEMPLATE_QUESTIONS = {
 _ENTITY_GROUP = {facet: f"group{i // 2}" for i, facet in enumerate(_FACETS)}
 
 
+def _is_number(value) -> bool:
+    """A finite int or float, and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class UserModel:
     kind: str
@@ -85,13 +90,15 @@ class UserModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown user model kind {self.kind!r}")
-        if any(not 0.0 <= p <= 1.0 for p in self.exam_probs):
-            raise ValueError("examination probabilities must be in [0, 1]")
-        if not 0.0 < self.cascade_scale <= 1.0:
-            raise ValueError("cascade scale must be in (0, 1]")
+        if any(not (_is_number(p) and 0.0 <= p <= 1.0) for p in self.exam_probs):
+            raise ValueError(f"examination probabilities must be numbers in [0, 1], got {list(self.exam_probs)}")
+        if not (_is_number(self.cascade_scale) and 0.0 < self.cascade_scale <= 1.0):
+            raise ValueError(f"cascade scale must be a number in (0, 1], got {self.cascade_scale!r}")
         for name in ("bias", "w_relevance", "w_size", "w_offset", "w_pixel", "size_scale"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"logistic parameter {name} must be finite")
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"logistic parameter {name} must be a finite number, got {getattr(self, name)!r}")
+        if self.size_scale <= 0:
+            raise ValueError(f"size_scale must be positive, got {self.size_scale!r}")
 
     @staticmethod
     def relevance_only() -> "UserModel":
@@ -191,13 +198,13 @@ class CorpusConfig:
         if self.panes_per_query < 1:
             raise ValueError("panes_per_query must be >= 1")
         weights = self.answer_count_weights
-        if len(weights) != 4 or min(weights) < 0 or sum(weights) <= 0:
-            raise ValueError("answer_count_weights must be 4 non-negative weights for 2..5 answers, not all 0")
+        if len(weights) != 4 or not all(_is_number(w) for w in weights) or min(weights) < 0 or sum(weights) <= 0:
+            raise ValueError("answer_count_weights must be 4 finite non-negative numbers for 2..5 answers, not all 0")
         scheme, *numbers = self.relevance or (None,)
         if scheme not in _RELEVANCE_PARAMS:
             raise ValueError(f"unknown relevance scheme {scheme!r}")
-        if len(numbers) != _RELEVANCE_PARAMS[scheme] or any(type(v) not in (int, float) for v in numbers):
-            raise ValueError(f"relevance scheme {scheme!r} takes {_RELEVANCE_PARAMS[scheme]} numbers, got {numbers}")
+        if len(numbers) != _RELEVANCE_PARAMS[scheme] or not all(_is_number(v) for v in numbers):
+            raise ValueError(f"relevance scheme {scheme!r} takes {_RELEVANCE_PARAMS[scheme]} finite numbers, got {numbers}")
         if self.cell_plan is not None:
             for row in self.cell_plan:
                 if len(row) != 3 or any(type(v) is not int for v in row):

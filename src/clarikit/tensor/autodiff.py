@@ -44,30 +44,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self._op or 'leaf'}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_wrap(other)))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def backward(self) -> None:
         """Accumulate gradients of this scalar into every reachable
         requires_grad tensor.  A second call on the same node is an error;
@@ -100,10 +76,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
-
-
-def _wrap(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=np.float64))
 
 
 def _accumulate(t: Tensor, grad: np.ndarray) -> None:

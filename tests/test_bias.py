@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from clarikit.bias import (
     CLICK_MODELS,
+    FEATURE_NAMES,
     NumericalError,
+    SwapData,
     SwapFeatures,
     _adjacent_swap_index,
     build_swap_dataset,
@@ -16,20 +18,30 @@ from clarikit.bias import (
     cross_entropy,
     evaluate_click_models,
     fit_cascade_attractiveness,
-    fit_click_logreg,
     fit_examination_em,
     fit_fractional_logreg,
     fit_scatter_line,
     log_odds,
     pct_above_diagonal,
+    regression_data,
     scatter_points,
     smoothed_rate,
     swap_features,
     swap_points,
     swap_targets,
+    triple_fold,
 )
 from clarikit.core import CandidateAnswer, ClarificationPane, EngagementStats
 from clarikit.synthlog import CorpusConfig, UserModel, gen_corpus, simulate_stats
+
+
+def click_data(triples, panes, stats) -> SwapData:
+    return SwapData(triples, panes, stats, *regression_data(triples, panes, stats))
+
+
+def first(n_selected, n_triples):
+    """The mask of the first n_selected of n_triples triples."""
+    return np.arange(n_triples) < n_selected
 
 
 def pane_of(texts, pane_id="p", query_id="q", question="Which one do you mean?"):
@@ -312,7 +324,7 @@ class TestFractionalLogreg:
 
     def test_cv_needs_enough_triples(self):
         with pytest.raises(ValueError):
-            fit_click_logreg([], {}, {}, folds=10)
+            evaluate_click_models([], {}, {}, kinds=("logistic",), folds=10)
 
 
 class TestCrossEntropy:
@@ -441,7 +453,8 @@ class TestCascadeModel:
         triples = build_swap_dataset(panes)
         assert [(t.pane_c, t.pane_c_prime, t.swap_index) for t in triples] == [("a", "b", 1), ("a", "c", 2)]
         stats = {"a": stats, "b": EngagementStats(n, 0, (0, 0, 0)), "c": EngagementStats(n, 0, (0, 0, 0))}
-        q_l, q_r = CLICK_MODELS["cascade"](triples, panes, stats, None)(triples)
+        every = np.ones(2, dtype=bool)
+        q_l, q_r = CLICK_MODELS["cascade"](click_data(triples, panes, stats), every)(every)
         # the recovered attractions, recomposed in each swapped order
         expected = [cascade_rates((0.5, 0.2, 0.5)), cascade_rates((0.2, 0.5, 0.5))]
         np.testing.assert_allclose(q_l, [expected[0][0], expected[1][1]], atol=1e-3)
@@ -458,7 +471,8 @@ class TestCascadeModel:
             "a": EngagementStats(n, 0, (int(0.2 * n), int(0.4 * n))),
             "b": EngagementStats(n, 0, (0, 0)),
         }
-        [q_l], [q_r] = CLICK_MODELS["cascade"]([triple], panes, stats, None)([triple])
+        every = np.ones(1, dtype=bool)
+        [q_l], [q_r] = CLICK_MODELS["cascade"](click_data([triple], panes, stats), every)(every)
         # promoted answer y keeps attraction 0.5 at the top; x clicks at
         # 0.2 * (1 - 0.5) once behind it
         assert q_l == pytest.approx(0.5, abs=1e-3)
@@ -482,38 +496,80 @@ class TestFitClickModel:
 
     def test_blind_predicts_global_mean_everywhere(self, swap_data):
         corpus, stats, triples = swap_data
-        predict = CLICK_MODELS["blind"](triples, corpus.panes, stats, None)
+        every = np.ones(len(triples), dtype=bool)
+        predict = CLICK_MODELS["blind"](click_data(triples, corpus.panes, stats), every)
         clicks = sum(sum(stats[t.pane_c].per_position_clicks) for t in triples)
         slots = sum(stats[t.pane_c].impressions * t.answer_count for t in triples)
         expected = (clicks + 1.0) / (slots + 2.0)
-        q_l, q_r = predict(triples[:5])
+        q_l, q_r = predict(first(5, len(triples)))
         assert set(q_l.tolist()) | set(q_r.tolist()) == {expected}
 
     def test_no_bias_carries_old_position_rates(self, swap_data):
         corpus, stats, triples = swap_data
         t = triples[0]
-        [q_l], [q_r] = CLICK_MODELS["no_bias"](triples, corpus.panes, stats, None)([t])
+        data = click_data(triples, corpus.panes, stats)
+        [q_l], [q_r] = CLICK_MODELS["no_bias"](data, np.ones(len(triples), dtype=bool))(first(1, len(triples)))
         assert q_l == smoothed_rate(stats[t.pane_c], t.swap_index + 1)
         assert q_r == smoothed_rate(stats[t.pane_c], t.swap_index)
 
     @pytest.mark.parametrize("kind", ["best_possible", "blind", "no_bias", "examination", "cascade", "logistic"])
     def test_all_kinds_predict_valid_rates(self, swap_data, kind):
         corpus, stats, triples = swap_data
-        report = fit_click_logreg(triples, corpus.panes, stats, folds=3)
-        weights = (report.fold_weights_l[0], report.fold_weights_r[0])
-        q_l, q_r = CLICK_MODELS[kind](triples, corpus.panes, stats, weights)(triples[:8])
+        train = np.array([triple_fold(t, 3) != 0 for t in triples])
+        q_l, q_r = CLICK_MODELS[kind](click_data(triples, corpus.panes, stats), train)(first(8, len(triples)))
         assert len(q_l) == len(q_r) == 8
         assert ((0.0 < q_l) & (q_l < 1.0)).all() and ((0.0 < q_r) & (q_r < 1.0)).all()
 
     def test_report_carries_the_logistic_fold_weights(self, swap_data):
         corpus, stats, triples = swap_data
         report = evaluate_click_models(triples, corpus.panes, stats, kinds=("logistic",), folds=3)
-        direct = fit_click_logreg(triples, corpus.panes, stats, folds=3)
-        assert len(report.logreg.fold_weights_l) == 3
-        for got, want in zip(report.logreg.fold_weights_l + report.logreg.fold_weights_r,
-                             direct.fold_weights_l + direct.fold_weights_r):
-            np.testing.assert_array_equal(got, want)
+        rows, targets_l, targets_r, weights = regression_data(triples, corpus.panes, stats)
+        fold_ids = np.array([triple_fold(t, 3) for t in triples])
+        assert report.logreg.feature_names == FEATURE_NAMES
+        assert report.logreg.folds == [0, 1, 2]
+        for fold, got_l, got_r in zip(report.logreg.folds, report.logreg.fold_weights_l, report.logreg.fold_weights_r):
+            train = fold_ids != fold
+            np.testing.assert_array_equal(got_l, fit_fractional_logreg(rows[train], targets_l[train], weights[train]).weights)
+            np.testing.assert_array_equal(got_r, fit_fractional_logreg(rows[train], targets_r[train], weights[train]).weights)
         assert evaluate_click_models(triples, corpus.panes, stats, kinds=("blind",), folds=3).logreg is None
+
+    def test_fold_without_test_triples_gets_no_logistic_weights(self, monkeypatch):
+        """Twelve queries over ten folds leave two folds without test
+        triples: neither is evaluated, so neither gets logistic weights, and
+        each evaluated fold's two regressions are fit once."""
+        import clarikit.bias as bias_mod
+
+        plan = ((3, 1, 6), (3, 2, 6))
+        corpus = gen_corpus(CorpusConfig(n_queries=0, cell_plan=plan, relevance=("uniform", 0.15, 0.5)), seed=300)
+        stats = simulate_stats(corpus, UserModel.cascade(), 200, seed=301)
+        triples = build_swap_dataset(corpus.panes)
+        fits = []
+        monkeypatch.setattr(bias_mod, "fit_fractional_logreg", lambda *a: fits.append(1) or fit_fractional_logreg(*a))
+        report = evaluate_click_models(triples, corpus.panes, stats, folds=10)
+        with_test = sorted({triple_fold(t, 10) for t in triples})
+        assert len(with_test) < 10
+        assert report.logreg.folds == with_test
+        assert len(report.logreg.fold_weights_l) == len(report.logreg.fold_weights_r) == len(with_test)
+        assert len(fits) == 2 * len(with_test)
+        # every answer count is 3, so each cell averages over the evaluated folds
+        assert {cell.folds for cell in report.cells.values()} == {len(with_test)}
+
+    def test_no_evaluable_fold_rejected(self):
+        """All triples of one query share a fold, which then has no training
+        triples: no fold can be evaluated, whichever models are asked for."""
+        corpus = gen_corpus(CorpusConfig(n_queries=1, panes_per_query=3, swap_fraction=1.0), seed=5)
+        stats = simulate_stats(corpus, UserModel.examination(), 50, seed=6)
+        triples = build_swap_dataset(corpus.panes)
+        assert len(triples) == 3
+        for kinds in (("blind",), tuple(CLICK_MODELS)):
+            with pytest.raises(ValueError, match="no fold has both training and test triples"):
+                evaluate_click_models(triples, corpus.panes, stats, kinds=kinds, folds=3)
+
+    @pytest.mark.parametrize("folds", [1, 0, -3])
+    def test_fewer_than_two_folds_rejected(self, swap_data, folds):
+        corpus, stats, triples = swap_data
+        with pytest.raises(ValueError, match="at least 2 folds"):
+            evaluate_click_models(triples, corpus.panes, stats, kinds=("blind",), folds=folds)
 
     def test_pooled_cascade_attractiveness_identifiable(self, swap_data):
         corpus, stats, _ = swap_data

@@ -89,6 +89,21 @@ class TestSynthGen:
         assert f"{config_path}: config key 'n_queries' expects an integer, got {json.dumps(value)}" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_float_key_rejects_a_non_finite_number(self, tmp_path, capsys, value):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"question_fraction": value}))
+        assert run_cli("synth-gen", "--out", tmp_path / "o", "--config", config_path, "--seed", 1) == 1
+        err = capsys.readouterr().err
+        assert f"{config_path}: config key 'question_fraction' expects a finite number, got {json.dumps(value)}" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_float_flag_rejects_a_non_finite_number(self, tmp_path, capsys, value):
+        assert run_cli("synth-gen", "--out", tmp_path / "o", "--seed", 1, f"--question-fraction={value}") == 1
+        assert "--question-fraction expects a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_manifest_records_config_values_as_run(self, tmp_path):
         """An integral float for an int key runs and is recorded as an int,
         an int for a float key as a float."""
@@ -110,6 +125,20 @@ class TestSynthGen:
         config_path.write_text(json.dumps(values))
         assert run_cli("synth-gen", "--out", tmp_path / "o", "--config", config_path, "--seed", 1) == 1
         assert message.format(config=config_path) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+    @pytest.mark.parametrize("values,message", [
+        ({"answer_count_weights": [True, 0, 0, 0]}, "answer_count_weights must be 4 finite non-negative numbers"),
+        ({"user_model": {"kind": "examination", "exam_probs": [True, 0.5, 0.5, 0.5, 0.5]}},
+         "examination probabilities must be numbers in [0, 1]"),
+        ({"relevance": ["uniform", 0.1, float("inf")]}, "relevance scheme 'uniform' takes 2 finite numbers"),
+    ], ids=["answer_count_weights", "exam_probs", "relevance"])
+    def test_bool_or_non_finite_inside_a_structured_key_exits_one(self, tmp_path, capsys, values, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(values))
+        assert run_cli("synth-gen", "--out", tmp_path / "o", "--config", config_path, "--seed", 1) == 1
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 
@@ -167,6 +196,21 @@ class TestAnalyze:
         assert not (tmp_path / "r").exists()
 
 
+    @pytest.mark.parametrize("answers", [6, 0], ids=["six_answers", "no_answers"])
+    def test_invalid_pane_exits_one_with_file_line(self, corpus_dir, tmp_path, capsys, answers):
+        files = corpus_files(corpus_dir)
+        lines = open(files["panes"], encoding="utf-8").read().splitlines()
+        record = json.loads(lines[2])
+        record["answers"] = [{"text": f"answer {i}", "position": i + 1} for i in range(answers)]
+        lines[2] = json.dumps(record)
+        bad = tmp_path / "panes.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run_cli("analyze", "--out", tmp_path / "r", "--queries", files["queries"],
+                       "--panes", bad, "--impressions", files["impressions"])
+        assert code == 1
+        assert f"{bad}:3: invalid record: pane {record['id']!r}: answer count: {answers} not in [2, 5]" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
 class TestBias:
     def test_full_report(self, corpus_dir, tmp_path):
         files = corpus_files(corpus_dir)
@@ -180,6 +224,46 @@ class TestBias:
         header, rows = dataio.read_tsv(str(tmp_path / "r" / "cross_entropy.tsv"))
         models = {r[0] for r in rows}
         assert {"best_possible", "blind", "no_bias", "examination", "cascade", "logistic"} <= models
+
+    @staticmethod
+    def swap_corpus(tmp_path, config: dict) -> list:
+        config_path = tmp_path / "synth.json"
+        config_path.write_text(json.dumps({"n_per_pane": 50, **config}))
+        assert run_cli("synth-gen", "--out", tmp_path / "data", "--config", config_path, "--seed", 4) == 0
+        return [f"--{name}={tmp_path / 'data' / name}.jsonl" for name in ("queries", "panes", "impressions")]
+
+    def test_logreg_weights_list_the_evaluated_folds(self, tmp_path):
+        """Twelve queries over ten folds: the two folds without test triples
+        are not evaluated, and logreg_weights.tsv lists exactly the folds
+        that cross_entropy.tsv counts."""
+        from clarikit.tensor.text import fnv1a
+
+        corpus = self.swap_corpus(tmp_path, {"cell_plan": [[3, 1, 6], [3, 2, 6]], "n_queries": 0})
+        assert run_cli("bias", "--out", tmp_path / "r", *corpus, "--folds", 10) == 0
+        queries = dataio.load_queries(str(tmp_path / "data" / "queries.jsonl"))
+        evaluated = sorted({fnv1a(query_id) % 10 for query_id in queries})
+        assert len(evaluated) == 8
+        _, weight_rows = dataio.read_tsv(str(tmp_path / "r" / "logreg_weights.tsv"))
+        for label in ("L", "R"):
+            folds = [row[1] for row in weight_rows if row[0] == label and row[2] == "intercept"]
+            assert folds == [str(fold) for fold in evaluated] + ["mean"]
+        _, ce_rows = dataio.read_tsv(str(tmp_path / "r" / "cross_entropy.tsv"))
+        assert {row[4] for row in ce_rows if row[1] == "overall"} == {str(len(evaluated))}
+
+    def test_no_evaluable_fold_exits_one(self, tmp_path, capsys):
+        # one query: all its triples share a fold, which has no training triples
+        corpus = self.swap_corpus(tmp_path, {"n_queries": 1, "panes_per_query": 3, "swap_fraction": 1.0})
+        assert run_cli("bias", "--out", tmp_path / "r", *corpus, "--folds", 3) == 1
+        assert "no fold has both training and test triples" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("folds", [0, 1])
+    def test_fewer_than_two_folds_exit_one(self, corpus_dir, tmp_path, capsys, folds):
+        files = corpus_files(corpus_dir)
+        assert run_cli("bias", "--out", tmp_path / "r", "--queries", files["queries"], "--panes", files["panes"],
+                       "--impressions", files["impressions"], "--folds", folds) == 1
+        assert f"cross-validation needs at least 2 folds, got {folds}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("key,value", [("logreg_tol", 1e-10), ("logreg_max_iter", 100000)])
     def test_solver_keys_are_unknown(self, corpus_dir, tmp_path, key, value):

@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from clarikit import dataio
 from clarikit.core import (
     AMBIGUITY_CLASSES,
+    MAX_ANSWERS,
+    MIN_ANSWERS,
     TEMPLATE_IDS,
     TRAFFIC_CLASSES,
     CandidateAnswer,
@@ -69,6 +72,33 @@ def test_writes_are_byte_deterministic(sample):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def _answers(*texts):
+    return [{"text": text, "position": i + 1} for i, text in enumerate(texts)]
+
+
+@pytest.mark.parametrize("fields,violation", [
+    ({"answers": _answers("a")}, "answer count: 1 not in [2, 5]"),
+    ({"answers": []}, "answer count: 0 not in [2, 5]"),
+    ({"answers": _answers(*"abcdef")}, "answer count: 6 not in [2, 5]"),
+    ({"answers": [{"text": "a", "position": 1}, {"text": "b", "position": 3}]}, "contiguity"),
+    ({"question_text": " \t"}, "empty text: question"),
+    ({"answers": _answers("a", "")}, "empty text: answer at position 2"),
+    ({"answers": _answers("a", "\u2003")}, "empty text: answer at position 2"),
+    ({"template_id": "T9"}, "template: unknown id 'T9'"),
+], ids=["one_answer", "no_answers", "six_answers", "gap", "blank_question", "empty_answer", "blank_answer",
+        "template"])
+def test_invalid_panes_rejected_on_load(tmp_path, fields, violation):
+    """A pane that breaks an invariant fails with its path:line and the
+    violation, even when the shape is one a generic record check accepts."""
+    import json
+
+    good = {"id": "p1", "query_id": "q1", "question_text": "Which one?", "answers": _answers("a", "b")}
+    path = tmp_path / "panes.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "p2", **fields}) + "\n")
+    with pytest.raises(ValueError, match=r":2: invalid record: pane 'p2': .*" + re.escape(violation)):
+        dataio.load_panes(str(path))
+
+
 def test_invalid_json_reports_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "q1", "text": "ok"}\n{broken\n')
@@ -102,6 +132,9 @@ def test_manifest(tmp_path, sample):
 
 ids = st.text(min_size=1, max_size=12)
 texts = st.text(max_size=20)
+# a character str.strip() keeps: whitespace is in the Z and C categories
+visible = st.characters(exclude_categories=("Z", "C"))
+nonblank_texts = st.builds(lambda before, char, after: before + char + after, texts, visible, texts)
 seconds = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
 grades = st.sampled_from(("Good", "Fair", "Bad"))
 
@@ -118,16 +151,19 @@ queries = st.builds(
 
 @st.composite
 def panes(draw):
+    """Valid panes only (see test_invalid_panes_rejected_on_load)."""
     answers = tuple(
         CandidateAnswer(
-            text=draw(texts),
+            text=draw(nonblank_texts),
             position=position,
             render_size=draw(st.floats(min_value=0.01, max_value=1e6)),
             entity_type=draw(st.none() | texts),
         )
-        for position in range(1, draw(st.integers(1, 5)) + 1)
+        for position in range(1, draw(st.integers(MIN_ANSWERS, MAX_ANSWERS)) + 1)
     )
-    return ClarificationPane(draw(ids), draw(ids), draw(texts), answers, template_id=draw(st.sampled_from(TEMPLATE_IDS)))
+    return ClarificationPane(
+        draw(ids), draw(ids), draw(nonblank_texts), answers, template_id=draw(st.sampled_from(TEMPLATE_IDS))
+    )
 
 
 impressions = st.builds(

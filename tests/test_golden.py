@@ -1,6 +1,7 @@
-"""Golden artifacts: synth-gen, analyze and bias on one small seeded corpus,
-and train-rlc, train-ranker with the trained scorer and rank on the same
-corpus, must keep writing byte-identical files, manifest.json included.
+"""Golden artifacts: synth-gen, analyze and bias on one small seeded corpus;
+train-rlc, train-ranker with the trained scorer and rank on the same corpus;
+and fine-tune-rlc, train-ranker without a scorer and eval on it too, must
+keep writing byte-identical files, manifest.json included.
 
 The digests were recorded before the analytics and click-model code was
 restructured; a change meant to preserve behaviour must leave them as they
@@ -115,16 +116,25 @@ RLC_GOLDEN = {
 }
 
 
-def test_golden_rlc_artifacts(tmp_path):
-    corpus = golden_corpus(tmp_path)
-    data = tmp_path / "data"
-    text = ["--intents", str(data / "intents.jsonl"), "--lexicon", str(data / "entity_lexicon.tsv")]
-    model = str(tmp_path / "rlc" / "rlc_model.json")
+def train_golden_rlc(tmp_path, corpus: list, text: list) -> str:
+    """Trains the golden scorer under tmp_path/rlc; the path of its model."""
     assert main([
         "train-rlc", "--out", str(tmp_path / "rlc"), *corpus, *text, "--seed", "3",
         "--dim", "8", "--heads", "2", "--layers", "2", "--max-intents", "4", "--hash-buckets", "64",
         "--steps", "20", "--lr", "0.001", "--warmup-steps", "5", "--total-steps", "100",
     ]) == 0
+    return str(tmp_path / "rlc" / "rlc_model.json")
+
+
+def text_flags(tmp_path) -> list:
+    data = tmp_path / "data"
+    return ["--intents", str(data / "intents.jsonl"), "--lexicon", str(data / "entity_lexicon.tsv")]
+
+
+def test_golden_rlc_artifacts(tmp_path):
+    corpus = golden_corpus(tmp_path)
+    text = text_flags(tmp_path)
+    model = train_golden_rlc(tmp_path, corpus, text)
     assert main([
         "train-ranker", "--out", str(tmp_path / "ranker"), *corpus, *text, "--rlc-model", model,
         "--trees", "5", "--depth", "2", "--seed", "3",
@@ -134,4 +144,61 @@ def test_golden_rlc_artifacts(tmp_path):
         "--ensemble", str(tmp_path / "ranker" / "ensemble.json"),
     ]) == 0
     for out, expected in RLC_GOLDEN.items():
+        assert tree_digests(tmp_path / out) == expected, out
+
+
+# fine-tune-rlc continues the golden scorer on labels that cycle through
+# Bad, Fair and Good over the panes in id order; train-ranker runs without a
+# scorer, and eval ranks with that ensemble on the impressions and the labels.
+LABEL_CYCLE = ("Bad", "Fair", "Good")
+
+TRAINING_GOLDEN = {
+    "fine_tune": {
+        "loss.tsv": "c06207bb35210241af9c8d84ee93f2de2e5d99ccf4e1fa364c8018fc1783e87a",
+        "manifest.json": "2b343ad197a51731e673f4df99f859456f7606abb558e008b00bac1327a27b9b",
+        "rlc_model.json": "725b3aa9c323d08e74d93e210fb0e16a2289f6669ca4f404ecb772c521f6b6e4",
+    },
+    "plain_ranker": {
+        "ensemble.json": "4d3377654c1c600c27eeb439da5d451063e4245aebcd432f902de4b47ca4447b",
+        "manifest.json": "5911f1379a34f6738c1ce4f5a44563406778da53ae3b18ff385c05454dd7dd6c",
+    },
+    "eval": {
+        "eval.tsv": "89a44af8e763c1fb9555229c7d4092ac17124296234904a62fc5a2d213bbc122",
+        "manifest.json": "30916fda2399722de5cdbd8a30541ab94f1d627a7d465a27190563752f0fcdff",
+    },
+}
+
+
+def golden_labels(tmp_path) -> str:
+    from clarikit import dataio
+
+    panes = dataio.load_panes(str(tmp_path / "data" / "panes.jsonl"))
+    path = tmp_path / "labels.jsonl"
+    dataio.write_jsonl(str(path), (
+        {"query_id": pane.query_id, "pane_id": pane_id, "overall": LABEL_CYCLE[i % 3], "landing": []}
+        for i, (pane_id, pane) in enumerate(sorted(panes.items()))
+    ))
+    return str(path)
+
+
+def test_golden_fine_tune_ranker_and_eval_artifacts(tmp_path):
+    corpus = golden_corpus(tmp_path)
+    text = text_flags(tmp_path)
+    model = train_golden_rlc(tmp_path, corpus, text)
+    labels = golden_labels(tmp_path)
+    assert main([
+        "fine-tune-rlc", "--out", str(tmp_path / "fine_tune"), *corpus[:4], *text, "--model", model,
+        "--labels", labels, "--steps", "10", "--lr", "0.0001", "--warmup-steps", "5", "--total-steps", "100",
+        "--panes-per-query", "4", "--seed", "3",
+    ]) == 0
+    assert main([
+        "train-ranker", "--out", str(tmp_path / "plain_ranker"), *corpus, "--trees", "5", "--depth", "2",
+        "--seed", "3",
+    ]) == 0
+    assert main([
+        "eval", "--out", str(tmp_path / "eval"), *corpus, "--labels", labels,
+        "--ensemble", str(tmp_path / "plain_ranker" / "ensemble.json"),
+        "--randomization-rounds", "2345", "--seed", "3",
+    ]) == 0
+    for out, expected in TRAINING_GOLDEN.items():
         assert tree_digests(tmp_path / out) == expected, out

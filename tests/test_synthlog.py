@@ -29,6 +29,21 @@ class TestUserModel:
             UserModel.examination((1.0, 1.2))
 
 
+    @pytest.mark.parametrize("params", [
+        {"kind": "examination", "exam_probs": (True, 0.5, 0.5, 0.5, 0.5)},
+        {"kind": "examination", "exam_probs": (1.0, float("nan"), 0.5, 0.5, 0.5)},
+        {"kind": "cascade", "cascade_scale": True},
+        {"kind": "size_offset_logistic", "w_size": True},
+        {"kind": "size_offset_logistic", "size_scale": False},
+        {"kind": "size_offset_logistic", "bias": float("inf")},
+        {"kind": "size_offset_logistic", "size_scale": 0},
+    ], ids=["exam_probs_bool", "exam_probs_nan", "cascade_scale_bool", "weight_bool", "size_scale_bool",
+            "weight_inf", "size_scale_zero"])
+    def test_rejects_bools_and_non_finite_numbers(self, params):
+        with pytest.raises(ValueError):
+            UserModel(**params)
+
+
 class TestOracleClickRates:
     def test_relevance_only_ignores_position(self):
         pane = pane_of(["a", "b"])
@@ -132,6 +147,16 @@ class TestGenCorpus:
     def test_relevance_scheme_needs_its_numbers(self, relevance):
         with pytest.raises(ValueError, match="relevance scheme"):
             CorpusConfig(n_queries=10, relevance=relevance)
+
+    @pytest.mark.parametrize("layout", [
+        {"answer_count_weights": (True, 0, 0, 0)},
+        {"answer_count_weights": (float("nan"), 1.0, 1.0, 1.0)},
+        {"relevance": ("uniform", True, 0.5)},
+        {"relevance": ("beta", float("inf"), 3.0)},
+    ], ids=["weights_bool", "weights_nan", "relevance_bool", "relevance_inf"])
+    def test_bools_and_non_finite_numbers_rejected(self, layout):
+        with pytest.raises(ValueError, match="answer_count_weights|relevance scheme"):
+            CorpusConfig(n_queries=10, **layout)
 
     def test_intent_sets_present_for_both_sources(self):
         corpus = gen_corpus(CorpusConfig(n_queries=5), seed=2)
