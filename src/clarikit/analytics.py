@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     ClarificationPane,
     EngagementStats,
+    ImpressionLog,
     ImpressionRecord,
     Query,
     TEMPLATE_IDS,
@@ -241,7 +242,7 @@ def conditional_click_by_position(
 
 
 def dissatisfaction_rate(
-    log: Iterable[ImpressionRecord],
+    log: ImpressionLog | Iterable[ImpressionRecord],
     dwell_threshold_s: float,
     reformulation_window_s: float = 300.0,
 ) -> float:
@@ -249,31 +250,22 @@ def dissatisfaction_rate(
     under the threshold) or a reformulation inside the window."""
     if dwell_threshold_s <= 0 or reformulation_window_s <= 0:
         raise ValueError("thresholds must be positive")
-    total = 0
-    dissatisfied = 0
-    for rec in log:
-        total += 1
-        short_click = any(dwell < dwell_threshold_s for _, dwell in rec.result_clicks)
-        reformulated = rec.reformulation is not None and rec.reformulation[1] <= reformulation_window_s
-        if short_click or reformulated:
-            dissatisfied += 1
-    if total == 0:
+    log = ImpressionLog.of(log)
+    if len(log) == 0:
         return 0.0
-    return dissatisfied / total
+    dissatisfied = np.zeros(len(log), dtype=bool)
+    dissatisfied[log.rows(log.result_offsets)[log.result_dwells < dwell_threshold_s]] = True
+    dissatisfied[log.rows(log.reformulation_offsets)[log.reformulation_deltas <= reformulation_window_s]] = True
+    return int(dissatisfied.sum()) / len(log)
 
 
-def multi_click_rate(log: Iterable[ImpressionRecord]) -> float:
+def multi_click_rate(log: ImpressionLog | Iterable[ImpressionRecord]) -> float:
     """Among engaged impressions, the fraction with two or more answer clicks."""
-    engaged = 0
-    multi = 0
-    for rec in log:
-        if rec.engaged:
-            engaged += 1
-            if len(rec.answer_clicks) >= 2:
-                multi += 1
+    clicks = np.diff(ImpressionLog.of(log).click_offsets)
+    engaged = int((clicks >= 1).sum())
     if engaged == 0:
         raise ValueError("no engaged impressions in the log")
-    return multi / engaged
+    return int((clicks >= 2).sum()) / engaged
 
 
 def fleiss_kappa(ratings: np.ndarray, raters_per_item: int) -> float:

@@ -12,7 +12,8 @@ input file given) next to them.  An --out that holds another command's
 manifest is refused.  A failed command leaves --out as it was, and leaves
 no directory it created.
 
-Exit codes: 0 success, 1 input or validation error, 2 numerical failure.
+Exit codes: 0 success, 1 usage, input or validation error, 2 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import analytics, bias, dataio, intents as intents_mod, ranker as ranker_mod, rlc as rlc_mod
 from .bias import NumericalError
-from .core import collect_stats, engagement_rate
+from .core import ImpressionLog, collect_stats, engagement_rate
 from .synthlog import CorpusConfig, UserModel, gen_corpus, simulate_impressions
 from .tensor.optim import AdamConfig, NonFiniteGradientError
 
@@ -145,12 +146,13 @@ def _history(args, log, panes) -> dict[str, list[tuple[str, int]]]:
     command read, else none."""
     if args.history:
         rows = dataio.read_tsv_rows(args.history, (str, str, int))
+    elif log is None:
+        rows = ()
     else:
-        rows = (
-            (panes[rec.pane_id].query_id, url, 1)
-            for rec in log or () if rec.pane_id in panes
-            for url, _dwell in rec.result_clicks
-        )
+        log = ImpressionLog.of(log)
+        query_ids = [panes[pane_id].query_id if pane_id in panes else None for pane_id in log.pane_ids]
+        click_queries = (query_ids[pane] for pane in log.pane_index[log.rows(log.result_offsets)].tolist())
+        rows = ((query_id, url, 1) for query_id, url in zip(click_queries, log.result_urls) if query_id is not None)
     history: dict[str, dict[str, int]] = {}
     for query_id, url, count in rows:
         bucket = history.setdefault(query_id, {})
@@ -719,8 +721,17 @@ def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as input errors do: exit code 2 means a
+    numerical failure."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clarikit",
         description="Engagement analytics, click-bias estimation, and learned re-ranking for search clarification panes.",
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -137,9 +137,144 @@ class ImpressionRecord:
                 raise ValueError("reformulation delta seconds must be >= 0")
             object.__setattr__(self, "reformulation", (text, delta))
 
-    @property
-    def engaged(self) -> bool:
-        return len(self.answer_clicks) > 0
+
+def _int_column(values) -> np.ndarray:
+    """Python ints as an int64 column, or as an object column when one does
+    not fit in 64 bits, so every value a record holds survives."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def offsets_from_counts(counts) -> np.ndarray:
+    """Offsets of a variable-length column from its per-row value counts."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(np.asarray(counts, dtype=np.int64), out=out[1:])
+    return out
+
+
+class ImpressionLog:
+    """An impression log held as columns, one row per impression.
+
+    Variable-length fields are offsets plus values (the Apache Arrow layout):
+    row i's answer clicks are click_positions[click_offsets[i]:click_offsets[i + 1]],
+    ascending and distinct; its result clicks are result_urls and
+    result_dwells over result_offsets the same way; and its reformulation, if
+    any, is the one entry of reformulation_texts and reformulation_deltas
+    over reformulation_offsets.  pane_ids lists the distinct pane ids in
+    order of first appearance, and pane_index gives each row's entry.
+    Integer columns are int64, or object when a value does not fit.
+
+    Iterating yields one ImpressionRecord per row.  The log functions take a
+    log or any iterable of records, which they turn into a log once (of).
+    """
+
+    __slots__ = (
+        "pane_ids", "pane_index", "timestamps", "click_offsets", "click_positions",
+        "result_offsets", "result_urls", "result_dwells",
+        "reformulation_offsets", "reformulation_texts", "reformulation_deltas",
+    )
+
+    def __init__(self, pane_ids, pane_index, timestamps, click_offsets, click_positions,
+                 result_offsets, result_urls, result_dwells,
+                 reformulation_offsets, reformulation_texts, reformulation_deltas):
+        self.pane_ids = tuple(pane_ids)
+        self.pane_index = np.asarray(pane_index, dtype=np.intp)
+        self.timestamps = timestamps
+        self.click_offsets = click_offsets
+        self.click_positions = click_positions
+        self.result_offsets = result_offsets
+        self.result_urls = list(result_urls)
+        self.result_dwells = np.asarray(result_dwells, dtype=np.float64)
+        self.reformulation_offsets = reformulation_offsets
+        self.reformulation_texts = list(reformulation_texts)
+        self.reformulation_deltas = np.asarray(reformulation_deltas, dtype=np.float64)
+
+    @classmethod
+    def of(cls, log: Iterable[ImpressionRecord]) -> "ImpressionLog":
+        """The log itself, or the records of an iterable as a log."""
+        if isinstance(log, cls):
+            return log
+        records = list(log)
+        lookup: dict = {}
+        results = [click for rec in records for click in rec.result_clicks]
+        reformulations = [rec.reformulation for rec in records if rec.reformulation is not None]
+        return cls(
+            lookup,
+            [lookup.setdefault(rec.pane_id, len(lookup)) for rec in records],
+            _int_column([rec.timestamp for rec in records]),
+            offsets_from_counts([len(rec.answer_clicks) for rec in records]),
+            _int_column([p for rec in records for p in sorted(rec.answer_clicks)]),
+            offsets_from_counts([len(rec.result_clicks) for rec in records]),
+            [url for url, _ in results],
+            [dwell for _, dwell in results],
+            offsets_from_counts([rec.reformulation is not None for rec in records]),
+            [text for text, _ in reformulations],
+            [delta for _, delta in reformulations],
+        )
+
+    @classmethod
+    def concat(cls, logs: Sequence["ImpressionLog"]) -> "ImpressionLog":
+        """The rows of several logs, in order, as one log."""
+        if not logs:
+            return cls.of([])
+        lookup: dict = {}
+        pane_index = [
+            np.array([lookup.setdefault(p, len(lookup)) for p in log.pane_ids], dtype=np.intp)[log.pane_index]
+            for log in logs
+        ]
+
+        def joined(name: str) -> np.ndarray:
+            return np.concatenate([getattr(log, name) for log in logs])
+
+        def joined_offsets(name: str) -> np.ndarray:
+            return offsets_from_counts(np.concatenate([np.diff(getattr(log, name)) for log in logs]))
+
+        return cls(
+            lookup, np.concatenate(pane_index), joined("timestamps"),
+            joined_offsets("click_offsets"), joined("click_positions"),
+            joined_offsets("result_offsets"), [url for log in logs for url in log.result_urls], joined("result_dwells"),
+            joined_offsets("reformulation_offsets"),
+            [text for log in logs for text in log.reformulation_texts], joined("reformulation_deltas"),
+        )
+
+    def __len__(self) -> int:
+        return len(self.pane_index)
+
+    def __iter__(self):
+        clicks = self.per_row(self.click_offsets, self.click_positions.tolist())
+        results = self.per_row(self.result_offsets, list(zip(self.result_urls, self.result_dwells.tolist())))
+        reformulations = self.per_row(
+            self.reformulation_offsets, list(zip(self.reformulation_texts, self.reformulation_deltas.tolist()))
+        )
+        for pane, timestamp, answer_clicks, result_clicks, reformulation in zip(
+            self.pane_index.tolist(), self.timestamps.tolist(), clicks, results, reformulations
+        ):
+            yield ImpressionRecord(
+                self.pane_ids[pane], timestamp, frozenset(answer_clicks), tuple(result_clicks),
+                reformulation[0] if reformulation else None,
+            )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ImpressionLog):
+            return NotImplemented
+        return all(
+            np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+            for mine, theirs in ((getattr(self, name), getattr(other, name)) for name in self.__slots__)
+        )
+
+    __hash__ = None
+
+    def rows(self, offsets: np.ndarray) -> np.ndarray:
+        """The row of every value of a variable-length column."""
+        return np.repeat(np.arange(len(self)), np.diff(offsets))
+
+    @staticmethod
+    def per_row(offsets: np.ndarray, values: list):
+        """The values of a variable-length column, one list per row."""
+        bounds = offsets.tolist()
+        return (values[start:end] for start, end in zip(bounds, bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -206,35 +341,38 @@ def merge_stats(a: EngagementStats, b: EngagementStats) -> EngagementStats:
 
 
 def collect_stats(
-    log: Iterable[ImpressionRecord], panes: Mapping[str, ClarificationPane]
+    log: ImpressionLog | Iterable[ImpressionRecord], panes: Mapping[str, ClarificationPane]
 ) -> dict[str, EngagementStats]:
     """Aggregate an impression log into per-pane engagement statistics.
 
     Clicks on positions outside the pane's answer range are ignored rather
-    than fatal; validate_pane is the place to surface malformed data.
+    than fatal; validate_pane is the place to surface malformed data.  Panes
+    come in order of first appearance in the log.
     """
-    impressions: dict[str, int] = {}
-    engaged: dict[str, int] = {}
-    clicks: dict[str, list[int]] = {}
-    for rec in log:
-        pane = panes.get(rec.pane_id)
+    log = ImpressionLog.of(log)
+    answer_counts = []
+    for pane_id in log.pane_ids:
+        pane = panes.get(pane_id)
         if pane is None:
-            raise KeyError(f"impression references unknown pane {rec.pane_id!r}")
-        k = pane.answer_count
-        impressions[rec.pane_id] = impressions.get(rec.pane_id, 0) + 1
-        if rec.pane_id not in clicks:
-            clicks[rec.pane_id] = [0] * k
-            engaged[rec.pane_id] = 0
-        valid = [p for p in rec.answer_clicks if 1 <= p <= k]
-        if valid:
-            engaged[rec.pane_id] += 1
-            for p in valid:
-                clicks[rec.pane_id][p - 1] += 1
+            raise KeyError(f"impression references unknown pane {pane_id!r}")
+        answer_counts.append(pane.answer_count)
+    n_panes = len(answer_counts)
+    width = max(answer_counts, default=0)
+    click_rows = log.rows(log.click_offsets)
+    click_pane = log.pane_index[click_rows]
+    positions = log.click_positions
+    valid = (positions >= 1) & (positions <= np.asarray(answer_counts, dtype=np.int64)[click_pane])
+    click_pane, positions = click_pane[valid], positions[valid].astype(np.int64)
+    engaged_rows = np.zeros(len(log), dtype=bool)
+    engaged_rows[click_rows[valid]] = True
+    impressions = np.bincount(log.pane_index, minlength=n_panes).tolist()
+    engaged = np.bincount(log.pane_index[engaged_rows], minlength=n_panes).tolist()
+    clicks = np.bincount(click_pane * width + positions - 1, minlength=n_panes * width).reshape(n_panes, width)
     return {
         pane_id: EngagementStats(
-            impressions=impressions[pane_id],
-            engaged_impressions=engaged[pane_id],
-            per_position_clicks=tuple(clicks[pane_id]),
+            impressions=impressions[i],
+            engaged_impressions=engaged[i],
+            per_position_clicks=tuple(clicks[i, : answer_counts[i]].tolist()),
         )
-        for pane_id in impressions
+        for i, pane_id in enumerate(log.pane_ids)
     }

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import tokenize
 from .dataio import _load_records, read_tsv_rows, write_jsonl
@@ -67,14 +67,16 @@ def intents_from_reformulations(
     texts unless a query_ids mapping (normalized text -> id) is given.
     """
     weights: dict[str, dict[str, float]] = {}
+    parse = _query_parser()
     for q, q_prime, w in triples:
         if w < 1:
             raise ValueError(f"reformulation frequency must be >= 1, got {w}")
-        q_norm = normalize_phrase(q)
-        intent_norm = normalize_phrase(q_prime)
+        q_norm, q_tokens = parse(q)
+        intent_tokens = tokenize(q_prime)
+        intent_norm = " ".join(intent_tokens)
         if not q_norm or intent_norm == q_norm:
             continue
-        if not contains_query(tokenize(q), tokenize(q_prime)):
+        if not contains_query(q_tokens, intent_tokens):
             continue
         bucket = weights.setdefault(q_norm, {})
         bucket[intent_norm] = bucket.get(intent_norm, 0.0) + float(w)
@@ -90,16 +92,31 @@ def intents_from_click_titles(
     normalized (site-name suffix stripped, lowercased, punctuation removed)
     and weights are summed click frequencies."""
     weights: dict[str, dict[str, float]] = {}
+    parse = _query_parser()
     for q, _url, title, freq in records:
         if freq < 1:
             raise ValueError(f"click frequency must be >= 1, got {freq}")
-        q_norm = normalize_phrase(q)
+        q_norm, _tokens = parse(q)
         intent_norm = normalize_phrase(strip_site_suffix(title))
         if not q_norm or not intent_norm:
             continue
         bucket = weights.setdefault(q_norm, {})
         bucket[intent_norm] = bucket.get(intent_norm, 0.0) + float(freq)
     return _finish(weights, "click_title", min_freq, query_ids)
+
+
+def _query_parser() -> Callable[[str], tuple[str, list[str]]]:
+    """raw query text -> (normalize_phrase(text), tokenize(text)), each
+    distinct text tokenized once: a log repeats few queries over many rows."""
+    parsed: dict[str, tuple[str, list[str]]] = {}
+
+    def parse(text: str) -> tuple[str, list[str]]:
+        if text not in parsed:
+            tokens = tokenize(text)
+            parsed[text] = (" ".join(tokens), tokens)
+        return parsed[text]
+
+    return parse
 
 
 def _finish(

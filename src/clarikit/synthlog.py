@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CandidateAnswer, ClarificationPane, EngagementStats, ImpressionRecord, Query
+from .core import CandidateAnswer, ClarificationPane, EngagementStats, ImpressionLog, Query, offsets_from_counts
 from .intents import IntentSet
 from .tensor.text import fnv1a
 
@@ -242,6 +242,24 @@ _TEMPLATE_BOOST_STATEMENT = {
 }
 
 
+def _cdf(p) -> np.ndarray:
+    """The cumulative distribution Generator.choice(len(p), p=p) draws
+    against, normalized as it normalizes it."""
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_index(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """The index rng.choice(len(p), p=p) draws when cdf is _cdf(p): the same
+    one uniform from the stream, searched as choice searches it, without
+    choice's per-call argument checks."""
+    return int(cdf.searchsorted(rng.random(), "right"))
+
+
+_AMBIGUITY_CDF = _cdf((0.3, 0.55, 0.15))
+
+
 def _draw_relevance(config: CorpusConfig, rng: np.random.Generator) -> float:
     scheme = config.relevance
     if scheme[0] == "beta":
@@ -285,7 +303,7 @@ def gen_corpus(config: CorpusConfig, seed: int) -> Corpus:
     planted = config.relevance[0] == "planted"
     template_ids = tuple(_TEMPLATE_QUESTIONS)
     count_weights = np.asarray(config.answer_count_weights, dtype=np.float64)
-    count_weights = count_weights / count_weights.sum()
+    count_cdf = _cdf(count_weights / count_weights.sum())
 
     if config.cell_plan is not None:
         plan = [(k, i) for k, i, count in config.cell_plan for _ in range(count)]
@@ -302,7 +320,7 @@ def gen_corpus(config: CorpusConfig, seed: int) -> Corpus:
             id=qid,
             text=text,
             is_question=is_question,
-            ambiguity_class=("ambiguous", "faceted", "unknown")[int(rng.choice(3, p=(0.3, 0.55, 0.15)))],
+            ambiguity_class=("ambiguous", "faceted", "unknown")[_draw_index(_AMBIGUITY_CDF, rng)],
             traffic_class=("head", "torso", "tail")[int(rng.integers(3))],
         )
         corpus.queries[qid] = query
@@ -327,7 +345,7 @@ def gen_corpus(config: CorpusConfig, seed: int) -> Corpus:
         relevance_by_text: dict[str, float] = {}
         # planted mode holds the answer count fixed within a query so pane
         # quality differences come from coverage and consistency, not size
-        query_k = int(2 + rng.choice(4, p=count_weights)) if planted else 0
+        query_k = 2 + _draw_index(count_cdf, rng) if planted else 0
         for p_index in range(config.panes_per_query):
             pane_id = f"{qid}:p{p_index}"
             if plan_k:
@@ -335,7 +353,7 @@ def gen_corpus(config: CorpusConfig, seed: int) -> Corpus:
             elif planted:
                 k = query_k
             else:
-                k = int(2 + rng.choice(4, p=count_weights))
+                k = 2 + _draw_index(count_cdf, rng)
             template_id = template_ids[int(rng.integers(len(template_ids)))]
             question_text = _TEMPLATE_QUESTIONS[template_id].format(noun=noun)
 
@@ -418,7 +436,7 @@ def simulate_stats(
     corpus: Corpus, model: UserModel, n_per_pane: int, seed: int
 ) -> dict[str, EngagementStats]:
     """Aggregate engagement statistics from the same per-pane draws as
-    simulate_impressions, without materializing records."""
+    simulate_impressions, without building the log."""
     if n_per_pane < 1:
         raise ValueError("n_per_pane must be >= 1")
     stats = {}
@@ -436,7 +454,7 @@ def simulate_stats(
 
 def simulate_impressions(
     corpus: Corpus, model: UserModel, n_per_pane: int, seed: int, base_timestamp: int = 1_600_000_000
-) -> list[ImpressionRecord]:
+) -> ImpressionLog:
     """Draw an impression log; empirical per-answer rates converge to
     oracle_click_rates.  Reformulation and result-click events are sampled
     i.i.d. at the corpus-config rates, after the click draws, so per-pane
@@ -444,29 +462,34 @@ def simulate_impressions(
     if n_per_pane < 1:
         raise ValueError("n_per_pane must be >= 1")
     cfg = corpus.config
-    log: list[ImpressionRecord] = []
+    no_events = np.zeros(n_per_pane, dtype=bool)
+    pieces = []
     for pane_id in sorted(corpus.panes):
         pane = corpus.panes[pane_id]
         rng = _pane_rng(seed, pane_id)
         clicks = click_matrix(model, pane, corpus.pane_relevances(pane_id), n_per_pane, rng)
         query_text = corpus.queries[pane.query_id].text
-        result_flags = rng.random(n_per_pane) < cfg.result_click_rate if cfg.result_click_rate else None
-        reform_flags = rng.random(n_per_pane) < cfg.reformulation_rate if cfg.reformulation_rate else None
-        for j in range(n_per_pane):
-            result_clicks = ()
-            if result_flags is not None and result_flags[j]:
-                dwell = float(rng.uniform(0.0, 60.0))
-                result_clicks = ((f"url:{pane.query_id}:{int(rng.integers(5))}", dwell),)
-            reformulation = None
-            if reform_flags is not None and reform_flags[j]:
-                reformulation = (f"{query_text} again", float(rng.uniform(0.0, 600.0)))
-            log.append(
-                ImpressionRecord(
-                    pane_id=pane_id,
-                    timestamp=base_timestamp + j,
-                    answer_clicks=frozenset(int(p) + 1 for p in np.flatnonzero(clicks[j])),
-                    result_clicks=result_clicks,
-                    reformulation=reformulation,
-                )
-            )
-    return log
+        result_flags = rng.random(n_per_pane) < cfg.result_click_rate if cfg.result_click_rate else no_events
+        reform_flags = rng.random(n_per_pane) < cfg.reformulation_rate if cfg.reformulation_rate else no_events
+        urls, dwells, deltas = [], [], []
+        # each impression's event draws in turn, a result click before a reformulation
+        for j in np.flatnonzero(result_flags | reform_flags).tolist():
+            if result_flags[j]:
+                dwells.append(float(rng.uniform(0.0, 60.0)))
+                urls.append(f"url:{pane.query_id}:{int(rng.integers(5))}")
+            if reform_flags[j]:
+                deltas.append(float(rng.uniform(0.0, 600.0)))
+        pieces.append(ImpressionLog(
+            [pane_id],
+            np.zeros(n_per_pane, dtype=np.intp),
+            base_timestamp + np.arange(n_per_pane, dtype=np.int64),
+            offsets_from_counts(clicks.sum(axis=1)),
+            np.nonzero(clicks)[1].astype(np.int64) + 1,
+            offsets_from_counts(result_flags),
+            urls,
+            dwells,
+            offsets_from_counts(reform_flags),
+            [f"{query_text} again"] * len(deltas),
+            deltas,
+        ))
+    return ImpressionLog.concat(pieces)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clarikit.analytics import (
     click_entropy,
@@ -12,7 +13,7 @@ from clarikit.analytics import (
     multi_click_rate,
     normalized_entropy,
 )
-from clarikit.core import CandidateAnswer, ClarificationPane, ImpressionRecord, Query, collect_stats
+from clarikit.core import CandidateAnswer, ClarificationPane, ImpressionLog, ImpressionRecord, Query, collect_stats
 from clarikit.synthlog import CorpusConfig, UserModel, gen_corpus, simulate_impressions
 
 
@@ -218,6 +219,43 @@ class TestMultiClickRate:
     def test_no_engaged_impressions(self):
         with pytest.raises(ValueError):
             multi_click_rate(impressions("p1", 3))
+
+
+def reference_rates(log, dwell_threshold_s, reformulation_window_s):
+    """dissatisfaction_rate and multi_click_rate (None when nothing is
+    engaged) as the record-by-record loops they replaced: their oracle."""
+    dissatisfied = sum(
+        any(dwell < dwell_threshold_s for _, dwell in rec.result_clicks)
+        or (rec.reformulation is not None and rec.reformulation[1] <= reformulation_window_s)
+        for rec in log
+    )
+    engaged = [rec for rec in log if rec.answer_clicks]
+    multi = sum(len(rec.answer_clicks) >= 2 for rec in engaged)
+    return dissatisfied / len(log) if log else 0.0, multi / len(engaged) if engaged else None
+
+
+# seconds on both sides of the thresholds used below, NaN and infinity included
+event_seconds = st.sampled_from([0.0, 29.5, 30.0, 30.5, 299.0, 300.0, 301.0, math.inf, math.nan])
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.builds(
+    ImpressionRecord,
+    pane_id=st.sampled_from(["p1", "p2"]),
+    timestamp=st.integers(0, 100),
+    answer_clicks=st.frozensets(st.integers(1, 6), max_size=3),
+    result_clicks=st.lists(st.tuples(st.just("u"), event_seconds), max_size=3).map(tuple),
+    reformulation=st.none() | st.tuples(st.just("again"), event_seconds),
+), max_size=40))
+def test_rates_match_the_record_loops(log):
+    dissatisfaction, multi = reference_rates(log, 30.0, 300.0)
+    for view in (log, ImpressionLog.of(log)):
+        assert dissatisfaction_rate(view, 30.0, 300.0) == dissatisfaction
+        if multi is None:
+            with pytest.raises(ValueError):
+                multi_click_rate(view)
+        else:
+            assert multi_click_rate(view) == multi
 
 
 def kappa_pair_counting_oracle(ratings):

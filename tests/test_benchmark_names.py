@@ -63,3 +63,21 @@ def test_benchmark_stage_parses(workload, stage):
 @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
 def test_benchmark_synth_config_keys_are_known(workload):
     assert set(workload.synth_config) <= set(SYNTH_DEFAULTS)
+
+
+def test_traced_hooks_see_the_loaded_log(tmp_path):
+    """The traced run counts load_impressions' result with len
+    (records_loaded), and its collect_stats hook passes list(log)
+    (records_scanned) in place of the log: both views must hold the same
+    impressions, and give the same stats in the same pane order."""
+    from clarikit import dataio
+    from clarikit.core import collect_stats
+    from clarikit.synthlog import CorpusConfig, UserModel, gen_corpus, simulate_impressions
+
+    corpus = gen_corpus(CorpusConfig(n_queries=6, panes_per_query=2, reformulation_rate=0.3, result_click_rate=0.3), seed=2)
+    path = str(tmp_path / "impressions.jsonl")
+    dataio.save_impressions(path, simulate_impressions(corpus, UserModel.examination(), 30, seed=4))
+    log = dataio.load_impressions(path)
+    records = list(log)
+    assert len(log) == len(records) == 6 * 2 * 30
+    assert list(collect_stats(records, corpus.panes).items()) == list(collect_stats(log, corpus.panes).items())

@@ -655,3 +655,90 @@ class TestEnvironment:
         code = run_cli("rank", "--queries", files["queries"], "--panes", files["panes"])
         assert code == 0
         assert os.path.exists(tmp_path / "envout" / "ranked.tsv")
+
+
+def _edited(**fields):
+    """A bad-line maker: the line's record with fields set, or dropped where
+    None, as JSON."""
+    def edit(lines, index):
+        record = json.loads(lines[index])
+        for key, value in fields.items():
+            if value is None:
+                del record[key]
+            else:
+                record[key] = value
+        return json.dumps(record)
+
+    return edit
+
+
+# past the impression loader's first chunk, so a chunk read again record by
+# record must still count its lines
+LATE_LINE = dataio.IMPRESSION_CHUNK_LINES + 7
+
+# (input flag, case, 1-based line, (good lines, line index) -> bad line)
+BAD_INPUTS = [
+    ("--impressions", "broken_json", LATE_LINE, lambda lines, i: lines[i][:25]),
+    ("--impressions", "click_position_zero", LATE_LINE, _edited(answer_clicks=[0, 2])),
+    ("--impressions", "negative_dwell", LATE_LINE, _edited(result_clicks=[["http://a", -1.0]])),
+    ("--impressions", "negative_reformulation_delta", LATE_LINE, _edited(reformulation=["again", -0.5])),
+    ("--impressions", "missing_timestamp", LATE_LINE, _edited(timestamp=None)),
+    ("--impressions", "infinite_timestamp", LATE_LINE, _edited(timestamp=float("inf"))),
+    ("--impressions", "unhashable_pane_id", LATE_LINE, _edited(pane_id=["q000000:p0"])),
+    ("--impressions", "not_an_object", LATE_LINE, lambda lines, i: json.dumps(sorted(json.loads(lines[i])))),
+    ("--impressions", "first_line", 2, lambda lines, i: "{}"),
+    ("--queries", "duplicate_id", 3, lambda lines, i: lines[0]),
+    ("--queries", "no_tokens", 3, _edited(text="?!")),
+    ("--panes", "duplicate_id", 3, lambda lines, i: lines[0]),
+    ("--panes", "unhashable_id", 3, _edited(id=["p"])),
+    ("--intents", "items_not_pairs", 2, _edited(items=5)),
+    ("--labels", "unknown_grade", 2, _edited(overall="Great")),
+    ("--lexicon", "three_columns", 2, lambda lines, i: "a\tb\tc"),
+    ("--history", "non_integer_count", 2, lambda lines, i: "q000000\thttp://x\tmany"),
+    ("--reformulations", "zero_frequency", 2, lambda lines, i: "a\ta b\t0"),
+    ("--click-titles", "three_columns", 2, lambda lines, i: "a\thttp://x\t4"),
+]
+# a command that reads the input, and the inputs it needs besides
+READER = {
+    "--queries": "analyze", "--panes": "analyze", "--impressions": "analyze", "--history": "analyze",
+    "--intents": "rank", "--lexicon": "rank", "--labels": "eval",
+    "--reformulations": "intents", "--click-titles": "intents",
+}
+NEEDS = {
+    "analyze": ("--queries", "--panes", "--impressions"), "rank": ("--queries", "--panes"),
+    "eval": ("--queries", "--panes"), "intents": (),
+}
+
+
+@pytest.mark.parametrize("flag,case,line,make_bad", BAD_INPUTS, ids=[f"{f[2:]}-{c}" for f, c, _, _ in BAD_INPUTS])
+def test_bad_input_line_exits_one_naming_it(side_files, tmp_path, capsys, flag, case, line, make_bad):
+    """A bad line of any line-oriented input: exit 1, a message naming its
+    path:line, no traceback, nothing under --out.  Impression files get a
+    blank first line and two chunks' worth of rows, so line numbers count
+    blank lines and lines of earlier chunks."""
+    with open(side_files[flag], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if flag == "--impressions":
+        lines = [""] + lines * (1 + LATE_LINE // len(lines))
+    lines[line - 1:line] = [make_bad(lines, min(line - 1, len(lines) - 1))]
+    bad = tmp_path / f"bad{os.path.splitext(side_files[flag])[1]}"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    command = READER[flag]
+    argv = [command, "--out", tmp_path / "r"]
+    for needed in NEEDS[command]:
+        argv += [needed, side_files[needed]]
+    assert run_cli(*argv, flag, bad) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:{line}: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_usage_error_exits_one(tmp_path, capsys):
+    """argparse exits 2 on a usage error; the CLI keeps 2 for numerical
+    failures, so its parser exits 1 (here: -inf read as a flag)."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("synth-gen", "--out", tmp_path / "r", "--question-fraction", "-inf")
+    assert exc.value.code == 1
+    assert "expected one argument" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()

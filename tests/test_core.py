@@ -1,3 +1,4 @@
+import re
 from functools import reduce
 
 import numpy as np
@@ -9,6 +10,7 @@ from clarikit.core import (
     ClarificationPane,
     DomainError,
     EngagementStats,
+    ImpressionLog,
     ImpressionRecord,
     PaneLabels,
     Query,
@@ -181,3 +183,46 @@ class TestCollectStats:
                 per_part.setdefault(pane_id, []).append(stats)
         merged = {pane_id: reduce(merge_stats, parts) for pane_id, parts in per_part.items()}
         assert merged == collect_stats(log, self.PANES)
+
+
+def reference_collect_stats(log, panes):
+    """collect_stats as the record-by-record loop it replaced: the oracle for
+    the counting, the unknown-pane error and the pane order."""
+    impressions, engaged, clicks = {}, {}, {}
+    for rec in log:
+        pane = panes.get(rec.pane_id)
+        if pane is None:
+            raise KeyError(f"impression references unknown pane {rec.pane_id!r}")
+        k = pane.answer_count
+        impressions[rec.pane_id] = impressions.get(rec.pane_id, 0) + 1
+        if rec.pane_id not in clicks:
+            clicks[rec.pane_id] = [0] * k
+            engaged[rec.pane_id] = 0
+        valid = [p for p in rec.answer_clicks if 1 <= p <= k]
+        if valid:
+            engaged[rec.pane_id] += 1
+            for p in valid:
+                clicks[rec.pane_id][p - 1] += 1
+    return {
+        pane_id: EngagementStats(impressions[pane_id], engaged[pane_id], tuple(clicks[pane_id]))
+        for pane_id in impressions
+    }
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(sorted(TestCollectStats.PANES) + ["unknown"]), st.frozensets(st.integers(1, 7), max_size=5),
+), max_size=80))
+def test_collect_stats_matches_the_record_loop(entries):
+    """Counts, pane order (first appearance) and the unknown-pane error, for
+    logs holding clicks beyond each pane's answers."""
+    log = [ImpressionRecord(pane_id, t, clicks) for t, (pane_id, clicks) in enumerate(entries)]
+    panes = TestCollectStats.PANES
+    try:
+        expected = list(reference_collect_stats(log, panes).items())
+    except KeyError as exc:
+        with pytest.raises(KeyError, match=re.escape(str(exc))):
+            collect_stats(log, panes)
+        return
+    assert list(collect_stats(log, panes).items()) == expected
+    assert list(collect_stats(ImpressionLog.of(log), panes).items()) == expected

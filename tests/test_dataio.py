@@ -14,6 +14,7 @@ from clarikit.core import (
     TRAFFIC_CLASSES,
     CandidateAnswer,
     ClarificationPane,
+    ImpressionLog,
     ImpressionRecord,
     PaneLabels,
     Query,
@@ -61,7 +62,7 @@ def test_impressions_round_trip(sample):
     tmp, _, _, log = sample
     path = str(tmp / "impressions.jsonl")
     dataio.save_impressions(path, log)
-    assert dataio.load_impressions(path) == log
+    assert list(dataio.load_impressions(path)) == log
 
 
 def test_writes_are_byte_deterministic(sample):
@@ -194,9 +195,121 @@ def test_records_round_trip(query_list, pane_list, log, label_list):
         dataio.save_panes(path, pane_list)
         assert list(dataio.load_panes(path).values()) == pane_list
         dataio.save_impressions(path, log)
-        assert dataio.load_impressions(path) == log
+        assert list(dataio.load_impressions(path)) == log
         dataio.write_jsonl(path, (
             {"query_id": qid, "pane_id": pid, "overall": lab.overall, "landing": list(lab.landing)}
             for qid, pid, lab in label_list
         ))
         assert dataio.load_labels(path) == label_list
+
+
+# -- the impression log ------------------------------------------------------------
+
+
+def _record_line(rec: ImpressionRecord) -> str:
+    """The line json.dumps gives an impression's record, as the writers
+    format every record."""
+    import json
+
+    d = {
+        "pane_id": rec.pane_id,
+        "timestamp": rec.timestamp,
+        "answer_clicks": sorted(rec.answer_clicks),
+        "result_clicks": [[url, dwell] for url, dwell in rec.result_clicks],
+    }
+    if rec.reformulation is not None:
+        d["reformulation"] = list(rec.reformulation)
+    return json.dumps(d, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+
+
+EDGE_RECORDS = {
+    "non_ascii": ImpressionRecord(
+        "pané ✓", 1, frozenset({2}), (("http://例え.jp/ü?q=\"x\"", 3.5),), ("qué \\ tal\n\t ", 0.25)
+    ),
+    "position_above_62": ImpressionRecord("p", 2, frozenset({1, 62, 63, 64, 65, 1000})),
+    "infinite_dwell": ImpressionRecord("p", 3, frozenset(), (("u", float("inf")), ("u", 0.0), ("v", 1e-300))),
+    "nan_dwell_and_delta": ImpressionRecord("p", 4, frozenset(), (("u", float("nan")),), ("t", float("nan"))),
+    "beyond_64_bits": ImpressionRecord("p", 2**70, frozenset({2**64})),
+    "non_string_ids": ImpressionRecord(7, -5, frozenset({1}), ((None, 1.0),), ([1, "x"], 2.0)),
+}
+
+
+@pytest.mark.parametrize("record", EDGE_RECORDS.values(), ids=EDGE_RECORDS)
+def test_impression_line_matches_json_dumps(tmp_path, record):
+    """save_impressions formats lines from the log's columns, byte for byte
+    as json.dumps writes the record, and a loaded log writes the same bytes."""
+    path = tmp_path / "impressions.jsonl"
+    dataio.save_impressions(str(path), [record, record])
+    assert path.read_text(encoding="utf-8") == _record_line(record) * 2
+    again = tmp_path / "again.jsonl"
+    dataio.save_impressions(str(again), dataio.load_impressions(str(path)))
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_non_canonical_lines_load_as_their_records(tmp_path):
+    """Lines a written log never holds (a float timestamp, unsorted or
+    repeated clicks, numbers as strings or bools, an empty reformulation)
+    load as impression_from_dict reads them, in a file of several chunks
+    whose other chunks take the columnar path."""
+    import json
+
+    canonical = [{"pane_id": f"p{i % 3}", "timestamp": i, "answer_clicks": [1, 3]} for i in range(2 * dataio.IMPRESSION_CHUNK_LINES)]
+    odd = [
+        {"pane_id": "p9", "timestamp": 1.9, "answer_clicks": [3, 1, 3, True]},
+        {"pane_id": "p1", "timestamp": "12", "result_clicks": [["u", "2.5"], "v7"], "reformulation": ""},
+        {"pane_id": "p2", "timestamp": True, "reformulation": ["again", 4]},
+    ]
+    rows = canonical[:5] + odd + canonical[5:]
+    path = tmp_path / "impressions.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    records = [dataio.impression_from_dict(row) for row in rows]
+    log = dataio.load_impressions(str(path))
+    assert list(log) == records
+    assert log == ImpressionLog.of(records)
+    assert log.pane_ids == ("p0", "p1", "p2", "p9")
+
+
+def test_impression_log_views(tmp_path):
+    records = [
+        ImpressionRecord("a", 5, frozenset({2, 1}), (("u", 1.0), ("v", 2.0))),
+        ImpressionRecord("b", 6, reformulation=("again", 3.0)),
+        ImpressionRecord("a", 7),
+    ]
+    log = ImpressionLog.of(records)
+    assert len(log) == 3 and list(log) == records
+    assert log.pane_ids == ("a", "b") and log.pane_index.tolist() == [0, 1, 0]
+    assert log.click_offsets.tolist() == [0, 2, 2, 2] and log.click_positions.tolist() == [1, 2]
+    assert log.rows(log.result_offsets).tolist() == [0, 0]
+    assert log.rows(log.reformulation_offsets).tolist() == [1]
+    assert ImpressionLog.concat([ImpressionLog.of(records[:1]), ImpressionLog.of(records[1:])]) == log
+    assert ImpressionLog.of([]) == ImpressionLog.concat([]) and len(ImpressionLog.of([])) == 0
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n \n")
+    assert dataio.load_impressions(str(empty)) == ImpressionLog.of([])
+
+
+@pytest.mark.parametrize("loader,records", [
+    (dataio.load_queries, [{"id": "q1", "text": "a"}, {"id": "q2", "text": "b"}, {"id": "q1", "text": "c"}]),
+    (dataio.load_panes, [
+        {"id": "p1", "query_id": "q1", "question_text": "Which?", "answers": _answers("a", "b")},
+        None,
+        {"id": "p1", "query_id": "q2", "question_text": "Which?", "answers": _answers("c", "d")},
+    ]),
+], ids=["queries", "panes"])
+def test_duplicate_id_rejected(tmp_path, loader, records):
+    """A record whose id an earlier line holds fails; it does not replace
+    the earlier record.  None stands for a blank line."""
+    import json
+
+    path = tmp_path / "records.jsonl"
+    path.write_text("".join(("" if r is None else json.dumps(r)) + "\n" for r in records))
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: invalid record: duplicate id ") + ".*first on line 1"):
+        loader(str(path))
+
+
+@pytest.mark.parametrize("loader", [dataio.load_queries, dataio.load_impressions], ids=["records", "impressions"])
+def test_bytes_that_are_not_utf8_name_the_file(tmp_path, loader):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b'{"id": "q1", "text": "a"}\n{"id": "q\xff"}\n')
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8 at or after line 1: ")):
+        loader(str(path))
