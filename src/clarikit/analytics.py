@@ -2,21 +2,26 @@
 properties, conditional click curves by position, dissatisfaction and
 multi-click rates, and annotator agreement.
 
-Engagement rates in breakdowns are reported relative to the overall average
-of the panes that enter the breakdown, so a bucket at 1.0 engages exactly as
-much as average.  Query-clarification pairs with fewer than 10 impressions
-are dropped before any breakdown.
+Each breakdown is one DIMENSIONS entry: how it buckets a pane (labels from
+the pane and its query, or a number cut into equal-width bins whose rows
+carry quartiles), the report order of its buckets, and whether it needs URL
+click history or keeps only five-answer panes.  Engagement rates in
+breakdowns are reported relative to the overall average of the panes that
+enter the breakdown, so a bucket at 1.0 engages exactly as much as average.
+Query-clarification pairs with fewer than 10 impressions are dropped before
+any breakdown.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .core import (
     ClarificationPane,
+    DomainError,
     EngagementStats,
     ImpressionLog,
     ImpressionRecord,
@@ -24,16 +29,6 @@ from .core import (
     TEMPLATE_IDS,
     conditional_click_distribution,
     engagement_rate,
-)
-
-DIMENSIONS = (
-    "template",
-    "answer_count",
-    "click_entropy_bin",
-    "query_length",
-    "query_type",
-    "unique_url_bin",
-    "url_entropy_bin",
 )
 
 MIN_IMPRESSIONS = 10
@@ -49,8 +44,6 @@ class BreakdownRow:
 
 @dataclass(frozen=True)
 class BreakdownTable:
-    dimension: str
-    overall_rate: float
     rows: tuple[BreakdownRow, ...]
 
 
@@ -94,6 +87,50 @@ def _equal_width_bins(values: np.ndarray, n_bins: int) -> np.ndarray:
     return np.minimum(idx, n_bins - 1)
 
 
+@dataclass(frozen=True)
+class Dimension:
+    """One breakdown.  bucket(pane, query, its stats, the query's URL click
+    history) gives the pane's labels, one per facet group, or, if binned, a
+    number cut into equal-width bins; order sorts the labels for the report."""
+
+    bucket: Callable[[ClarificationPane, Query, EngagementStats, Sequence[tuple[str, int]]], object]
+    order: Callable[[str], object] = str
+    binned: bool = False
+    needs_history: bool = False
+    five_answers_only: bool = False
+
+
+_QUERY_TYPES = (  # three facet groups: question-ness, ambiguity, traffic
+    "question", "not_question", "faceted", "ambiguous", "ambiguity_unknown", "head", "torso", "tail", "traffic_unknown"
+)
+
+
+def _query_type(pane, query, stats, clicks) -> tuple[str, str, str]:
+    return (
+        "question" if query.is_question else "not_question",
+        "ambiguity_unknown" if query.ambiguity_class == "unknown" else query.ambiguity_class,
+        "traffic_unknown" if query.traffic_class == "unknown" else query.traffic_class,
+    )
+
+
+# in the order analyze reports them
+DIMENSIONS = {
+    "template": Dimension(lambda pane, query, stats, clicks: (pane.template_id,), order=TEMPLATE_IDS.index),
+    "answer_count": Dimension(lambda pane, query, stats, clicks: (str(pane.answer_count),), order=int),
+    "click_entropy_bin": Dimension(
+        lambda pane, query, stats, clicks: click_entropy(stats), binned=True, five_answers_only=True
+    ),
+    "query_length": Dimension(lambda pane, query, stats, clicks: (str(query.length),), order=int),
+    "query_type": Dimension(_query_type, order=_QUERY_TYPES.index),
+    "unique_url_bin": Dimension(
+        lambda pane, query, stats, clicks: float(url_stats(clicks)[0]), binned=True, needs_history=True
+    ),
+    "url_entropy_bin": Dimension(
+        lambda pane, query, stats, clicks: url_stats(clicks)[1], binned=True, needs_history=True
+    ),
+}
+
+
 def engagement_breakdown(
     stats: Mapping[str, EngagementStats],
     panes: Mapping[str, ClarificationPane],
@@ -102,118 +139,47 @@ def engagement_breakdown(
     historical_clicks: Mapping[str, Sequence[tuple[str, int]]] | None = None,
     n_bins: int = 5,
 ) -> BreakdownTable:
-    """Relative engagement per bucket of the requested dimension, from the
-    per-pane stats of `collect_stats`.
-
-    Binned dimensions (click entropy, URL stats) also carry box-plot
-    quartiles of the per-pane relative engagement, unweighted over panes.
-    The click-entropy dimension is restricted to five-answer panes.
+    """Relative engagement per bucket of a DIMENSIONS entry, from the
+    per-pane stats of `collect_stats`.  A pane in one bucket per facet group
+    makes each group average to 1.0 under impression weighting; quartiles
+    are unweighted over panes.  Raises DomainError when no pane is eligible.
     """
     if dimension not in DIMENSIONS:
         raise ValueError(f"unknown breakdown dimension {dimension!r}")
-    if dimension in ("unique_url_bin", "url_entropy_bin") and historical_clicks is None:
+    rule = DIMENSIONS[dimension]
+    if rule.needs_history and historical_clicks is None:
         raise ValueError(f"dimension {dimension!r} needs historical clicks per query")
-    if dimension == "query_type":
-        return engagement_by_query_type(stats, panes, queries)
-
+    if n_bins < 1:
+        raise ValueError(f"n_bins must be at least 1, got {n_bins}")
     stats = _eligible(stats)
-    if dimension == "click_entropy_bin":
+    if rule.five_answers_only:
         stats = {pid: s for pid, s in stats.items() if panes[pid].answer_count == 5}
     if not stats:
-        raise ValueError(f"no panes with >= {MIN_IMPRESSIONS} impressions for dimension {dimension!r}")
+        raise DomainError(f"no panes with >= {MIN_IMPRESSIONS} impressions for dimension {dimension!r}")
 
     pane_ids = sorted(stats)
-    buckets = _assign_buckets(dimension, pane_ids, stats, panes, queries, historical_clicks, n_bins)
+    history = historical_clicks or {}
+    qids = [panes[pid].query_id for pid in pane_ids]
+    keys = [rule.bucket(panes[pid], queries[q], stats[pid], history.get(q, ())) for pid, q in zip(pane_ids, qids)]
+    if rule.binned:
+        keys = [(f"bin{j + 1}",) for j in _equal_width_bins(np.array(keys), n_bins)]
+    buckets: dict[str, list[str]] = {}
+    for pid, labels in zip(pane_ids, keys):
+        for label in labels:
+            buckets.setdefault(label, []).append(pid)
 
-    total_impressions = sum(stats[pid].impressions for pid in pane_ids)
-    total_engaged = sum(stats[pid].engaged_impressions for pid in pane_ids)
-    overall = total_engaged / total_impressions
-    with_quartiles = dimension in ("click_entropy_bin", "unique_url_bin", "url_entropy_bin")
-
+    overall = sum(stats[pid].engaged_impressions for pid in pane_ids) / sum(stats[pid].impressions for pid in pane_ids)
     rows = []
-    for bucket in _bucket_order(dimension, buckets.values()):
-        members = [pid for pid in pane_ids if buckets[pid] == bucket]
-        if not members:
-            continue
+    for bucket in sorted(buckets, key=rule.order):
+        members = buckets[bucket]
         impressions = sum(stats[pid].impressions for pid in members)
         engaged = sum(stats[pid].engaged_impressions for pid in members)
-        relative = (engaged / impressions) / overall
         quartiles = None
-        if with_quartiles:
+        if rule.binned:
             per_pane = np.array([engagement_rate(stats[pid]) / overall for pid in members])
             quartiles = tuple(float(q) for q in np.percentile(per_pane, [0, 25, 50, 75, 100]))
-        rows.append(BreakdownRow(bucket, impressions, relative, quartiles))
-    return BreakdownTable(dimension=dimension, overall_rate=overall, rows=tuple(rows))
-
-
-def _assign_buckets(dimension, pane_ids, stats, panes, queries, historical_clicks, n_bins) -> dict[str, str]:
-    if dimension == "template":
-        return {pid: panes[pid].template_id for pid in pane_ids}
-    if dimension == "answer_count":
-        return {pid: str(panes[pid].answer_count) for pid in pane_ids}
-    if dimension == "query_length":
-        return {pid: str(queries[panes[pid].query_id].length) for pid in pane_ids}
-    if dimension == "click_entropy_bin":
-        values = np.array([click_entropy(stats[pid]) for pid in pane_ids])
-        idx = _equal_width_bins(values, n_bins)
-        return {pid: f"bin{j + 1}" for pid, j in zip(pane_ids, idx)}
-    if dimension == "unique_url_bin":
-        values = np.array(
-            [float(url_stats(historical_clicks.get(panes[pid].query_id, ()))[0]) for pid in pane_ids]
-        )
-        idx = _equal_width_bins(values, n_bins)
-        return {pid: f"bin{j + 1}" for pid, j in zip(pane_ids, idx)}
-    values = np.array(
-        [url_stats(historical_clicks.get(panes[pid].query_id, ()))[1] for pid in pane_ids]
-    )
-    idx = _equal_width_bins(values, n_bins)
-    return {pid: f"bin{j + 1}" for pid, j in zip(pane_ids, idx)}
-
-
-def _bucket_order(dimension: str, values) -> list[str]:
-    present = set(values)
-    if dimension == "template":
-        return [t for t in TEMPLATE_IDS if t in present]
-    if dimension in ("answer_count", "query_length"):
-        return sorted(present, key=int)
-    return sorted(present)
-
-
-_QUERY_TYPE_FACETS = (
-    ("question", lambda q: q.is_question),
-    ("not_question", lambda q: not q.is_question),
-    ("faceted", lambda q: q.ambiguity_class == "faceted"),
-    ("ambiguous", lambda q: q.ambiguity_class == "ambiguous"),
-    ("ambiguity_unknown", lambda q: q.ambiguity_class == "unknown"),
-    ("head", lambda q: q.traffic_class == "head"),
-    ("torso", lambda q: q.traffic_class == "torso"),
-    ("tail", lambda q: q.traffic_class == "tail"),
-    ("traffic_unknown", lambda q: q.traffic_class == "unknown"),
-)
-
-
-def engagement_by_query_type(
-    stats: Mapping[str, EngagementStats],
-    panes: Mapping[str, ClarificationPane],
-    queries: Mapping[str, Query],
-) -> BreakdownTable:
-    """Relative engagement per query-type facet.  Each pane contributes to
-    one bucket per facet group (question-ness, ambiguity, traffic), so the
-    three groups each average to 1.0 under impression weighting."""
-    stats = _eligible(stats)
-    if not stats:
-        raise ValueError(f"no panes with >= {MIN_IMPRESSIONS} impressions")
-    total_impressions = sum(s.impressions for s in stats.values())
-    overall = sum(s.engaged_impressions for s in stats.values()) / total_impressions
-    rows = []
-    for bucket, predicate in _QUERY_TYPE_FACETS:
-        members = [pid for pid in sorted(stats) if predicate(queries[panes[pid].query_id])]
-        if not members:
-            continue
-        impressions = sum(stats[pid].impressions for pid in members)
-        engaged = sum(stats[pid].engaged_impressions for pid in members)
-        rows.append(BreakdownRow(bucket, impressions, (engaged / impressions) / overall))
-    return BreakdownTable(dimension="query_type", overall_rate=overall, rows=tuple(rows))
+        rows.append(BreakdownRow(bucket, impressions, (engaged / impressions) / overall, quartiles))
+    return BreakdownTable(rows=tuple(rows))
 
 
 def conditional_click_by_position(

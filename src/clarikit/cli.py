@@ -32,7 +32,7 @@ import numpy as np
 
 from . import analytics, bias, dataio, intents as intents_mod, ranker as ranker_mod, rlc as rlc_mod
 from .bias import NumericalError
-from .core import ImpressionLog, collect_stats, engagement_rate
+from .core import DomainError, collect_stats, engagement_rate
 from .synthlog import CorpusConfig, UserModel, gen_corpus, simulate_impressions
 from .tensor.optim import AdamConfig, NonFiniteGradientError
 
@@ -108,7 +108,10 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     merged = dict(defaults)
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            file_values = json.load(fh)
+            try:
+                file_values = json.load(fh)
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"{args.config}: not JSON: {exc}") from None
         if not isinstance(file_values, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         unknown = set(file_values) - set(defaults)
@@ -149,7 +152,6 @@ def _history(args, log, panes) -> dict[str, list[tuple[str, int]]]:
     elif log is None:
         rows = ()
     else:
-        log = ImpressionLog.of(log)
         query_ids = [panes[pane_id].query_id if pane_id in panes else None for pane_id in log.pane_ids]
         click_queries = (query_ids[pane] for pane in log.pane_index[log.rows(log.result_offsets)].tolist())
         rows = ((query_id, url, 1) for query_id, url in zip(click_queries, log.result_urls) if query_id is not None)
@@ -297,14 +299,14 @@ def cmd_analyze(args, config: dict, out: Outputs) -> None:
     history = _history(args, log, panes)
     stats = collect_stats(log, panes)
 
-    for dimension in analytics.DIMENSIONS:
-        if dimension in ("unique_url_bin", "url_entropy_bin") and not history:
+    for dimension, rule in analytics.DIMENSIONS.items():
+        if rule.needs_history and not history:
             continue
         try:
             table = analytics.engagement_breakdown(
                 stats, panes, queries, dimension, historical_clicks=history, n_bins=config["entropy_bins"]
             )
-        except ValueError:
+        except DomainError:
             continue  # dimension has no eligible panes in this log
         rows = []
         for row in table.rows:
@@ -403,16 +405,13 @@ def cmd_intents(args, config: dict, out: Outputs) -> None:
         queries = dataio.load_queries(args.queries)
         query_ids = {intents_mod.normalize_phrase(q.text): q.id for q in queries.values()}
     sets: list = []
-    min_freq = config["min_freq"]
-    n_max = config["n_max"]
-    if args.reformulations:
-        triples = intents_mod.read_reformulations_tsv(args.reformulations)
-        built = intents_mod.intents_from_reformulations(triples, min_freq=min_freq, query_ids=query_ids)
-        sets.extend(intents_mod.truncate_intents(s, n_max) for s in built.values())
-    if args.click_titles:
-        records = intents_mod.read_click_titles_tsv(args.click_titles)
-        built = intents_mod.intents_from_click_titles(records, min_freq=min_freq, query_ids=query_ids)
-        sets.extend(intents_mod.truncate_intents(s, n_max) for s in built.values())
+    for path, read, mine in (
+        (args.reformulations, intents_mod.read_reformulations_tsv, intents_mod.intents_from_reformulations),
+        (args.click_titles, intents_mod.read_click_titles_tsv, intents_mod.intents_from_click_titles),
+    ):
+        if path:
+            built = mine(read(path), min_freq=config["min_freq"], query_ids=query_ids)
+            sets.extend(intents_mod.truncate_intents(s, config["n_max"]) for s in built.values())
     intents_mod.save_intent_sets(out.path("intents.jsonl"), sets)
 
 

@@ -66,21 +66,12 @@ def intents_from_reformulations(
     below min_freq are dropped after aggregation.  Keys are normalized query
     texts unless a query_ids mapping (normalized text -> id) is given.
     """
-    weights: dict[str, dict[str, float]] = {}
-    parse = _query_parser()
-    for q, q_prime, w in triples:
-        if w < 1:
-            raise ValueError(f"reformulation frequency must be >= 1, got {w}")
-        q_norm, q_tokens = parse(q)
-        intent_tokens = tokenize(q_prime)
-        intent_norm = " ".join(intent_tokens)
-        if not q_norm or intent_norm == q_norm:
-            continue
-        if not contains_query(q_tokens, intent_tokens):
-            continue
-        bucket = weights.setdefault(q_norm, {})
-        bucket[intent_norm] = bucket.get(intent_norm, 0.0) + float(w)
-    return _finish(weights, "reformulation", min_freq, query_ids)
+
+    def intent(query_tokens: list[str], row: tuple[str, str, int]) -> str:
+        tokens = tokenize(row[1])
+        return " ".join(tokens) if len(tokens) > len(query_tokens) and contains_query(query_tokens, tokens) else ""
+
+    return _mine(triples, "reformulation", intent, min_freq, query_ids)
 
 
 def intents_from_click_titles(
@@ -91,40 +82,34 @@ def intents_from_click_titles(
     """Build one click-title-sourced intent set per query.  Titles are
     normalized (site-name suffix stripped, lowercased, punctuation removed)
     and weights are summed click frequencies."""
-    weights: dict[str, dict[str, float]] = {}
-    parse = _query_parser()
-    for q, _url, title, freq in records:
-        if freq < 1:
-            raise ValueError(f"click frequency must be >= 1, got {freq}")
-        q_norm, _tokens = parse(q)
-        intent_norm = normalize_phrase(strip_site_suffix(title))
-        if not q_norm or not intent_norm:
-            continue
-        bucket = weights.setdefault(q_norm, {})
-        bucket[intent_norm] = bucket.get(intent_norm, 0.0) + float(freq)
-    return _finish(weights, "click_title", min_freq, query_ids)
+    return _mine(records, "click_title", lambda _tokens, row: normalize_phrase(strip_site_suffix(row[2])), min_freq, query_ids)
 
 
-def _query_parser() -> Callable[[str], tuple[str, list[str]]]:
-    """raw query text -> (normalize_phrase(text), tokenize(text)), each
-    distinct text tokenized once: a log repeats few queries over many rows."""
-    parsed: dict[str, tuple[str, list[str]]] = {}
-
-    def parse(text: str) -> tuple[str, list[str]]:
-        if text not in parsed:
-            tokens = tokenize(text)
-            parsed[text] = (" ".join(tokens), tokens)
-        return parsed[text]
-
-    return parse
-
-
-def _finish(
-    weights: dict[str, dict[str, float]],
+def _mine(
+    rows: Iterable[tuple],
     source: str,
+    intent: Callable[[list[str], tuple], str],
     min_freq: int,
     query_ids: Mapping[str, str] | None,
 ) -> dict[str, IntentSet]:
+    """One source's intent sets from rows of (query text, ..., frequency):
+    intent(query tokens, row) is the row's normalized intent, "" for none.
+    Each distinct query text is tokenized once: a log repeats few queries
+    over many rows."""
+    parsed: dict[str, tuple[str, list[str]]] = {}
+    weights: dict[str, dict[str, float]] = {}
+    for row in rows:
+        query, count = row[0], row[-1]
+        if count < 1:
+            raise ValueError(f"{source} frequency must be >= 1, got {count}")
+        if query not in parsed:
+            tokens = tokenize(query)
+            parsed[query] = (" ".join(tokens), tokens)
+        q_norm, q_tokens = parsed[query]
+        text = intent(q_tokens, row) if q_norm else ""
+        if text:
+            bucket = weights.setdefault(q_norm, {})
+            bucket[text] = bucket.get(text, 0.0) + float(count)
     out = {}
     for q_norm, bucket in weights.items():
         items = tuple((text, w) for text, w in bucket.items() if w >= min_freq)

@@ -36,7 +36,6 @@ FEATURE_NAMES = tuple(
 @dataclass(frozen=True)
 class FeatureVector:
     values: tuple[float, ...]
-    has_rlc_score: bool
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=np.float64)
@@ -49,8 +48,8 @@ def extract_features(
     rlc_scorer: Callable[[Query, ClarificationPane], float] | None = None,
 ) -> FeatureVector:
     """Deterministic per-pane feature vector.  URL statistics are zero when
-    the query has no click history; the model score slot is zero (and flagged
-    absent) when no scorer is supplied."""
+    the query has no click history; the model score slot is zero when no
+    scorer is supplied."""
     template = [1.0 if pane.template_id == t else 0.0 for t in TEMPLATE_IDS]
     if sum(template) != 1.0:
         template = [0.0] * (len(TEMPLATE_IDS) - 1) + [1.0]  # unknown ids count as "other"
@@ -68,7 +67,7 @@ def extract_features(
         + traffic
         + [float(pane.answer_count), float(unique_urls), url_entropy, rlc_score]
     )
-    return FeatureVector(values=values, has_rlc_score=rlc_scorer is not None)
+    return FeatureVector(values=values)
 
 
 # -- nDCG ------------------------------------------------------------------
@@ -126,8 +125,11 @@ class TreeNode:
 
     @staticmethod
     def from_dict(d: dict) -> "TreeNode":
+        """A tree of the ensemble format; its splits index FEATURE_NAMES."""
         if "value" in d and "feature" not in d:
             return TreeNode(value=float(d["value"]))
+        if not 0 <= int(d["feature"]) < len(FEATURE_NAMES):
+            raise ValueError(f"split feature {d['feature']} is not one of the {len(FEATURE_NAMES)} features")
         return TreeNode(
             feature=int(d["feature"]),
             threshold=float(d["threshold"]),
@@ -143,8 +145,8 @@ class LambdaMartConfig:
     shrinkage: float = 0.1
 
     def __post_init__(self):
-        if self.max_depth > 4:
-            raise ValueError("tree depth is capped at 4")
+        if not 0 <= self.max_depth <= 4:
+            raise ValueError(f"tree depth must be 0 to 4, got {self.max_depth}")
         if self.n_trees < 0 or self.shrinkage <= 0:
             raise ValueError("bad boosting config")
 
@@ -176,15 +178,26 @@ class BoostedEnsemble:
 
     @staticmethod
     def load(path: str) -> "BoostedEnsemble":
+        """A saved ensemble; a ValueError naming the path unless it is one
+        over FEATURE_NAMES."""
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != "clarikit-ensemble":
+            try:
+                payload = json.load(fh)
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"{path}: not JSON: {exc}") from None
+        if not isinstance(payload, dict) or payload.get("format") != "clarikit-ensemble":
             raise ValueError(f"{path}: not an ensemble file")
-        return BoostedEnsemble(
-            trees=[TreeNode.from_dict(d) for d in payload["trees"]],
-            shrinkage=float(payload["shrinkage"]),
-            feature_names=tuple(payload["feature_names"]),
-        )
+        try:
+            ensemble = BoostedEnsemble(
+                trees=[TreeNode.from_dict(d) for d in payload["trees"]],
+                shrinkage=float(payload["shrinkage"]),
+                feature_names=tuple(payload["feature_names"]),
+            )
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: invalid ensemble: {exc!r}") from None
+        if ensemble.feature_names != FEATURE_NAMES:
+            raise ValueError(f"{path}: feature names differ from the {len(FEATURE_NAMES)} this version extracts")
+        return ensemble
 
 
 def _lambda_gradients(labels: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -377,6 +390,8 @@ def randomization_test(
     b = np.asarray(per_query_b, dtype=np.float64)
     if a.shape != b.shape or a.size == 0:
         raise ValueError("need two equal-length non-empty metric vectors")
+    if rounds < 1:
+        raise ValueError(f"rounds must be at least 1, got {rounds}")
     diffs = a - b
     observed = abs(diffs.mean())
     rng = np.random.default_rng(seed)

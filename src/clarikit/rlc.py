@@ -56,6 +56,9 @@ class RlcConfig:
     head_hidden: int = 64
 
     def __post_init__(self):
+        for name, least in (("dim", 1), ("heads", 1), ("layers", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
         if not (2 <= self.answer_slots <= 5):
@@ -269,8 +272,20 @@ class RlcModel:
 
     @staticmethod
     def load(path: str, requires_grad: bool = True) -> "RlcModel":
+        """A saved model; a ValueError naming the path unless its config is
+        valid and it holds exactly the parameters, by name and shape, that
+        the config implies."""
         tensors, config = checkpoint.load_tensors(path, requires_grad=requires_grad)
-        return RlcModel(RlcConfig.from_dict(config), tensors)
+        try:
+            config = RlcConfig.from_dict(config)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: invalid model config: {exc}") from None
+        expected = {name: t.data.shape for name, t in RlcModel.init(config, seed=0).params.items()}
+        found = {name: t.data.shape for name, t in tensors.items()}
+        if found != expected:
+            wrong = sorted(name for name in expected.keys() | found.keys() if expected.get(name) != found.get(name))
+            raise ValueError(f"{path}: parameters missing, unexpected or misshapen for its config: {wrong[:5]}")
+        return RlcModel(config, tensors)
 
 
 def pair_probabilities(score_a: float, score_b: float) -> tuple[float, float]:

@@ -742,3 +742,83 @@ def test_usage_error_exits_one(tmp_path, capsys):
     assert exc.value.code == 1
     assert "expected one argument" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+def _edited_document(edit):
+    """A bad-document maker: the good JSON document, changed in place by
+    edit."""
+    def make(text):
+        document = json.loads(text)
+        edit(document)
+        return json.dumps(document)
+
+    return make
+
+
+SPLIT_ON_99 = {"feature": 99, "threshold": 0.5, "left": {"value": 1.0}, "right": {"value": 0.0}}
+
+# (input flag, case, good text -> bad text)
+BAD_DOCUMENTS = [
+    ("--ensemble", "not_json", lambda text: "not json\n"),
+    ("--ensemble", "empty_list", lambda text: "[]\n"),
+    ("--ensemble", "tree_is_a_number", _edited_document(lambda d: d["trees"].insert(0, 5))),
+    ("--ensemble", "split_on_feature_99", _edited_document(lambda d: d["trees"].insert(0, SPLIT_ON_99))),
+    ("--ensemble", "other_feature_names", _edited_document(lambda d: d["feature_names"].reverse())),
+    ("--ensemble", "nested_too_deep", lambda text: '{"trees": [' + "[" * 5000 + "]" * 5000 + "]}"),
+    ("--rlc-model", "not_json", lambda text: "not json\n"),
+    ("--rlc-model", "unknown_config_key", _edited_document(lambda d: d["config"].update(colour=1))),
+    ("--rlc-model", "no_embed_table", _edited_document(lambda d: d["tensors"].pop("embed.table"))),
+    ("--rlc-model", "misshapen_tensor", _edited_document(lambda d: d["tensors"]["head.b2"].update(shape=[1, 1]))),
+    ("--model", "not_json", lambda text: "not json\n"),
+    ("--model", "no_embed_table", _edited_document(lambda d: d["tensors"].pop("embed.table"))),
+    ("--config", "not_json", lambda text: "not json\n"),
+]
+DOCUMENT_READER = {
+    "--ensemble": ("rank", ("--queries", "--panes")),
+    "--rlc-model": ("rank", ("--queries", "--panes")),
+    "--model": ("fine-tune-rlc", ("--queries", "--panes", "--labels")),
+    "--config": ("analyze", ("--queries", "--panes", "--impressions")),
+}
+
+
+@pytest.mark.parametrize("flag,case,make_bad", BAD_DOCUMENTS, ids=[f"{f[2:]}-{c}" for f, c, _ in BAD_DOCUMENTS])
+def test_bad_document_exits_one_naming_it(side_files, tmp_path, capsys, flag, case, make_bad):
+    """A malformed single-document input (a model, an ensemble, a config):
+    exit 1, a message naming its path, no traceback, nothing under --out."""
+    good = "{}" if flag == "--config" else open(side_files[flag], encoding="utf-8").read()
+    bad = tmp_path / "bad.json"
+    bad.write_text(make_bad(good), encoding="utf-8")
+    command, needs = DOCUMENT_READER[flag]
+    argv = [command, "--out", tmp_path / "r"]
+    for needed in needs:
+        argv += [needed, side_files[needed]]
+    assert run_cli(*argv, flag, bad) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
+# (command, its input flags, its other flags, the message)
+OUT_OF_DOMAIN = [
+    ("train-rlc", ["--impressions"], ["--heads", 0, "--dim", 16, "--hash-buckets", 256, "--steps", 2,
+                                      "--warmup-steps", 1], "heads must be at least 1, got 0"),
+    ("analyze", ["--impressions"], ["--entropy-bins", 0], "n_bins must be at least 1, got 0"),
+    ("train-ranker", ["--impressions"], ["--depth", -1, "--trees", 2], "tree depth must be 0 to 4, got -1"),
+    ("eval", ["--labels"], ["--randomization-rounds", -5], "rounds must be at least 1, got -5"),
+]
+
+
+@pytest.mark.parametrize("command,input_flags,extra,message", OUT_OF_DOMAIN, ids=[run[0] for run in OUT_OF_DOMAIN])
+def test_number_outside_its_domain_exits_one(side_files, tmp_path, capsys, command, input_flags, extra, message):
+    """A config value outside its domain (zero heads or bins, a negative
+    depth or round count) is rejected: exit 1, no traceback, nothing under
+    --out."""
+    argv = [command, "--out", tmp_path / "r"]
+    for flag in CORPUS_FLAGS + input_flags:
+        argv += [flag, side_files[flag]]
+    assert run_cli(*argv, *extra) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()

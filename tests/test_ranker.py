@@ -86,7 +86,6 @@ class TestFeatures:
         named = dict(zip(FEATURE_NAMES, vec.values))
         assert named["unique_clicked_urls"] == 0.0
         assert named["url_click_entropy_norm"] == 0.0
-        assert vec.has_rlc_score is False
 
     def test_uniform_clicks_give_entropy_one(self):
         query = Query("q", "jaguar")
@@ -118,7 +117,6 @@ class TestFeatures:
         query = Query("q", "jaguar")
         vec = extract_features(query, make_pane("p", "q"), None, rlc_scorer=lambda q, p: 0.625)
         assert vec.values[-1] == 0.625
-        assert vec.has_rlc_score is True
 
 
 def separable_training_set(n_queries=50, seed=0):
