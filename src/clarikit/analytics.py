@@ -113,20 +113,25 @@ def _query_type(pane, query, stats, clicks) -> tuple[str, str, str]:
     )
 
 
+def _bin_number(label: str) -> int:
+    return int(label.removeprefix("bin"))
+
+
 # in the order analyze reports them
 DIMENSIONS = {
     "template": Dimension(lambda pane, query, stats, clicks: (pane.template_id,), order=TEMPLATE_IDS.index),
     "answer_count": Dimension(lambda pane, query, stats, clicks: (str(pane.answer_count),), order=int),
     "click_entropy_bin": Dimension(
-        lambda pane, query, stats, clicks: click_entropy(stats), binned=True, five_answers_only=True
+        lambda pane, query, stats, clicks: click_entropy(stats), order=_bin_number, binned=True, five_answers_only=True
     ),
     "query_length": Dimension(lambda pane, query, stats, clicks: (str(query.length),), order=int),
     "query_type": Dimension(_query_type, order=_QUERY_TYPES.index),
     "unique_url_bin": Dimension(
-        lambda pane, query, stats, clicks: float(url_stats(clicks)[0]), binned=True, needs_history=True
+        lambda pane, query, stats, clicks: float(url_stats(clicks)[0]),
+        order=_bin_number, binned=True, needs_history=True,
     ),
     "url_entropy_bin": Dimension(
-        lambda pane, query, stats, clicks: url_stats(clicks)[1], binned=True, needs_history=True
+        lambda pane, query, stats, clicks: url_stats(clicks)[1], order=_bin_number, binned=True, needs_history=True
     ),
 }
 

@@ -132,10 +132,13 @@ def query_to_dict(q: Query) -> dict:
 
 
 def query_from_dict(d: dict) -> Query:
+    is_question = d.get("is_question", False)
+    if not isinstance(is_question, bool):
+        raise ValueError(f"is_question must be true or false, got {is_question!r}")
     return Query(
         id=d["id"],
         text=d["text"],
-        is_question=bool(d.get("is_question", False)),
+        is_question=is_question,
         ambiguity_class=d.get("ambiguity_class", "unknown"),
         traffic_class=d.get("traffic_class", "unknown"),
     )

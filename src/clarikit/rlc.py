@@ -16,9 +16,10 @@ the higher engagement label.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .core import ClarificationPane, Query, tokenize
 from .intents import IntentSet
 from .tensor import autodiff as ad
 from .tensor.autodiff import Tensor
-from .tensor.nn import init_encoder_layer, masked_mean_rows, transformer_encoder_layer
+from .tensor.nn import ParamSpec, dense, encoder_layer_layout, init_params, masked_mean_rows, transformer_encoder_layer
 from .tensor.optim import Adam, AdamConfig
 from .tensor.text import text_encode
 from .tensor import checkpoint
@@ -56,31 +57,40 @@ class RlcConfig:
     head_hidden: int = 64
 
     def __post_init__(self):
-        for name, least in (("dim", 1), ("heads", 1), ("layers", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        for name, least in (("dim", 1), ("heads", 1), ("layers", 0), ("answer_slots", 2), ("max_intents", 1),
+                            ("hash_buckets", 2), ("ff_dim", 1), ("head_hidden", 1)):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+        if self.answer_slots > 5:
+            raise ValueError(f"answer_slots must be at most 5, got {self.answer_slots}")
         if self.dim % self.heads != 0:
-            raise ValueError("dim must be divisible by heads")
-        if not (2 <= self.answer_slots <= 5):
-            raise ValueError("answer_slots must be in [2, 5]")
-        if self.max_intents < 1 or self.hash_buckets < 2:
-            raise ValueError("bad config")
+            raise ValueError(f"dim {self.dim} must be divisible by heads {self.heads}")
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "heads": self.heads,
-            "layers": self.layers,
-            "answer_slots": self.answer_slots,
-            "max_intents": self.max_intents,
-            "hash_buckets": self.hash_buckets,
-            "ff_dim": self.ff_dim,
-            "head_hidden": self.head_hidden,
-        }
 
-    @staticmethod
-    def from_dict(d: dict) -> "RlcConfig":
-        return RlcConfig(**d)
+def param_layout(config: RlcConfig) -> Iterator[tuple[str, ParamSpec]]:
+    """(name, spec) of every parameter of this config, in draw order and made
+    lazily, so a reader may stop early.  One shared embedding table; per-role
+    projections keep the encoder roles distinct in the same token space."""
+    d = config.dim
+    yield "embed.table", ParamSpec((config.hash_buckets, d), 0.1)
+    for role in ("ice.reformulation", "ice.click_title", "ace.answer", "ace.question"):
+        yield f"{role}.proj", dense(d, d)
+    for source in INTENT_SOURCES:
+        for stage in ("answers_enc", "intents_enc"):
+            for layer in range(config.layers):
+                yield from encoder_layer_layout(f"ice.{source}.{stage}.l{layer}", d, config.heads, config.ff_dim)
+        for i in (1, 2):
+            yield f"ice.{source}.ff_w{i}", dense(d, d)
+            yield f"ice.{source}.ff_b{i}", ParamSpec((d,))
+    for layer in range(config.layers):
+        yield from encoder_layer_layout(f"ace.enc.l{layer}", d, config.heads, config.ff_dim)
+    yield "head.w1", dense(3 * d, config.head_hidden)  # two intent sources + the consistency branch
+    yield "head.b1", ParamSpec((config.head_hidden,))
+    yield "head.w2", dense(config.head_hidden, 1)
+    yield "head.b2", ParamSpec((1,))
 
 
 @dataclass(frozen=True)
@@ -112,30 +122,7 @@ class RlcModel:
 
     @staticmethod
     def init(config: RlcConfig, seed: int) -> "RlcModel":
-        rng = np.random.default_rng(seed)
-        d = config.dim
-        params: dict[str, Tensor] = {}
-        # one shared embedding table; per-role projections keep the encoder
-        # roles distinct while reusing the same token space
-        params["embed.table"] = Tensor(rng.standard_normal((config.hash_buckets, d)) * 0.1, requires_grad=True)
-        for role in ("ice.reformulation", "ice.click_title", "ace.answer", "ace.question"):
-            params[f"{role}.proj"] = Tensor(rng.standard_normal((d, d)) * (1.0 / np.sqrt(d)), requires_grad=True)
-        for source in INTENT_SOURCES:
-            for stage in ("answers_enc", "intents_enc"):
-                for layer in range(config.layers):
-                    params.update(init_encoder_layer(f"ice.{source}.{stage}.l{layer}", d, config.heads, config.ff_dim, rng))
-            params[f"ice.{source}.ff_w1"] = Tensor(rng.standard_normal((d, d)) * (1.0 / np.sqrt(d)), requires_grad=True)
-            params[f"ice.{source}.ff_b1"] = Tensor(np.zeros(d), requires_grad=True)
-            params[f"ice.{source}.ff_w2"] = Tensor(rng.standard_normal((d, d)) * (1.0 / np.sqrt(d)), requires_grad=True)
-            params[f"ice.{source}.ff_b2"] = Tensor(np.zeros(d), requires_grad=True)
-        for layer in range(config.layers):
-            params.update(init_encoder_layer(f"ace.enc.l{layer}", d, config.heads, config.ff_dim, rng))
-        concat_dim = 3 * d  # two intent sources + the consistency branch
-        params["head.w1"] = Tensor(rng.standard_normal((concat_dim, config.head_hidden)) * (1.0 / np.sqrt(concat_dim)), requires_grad=True)
-        params["head.b1"] = Tensor(np.zeros(config.head_hidden), requires_grad=True)
-        params["head.w2"] = Tensor(rng.standard_normal((config.head_hidden, 1)) * (1.0 / np.sqrt(config.head_hidden)), requires_grad=True)
-        params["head.b2"] = Tensor(np.zeros(1), requires_grad=True)
-        return RlcModel(config, params)
+        return RlcModel(config, init_params(param_layout(config), np.random.default_rng(seed)))
 
     # -- forward ----------------------------------------------------------
 
@@ -268,7 +255,7 @@ class RlcModel:
     # -- persistence -------------------------------------------------------
 
     def save(self, path: str) -> None:
-        checkpoint.save_tensors(path, self.params, config=self.config.to_dict())
+        checkpoint.save_tensors(path, self.params, config=asdict(self.config))
 
     @staticmethod
     def load(path: str, requires_grad: bool = True) -> "RlcModel":
@@ -277,13 +264,16 @@ class RlcModel:
         the config implies."""
         tensors, config = checkpoint.load_tensors(path, requires_grad=requires_grad)
         try:
-            config = RlcConfig.from_dict(config)
+            config = RlcConfig(**config)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: invalid model config: {exc}") from None
-        expected = {name: t.data.shape for name, t in RlcModel.init(config, seed=0).params.items()}
         found = {name: t.data.shape for name, t in tensors.items()}
-        if found != expected:
-            wrong = sorted(name for name in expected.keys() | found.keys() if expected.get(name) != found.get(name))
+        # one spec past the file's count tells a config that implies more (say 10**9 layers)
+        expected = {name: spec.shape for name, spec in itertools.islice(param_layout(config), len(found) + 1)}
+        if len(expected) > len(found):
+            raise ValueError(f"{path}: its config implies more than the {len(found)} parameters the file holds")
+        wrong = sorted({name for name, _ in found.items() ^ expected.items()})
+        if wrong:
             raise ValueError(f"{path}: parameters missing, unexpected or misshapen for its config: {wrong[:5]}")
         return RlcModel(config, tensors)
 

@@ -21,6 +21,13 @@ from .autodiff import (
     zero_grads,
 )
 from .checkpoint import load_tensors, save_tensors
-from .nn import attention_weights, init_encoder_layer, masked_mean_rows, multi_head_self_attention, transformer_encoder_layer
+from .nn import (
+    ParamSpec,
+    encoder_layer_layout,
+    init_params,
+    masked_mean_rows,
+    multi_head_self_attention,
+    transformer_encoder_layer,
+)
 from .optim import Adam, AdamConfig, NonFiniteGradientError, schedule_factor
 from .text import sequence_ids, text_encode

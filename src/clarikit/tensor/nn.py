@@ -9,11 +9,14 @@ block-diagonal pass; a (batch, seq, seq) mask gives each sequence of a stack
 its own.
 
 Parameters live in one flat name -> Tensor dict: a layer reads its weights
-as params[f"{prefix}.<name>"], and its head count is the number of
-{prefix}.h{i}.wq names present.
+as params[f"{prefix}.<name>"] and its head count from their shapes, and
+encoder_layer_layout declares those names, shapes and initialisations.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -22,44 +25,46 @@ from .autodiff import Tensor, add, layer_norm, matmul, mul, relu, softmax, trans
 MASK_NEG = -1e9
 
 
-def init_encoder_layer(prefix: str, dim: int, n_heads: int, ff_dim: int, rng: np.random.Generator) -> dict[str, Tensor]:
-    """One encoder layer's parameters, named {prefix}.h{i}.wq/wk/wv/wo per
-    head, then {prefix}.ff_* and {prefix}.ln*_*.  Each head's wo is
+@dataclass(frozen=True)
+class ParamSpec:
+    """A shape and initial value: standard normals times scale, or fill where scale is None."""
+
+    shape: tuple[int, ...]
+    scale: float | None = None
+    fill: float = 0.0
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        return np.full(self.shape, self.fill) if self.scale is None else rng.standard_normal(self.shape) * self.scale
+
+
+def dense(rows: int, cols: int) -> ParamSpec:
+    """A (rows, cols) weight drawn at scale 1/sqrt(rows)."""
+    return ParamSpec((rows, cols), 1.0 / np.sqrt(rows))
+
+
+def init_params(layout: Iterator[tuple[str, ParamSpec]], rng: np.random.Generator) -> dict[str, Tensor]:
+    """Every parameter of a layout of (name, spec) pairs, drawn from rng in order."""
+    return {name: Tensor(spec.draw(rng), requires_grad=True) for name, spec in layout}
+
+
+def encoder_layer_layout(prefix: str, dim: int, n_heads: int, ff_dim: int) -> Iterator[tuple[str, ParamSpec]]:
+    """One encoder layer's (name, spec) pairs in draw order: {prefix}.h{i}.wq/wk/wv/wo
+    per head, then {prefix}.ff_* and {prefix}.ln*_*.  Each head's wo is
     (head_dim, dim): per-head outputs are projected and summed."""
     if dim % n_heads != 0:
         raise ValueError(f"model dim {dim} not divisible by {n_heads} heads")
     head_dim = dim // n_heads
-
-    def w(rows, cols, scale):
-        return Tensor(rng.standard_normal((rows, cols)) * scale, requires_grad=True)
-
-    def const(value, size):
-        return Tensor(np.full(size, value), requires_grad=True)
-
-    attn_scale = 1.0 / np.sqrt(dim)
-    params = {}
     for i in range(n_heads):
-        params[f"{prefix}.h{i}.wq"] = w(dim, head_dim, attn_scale)
-        params[f"{prefix}.h{i}.wk"] = w(dim, head_dim, attn_scale)
-        params[f"{prefix}.h{i}.wv"] = w(dim, head_dim, attn_scale)
-        params[f"{prefix}.h{i}.wo"] = w(head_dim, dim, 1.0 / np.sqrt(head_dim))
-    params[f"{prefix}.ff_w1"] = w(dim, ff_dim, 1.0 / np.sqrt(dim))
-    params[f"{prefix}.ff_b1"] = const(0.0, ff_dim)
-    params[f"{prefix}.ff_w2"] = w(ff_dim, dim, 1.0 / np.sqrt(ff_dim))
-    params[f"{prefix}.ff_b2"] = const(0.0, dim)
-    params[f"{prefix}.ln1_gain"] = const(1.0, dim)
-    params[f"{prefix}.ln1_bias"] = const(0.0, dim)
-    params[f"{prefix}.ln2_gain"] = const(1.0, dim)
-    params[f"{prefix}.ln2_bias"] = const(0.0, dim)
-    return params
-
-
-def _heads(params: dict[str, Tensor], prefix: str) -> list[str]:
-    """The {prefix}.h{i} name stems of a layer's heads, in order."""
-    stems = []
-    while f"{prefix}.h{len(stems)}.wq" in params:
-        stems.append(f"{prefix}.h{len(stems)}")
-    return stems
+        for name in ("wq", "wk", "wv"):
+            yield f"{prefix}.h{i}.{name}", dense(dim, head_dim)
+        yield f"{prefix}.h{i}.wo", dense(head_dim, dim)
+    yield f"{prefix}.ff_w1", dense(dim, ff_dim)
+    yield f"{prefix}.ff_b1", ParamSpec((ff_dim,))
+    yield f"{prefix}.ff_w2", dense(ff_dim, dim)
+    yield f"{prefix}.ff_b2", ParamSpec((dim,))
+    for norm in ("ln1", "ln2"):
+        yield f"{prefix}.{norm}_gain", ParamSpec((dim,), fill=1.0)
+        yield f"{prefix}.{norm}_bias", ParamSpec((dim,))
 
 
 def _mask_bias(key_mask: np.ndarray | None, x_shape: tuple[int, ...]) -> Tensor | None:
@@ -82,10 +87,11 @@ def multi_head_self_attention(
     """Scaled dot-product self-attention; per-head results are projected back
     to model dim and summed (equivalent to concat followed by one output
     projection)."""
-    scale = Tensor(1.0 / np.sqrt(params[f"{prefix}.h0.wq"].shape[1]))
+    dim, head_dim = params[f"{prefix}.h0.wq"].shape
+    scale = Tensor(1.0 / np.sqrt(head_dim))
     bias = _mask_bias(key_mask, x.shape)
     out = None
-    for head in _heads(params, prefix):
+    for head in (f"{prefix}.h{i}" for i in range(dim // head_dim)):
         q = matmul(x, params[f"{head}.wq"])
         k = matmul(x, params[f"{head}.wk"])
         v = matmul(x, params[f"{head}.wv"])
@@ -98,31 +104,12 @@ def multi_head_self_attention(
     return out
 
 
-def attention_weights(
-    x: Tensor, params: dict[str, Tensor], prefix: str, key_mask: np.ndarray | None = None
-) -> list[np.ndarray]:
-    """Forward-only attention matrices per head, for inspection and tests."""
-    head_dim = params[f"{prefix}.h0.wq"].shape[1]
-    bias = _mask_bias(key_mask, x.shape)
-    weights = []
-    for head in _heads(params, prefix):
-        q = x.data @ params[f"{head}.wq"].data
-        k = x.data @ params[f"{head}.wk"].data
-        scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(head_dim)
-        if bias is not None:
-            scores = scores + bias.data
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        weights.append(e / e.sum(axis=-1, keepdims=True))
-    return weights
-
-
 def transformer_encoder_layer(
     x: Tensor, params: dict[str, Tensor], prefix: str, key_mask: np.ndarray | None = None
 ) -> Tensor:
     """Attention sublayer with residual + layer norm, then a position-wise
     feed-forward sublayer with residual + layer norm.  Reads the weights of
-    init_encoder_layer(prefix, ...) from params."""
+    encoder_layer_layout(prefix, ...) from params."""
     p = f"{prefix}."
     attended = multi_head_self_attention(x, params, prefix, key_mask=key_mask)
     x1 = layer_norm(add(x, attended), params[p + "ln1_gain"], params[p + "ln1_bias"])

@@ -71,6 +71,19 @@ class TestEngagementBreakdown:
         table = engagement_breakdown(collect_stats(log, panes), panes, queries, "click_entropy_bin")
         assert sum(r.impressions for r in table.rows) == 15
 
+    def test_bins_sort_by_bin_index(self):
+        """Twelve queries with 1..12 distinct clicked URLs fill twelve bins,
+        reported bin1, bin2, ..., bin12 (not bin1, bin10, ...)."""
+        ids = range(1, 13)
+        panes = {f"p{i}": make_pane(f"p{i}", f"q{i}") for i in ids}
+        queries = {f"q{i}": Query(f"q{i}", "jaguar") for i in ids}
+        log = [record for i in ids for record in impressions(f"p{i}", 10, [{1}] * 2)]
+        history = {f"q{i}": [(f"http://u/{j}", 1) for j in range(i)] for i in ids}
+        table = engagement_breakdown(
+            collect_stats(log, panes), panes, queries, "unique_url_bin", historical_clicks=history, n_bins=12
+        )
+        assert [r.bucket for r in table.rows] == [f"bin{i}" for i in ids]
+
     def test_min_impressions_dropped(self):
         panes = {"p1": make_pane("p1", "q1"), "p2": make_pane("p2", "q2")}
         queries = {"q1": Query("q1", "jaguar"), "q2": Query("q2", "python")}

@@ -689,6 +689,7 @@ BAD_INPUTS = [
     ("--impressions", "first_line", 2, lambda lines, i: "{}"),
     ("--queries", "duplicate_id", 3, lambda lines, i: lines[0]),
     ("--queries", "no_tokens", 3, _edited(text="?!")),
+    ("--queries", "is_question_a_string", 3, _edited(is_question="false")),
     ("--panes", "duplicate_id", 3, lambda lines, i: lines[0]),
     ("--panes", "unhashable_id", 3, _edited(id=["p"])),
     ("--intents", "items_not_pairs", 2, _edited(items=5)),
@@ -769,6 +770,12 @@ BAD_DOCUMENTS = [
     ("--rlc-model", "unknown_config_key", _edited_document(lambda d: d["config"].update(colour=1))),
     ("--rlc-model", "no_embed_table", _edited_document(lambda d: d["tensors"].pop("embed.table"))),
     ("--rlc-model", "misshapen_tensor", _edited_document(lambda d: d["tensors"]["head.b2"].update(shape=[1, 1]))),
+    # configs that claim more than the file holds: refused before anything
+    # of their size is allocated or listed
+    ("--rlc-model", "huge_dims", _edited_document(lambda d: d["config"].update(dim=10**6, hash_buckets=10**9))),
+    ("--rlc-model", "huge_layers", _edited_document(lambda d: d["config"].update(layers=10**9))),
+    ("--rlc-model", "huge_heads", _edited_document(lambda d: d["config"].update(dim=10**9, heads=10**9))),
+    ("--rlc-model", "fractional_layers", _edited_document(lambda d: d["config"].update(layers=1.5))),
     ("--model", "not_json", lambda text: "not json\n"),
     ("--model", "no_embed_table", _edited_document(lambda d: d["tensors"].pop("embed.table"))),
     ("--config", "not_json", lambda text: "not json\n"),
@@ -806,14 +813,24 @@ OUT_OF_DOMAIN = [
     ("analyze", ["--impressions"], ["--entropy-bins", 0], "n_bins must be at least 1, got 0"),
     ("train-ranker", ["--impressions"], ["--depth", -1, "--trees", 2], "tree depth must be 0 to 4, got -1"),
     ("eval", ["--labels"], ["--randomization-rounds", -5], "rounds must be at least 1, got -5"),
+    ("train-rlc", ["--impressions"], ["--max-intents", 0, "--dim", 16, "--hash-buckets", 256, "--steps", 2,
+                                      "--warmup-steps", 1], "max_intents must be at least 1, got 0"),
+    # numpy refuses the 466 TiB embedding table before touching any memory
+    ("train-rlc", ["--impressions"], ["--hash-buckets", 10**12, "--steps", 2, "--warmup-steps", 1], "out of memory"),
+]
+# a command's first case is named by the command, a later one also by its
+# first flag
+OUT_OF_DOMAIN_IDS = [
+    command if all(run[0] != command for run in OUT_OF_DOMAIN[:i]) else f"{command}{extra[0]}"
+    for i, (command, _, extra, _) in enumerate(OUT_OF_DOMAIN)
 ]
 
 
-@pytest.mark.parametrize("command,input_flags,extra,message", OUT_OF_DOMAIN, ids=[run[0] for run in OUT_OF_DOMAIN])
+@pytest.mark.parametrize("command,input_flags,extra,message", OUT_OF_DOMAIN, ids=OUT_OF_DOMAIN_IDS)
 def test_number_outside_its_domain_exits_one(side_files, tmp_path, capsys, command, input_flags, extra, message):
-    """A config value outside its domain (zero heads or bins, a negative
-    depth or round count) is rejected: exit 1, no traceback, nothing under
-    --out."""
+    """A config value outside its domain (zero heads, intents or bins, a
+    negative depth or round count, an embedding table too large to
+    allocate) is rejected: exit 1, no traceback, nothing under --out."""
     argv = [command, "--out", tmp_path / "r"]
     for flag in CORPUS_FLAGS + input_flags:
         argv += [flag, side_files[flag]]

@@ -4,49 +4,68 @@ import pytest
 from clarikit.tensor import autodiff as ad
 from clarikit.tensor.autodiff import Tensor
 from clarikit.tensor.nn import (
-    attention_weights,
-    init_encoder_layer,
+    encoder_layer_layout,
+    init_params,
     masked_mean_rows,
     multi_head_self_attention,
     transformer_encoder_layer,
 )
 
 
+def encoder_layer(dim, n_heads, ff_dim, seed):
+    return init_params(encoder_layer_layout("enc", dim=dim, n_heads=n_heads, ff_dim=ff_dim), np.random.default_rng(seed))
+
+
 @pytest.fixture
 def layer():
     """Two heads, named enc.h0.* and enc.h1.*."""
-    rng = np.random.default_rng(11)
-    return init_encoder_layer("enc", dim=8, n_heads=2, ff_dim=16, rng=rng)
+    return encoder_layer(dim=8, n_heads=2, ff_dim=16, seed=11)
+
+
+def head_attention(seq, key_mask=None, batch=()):
+    """Each head's attention matrices, (*batch, seq, seq), as
+    multi_head_self_attention applies them: with one-hot input rows,
+    identity value and output projections and every other head's wo zeroed,
+    the first seq columns of the output are that head's attention matrix."""
+    dim, n_heads = 16, 2
+    head_dim = dim // n_heads
+    params = encoder_layer(dim=dim, n_heads=n_heads, ff_dim=4, seed=11)
+    x = Tensor(np.broadcast_to(np.eye(dim)[:seq], (*batch, seq, dim)).copy())
+    matrices = []
+    for head in range(n_heads):
+        for i in range(n_heads):
+            params[f"enc.h{i}.wv"].data = np.eye(dim, head_dim)
+            params[f"enc.h{i}.wo"].data = np.eye(head_dim, dim) if i == head else np.zeros((head_dim, dim))
+        matrices.append(multi_head_self_attention(x, params, "enc", key_mask=key_mask).data[..., :seq])
+    return matrices
 
 
 def test_head_count_must_divide_dim():
     with pytest.raises(ValueError):
-        init_encoder_layer("enc", dim=10, n_heads=3, ff_dim=8, rng=np.random.default_rng(0))
+        dict(encoder_layer_layout("enc", dim=10, n_heads=3, ff_dim=8))
 
 
-def test_single_position_attention_weight_is_one(layer):
-    x = Tensor(np.random.default_rng(1).standard_normal((1, 8)))
-    for w in attention_weights(x, layer, "enc"):
+def test_single_position_attention_weight_is_one():
+    for w in head_attention(1):
         np.testing.assert_allclose(w, [[1.0]])
 
 
-def test_attention_rows_sum_to_one(layer):
-    x = Tensor(np.random.default_rng(2).standard_normal((7, 8)))
-    for w in attention_weights(x, layer, "enc"):
+def test_attention_rows_sum_to_one():
+    for w in head_attention(7):
         np.testing.assert_allclose(w.sum(axis=-1), np.ones(7), atol=1e-9)
+        assert (w > 0).all()
 
 
-def test_masked_keys_get_zero_weight(layer):
-    x = Tensor(np.random.default_rng(3).standard_normal((5, 8)))
+def test_masked_keys_get_zero_weight():
     mask = np.array([1, 1, 0, 1, 0], dtype=float)
-    for w in attention_weights(x, layer, "enc", key_mask=mask):
+    for w in head_attention(5, key_mask=mask):
         assert (w[:, 2] == 0).all()
         assert (w[:, 4] == 0).all()
+        np.testing.assert_allclose(w.sum(axis=-1), np.ones(5), atol=1e-12)
 
 
-def test_per_row_mask_zeroes_masked_keys_row_by_row(layer):
+def test_per_row_mask_zeroes_masked_keys_row_by_row():
     """A (seq, seq) mask: each query row attends only to its own kept keys."""
-    x = Tensor(np.random.default_rng(4).standard_normal((5, 8)))
     mask = np.array([
         [1, 1, 0, 0, 0],
         [1, 1, 0, 0, 0],
@@ -54,7 +73,7 @@ def test_per_row_mask_zeroes_masked_keys_row_by_row(layer):
         [0, 0, 0, 1, 0],
         [0, 0, 1, 0, 1],
     ], dtype=float)
-    for w in attention_weights(x, layer, "enc", key_mask=mask):
+    for w in head_attention(5, key_mask=mask):
         for row in range(5):
             assert (w[row, mask[row] == 0] == 0).all()
             assert (w[row, mask[row] == 1] > 0).all()
@@ -65,7 +84,7 @@ def test_one_head_identity_projections_match_hand_softmax():
     """2-token, one-head attention with identity projections reduces to an
     explicit 2x2 softmax times the input."""
     dim = 2
-    layer = init_encoder_layer("enc", dim=dim, n_heads=1, ff_dim=4, rng=np.random.default_rng(0))
+    layer = encoder_layer(dim=dim, n_heads=1, ff_dim=4, seed=0)
     for name in ("wq", "wk", "wv", "wo"):
         layer[f"enc.h0.{name}"].data = np.eye(dim)
     x = np.array([[1.0, 0.5], [-0.25, 2.0]])
@@ -78,9 +97,8 @@ def test_one_head_identity_projections_match_hand_softmax():
 
 
 def test_encoder_layer_preserves_shape():
-    rng = np.random.default_rng(5)
-    layer = init_encoder_layer("enc", dim=32, n_heads=4, ff_dim=64, rng=rng)
-    x = Tensor(rng.standard_normal((7, 32)))
+    layer = encoder_layer(dim=32, n_heads=4, ff_dim=64, seed=5)
+    x = Tensor(np.random.default_rng(5).standard_normal((7, 32)))
     out = transformer_encoder_layer(x, layer, "enc")
     assert out.shape == (7, 32)
 
@@ -159,7 +177,7 @@ def test_batched_layer_matches_each_sequence_alone(layer):
     masks[2] = np.kron(np.eye(2), np.ones((2, 2)))
     out = transformer_encoder_layer(Tensor(x), layer, "enc", key_mask=masks)
     shared = transformer_encoder_layer(Tensor(x), layer, "enc", key_mask=np.array([1.0, 1.0, 0.0, 1.0]))
-    weights = attention_weights(Tensor(x), layer, "enc", key_mask=masks)
+    weights = head_attention(4, key_mask=masks, batch=(3,))
     for b in range(3):
         alone = transformer_encoder_layer(Tensor(x[b]), layer, "enc", key_mask=masks[b])
         np.testing.assert_allclose(out.data[b], alone.data, atol=1e-12)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,16 @@ class TestScoreBasics:
         scores = detached.score_tensor(query, [pane, other], sets, lexicon)
         assert scores._parents == ()
         np.testing.assert_array_equal(scores.data, micro_model.score_tensor(query, [pane, other], sets, lexicon).data)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("dim", 0), ("heads", 0), ("layers", -1), ("answer_slots", 1), ("answer_slots", 6), ("max_intents", 0),
+        ("hash_buckets", 1), ("ff_dim", 0), ("head_hidden", 0), ("layers", 1.5), ("heads", True),
+    ])
+    def test_every_bound_names_its_field_and_value(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must .*, got {re.escape(str(value))}$"):
+            dataclasses.replace(MICRO, **{field: value})
 
 
 class TestIntentWeightInvariance:
