@@ -10,10 +10,10 @@ command writes plain delimited or line-delimited artifacts into --out and a
 manifest.json (command, version, seed, resolved config, a digest of every
 input file given) next to them.  An --out that holds another command's
 manifest is refused.  A failed command leaves --out as it was, and leaves
-no directory it created.
+no directory it created; so does one stopped by SIGTERM.
 
 Exit codes: 0 success, 1 usage, input or validation error, 2 numerical
-failure.
+failure, 143 stopped by SIGTERM.
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ import json
 import math
 import os
 import shutil
+import signal
 import sys
 import tempfile
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -752,6 +754,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Terminated(BaseException):
+    """SIGTERM arrived while a command ran."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -759,6 +769,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not out_dir:
         parser.error("--out (or CLARIKIT_OUT_DIR) is required")
     command = COMMANDS[args.command]
+    # SIGTERM becomes an exception, so a stopped command discards its
+    # staged outputs as a failed one does; only the main thread may set it
+    previous = None
+    if threading.current_thread() is threading.main_thread():
+        previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         _refuse_other_command(out_dir, args.command)
         outputs = Outputs(out_dir)
@@ -783,6 +798,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
+    except _Terminated:
+        print("terminated by SIGTERM; --out left as it was", file=sys.stderr)
+        return 128 + signal.SIGTERM
+    finally:
+        if previous is not None:
+            signal.signal(signal.SIGTERM, previous)
     return 0
 
 

@@ -95,47 +95,51 @@ def ndcg_at_k(labels_in_rank_order: Sequence[float], k: int) -> float:
 
 # -- gradient boosted trees over lambda gradients ---------------------------
 
+# 1 / log2(rank + 2) for each rank nDCG@NDCG_CUTOFF counts, 0 for every later one
+_RANK_DISCOUNTS = np.array([1.0 / math.log2(rank + 2) for rank in range(NDCG_CUTOFF)] + [0.0])
 
-@dataclass
-class TreeNode:
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0
 
-    def is_leaf(self) -> bool:
-        return self.left is None
+def tree_to_dict(tree: np.ndarray, at: int = 0) -> dict:
+    """The subtree rooted at row `at` of a node table, in the ensemble format."""
+    feature, threshold, left, right, value = tree[at].tolist()
+    if feature < 0:
+        return {"value": value}
+    return {"feature": int(feature), "threshold": threshold, "left": tree_to_dict(tree, int(left)), "right": tree_to_dict(tree, int(right))}
 
-    def predict_one(self, row: np.ndarray) -> float:
-        node = self
-        while not node.is_leaf():
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node.value
 
-    def to_dict(self) -> dict:
-        if self.is_leaf():
-            return {"value": self.value}
-        return {
-            "feature": self.feature,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
+def tree_from_dict(tree: dict) -> np.ndarray:
+    """The node table of a tree of the ensemble format; its splits index FEATURE_NAMES."""
+    nodes: list = []
 
-    @staticmethod
-    def from_dict(d: dict) -> "TreeNode":
-        """A tree of the ensemble format; its splits index FEATURE_NAMES."""
+    def add(d: dict) -> int:
+        at = len(nodes)
+        nodes.append(None)
         if "value" in d and "feature" not in d:
-            return TreeNode(value=float(d["value"]))
-        if not 0 <= int(d["feature"]) < len(FEATURE_NAMES):
+            nodes[at] = (-1, 0.0, at, at, float(d["value"]))
+        elif not 0 <= int(d["feature"]) < len(FEATURE_NAMES):
             raise ValueError(f"split feature {d['feature']} is not one of the {len(FEATURE_NAMES)} features")
-        return TreeNode(
-            feature=int(d["feature"]),
-            threshold=float(d["threshold"]),
-            left=TreeNode.from_dict(d["left"]),
-            right=TreeNode.from_dict(d["right"]),
-        )
+        else:
+            nodes[at] = (int(d["feature"]), float(d["threshold"]), add(d["left"]), add(d["right"]), 0.0)
+        return at
+
+    add(tree)
+    return np.array(nodes)
+
+
+def _walk(trees: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """The (rows, trees) matrix of the leaf value each row reaches in each
+    tree: every row descends every tree at once, a level per step, until no
+    row sits at a split (a loaded tree may be deeper than training grows)."""
+    sizes = np.array([len(tree) for tree in trees], dtype=np.int64)
+    roots = np.cumsum(sizes) - sizes
+    feature, threshold, left, right, value = np.concatenate([np.zeros((0, 5)), *trees]).T
+    feature = feature.astype(np.int64)
+    left, right = (child.astype(np.int64) + np.repeat(roots, sizes) for child in (left, right))
+    at = np.broadcast_to(roots, (len(rows), len(trees)))
+    while (feature[at] >= 0).any():
+        go_left = rows[np.arange(len(rows))[:, None], feature[at]] <= threshold[at]
+        at = np.where(go_left, left[at], right[at])
+    return value[at]
 
 
 @dataclass
@@ -153,16 +157,19 @@ class LambdaMartConfig:
 
 @dataclass
 class BoostedEnsemble:
-    trees: list[TreeNode] = field(default_factory=list)
+    """Trees as node tables: float matrices of one row per node, root first,
+    with the columns split feature (-1 at a leaf), threshold, left row, right
+    row and leaf value.  A leaf is its own left and right child."""
+
+    trees: list[np.ndarray] = field(default_factory=list)
     shrinkage: float = 0.1
     feature_names: tuple[str, ...] = FEATURE_NAMES
 
     def predict(self, rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        scores = np.zeros(len(rows))
-        for tree in self.trees:
-            scores += self.shrinkage * np.array([tree.predict_one(r) for r in rows])
-        return scores
+        steps = self.shrinkage * _walk(self.trees, rows)
+        # the scores add up tree by tree from 0.0, as a loop over the trees adds them
+        return np.cumsum(np.concatenate([np.zeros((len(rows), 1)), steps], axis=1), axis=1)[:, -1]
 
     def save(self, path: str) -> None:
         payload = {
@@ -170,7 +177,7 @@ class BoostedEnsemble:
             "format_version": 1,
             "shrinkage": self.shrinkage,
             "feature_names": list(self.feature_names),
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": [tree_to_dict(t) for t in self.trees],
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)
@@ -189,7 +196,7 @@ class BoostedEnsemble:
             raise ValueError(f"{path}: not an ensemble file")
         try:
             ensemble = BoostedEnsemble(
-                trees=[TreeNode.from_dict(d) for d in payload["trees"]],
+                trees=[tree_from_dict(d) for d in payload["trees"]],
                 shrinkage=float(payload["shrinkage"]),
                 feature_names=tuple(payload["feature_names"]),
             )
@@ -200,97 +207,83 @@ class BoostedEnsemble:
         return ensemble
 
 
-def _lambda_gradients(labels: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LambdaRank gradients and second-order weights for one query.
+def _in_pair_order(won: np.ndarray, lost: np.ndarray) -> np.ndarray:
+    """Each pane's sum of its terms for beating (won[q, p, k]) and losing to
+    (lost[q, p, k]) pane k, in the order a loop over pairs (i, then j) adds
+    them: losses to earlier panes, wins, losses to later panes."""
+    earlier = np.tri(won.shape[2], k=-1, dtype=bool)
+    terms = [np.zeros(won.shape[:2] + (1,)), np.where(earlier, lost, 0.0), won, np.where(earlier.T, lost, 0.0)]
+    return np.cumsum(np.concatenate(terms, axis=2), axis=2)[:, :, -1]
 
-    For every pair with unequal labels, the lambda magnitude is the sigmoid
-    miss times the absolute change in nDCG@NDCG_CUTOFF from swapping the pair
-    in the current ranking.
-    """
-    n = len(labels)
-    lambdas = np.zeros(n)
-    weights = np.zeros(n)
-    ideal = dcg(sorted(labels.tolist(), reverse=True), NDCG_CUTOFF)
-    if ideal == 0.0:
-        return lambdas, weights
-    order = np.argsort(np.argsort(-scores, kind="stable"), kind="stable")  # rank of each item
-    discounts = np.array([1.0 / math.log2(r + 2) if r < NDCG_CUTOFF else 0.0 for r in order])
-    gains = (2.0**labels - 1.0) / ideal
-    for i in range(n):
-        for j in range(n):
-            if labels[i] <= labels[j]:
-                continue
-            rho = 1.0 / (1.0 + math.exp(scores[i] - scores[j]))
-            delta = abs((gains[i] - gains[j]) * (discounts[i] - discounts[j]))
-            lambdas[i] += rho * delta
-            lambdas[j] -= rho * delta
-            w = rho * (1.0 - rho) * delta
-            weights[i] += w
-            weights[j] += w
-    return lambdas, weights
+
+def _lambda_gradients(scores: np.ndarray, gains: np.ndarray, pairs: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """LambdaRank gradients and second-order weights, as (queries, panes)
+    matrices, from scores (NaN in padded slots), gains (2^label - 1 over the
+    ideal DCG) and the (query, i, j) of each pane i labelled above a pane j.
+    A pair's lambda is the sigmoid miss times the absolute change in
+    nDCG@NDCG_CUTOFF from swapping the pair in the current ranking."""
+    q, i, j = pairs
+    rank = np.argsort(np.argsort(-scores, axis=1, kind="stable"), axis=1, kind="stable")  # NaN slots rank last
+    discounts = _RANK_DISCOUNTS[np.minimum(rank, NDCG_CUTOFF)]
+    # math.exp, not np.exp: the two differ in the last bit for a few percent
+    # of arguments, and the ensembles are reproducible to the byte
+    rho = 1.0 / (1.0 + np.fromiter(map(math.exp, (scores[q, i] - scores[q, j]).tolist()), np.float64, len(q)))
+    delta = np.abs((gains[q, i] - gains[q, j]) * (discounts[q, i] - discounts[q, j]))
+    lam, weight = np.zeros((2,) + scores.shape + scores.shape[1:])
+    lam[q, i, j] = rho * delta
+    weight[q, i, j] = rho * (1.0 - rho) * delta
+    return _in_pair_order(lam, -lam.transpose(0, 2, 1)), _in_pair_order(weight, weight.transpose(0, 2, 1))
 
 
 def _best_split(rows: np.ndarray, targets: np.ndarray) -> tuple[int, float] | None:
     """Exact greedy variance-reduction split into two leaves of at least one
     row each; ties break by feature index, then threshold."""
-    n, n_features = rows.shape
+    n = len(rows)
     if n < 2:
         return None
-    best = None
-    best_score = -1e-12
     total_sum = targets.sum()
     total_sq = float(targets @ targets)
     base_sse = total_sq - total_sum**2 / n
-    for feature in range(n_features):
-        column = rows[:, feature]
-        order = np.argsort(column, kind="stable")
-        sorted_vals = column[order]
-        sorted_targets = targets[order]
-        cum_sum = np.cumsum(sorted_targets)
-        cum_sq = np.cumsum(sorted_targets**2)
-        for split_at in range(1, n):
-            if sorted_vals[split_at - 1] == sorted_vals[split_at]:
-                continue
-            left_n = split_at
-            right_n = n - split_at
-            left_sse = cum_sq[split_at - 1] - cum_sum[split_at - 1] ** 2 / left_n
-            right_sum = total_sum - cum_sum[split_at - 1]
-            right_sse = (total_sq - cum_sq[split_at - 1]) - right_sum**2 / right_n
-            gain = base_sse - left_sse - right_sse
-            if gain > best_score + 1e-12:
-                best_score = gain
-                threshold = (sorted_vals[split_at - 1] + sorted_vals[split_at]) / 2.0
-                best = (feature, float(threshold))
-    return best
+    order = np.argsort(rows, axis=0, kind="stable")
+    sorted_vals = np.take_along_axis(rows, order, axis=0)
+    sorted_targets = targets[order]
+    # every threshold between distinct values, by feature, then ascending
+    feature, split_at = np.nonzero((sorted_vals[:-1] != sorted_vals[1:]).T)
+    cum_sum = np.cumsum(sorted_targets, axis=0)[split_at, feature]
+    cum_sq = np.cumsum(sorted_targets**2, axis=0)[split_at, feature]
+    # sums are squared by pow, as a numpy scalar's ** 2 squares them; x * x,
+    # an array's ** 2, differs from pow in the last bit now and then
+    left_sse = cum_sq - np.float_power(cum_sum, 2) / (split_at + 1)
+    right_sse = (total_sq - cum_sq) - np.float_power(total_sum - cum_sum, 2) / (n - split_at - 1)
+    gain = base_sse - left_sse - right_sse
+    # a candidate wins only if it beats the best so far by more than 1e-12,
+    # so the winner ends a chain of such improvements; it is not the argmax
+    best, start, pick = -1e-12, 0, None
+    while (above := np.flatnonzero(gain[start:] > best + 1e-12)).size:
+        pick = start + int(above[0])
+        best, start = gain[pick], pick + 1
+    if pick is None:
+        return None
+    f, s = int(feature[pick]), split_at[pick]
+    return f, float((sorted_vals[s, f] + sorted_vals[s + 1, f]) / 2.0)
 
 
-def _build_tree(
-    rows: np.ndarray,
-    lambdas: np.ndarray,
-    weights: np.ndarray,
-    depth: int,
-) -> TreeNode:
-    if depth == 0:
-        return _leaf(lambdas, weights)
-    split = _best_split(rows, lambdas)
-    if split is None:
-        return _leaf(lambdas, weights)
-    feature, threshold = split
-    mask = rows[:, feature] <= threshold
-    if mask.all() or not mask.any():
-        return _leaf(lambdas, weights)
-    return TreeNode(
-        feature=feature,
-        threshold=threshold,
-        left=_build_tree(rows[mask], lambdas[mask], weights[mask], depth - 1),
-        right=_build_tree(rows[~mask], lambdas[~mask], weights[~mask], depth - 1),
-    )
-
-
-def _leaf(lambdas: np.ndarray, weights: np.ndarray) -> TreeNode:
+def _grow(nodes: list, rows: np.ndarray, lambdas: np.ndarray, weights: np.ndarray, depth: int) -> int:
+    """Append a tree of at most `depth` levels fit to the lambdas, root first; return the root's row."""
+    at = len(nodes)
+    nodes.append(None)
+    split = _best_split(rows, lambdas) if depth > 0 else None
+    if split is not None:
+        feature, threshold = split
+        mask = rows[:, feature] <= threshold
+        if mask.any() and not mask.all():
+            left = _grow(nodes, rows[mask], lambdas[mask], weights[mask], depth - 1)
+            right = _grow(nodes, rows[~mask], lambdas[~mask], weights[~mask], depth - 1)
+            nodes[at] = (feature, threshold, left, right, 0.0)
+            return at
     denom = weights.sum()
-    value = lambdas.sum() / denom if denom > 1e-12 else 0.0
-    return TreeNode(value=float(value))
+    nodes[at] = (-1, 0.0, at, at, lambdas.sum() / denom if denom > 1e-12 else 0.0)
+    return at
 
 
 def train_lambdamart(
@@ -306,20 +299,26 @@ def train_lambdamart(
     if not any(len(set(l.tolist())) > 1 and len(l) >= 2 for _, l in per_query):
         raise ValueError("need at least one query with >= 2 panes and distinct labels")
     all_rows = np.concatenate([f for f, _ in per_query], axis=0)
-    offsets = np.cumsum([0] + [len(l) for _, l in per_query])
+    # the slots of the padded (queries, panes) matrices that hold a row, in row order
+    sizes = np.array([len(l) for _, l in per_query])
+    real = np.arange(sizes.max()) < sizes[:, None]
+    labels = np.full(real.shape, np.nan)
+    labels[real] = np.concatenate([l for _, l in per_query])
+    ideal = np.array([dcg(sorted(l.tolist(), reverse=True), NDCG_CUTOFF) for _, l in per_query])
+    gains = np.zeros(real.shape)
+    gains[real] = np.concatenate([(2.0**l - 1.0) / (d or 1.0) for (_, l), d in zip(per_query, ideal)])
+    # a query of ideal DCG 0 has no pairs, and NaN padding is in none
+    pairs = np.nonzero((labels[:, :, None] > labels[:, None, :]) & (ideal != 0.0)[:, None, None])
     scores = np.zeros(len(all_rows))
     ensemble = BoostedEnsemble(trees=[], shrinkage=config.shrinkage)
     for _ in range(config.n_trees):
-        lambdas = np.zeros(len(all_rows))
-        weights = np.zeros(len(all_rows))
-        for q_idx, (_, labels) in enumerate(per_query):
-            lo, hi = offsets[q_idx], offsets[q_idx + 1]
-            l, w = _lambda_gradients(labels, scores[lo:hi])
-            lambdas[lo:hi] = l
-            weights[lo:hi] = w
-        tree = _build_tree(all_rows, lambdas, weights, config.max_depth)
-        ensemble.trees.append(tree)
-        scores += config.shrinkage * np.array([tree.predict_one(r) for r in all_rows])
+        padded = np.full(real.shape, np.nan)
+        padded[real] = scores
+        lambdas, weights = _lambda_gradients(padded, gains, pairs)
+        nodes: list = []
+        _grow(nodes, all_rows, lambdas[real], weights[real], config.max_depth)
+        ensemble.trees.append(np.array(nodes))
+        scores += config.shrinkage * _walk(ensemble.trees[-1:], all_rows)[:, 0]
     return ensemble
 
 

@@ -82,12 +82,17 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += grad
+        # a new array in t.data's layout; adding 0.0 turns -0.0 into 0.0, as
+        # accumulating into zeros does
+        t.grad = np.add(grad, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += grad
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum grad over axes that were added or broadcast in the forward pass."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -133,7 +138,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _swap_last(x: np.ndarray) -> np.ndarray:
-    return np.swapaxes(x, -1, -2)
+    return x.swapaxes(-1, -2)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

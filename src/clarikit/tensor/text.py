@@ -23,8 +23,9 @@ END = "<e>"
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-# token and bigram hashes are reused across steps, epochs and panes; the
-# bound keeps a long run over a large vocabulary from growing without limit
+# token and bigram hashes, and the ids of whole items, are reused across
+# steps, epochs and panes; the bound keeps a long run over a large vocabulary
+# from growing without limit
 _HASH_CACHE_SIZE = 1 << 16
 
 
@@ -61,11 +62,19 @@ def boundary_sequence(parts: list[list[str]]) -> list[str]:
 
 def sequence_ids(parts: list[list[str]], buckets: int) -> np.ndarray:
     """Hash bucket ids for every token and adjacent-token bigram of the
-    boundary-joined sequence."""
+    boundary-joined sequence, as a read-only array shared by every call
+    with the same parts and bucket count."""
+    return _sequence_ids(tuple(map(tuple, parts)), buckets)
+
+
+@functools.lru_cache(maxsize=_HASH_CACHE_SIZE)
+def _sequence_ids(parts: tuple[tuple[str, ...], ...], buckets: int) -> np.ndarray:
     tokens = boundary_sequence(parts)
     ids = [hash_token(t, buckets) for t in tokens]
     ids.extend(hash_bigram(a, b, buckets) for a, b in zip(tokens, tokens[1:]))
-    return np.asarray(ids, dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64)
+    ids.flags.writeable = False
+    return ids
 
 
 def text_encode(batch: list[list[list[list[str]] | None]], table: Tensor, projection: Tensor) -> Tensor:

@@ -1,6 +1,11 @@
 import collections
+import glob
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -556,6 +561,33 @@ def test_failed_run_removes_the_directories_it_created(tmp_path):
                        "--panes", tmp_path / "missing.jsonl", "--impressions", tmp_path / "missing.jsonl") == 1
     assert sorted(os.listdir(tmp_path)) == ["fresh"]
     assert os.listdir(tmp_path / "fresh") == ["keep.txt"]
+
+
+def test_sigterm_discards_the_staged_outputs(corpus_dir, tmp_path):
+    """A command stopped by SIGTERM exits 143 and removes its staging
+    directory, and the --out it created for it."""
+    files = corpus_files(corpus_dir)
+    out = tmp_path / "o" / "sub"
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "clarikit.cli", "train-rlc", "--out", str(out), "--queries", files["queries"],
+         "--panes", files["panes"], "--impressions", files["impressions"], "--intents", files["intents"],
+         "--lexicon", files["lexicon"], "--dim", "16", "--hash-buckets", "256", "--steps", "100000"],
+        env=env, stderr=subprocess.PIPE,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not glob.glob(str(out / ".staging-*")) and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert glob.glob(str(out / ".staging-*")), "no staging directory appeared"
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 143, err
+    assert b"Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_out_holding_another_commands_manifest_is_refused(corpus_dir, tmp_path, capsys):

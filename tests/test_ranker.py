@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from clarikit.core import CandidateAnswer, ClarificationPane, Query
 from clarikit.ranker import (
     FEATURE_NAMES,
+    NDCG_CUTOFF,
     BoostedEnsemble,
     LambdaMartConfig,
     dcg,
@@ -18,7 +20,10 @@ from clarikit.ranker import (
     randomization_test,
     rank_panes,
     train_lambdamart,
+    tree_from_dict,
+    tree_to_dict,
 )
+from clarikit.ranker import _best_split
 
 
 def make_pane(pane_id, query_id, k=3, template_id="T2"):
@@ -141,10 +146,13 @@ class TestLambdaMart:
             ranked_labels.append(labels[order].tolist())
         assert np.mean([ndcg_at_k(labels, 1) for labels in ranked_labels]) == 1.0
 
-    def test_zero_trees_scores_zero(self):
+    def test_zero_trees_scores_zero(self, tmp_path):
         per_query = separable_training_set(n_queries=5)
         ensemble = train_lambdamart(per_query, LambdaMartConfig(n_trees=0))
         assert ensemble.predict(per_query[0][0]).tolist() == [0.0, 0.0, 0.0]
+        path = str(tmp_path / "ensemble.json")
+        ensemble.save(path)
+        assert BoostedEnsemble.load(path).predict(per_query[0][0]).tobytes() == np.zeros(3).tobytes()
 
     def test_boosting_never_increases_pairwise_lambda_loss(self):
         per_query = separable_training_set(n_queries=20, seed=3)
@@ -194,6 +202,180 @@ class TestLambdaMart:
         np.testing.assert_array_equal(loaded.predict(rows), ensemble.predict(rows))
 
 
+# -- reference booster: the straight-line loops the array code replaces ------
+
+
+def reference_lambda_gradients(labels, scores):
+    """LambdaRank gradients and weights of one query, pair by pair."""
+    n = len(labels)
+    lambdas = np.zeros(n)
+    weights = np.zeros(n)
+    ideal = dcg(sorted(labels.tolist(), reverse=True), NDCG_CUTOFF)
+    if ideal == 0.0:
+        return lambdas, weights
+    order = np.argsort(np.argsort(-scores, kind="stable"), kind="stable")
+    discounts = np.array([1.0 / math.log2(r + 2) if r < NDCG_CUTOFF else 0.0 for r in order])
+    gains = (2.0**labels - 1.0) / ideal
+    for i in range(n):
+        for j in range(n):
+            if labels[i] <= labels[j]:
+                continue
+            rho = 1.0 / (1.0 + math.exp(scores[i] - scores[j]))
+            delta = abs((gains[i] - gains[j]) * (discounts[i] - discounts[j]))
+            lambdas[i] += rho * delta
+            lambdas[j] -= rho * delta
+            w = rho * (1.0 - rho) * delta
+            weights[i] += w
+            weights[j] += w
+    return lambdas, weights
+
+
+def reference_best_split(rows, targets):
+    """Exact greedy split, split point by split point."""
+    n, n_features = rows.shape
+    if n < 2:
+        return None
+    best = None
+    best_score = -1e-12
+    total_sum = targets.sum()
+    total_sq = float(targets @ targets)
+    base_sse = total_sq - total_sum**2 / n
+    for feature in range(n_features):
+        column = rows[:, feature]
+        order = np.argsort(column, kind="stable")
+        sorted_vals = column[order]
+        sorted_targets = targets[order]
+        cum_sum = np.cumsum(sorted_targets)
+        cum_sq = np.cumsum(sorted_targets**2)
+        for split_at in range(1, n):
+            if sorted_vals[split_at - 1] == sorted_vals[split_at]:
+                continue
+            left_sse = cum_sq[split_at - 1] - cum_sum[split_at - 1] ** 2 / split_at
+            right_sum = total_sum - cum_sum[split_at - 1]
+            right_sse = (total_sq - cum_sq[split_at - 1]) - right_sum**2 / (n - split_at)
+            gain = base_sse - left_sse - right_sse
+            if gain > best_score + 1e-12:
+                best_score = gain
+                best = (feature, float((sorted_vals[split_at - 1] + sorted_vals[split_at]) / 2.0))
+    return best
+
+
+def reference_tree(rows, lambdas, weights, depth):
+    """A tree in the ensemble.json form, grown node by node."""
+    split = reference_best_split(rows, lambdas) if depth > 0 else None
+    if split is not None:
+        feature, threshold = split
+        mask = rows[:, feature] <= threshold
+        if mask.any() and not mask.all():
+            return {
+                "feature": feature,
+                "threshold": threshold,
+                "left": reference_tree(rows[mask], lambdas[mask], weights[mask], depth - 1),
+                "right": reference_tree(rows[~mask], lambdas[~mask], weights[~mask], depth - 1),
+            }
+    denom = weights.sum()
+    return {"value": float(lambdas.sum() / denom if denom > 1e-12 else 0.0)}
+
+
+def reference_leaf(tree, row):
+    while "feature" in tree:
+        tree = tree["left"] if row[tree["feature"]] <= tree["threshold"] else tree["right"]
+    return tree["value"]
+
+
+def reference_predict(trees, shrinkage, rows):
+    """Scores summed tree by tree, row by row."""
+    scores = np.zeros(len(rows))
+    for tree in trees:
+        scores += shrinkage * np.array([reference_leaf(tree, r) for r in rows])
+    return scores
+
+
+def reference_train(per_query, config):
+    """LambdaMART query by query, pair by pair and row by row."""
+    all_rows = np.concatenate([f for f, _ in per_query], axis=0)
+    offsets = np.cumsum([0] + [len(l) for _, l in per_query])
+    scores = np.zeros(len(all_rows))
+    trees = []
+    for _ in range(config.n_trees):
+        lambdas = np.zeros(len(all_rows))
+        weights = np.zeros(len(all_rows))
+        for q, (_, labels) in enumerate(per_query):
+            lo, hi = offsets[q], offsets[q + 1]
+            lambdas[lo:hi], weights[lo:hi] = reference_lambda_gradients(labels, scores[lo:hi])
+        trees.append(reference_tree(all_rows, lambdas, weights, config.max_depth))
+        scores += config.shrinkage * np.array([reference_leaf(trees[-1], r) for r in all_rows])
+    return trees
+
+
+def random_training_set(rng):
+    """1 to 8 panes a query; features with repeated values, continuous ones,
+    and a near copy of a column that splits its rows the same way in another
+    order, so their gains tie to within rounding; some queries with all
+    labels equal (ideal DCG 0)."""
+    per_query = []
+    for _ in range(int(rng.integers(1, 25))):
+        n = int(rng.integers(1, 9))
+        rows = rng.integers(0, 3, size=(n, len(FEATURE_NAMES))).astype(np.float64)
+        rows[:, -3:] = np.round(rng.standard_normal((n, 3)), int(rng.integers(0, 3)))
+        rows[:, 1] = rows[:, 0] + rng.random(n) * 0.5
+        labels = rng.integers(0, 3, size=n).astype(np.float64) * (rng.random() > 0.2)
+        per_query.append((rows, labels))
+    per_query.append((np.round(rng.standard_normal((2, len(FEATURE_NAMES))), 1), np.array([0.0, 2.0])))
+    return per_query
+
+
+def _bits(trees) -> str:
+    return json.dumps(trees, sort_keys=True)
+
+
+class TestAgainstTheReferenceLoops:
+    def test_ensembles_equal_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(240):
+            per_query = random_training_set(rng)
+            config = LambdaMartConfig(
+                n_trees=int(rng.integers(1, 8)), max_depth=int(rng.integers(0, 5)), shrinkage=float(rng.choice([0.1, 0.7]))
+            )
+            ensemble = train_lambdamart(per_query, config)
+            reference = reference_train(per_query, config)
+            assert _bits([tree_to_dict(t) for t in ensemble.trees]) == _bits(reference)
+            rows = np.concatenate([f for f, _ in per_query])
+            assert ensemble.predict(rows).tobytes() == reference_predict(reference, config.shrinkage, rows).tobytes()
+
+    def test_split_search_keeps_the_tie_rule(self):
+        """Targets large enough that near ties differ by about 1e-12: the
+        first candidate within 1e-12 of a later, larger gain still wins."""
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(2, 40))
+            rows = rng.integers(0, 4, size=(n, 6)).astype(np.float64)
+            rows[:, 1] = rows[:, 0] + rng.random(n) * 0.5
+            rows[:, 3] = rows[:, 2][::-1] if rng.random() < 0.5 else rows[:, 2]
+            targets = rng.standard_normal(n) * 10.0 ** rng.integers(0, 5)
+            assert _best_split(rows, targets) == reference_best_split(rows, targets)
+
+    def test_loaded_trees_deeper_than_training_grows(self, tmp_path):
+        """Every path of these trees splits at least five times: the walk
+        goes on until every row sits at a leaf."""
+        rng = np.random.default_rng(11)
+
+        def random_tree(depth):
+            if depth == 0 or (depth < 4 and rng.random() < 0.3):
+                return {"value": float(rng.standard_normal())}
+            return {"feature": int(rng.integers(len(FEATURE_NAMES))), "threshold": float(rng.standard_normal()),
+                    "left": random_tree(depth - 1), "right": random_tree(depth - 1)}
+
+        trees = [random_tree(8) for _ in range(20)]
+        path = tmp_path / "ensemble.json"
+        path.write_text(json.dumps({"format": "clarikit-ensemble", "format_version": 1, "shrinkage": 0.3,
+                                    "feature_names": list(FEATURE_NAMES), "trees": trees}))
+        ensemble = BoostedEnsemble.load(str(path))
+        assert [tree_to_dict(t) for t in ensemble.trees] == trees
+        rows = rng.standard_normal((60, len(FEATURE_NAMES)))
+        assert ensemble.predict(rows).tobytes() == reference_predict(trees, 0.3, rows).tobytes()
+
+
 class TestRankPanes:
     def test_single_pane_returned(self):
         query = Query("q", "jaguar")
@@ -206,11 +388,9 @@ class TestRankPanes:
 
     def test_order_follows_scores(self):
         query = Query("q", "jaguar a b c")  # query_length drives the stub tree
-        from clarikit.ranker import TreeNode
-
         # one tree: panes with more answers score higher
-        tree = TreeNode(feature=FEATURE_NAMES.index("answer_count"), threshold=3.5,
-                        left=TreeNode(value=0.0), right=TreeNode(value=1.0))
+        tree = tree_from_dict({"feature": FEATURE_NAMES.index("answer_count"), "threshold": 3.5,
+                               "left": {"value": 0.0}, "right": {"value": 1.0}})
         ensemble = BoostedEnsemble(trees=[tree], shrinkage=1.0)
         small = make_pane("small", "q", k=2)
         big = make_pane("big", "q", k=5)
