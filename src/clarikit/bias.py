@@ -31,7 +31,7 @@ _EPS = 1e-6
 
 
 class NumericalError(RuntimeError):
-    """An iterative fit failed to converge; carries the final gradient norm."""
+    """An iterative fit did not converge, or met a non-finite or singular step."""
 
 
 @dataclass(frozen=True)
@@ -219,6 +219,34 @@ class LogisticFit:
     gradient_norm: float
 
 
+def _newton(what, loss, newton, theta, tol, max_iter, lower=-np.inf, upper=np.inf):
+    """Damped Newton steps from theta on the box [lower, upper]; returns
+    (theta, iterations, gradient norm).  newton(theta) gives the fit's
+    stopping norm and a function computing the full step, so a converged
+    point never solves.  A step that raises the loss by more than the
+    rounding of its sum is halved; one that never descends shrinks to zero
+    and ends at max_iter.  Raises NumericalError on a non-finite loss or
+    norm, a singular system, or no convergence within max_iter steps."""
+    current = loss(theta)
+    iterations = 0
+    while True:
+        gnorm, solve = newton(theta)
+        if not np.isfinite(gnorm) or not np.isfinite(current):
+            raise NumericalError(f"{what} step {iterations}: non-finite loss or gradient norm")
+        if gnorm < tol:
+            return theta, iterations, gnorm
+        if iterations == max_iter:
+            raise NumericalError(f"{what} did not converge in {max_iter} iterations; final gradient norm {gnorm:.3e}")
+        iterations += 1
+        try:
+            step = solve()
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Newton step {iterations}: {exc}; gradient norm {gnorm:.3e}") from None
+        while (new := loss(candidate := np.clip(theta - step, lower, upper))) > current + 1e-14 * abs(current):
+            step = 0.5 * step
+        theta, current = candidate, new
+
+
 def fit_fractional_logreg(
     rows: np.ndarray,
     targets: np.ndarray,
@@ -227,14 +255,13 @@ def fit_fractional_logreg(
     max_iter: int = 100,
 ) -> LogisticFit:
     """Logistic regression with fractional labels (targets are rates), fit by
-    Newton's method, halving a step while it raises the loss.
+    Newton's method.
 
     Equivalent to impression-weighted binary regression: the cross-entropy
     objective -[y log s + (1-y) log(1-s)] is linear in y.  Deterministic and
     seed-free.  Column 0 is the intercept; a constant column cannot be told
     apart from it and keeps weight 0.  Stops once the max-norm of the
-    gradient (sample weights normalized to sum 1) is below tol; raises
-    NumericalError if that does not happen within max_iter steps.
+    gradient (sample weights normalized to sum 1) is below tol.
     """
     w = np.ones(len(rows)) if sample_weights is None else np.asarray(sample_weights, dtype=np.float64)
     w = w / w.sum()
@@ -248,32 +275,15 @@ def fit_fractional_logreg(
         # -[y z - log(1 + e^z)] summed with weights, stable via logaddexp
         return float((w * (np.logaddexp(0.0, z) - y * z)).sum())
 
-    theta = np.zeros(x.shape[1])
-    current = loss(theta)
-    iterations = 0
-    while True:
-        p = _sigmoid(x @ theta)
+    def newton(params: np.ndarray):
+        p = _sigmoid(x @ params)
         grad = x.T @ (w * (p - y))
-        gnorm = float(np.abs(grad).max())
-        if gnorm < tol:
-            weights = np.zeros(rows.shape[1])
-            weights[free] = theta
-            return LogisticFit(weights=weights, iterations=iterations, gradient_norm=gnorm)
-        if iterations == max_iter:
-            raise NumericalError(
-                f"logistic regression did not converge in {max_iter} iterations; final gradient norm {gnorm:.3e}"
-            )
-        iterations += 1
-        hessian = x.T @ (x * (w * p * (1.0 - p))[:, None])
-        try:
-            step = np.linalg.solve(hessian, grad)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"Newton step {iterations}: {exc}; gradient norm {gnorm:.3e}") from None
-        # halve while the loss rises by more than the rounding of its sum; a
-        # step that never descends shrinks to zero and ends at max_iter
-        while (new := loss(theta - step)) > current + 1e-14 * abs(current):
-            step = 0.5 * step
-        theta, current = theta - step, new
+        return float(np.abs(grad).max()), lambda: np.linalg.solve(x.T @ (x * (w * p * (1.0 - p))[:, None]), grad)
+
+    theta, iterations, gnorm = _newton("logistic regression", loss, newton, np.zeros(x.shape[1]), tol, max_iter)
+    weights = np.zeros(rows.shape[1])
+    weights[free] = theta
+    return LogisticFit(weights=weights, iterations=iterations, gradient_norm=gnorm)
 
 
 @dataclass
@@ -371,8 +381,7 @@ def fit_examination_em(
     complement onto the free positions (at most max_positions - 1) and
     back-substitutes the items.  A variable at a bound whose gradient points
     out of the box is held for the step.  Stops once the max-norm of the
-    projected gradient in (eps, alpha) is below tol; raises NumericalError if
-    that does not happen within max_iter steps.
+    projected gradient in (eps, alpha) is below tol.
     """
     cells = []  # (position index, item index, impressions, clicks)
     item_ids: dict[tuple[str, str], int] = {}
@@ -430,51 +439,41 @@ def fit_examination_em(
         s = params[positions] + params[items]
         return float(-(k * s + m * np.log(-np.expm1(s))).sum())
 
-    current = loss(theta)
-    iterations = 0
-    while True:
-        s = theta[positions] + theta[items]
+    def newton(params: np.ndarray):
+        s = params[positions] + params[items]
         no_click = -np.expm1(s)  # 1 - eps * alpha
         odds = np.exp(s) / no_click
         # first and second derivative of each cell's loss in s
         d1, d2 = m * odds - k, m * odds / no_click
         grad = per_param(d1)
-        held = ~movable | ((theta <= lower) & (grad > 0.0)) | ((theta >= upper) & (grad < 0.0))
+        held = ~movable | ((params <= lower) & (grad > 0.0)) | ((params >= upper) & (grad < 0.0))
+
+        def solve() -> np.ndarray:
+            curvature = per_param(d2)
+            free = np.flatnonzero(~held)
+            free_eps, free_alpha = free[free < max_positions], free[free >= max_positions]
+            cross = np.bincount(positions * n_params + items, d2, max_positions * n_params).reshape(max_positions, n_params)
+            cross = cross[np.ix_(free_eps, free_alpha)]
+            scaled = cross / curvature[free_alpha]
+            schur = np.diag(curvature[free_eps]) - scaled @ cross.T
+            rhs = grad[free_eps] - scaled @ grad[free_alpha]
+            # scaled by the positions' own curvature, the Schur matrix has its
+            # eigenvalues in [0, 1]; it is singular when a position's
+            # examination is not identified (its answers are seen nowhere
+            # else), hence the small ridge
+            scale = 1.0 / np.sqrt(curvature[free_eps])
+            scaled_schur = schur * np.outer(scale, scale) + 1e-8 * np.eye(len(free_eps))
+            step = np.zeros(n_params)
+            step[free_eps] = scale * np.linalg.solve(scaled_schur, scale * rhs)
+            step[free_alpha] = (grad[free_alpha] - cross.T @ step[free_eps]) / curvature[free_alpha]
+            return step
+
         # d loss / d eps = (d loss / d log eps) / eps, and the same for alpha
-        gnorm = float(np.abs(np.where(held, 0.0, grad / np.exp(theta))).max())
-        if not np.isfinite(gnorm) or not np.isfinite(current):
-            raise NumericalError(f"examination fit step {iterations}: non-finite loss or gradient norm")
-        if gnorm < tol:
-            fitted = np.exp(theta)
-            attractiveness = dict(zip(item_ids, fitted[max_positions:].tolist()))
-            return ExaminationFit(fitted[:max_positions], attractiveness, iterations, gnorm)
-        if iterations == max_iter:
-            raise NumericalError(
-                f"examination fit did not converge in {max_iter} iterations; final gradient norm {gnorm:.3e}"
-            )
-        iterations += 1
-        curvature = per_param(d2)
-        free = np.flatnonzero(~held)
-        free_eps, free_alpha = free[free < max_positions], free[free >= max_positions]
-        cross = np.bincount(positions * n_params + items, d2, max_positions * n_params).reshape(max_positions, n_params)
-        cross = cross[np.ix_(free_eps, free_alpha)]
-        scaled = cross / curvature[free_alpha]
-        schur = np.diag(curvature[free_eps]) - scaled @ cross.T
-        rhs = grad[free_eps] - scaled @ grad[free_alpha]
-        # scaled by the positions' own curvature, the Schur matrix has its
-        # eigenvalues in [0, 1]; it is singular when a position's examination
-        # is not identified (its answers are seen nowhere else), hence the
-        # small ridge
-        scale = 1.0 / np.sqrt(curvature[free_eps])
-        scaled_schur = schur * np.outer(scale, scale) + 1e-8 * np.eye(len(free_eps))
-        step = np.zeros(n_params)
-        step[free_eps] = scale * np.linalg.solve(scaled_schur, scale * rhs)
-        step[free_alpha] = (grad[free_alpha] - cross.T @ step[free_eps]) / curvature[free_alpha]
-        # halve while the loss rises by more than the rounding of its sum; a
-        # step that never descends shrinks to zero and ends at max_iter
-        while (new := loss(candidate := np.clip(theta - step, lower, upper))) > current + 1e-14 * abs(current):
-            step = 0.5 * step
-        theta, current = candidate, new
+        return float(np.abs(np.where(held, 0.0, grad / np.exp(params))).max()), solve
+
+    theta, iterations, gnorm = _newton("examination fit", loss, newton, theta, tol, max_iter, lower, upper)
+    fitted = np.exp(theta)
+    return ExaminationFit(fitted[:max_positions], dict(zip(item_ids, fitted[max_positions:].tolist())), iterations, gnorm)
 
 
 def fit_cascade_attractiveness(

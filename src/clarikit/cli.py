@@ -10,10 +10,10 @@ command writes plain delimited or line-delimited artifacts into --out and a
 manifest.json (command, version, seed, resolved config, a digest of every
 input file given) next to them.  An --out that holds another command's
 manifest is refused.  A failed command leaves --out as it was, and leaves
-no directory it created; so does one stopped by SIGTERM.
+no directory it created; so does one stopped by SIGTERM or SIGINT.
 
 Exit codes: 0 success, 1 usage, input or validation error, 2 numerical
-failure, 143 stopped by SIGTERM.
+failure, 130 stopped by SIGINT, 143 stopped by SIGTERM.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import signal
 import sys
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -225,43 +225,27 @@ def _engagement_triples(queries, panes, log, min_impressions: int) -> list[rlc_m
 
 SYNTH_DEFAULTS = {
     "n_queries": 200,
-    "panes_per_query": 1,
-    "swap_fraction": 0.0,
-    "answer_count_weights": [0.2, 0.3, 0.25, 0.25],
-    "relevance": ["beta", 1.0, 3.0],
-    "intents_per_query": 4,
-    "question_fraction": 0.25,
-    "reformulation_rate": 0.0,
-    "result_click_rate": 0.0,
-    "cell_plan": None,
+    **{f.name: f.default for f in fields(CorpusConfig) if f.name != "n_queries"},
     "user_model": {"kind": "relevance_only"},
     "n_per_pane": 100,
 }
 
 
+def _tuples(value):
+    """A JSON array as a tuple, its nested arrays too; anything else as is."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
 def cmd_synth_gen(args, config: dict, out: Outputs) -> None:
     # the structured keys are set only by the config file: a value of the
-    # wrong shape is reported against it
+    # wrong shape is reported against it; an empty cell plan is no plan
     try:
         if not isinstance(config["user_model"], dict):
             raise TypeError("user_model must be a JSON object")
-        model_params = dict(config["user_model"])
-        kind = model_params.pop("kind")
-        if "exam_probs" in model_params:
-            model_params["exam_probs"] = tuple(model_params["exam_probs"])
-        user_model = UserModel(kind=kind, **model_params)
-        corpus_config = CorpusConfig(
-            n_queries=config["n_queries"],
-            panes_per_query=config["panes_per_query"],
-            swap_fraction=config["swap_fraction"],
-            answer_count_weights=tuple(config["answer_count_weights"]),
-            relevance=tuple(config["relevance"]),
-            intents_per_query=config["intents_per_query"],
-            question_fraction=config["question_fraction"],
-            reformulation_rate=config["reformulation_rate"],
-            result_click_rate=config["result_click_rate"],
-            cell_plan=tuple(tuple(row) for row in config["cell_plan"]) if config["cell_plan"] else None,
-        )
+        model_params = {key: _tuples(value) for key, value in config["user_model"].items()}
+        user_model = UserModel(kind=model_params.pop("kind"), **model_params)
+        values = dict(config, cell_plan=config["cell_plan"] or None)
+        corpus_config = CorpusConfig(**{f.name: _tuples(values[f.name]) for f in fields(CorpusConfig)})
     except (TypeError, KeyError) as exc:
         raise ValueError(f"{args.config}: malformed user_model, answer_count_weights, relevance or cell_plan: {exc}") from None
     corpus = gen_corpus(corpus_config, seed=args.seed)
@@ -769,8 +753,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if not out_dir:
         parser.error("--out (or CLARIKIT_OUT_DIR) is required")
     command = COMMANDS[args.command]
-    # SIGTERM becomes an exception, so a stopped command discards its
-    # staged outputs as a failed one does; only the main thread may set it
+    # SIGTERM becomes an exception, as SIGINT is KeyboardInterrupt, so a
+    # stopped command discards its staged outputs as a failed one does; only
+    # the main thread may set it
     previous = None
     if threading.current_thread() is threading.main_thread():
         previous = signal.signal(signal.SIGTERM, _terminate)
@@ -801,6 +786,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _Terminated:
         print("terminated by SIGTERM; --out left as it was", file=sys.stderr)
         return 128 + signal.SIGTERM
+    except KeyboardInterrupt:
+        print("interrupted by SIGINT; --out left as it was", file=sys.stderr)
+        return 128 + signal.SIGINT
     finally:
         if previous is not None:
             signal.signal(signal.SIGTERM, previous)

@@ -329,17 +329,6 @@ def conditional_click_distribution(stats: EngagementStats) -> np.ndarray:
     return clicks / total
 
 
-def merge_stats(a: EngagementStats, b: EngagementStats) -> EngagementStats:
-    """Associative merge for partial counters (map-reduce over impressions)."""
-    if len(a.per_position_clicks) != len(b.per_position_clicks):
-        raise ValueError("cannot merge stats over different answer counts")
-    return EngagementStats(
-        impressions=a.impressions + b.impressions,
-        engaged_impressions=a.engaged_impressions + b.engaged_impressions,
-        per_position_clicks=tuple(x + y for x, y in zip(a.per_position_clicks, b.per_position_clicks)),
-    )
-
-
 def collect_stats(
     log: ImpressionLog | Iterable[ImpressionRecord], panes: Mapping[str, ClarificationPane]
 ) -> dict[str, EngagementStats]:

@@ -306,6 +306,13 @@ class TestFractionalLogreg:
         with pytest.raises(NumericalError, match="gradient norm"):
             fit_fractional_logreg(rows, targets, max_iter=2)
 
+    def test_non_finite_target_is_diagnosed(self):
+        rows = np.column_stack([np.ones(20), np.linspace(0.0, 1.0, 20)])
+        targets = np.full(20, 0.3)
+        targets[4] = np.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            fit_fractional_logreg(rows, targets)
+
     def test_singular_design_is_diagnosed(self):
         # two equal varying columns leave the Newton system without a solution
         x = np.linspace(0.0, 1.0, 20)

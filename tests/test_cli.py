@@ -563,9 +563,11 @@ def test_failed_run_removes_the_directories_it_created(tmp_path):
     assert os.listdir(tmp_path / "fresh") == ["keep.txt"]
 
 
-def test_sigterm_discards_the_staged_outputs(corpus_dir, tmp_path):
-    """A command stopped by SIGTERM exits 143 and removes its staging
-    directory, and the --out it created for it."""
+@pytest.mark.parametrize("signum, code", [(signal.SIGTERM, 143), (signal.SIGINT, 130)], ids=["SIGTERM", "SIGINT"])
+def test_sigterm_discards_the_staged_outputs(corpus_dir, tmp_path, signum, code):
+    """A command stopped by SIGTERM (SIGINT) exits 143 (130) without a
+    traceback and removes its staging directory, and the --out it created
+    for it."""
     files = corpus_files(corpus_dir)
     out = tmp_path / "o" / "sub"
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
@@ -574,18 +576,19 @@ def test_sigterm_discards_the_staged_outputs(corpus_dir, tmp_path):
         [sys.executable, "-m", "clarikit.cli", "train-rlc", "--out", str(out), "--queries", files["queries"],
          "--panes", files["panes"], "--impressions", files["impressions"], "--intents", files["intents"],
          "--lexicon", files["lexicon"], "--dim", "16", "--hash-buckets", "256", "--steps", "100000"],
-        env=env, stderr=subprocess.PIPE,
+        # a shell's background job hands its children SIGINT ignored
+        env=env, stderr=subprocess.PIPE, preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     try:
         deadline = time.monotonic() + 60
         while not glob.glob(str(out / ".staging-*")) and proc.poll() is None and time.monotonic() < deadline:
             time.sleep(0.05)
         assert glob.glob(str(out / ".staging-*")), "no staging directory appeared"
-        proc.send_signal(signal.SIGTERM)
+        proc.send_signal(signum)
         _, err = proc.communicate(timeout=60)
     finally:
         proc.kill()
-    assert proc.returncode == 143, err
+    assert proc.returncode == code, err
     assert b"Traceback" not in err
     assert not (tmp_path / "o").exists()
 

@@ -17,7 +17,6 @@ from clarikit.core import (
     collect_stats,
     conditional_click_distribution,
     engagement_rate,
-    merge_stats,
     tokenize,
     validate_pane,
 )
@@ -27,6 +26,17 @@ def make_pane(pane_id="p1", query_id="q1", texts=("red", "blue", "green"), **kwa
     answers = tuple(CandidateAnswer(text=t, position=i + 1) for i, t in enumerate(texts))
     return ClarificationPane(
         id=pane_id, query_id=query_id, question_text="Which color do you mean?", answers=answers, **kwargs
+    )
+
+
+def merge_stats(a: EngagementStats, b: EngagementStats) -> EngagementStats:
+    """Sum of two partial counters of one pane: the oracle that collect_stats
+    over a split log must agree with."""
+    assert len(a.per_position_clicks) == len(b.per_position_clicks)
+    return EngagementStats(
+        impressions=a.impressions + b.impressions,
+        engaged_impressions=a.engaged_impressions + b.engaged_impressions,
+        per_position_clicks=tuple(x + y for x, y in zip(a.per_position_clicks, b.per_position_clicks)),
     )
 
 
