@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import os
+import re
 import shutil
 import signal
 import sys
@@ -39,11 +40,28 @@ from .synthlog import CorpusConfig, UserModel, gen_corpus, simulate_impressions
 from .tensor.optim import AdamConfig, NonFiniteGradientError
 
 
+_STAGING = re.compile(r"\.staging-(\d+)-")
+
+
+def _alive(pid: int) -> bool:
+    if os.name != "posix":
+        return True  # os.kill(pid, 0) is a probe on POSIX only; elsewhere it signals
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (PermissionError, OverflowError):
+        pass  # another user's process, or no pid at all
+    return True
+
+
 class Outputs:
-    """Stages the files of one command in a directory inside --out.  Only a
-    command that succeeded moves them into --out, the manifest last; a
-    failed one, rerun or not, leaves --out as it was, and removes the
-    directories it created for it."""
+    """Stages the files of one command in a directory inside --out, named by
+    the command's pid.  Only a command that succeeded moves them into --out,
+    the manifest last; a failed one, rerun or not, leaves --out as it was,
+    and removes the directories it created for it.  The staging directory
+    of a command that could not clean up (killed by SIGKILL) is removed by
+    the next command in that --out, once no process has its pid."""
 
     def __init__(self, out_dir: str):
         self.created: list[str] = []  # deepest first
@@ -53,7 +71,11 @@ class Outputs:
             missing = os.path.dirname(missing)
         os.makedirs(out_dir, exist_ok=True)
         self.out_dir = out_dir
-        self.staging = tempfile.mkdtemp(prefix=".staging-", dir=out_dir)
+        for name in os.listdir(out_dir):
+            match = _STAGING.match(name)
+            if match and not _alive(int(match[1])):
+                shutil.rmtree(os.path.join(out_dir, name), ignore_errors=True)
+        self.staging = tempfile.mkdtemp(prefix=f".staging-{os.getpid()}-", dir=out_dir)
 
     def path(self, name: str) -> str:
         return os.path.join(self.staging, name)
@@ -237,17 +259,21 @@ def _tuples(value):
 
 
 def cmd_synth_gen(args, config: dict, out: Outputs) -> None:
-    # the structured keys are set only by the config file: a value of the
-    # wrong shape is reported against it; an empty cell plan is no plan
+    # the structured keys are set only by the config file, so a value of the
+    # wrong shape is reported against it
+    spec = config["user_model"]
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ValueError(f"{args.config}: user_model must be a JSON object with a kind, got {json.dumps(spec)}")
+    unknown = sorted(set(spec) - {f.name for f in fields(UserModel)})
+    if unknown:
+        raise ValueError(f"{args.config}: unknown user_model keys {unknown}")
     try:
-        if not isinstance(config["user_model"], dict):
-            raise TypeError("user_model must be a JSON object")
-        model_params = {key: _tuples(value) for key, value in config["user_model"].items()}
-        user_model = UserModel(kind=model_params.pop("kind"), **model_params)
-        values = dict(config, cell_plan=config["cell_plan"] or None)
-        corpus_config = CorpusConfig(**{f.name: _tuples(values[f.name]) for f in fields(CorpusConfig)})
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"{args.config}: malformed user_model, answer_count_weights, relevance or cell_plan: {exc}") from None
+        user_model = UserModel(**{key: _tuples(value) for key, value in spec.items()})
+        corpus_config = CorpusConfig(**{f.name: _tuples(config[f.name]) for f in fields(CorpusConfig)})
+    except ValueError as exc:
+        # the file is named only when no flag could have set the bad value
+        flagged = any(getattr(args, f.name, None) is not None for f in fields(CorpusConfig))
+        raise ValueError(f"{args.config}: {exc}" if args.config and not flagged else str(exc)) from None
     corpus = gen_corpus(corpus_config, seed=args.seed)
     log = simulate_impressions(corpus, user_model, config["n_per_pane"], seed=args.seed)
 

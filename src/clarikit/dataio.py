@@ -351,8 +351,7 @@ def write_tsv(path: str, header: Iterable[str], rows: Iterable[Iterable]) -> Non
 
 
 def read_tsv(path: str) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    lines = [line.rstrip("\n") for _, line in _nonblank_lines(path)]
     if not lines:
         raise ValueError(f"{path}: empty table")
     header = lines[0].split("\t")
@@ -360,12 +359,13 @@ def read_tsv(path: str) -> tuple[list[str], list[list[str]]]:
 
 
 def read_tsv_rows(path: str, types: tuple[Callable, ...]) -> Iterator[tuple]:
-    """The non-blank rows of a headerless TSV input, each column passed
-    through its entry of types.  A wrong column count or a value that does
-    not convert fails as a ValueError naming its path:line."""
+    """The rows of a headerless TSV input that are not empty lines (a line
+    of tabs is a row), each column passed through its entry of types.  A
+    wrong column count or a value that does not convert fails as a
+    ValueError naming its path:line."""
     converted = [(i, convert) for i, convert in enumerate(types) if convert is not str]
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    for first, lines in _line_chunks(path, IMPRESSION_CHUNK_LINES):
+        for lineno, line in enumerate(lines, start=first):
             line = line.rstrip("\n")
             if not line:
                 continue

@@ -24,7 +24,8 @@ Four user models are supported:
 
 Simulation draws one uniform matrix per pane from a stream seeded by
 (master_seed, pane_id), so logs are reproducible and independent of how work
-is partitioned over panes.
+is partitioned over panes.  One routine turns those draws into clicks for
+both simulators, comparing a block of panes at a time.
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _is_list(value) -> bool:
+    return isinstance(value, (tuple, list))
+
+
 @dataclass(frozen=True)
 class UserModel:
     kind: str
@@ -90,8 +95,9 @@ class UserModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown user model kind {self.kind!r}")
-        if any(not (_is_number(p) and 0.0 <= p <= 1.0) for p in self.exam_probs):
-            raise ValueError(f"examination probabilities must be numbers in [0, 1], got {list(self.exam_probs)}")
+        probs = self.exam_probs
+        if not _is_list(probs) or any(not (_is_number(p) and 0.0 <= p <= 1.0) for p in probs):
+            raise ValueError(f"exam_probs: examination probabilities must be numbers in [0, 1], got {probs!r}")
         if not (_is_number(self.cascade_scale) and 0.0 < self.cascade_scale <= 1.0):
             raise ValueError(f"cascade scale must be a number in (0, 1], got {self.cascade_scale!r}")
         for name in ("bias", "w_relevance", "w_size", "w_offset", "w_pixel", "size_scale"):
@@ -132,42 +138,31 @@ def _logistic_probs(model: UserModel, pane: ClarificationPane, relevances: np.nd
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def oracle_click_rates(model: UserModel, pane: ClarificationPane, relevances: Sequence[float]) -> np.ndarray:
-    """Exact per-answer click probability (per impression) under the model."""
-    rel = np.asarray(relevances, dtype=np.float64)
+def _click_thresholds(model: UserModel, pane: ClarificationPane, relevances: Sequence[float]) -> np.ndarray:
+    """Each answer's click probability for a user who reaches it: an answer
+    is clicked where its uniform falls below this.  Every kind but cascade
+    clicks its answers independently, so this is their click rate."""
+    rel = np.array(relevances, dtype=np.float64)
     k = len(pane.answers)
     if rel.shape != (k,):
         raise ValueError(f"expected {k} relevances, got shape {rel.shape}")
-    if model.kind == "relevance_only":
-        return rel.copy()
     if model.kind == "examination":
         if len(model.exam_probs) < k:
             raise ValueError(f"examination model covers {len(model.exam_probs)} positions, pane has {k}")
         return np.array(model.exam_probs[:k]) * rel
     if model.kind == "cascade":
-        attract = model.cascade_scale * rel
-        no_click_before = np.concatenate([[1.0], np.cumprod(1.0 - attract)[:-1]])
-        return attract * no_click_before
-    return _logistic_probs(model, pane, rel)
+        return model.cascade_scale * rel
+    if model.kind == "size_offset_logistic":
+        return _logistic_probs(model, pane, rel)
+    return rel
 
 
-def click_matrix(
-    model: UserModel, pane: ClarificationPane, relevances: Sequence[float], n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Boolean (n, answers) click outcomes for n impressions of one pane.
-    Every kind but cascade clicks each answer independently, with its
-    oracle_click_rates probability."""
-    k = len(pane.answers)
-    u = rng.random((n, k))
-    if model.kind == "cascade":
-        attract = model.cascade_scale * np.asarray(relevances, dtype=np.float64)
-        attracted = u < attract[None, :]
-        first = np.argmax(attracted, axis=1)
-        any_click = attracted.any(axis=1)
-        clicks = np.zeros((n, k), dtype=bool)
-        clicks[np.arange(n)[any_click], first[any_click]] = True
-        return clicks
-    return u < oracle_click_rates(model, pane, relevances)[None, :]
+def oracle_click_rates(model: UserModel, pane: ClarificationPane, relevances: Sequence[float]) -> np.ndarray:
+    """Exact per-answer click probability (per impression) under the model."""
+    rates = _click_thresholds(model, pane, relevances)
+    if model.kind == "cascade":  # reached only past answers that did not attract
+        return rates * np.concatenate([[1.0], np.cumprod(1.0 - rates)[:-1]])
+    return rates
 
 
 # numbers after the scheme name in CorpusConfig.relevance
@@ -198,17 +193,22 @@ class CorpusConfig:
         if self.panes_per_query < 1:
             raise ValueError("panes_per_query must be >= 1")
         weights = self.answer_count_weights
-        if len(weights) != 4 or not all(_is_number(w) for w in weights) or min(weights) < 0 or sum(weights) <= 0:
+        if not (_is_list(weights) and len(weights) == 4 and all(map(_is_number, weights))
+                and min(weights) >= 0 and sum(weights) > 0):
             raise ValueError("answer_count_weights must be 4 finite non-negative numbers for 2..5 answers, not all 0")
+        if not _is_list(self.relevance):
+            raise ValueError(f"relevance must be a list, a scheme name and then its numbers, got {self.relevance!r}")
         scheme, *numbers = self.relevance or (None,)
-        if scheme not in _RELEVANCE_PARAMS:
+        if not isinstance(scheme, str) or scheme not in _RELEVANCE_PARAMS:
             raise ValueError(f"unknown relevance scheme {scheme!r}")
         if len(numbers) != _RELEVANCE_PARAMS[scheme] or not all(_is_number(v) for v in numbers):
             raise ValueError(f"relevance scheme {scheme!r} takes {_RELEVANCE_PARAMS[scheme]} finite numbers, got {numbers}")
         if self.cell_plan is not None:
+            if not _is_list(self.cell_plan) or not self.cell_plan:
+                raise ValueError(f"cell_plan must be null or a non-empty list of rows, got {self.cell_plan!r}")
             for row in self.cell_plan:
-                if len(row) != 3 or any(type(v) is not int for v in row):
-                    raise ValueError(f"cell plan row {tuple(row)} must be 3 integers")
+                if not _is_list(row) or len(row) != 3 or any(type(v) is not int for v in row):
+                    raise ValueError(f"cell plan row {row!r} must be 3 integers")
                 k, i, count = row
                 if not (2 <= k <= 5 and 1 <= i <= k - 1 and count >= 1):
                     raise ValueError(f"bad cell plan row ({k}, {i}, {count})")
@@ -291,15 +291,7 @@ def gen_corpus(config: CorpusConfig, seed: int) -> Corpus:
     and answers and differ by exactly one adjacent transposition.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, fnv1a("corpus")]))
-    corpus = Corpus(
-        config=config,
-        seed=seed,
-        queries={},
-        panes={},
-        intent_sets={},
-        ground_truth={},
-        entity_lexicon={},
-    )
+    corpus = Corpus(config, seed, queries={}, panes={}, intent_sets={}, ground_truth={}, entity_lexicon={})
     planted = config.relevance[0] == "planted"
     template_ids = tuple(_TEMPLATE_QUESTIONS)
     count_weights = np.asarray(config.answer_count_weights, dtype=np.float64)
@@ -348,12 +340,7 @@ def gen_corpus(config: CorpusConfig, seed: int) -> Corpus:
         query_k = 2 + _draw_index(count_cdf, rng) if planted else 0
         for p_index in range(config.panes_per_query):
             pane_id = f"{qid}:p{p_index}"
-            if plan_k:
-                k = plan_k
-            elif planted:
-                k = query_k
-            else:
-                k = 2 + _draw_index(count_cdf, rng)
+            k = plan_k or query_k or 2 + _draw_index(count_cdf, rng)
             template_id = template_ids[int(rng.integers(len(template_ids)))]
             question_text = _TEMPLATE_QUESTIONS[template_id].format(noun=noun)
 
@@ -365,10 +352,7 @@ def gen_corpus(config: CorpusConfig, seed: int) -> Corpus:
             else:
                 pool = list(_FACETS)
             cover_p = float(rng.uniform(0.2, 1.0))
-            if planted:
-                uncovered = list(_OFF_TOPIC)
-            else:
-                uncovered = [f for f in pool if f not in facets] or pool
+            uncovered = list(_OFF_TOPIC) if planted else [f for f in pool if f not in facets] or pool
 
             # planted relevance carries pane-level effects (template boost,
             # consistency), so it is keyed per pane; otherwise relevance is a
@@ -414,13 +398,7 @@ def gen_corpus(config: CorpusConfig, seed: int) -> Corpus:
             if wants_swap and k >= 2:
                 i = plan_i if plan_i else int(rng.integers(1, k))
                 variant_id = f"{pane_id}s"
-                variant = ClarificationPane(
-                    id=variant_id,
-                    query_id=qid,
-                    question_text=question_text,
-                    answers=_swap_answers(answers, i),
-                    template_id=template_id,
-                )
+                variant = replace(pane, id=variant_id, answers=_swap_answers(answers, i))
                 corpus.panes[variant_id] = variant
                 corpus.ground_truth[variant_id] = tuple(pane_rel_map[a.text] for a in variant.answers)
                 corpus.swap_pairs.append((pane_id, variant_id, i))
@@ -428,27 +406,51 @@ def gen_corpus(config: CorpusConfig, seed: int) -> Corpus:
     return corpus
 
 
+# the uniforms one block of panes holds at most (512 KB), unless one pane's
+# draws alone are more
+_BLOCK_DRAWS = 1 << 16
+
+
 def _pane_rng(master_seed: int, pane_id: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([master_seed, fnv1a(pane_id)]))
 
 
-def simulate_stats(
-    corpus: Corpus, model: UserModel, n_per_pane: int, seed: int
-) -> dict[str, EngagementStats]:
-    """Aggregate engagement statistics from the same per-pane draws as
-    simulate_impressions, without building the log."""
+def _click_blocks(corpus: Corpus, model: UserModel, n_per_pane: int, seed: int):
+    """(pane ids, their generators, clicks) for the panes in id order, a
+    block at a time; clicks is a boolean (panes, 5, n_per_pane) array.  Each
+    generator has drawn its pane's rng.random((n_per_pane, answers)), whose
+    entries below _click_thresholds attract; cascade clicks only the first
+    attraction.  Positions past a pane's answers never click."""
     if n_per_pane < 1:
         raise ValueError("n_per_pane must be >= 1")
+    pane_ids = sorted(corpus.panes)
+    size = max(1, _BLOCK_DRAWS // (5 * n_per_pane))
+    for start in range(0, len(pane_ids), size):
+        block = pane_ids[start:start + size]
+        uniforms, thresholds = np.ones((len(block), 5, n_per_pane)), np.zeros((len(block), 5, 1))
+        rngs = []
+        for row, pane_id in enumerate(block):
+            pane = corpus.panes[pane_id]
+            k = len(pane.answers)
+            rng = _pane_rng(seed, pane_id)
+            uniforms[row, :k] = rng.random((n_per_pane, k)).T
+            thresholds[row, :k, 0] = _click_thresholds(model, pane, corpus.pane_relevances(pane_id))
+            rngs.append(rng)
+        clicks = uniforms < thresholds
+        if model.kind == "cascade":
+            clicks &= clicks.cumsum(axis=1, dtype=np.int8) == 1
+        yield block, rngs, clicks
+
+
+def simulate_stats(corpus: Corpus, model: UserModel, n_per_pane: int, seed: int) -> dict[str, EngagementStats]:
+    """Aggregate engagement statistics from the same per-pane draws as
+    simulate_impressions, without building the log."""
     stats = {}
-    for pane_id in sorted(corpus.panes):
-        pane = corpus.panes[pane_id]
-        rng = _pane_rng(seed, pane_id)
-        clicks = click_matrix(model, pane, corpus.pane_relevances(pane_id), n_per_pane, rng)
-        stats[pane_id] = EngagementStats(
-            impressions=n_per_pane,
-            engaged_impressions=int(clicks.any(axis=1).sum()),
-            per_position_clicks=tuple(int(c) for c in clicks.sum(axis=0)),
-        )
+    for block, _, clicks in _click_blocks(corpus, model, n_per_pane, seed):
+        engaged = clicks.any(axis=1).sum(axis=1).tolist()
+        per_position = clicks.sum(axis=2).tolist()
+        for pane_id, pane_engaged, pane_clicks in zip(block, engaged, per_position):
+            stats[pane_id] = EngagementStats(n_per_pane, pane_engaged, pane_clicks[:len(corpus.panes[pane_id].answers)])
     return stats
 
 
@@ -459,37 +461,31 @@ def simulate_impressions(
     oracle_click_rates.  Reformulation and result-click events are sampled
     i.i.d. at the corpus-config rates, after the click draws, so per-pane
     click outcomes match simulate_stats exactly."""
-    if n_per_pane < 1:
-        raise ValueError("n_per_pane must be >= 1")
     cfg = corpus.config
-    no_events = np.zeros(n_per_pane, dtype=bool)
     pieces = []
-    for pane_id in sorted(corpus.panes):
-        pane = corpus.panes[pane_id]
-        rng = _pane_rng(seed, pane_id)
-        clicks = click_matrix(model, pane, corpus.pane_relevances(pane_id), n_per_pane, rng)
-        query_text = corpus.queries[pane.query_id].text
-        result_flags = rng.random(n_per_pane) < cfg.result_click_rate if cfg.result_click_rate else no_events
-        reform_flags = rng.random(n_per_pane) < cfg.reformulation_rate if cfg.reformulation_rate else no_events
-        urls, dwells, deltas = [], [], []
-        # each impression's event draws in turn, a result click before a reformulation
-        for j in np.flatnonzero(result_flags | reform_flags).tolist():
-            if result_flags[j]:
-                dwells.append(float(rng.uniform(0.0, 60.0)))
-                urls.append(f"url:{pane.query_id}:{int(rng.integers(5))}")
-            if reform_flags[j]:
-                deltas.append(float(rng.uniform(0.0, 600.0)))
+    for block, rngs, clicks in _click_blocks(corpus, model, n_per_pane, seed):
+        no_events = np.zeros(n_per_pane, dtype=bool)
+        timestamps = base_timestamp + np.arange(n_per_pane, dtype=np.int64)
+        result_rows, reform_rows, urls, dwells, texts, deltas = [], [], [], [], [], []
+        for pane_id, rng in zip(block, rngs):
+            query_id = corpus.panes[pane_id].query_id
+            again = f"{corpus.queries[query_id].text} again"
+            result_flags = rng.random(n_per_pane) < cfg.result_click_rate if cfg.result_click_rate else no_events
+            reform_flags = rng.random(n_per_pane) < cfg.reformulation_rate if cfg.reformulation_rate else no_events
+            # each impression's event draws in turn, a result click before a reformulation
+            for j in np.flatnonzero(result_flags | reform_flags).tolist():
+                if result_flags[j]:
+                    dwells.append(float(rng.uniform(0.0, 60.0)))
+                    urls.append(f"url:{query_id}:{int(rng.integers(5))}")
+                if reform_flags[j]:
+                    deltas.append(float(rng.uniform(0.0, 600.0)))
+                    texts.append(again)
+            result_rows.append(result_flags)
+            reform_rows.append(reform_flags)
         pieces.append(ImpressionLog(
-            [pane_id],
-            np.zeros(n_per_pane, dtype=np.intp),
-            base_timestamp + np.arange(n_per_pane, dtype=np.int64),
-            offsets_from_counts(clicks.sum(axis=1)),
-            np.nonzero(clicks)[1].astype(np.int64) + 1,
-            offsets_from_counts(result_flags),
-            urls,
-            dwells,
-            offsets_from_counts(reform_flags),
-            [f"{query_text} again"] * len(deltas),
-            deltas,
+            block, np.repeat(np.arange(len(block)), n_per_pane), np.tile(timestamps, len(block)),
+            offsets_from_counts(clicks.sum(axis=1).ravel()), np.nonzero(clicks.swapaxes(1, 2))[2].astype(np.int64) + 1,
+            offsets_from_counts(np.concatenate(result_rows)), urls, dwells,
+            offsets_from_counts(np.concatenate(reform_rows)), texts, deltas,
         ))
     return ImpressionLog.concat(pieces)

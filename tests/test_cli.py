@@ -120,16 +120,27 @@ class TestSynthGen:
         assert (type(config["n_queries"]), type(config["swap_fraction"])) == (int, float)
 
     @pytest.mark.parametrize("values,message", [
-        ({"relevance": 5}, "{config}: "),
-        ({"user_model": {"kind": "cascade", "foo": 1}}, "{config}: "),
-        ({"user_model": "cascade"}, "{config}: "),
-        ({"cell_plan": [[2.5, 1, 3]]}, "cell plan row (2.5, 1, 3) must be 3 integers"),
-    ], ids=["relevance", "user_model", "user_model_string", "cell_plan_float"])
+        ({"relevance": 5}, "{config}: relevance must be a list"),
+        ({"user_model": {"kind": "cascade", "foo": 1}}, "{config}: unknown user_model keys ['foo']"),
+        ({"user_model": "cascade"}, "{config}: user_model must be a JSON object with a kind"),
+        ({"cell_plan": [[2.5, 1, 3]]}, "{config}: cell plan row (2.5, 1, 3) must be 3 integers"),
+        ({"answer_count_weights": 5}, "{config}: answer_count_weights must be 4 finite non-negative numbers"),
+        ({"cell_plan": 7}, "{config}: cell_plan must be null or a non-empty list of rows"),
+        ({"cell_plan": []}, "{config}: cell_plan must be null or a non-empty list of rows"),
+        ({"user_model": {"kind": "examination", "exam_probs": 3}}, "{config}: exam_probs: "),
+        ({"user_model": {"exam_probs": [1.0]}}, "{config}: user_model must be a JSON object with a kind"),
+    ], ids=["relevance", "user_model", "user_model_string", "cell_plan_float", "answer_count_weights_number",
+            "cell_plan_number", "cell_plan_empty", "exam_probs_number", "user_model_without_kind"])
     def test_malformed_structured_key_exits_one(self, tmp_path, capsys, values, message):
+        """A malformed structured key exits 1 with a message naming the
+        config file and the key; an empty cell plan is malformed, as null is
+        the only way to give no plan."""
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(values))
+        config_path.write_text(json.dumps(dict(values, n_per_pane=2)))
         assert run_cli("synth-gen", "--out", tmp_path / "o", "--config", config_path, "--seed", 1) == 1
-        assert message.format(config=config_path) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message.format(config=config_path) in err
+        assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
 
@@ -563,6 +574,25 @@ def test_failed_run_removes_the_directories_it_created(tmp_path):
     assert os.listdir(tmp_path / "fresh") == ["keep.txt"]
 
 
+def test_staging_directory_of_a_gone_process_is_removed(tmp_path):
+    """A staging directory left by a process that no longer runs (one killed
+    by SIGKILL cannot remove its own) is removed by the next command in that
+    --out; one of a live process, and one not named by a pid, stay."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    out = tmp_path / "r"
+    stale, live, unnamed = out / f".staging-{child.pid}-x1", out / f".staging-{os.getpid()}-x2", out / ".staging-x3"
+    for directory in (stale, live, unnamed):
+        directory.mkdir(parents=True)
+        (directory / "table.tsv").write_text("partial")
+    source = tmp_path / "table.tsv"
+    source.write_text("metric\tvalue\nx\t1\n")
+    assert run_cli("plot-data", "--out", out, "--input", source) == 0
+    assert not stale.exists()
+    assert live.exists() and unnamed.exists()
+    assert (out / "table.tsv").read_text() == source.read_text()
+
+
 @pytest.mark.parametrize("signum, code", [(signal.SIGTERM, 143), (signal.SIGINT, 130)], ids=["SIGTERM", "SIGINT"])
 def test_sigterm_discards_the_staged_outputs(corpus_dir, tmp_path, signum, code):
     """A command stopped by SIGTERM (SIGINT) exits 143 (130) without a
@@ -766,6 +796,23 @@ def test_bad_input_line_exits_one_naming_it(side_files, tmp_path, capsys, flag, 
     assert run_cli(*argv, flag, bad) == 1
     err = capsys.readouterr().err
     assert f"{bad}:{line}: " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("flag", ["--reformulations", "--click-titles", "--lexicon", "--history", "--input"])
+def test_non_utf8_tsv_input_exits_one_naming_it(side_files, tmp_path, capsys, flag):
+    """A TSV input holding bytes that are not UTF-8: exit 1, a message naming
+    its path and line, no traceback, nothing under --out."""
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(open(side_files[flag], "rb").read() + b"caf\xff\tx\t1\n")
+    command = READER.get(flag, "plot-data")
+    argv = [command, "--out", tmp_path / "r"]
+    for needed in NEEDS.get(command, ()):
+        argv += [needed, side_files[needed]]
+    assert run_cli(*argv, flag, bad) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: not UTF-8 at or after line 1" in err
     assert "Traceback" not in err
     assert not (tmp_path / "r").exists()
 

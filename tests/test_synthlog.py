@@ -1,12 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from clarikit import dataio, synthlog
 from clarikit.core import CandidateAnswer, ClarificationPane, collect_stats, validate_pane
 from clarikit.synthlog import (
     CorpusConfig,
     UserModel,
     _swap_answers,
-    click_matrix,
     gen_corpus,
     oracle_click_rates,
     simulate_impressions,
@@ -169,6 +171,9 @@ class TestSimulation:
         corpus = gen_corpus(CorpusConfig(n_queries=2), seed=0)
         with pytest.raises(ValueError):
             simulate_stats(corpus, UserModel.relevance_only(), 0, seed=0)
+        for simulate in (simulate_stats, simulate_impressions):
+            with pytest.raises(ValueError, match="n_per_pane must be >= 1"):
+                simulate(corpus, UserModel.relevance_only(), -1, seed=0)
 
     def test_relevance_one_always_clicked(self):
         corpus = gen_corpus(CorpusConfig(n_queries=3), seed=4)
@@ -219,20 +224,71 @@ class TestSimulation:
             )
 
     def test_cascade_at_most_one_click(self):
-        pane = pane_of(["a", "b", "c"])
-        rng = np.random.default_rng(0)
-        clicks = click_matrix(UserModel.cascade(), pane, [0.6, 0.6, 0.6], 1000, rng)
-        assert clicks.sum(axis=1).max() <= 1
+        corpus = gen_corpus(CorpusConfig(n_queries=8, relevance=("uniform", 0.5, 0.9)), seed=12)
+        stats = simulate_stats(corpus, UserModel.cascade(), 1000, seed=0)
+        for pane_stats in stats.values():
+            assert pane_stats.engaged_impressions == sum(pane_stats.per_position_clicks)
 
     def test_independent_models_allow_multi_clicks(self):
-        pane = pane_of(["a", "b", "c"])
-        rng = np.random.default_rng(0)
-        clicks = click_matrix(UserModel.relevance_only(), pane, [0.6, 0.6, 0.6], 1000, rng)
-        assert clicks.sum(axis=1).max() > 1
+        corpus = gen_corpus(CorpusConfig(n_queries=8, relevance=("uniform", 0.5, 0.9)), seed=12)
+        stats = simulate_stats(corpus, UserModel.relevance_only(), 1000, seed=0)
+        assert any(sum(s.per_position_clicks) > s.engaged_impressions for s in stats.values())
 
     def test_examination_needs_a_probability_per_position(self):
-        """click_matrix draws from oracle_click_rates, so a pane longer than
-        the examination probabilities fails with the oracle's message."""
-        pane = pane_of(["a", "b", "c"])
+        """The clicks are drawn against oracle_click_rates, so a pane longer
+        than the examination probabilities fails with the oracle's message."""
+        corpus = gen_corpus(CorpusConfig(n_queries=0, cell_plan=((3, 1, 1),)), seed=0)
         with pytest.raises(ValueError, match="examination model covers 2 positions, pane has 3"):
-            click_matrix(UserModel.examination([1.0, 0.5]), pane, [0.6, 0.6, 0.6], 10, np.random.default_rng(0))
+            simulate_stats(corpus, UserModel.examination([1.0, 0.5]), 10, seed=0)
+
+    @pytest.mark.parametrize("block_draws", [1, 350, 10**9])
+    def test_any_block_size_gives_the_same_draws(self, monkeypatch, block_draws):
+        """Panes are compared a block at a time; where the blocks end changes
+        no pane's clicks or events."""
+        corpus = gen_corpus(
+            CorpusConfig(n_queries=7, panes_per_query=2, swap_fraction=0.5, reformulation_rate=0.2,
+                         result_click_rate=0.3), seed=3
+        )
+        models = (UserModel.cascade(), UserModel.size_offset_logistic())
+        expected = [
+            (simulate_stats(corpus, model, 20, seed=1), simulate_impressions(corpus, model, 20, seed=1)) for model in models
+        ]
+        monkeypatch.setattr(synthlog, "_BLOCK_DRAWS", block_draws)
+        for model, (stats, log) in zip(models, expected):
+            assert simulate_stats(corpus, model, 20, seed=1) == stats
+            assert simulate_impressions(corpus, model, 20, seed=1) == log
+
+
+# SHA-256 of the save_impressions bytes of PIN_CORPUS's log (30 impressions a
+# pane, seed 5) and of repr(simulate_stats(...)) (70,000 a pane, seed 6), per
+# user model.  Recorded before both simulators moved to one draw routine; a
+# change meant to preserve the simulation must leave them as they are.
+PIN_MODELS = {
+    "relevance_only": UserModel.relevance_only(),
+    "examination": UserModel.examination(),
+    "cascade": UserModel.cascade(0.9),
+    "size_offset_logistic": UserModel.size_offset_logistic(),
+}
+PINS = {
+    "relevance_only": ("01e88f122389d0f649ac68221b0eb417b78129da387ef66782d18bf6183bfc56",
+                       "f3882f503e2c8f751e2a90227515e3b08ab677920750a86793075663d04ffe33"),
+    "examination": ("d853c8e494cfe73b9225e80d2c22f9a524e31969740a12d830e21233b084714c",
+                    "940e0fef3140a50f2d7096b98d8a35df256ec91b7ccc63dd98a9245c4c34eef3"),
+    "cascade": ("cc3746ce7dc3b10e5c12c85225186bfb6c13cddd13687e45c59a03ba352d38f7",
+                "fe58d68ad43978a288fd641616d209d31de6550c39e58ed4fc60baa88afbf27c"),
+    "size_offset_logistic": ("1e5f36a170f539f6797f5c8ca31f6a7d123686304f8cfe18782735be0b5e0dbb",
+                             "0b858fb5d2fcaa4e433bad97ca8cd98c43c713e0a109712f68ed6bccb2da1011"),
+}
+PIN_CORPUS = CorpusConfig(n_queries=10, panes_per_query=2, swap_fraction=0.5, reformulation_rate=0.2,
+                          result_click_rate=0.3)
+
+
+@pytest.mark.parametrize("kind", PINS)
+def test_simulation_is_pinned(tmp_path, kind):
+    corpus = gen_corpus(PIN_CORPUS, seed=31)
+    model = PIN_MODELS[kind]
+    path = tmp_path / "impressions.jsonl"
+    dataio.save_impressions(str(path), simulate_impressions(corpus, model, 30, seed=5))
+    stats = simulate_stats(corpus, model, 70_000, seed=6)
+    digests = hashlib.sha256(path.read_bytes()).hexdigest(), hashlib.sha256(repr(stats).encode()).hexdigest()
+    assert digests == PINS[kind]
