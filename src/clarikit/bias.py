@@ -8,20 +8,31 @@ scatter data, above-diagonal percentages per (answer count, swap position),
 a four-feature logistic regression predicting the swapped pane's click rates,
 and a family of baseline click models compared by cross entropy.
 
-Click rates are per-impression answer click rates, Laplace-smoothed as
-(clicks + 1) / (impressions + 2) so log odds stay finite on finite samples.
+Every output reads one SwapTable, gathered once from the triples' panes:
+row t is triple t, side 0 its observed pane C and side 1 its swapped pane C',
+p a 0-based position and i the triple's 1-based swap index.
+
+    impressions[t, side]   shape (n, 2)
+    clicks[t, side, p]     shape (n, 2, MAX_ANSWERS), zero past a pane's answers
+    rates[t, side, p]      (clicks + 1) / (impressions + 2), smoothed to finite log odds
+    ctr_l, ctr_r           rates[t, 0, i - 1], rates[t, 0, i]: C at i and i + 1
+    target_l, target_r     rates[t, 1, i - 1], rates[t, 1, i]: C' at i and i + 1
+    sizes[t, j]            render size of C's answer at position i + j
+
+The scatter's points are (target_r, ctr_l) for answer C[i] and (ctr_r,
+target_l) for answer C[i + 1]: x where the answer sat deeper, y higher.
 """
 
 from __future__ import annotations
 
 import warnings
-from itertools import compress
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ClarificationPane, EngagementStats
+from .core import MAX_ANSWERS, ClarificationPane, EngagementStats
 from .intents import normalize_phrase
 from .tensor.text import fnv1a
 
@@ -46,23 +57,6 @@ class SwapTriple:
     answer_count: int
 
 
-@dataclass(frozen=True)
-class SwapFeatures:
-    ctr_l: float
-    ctr_r: float
-    size_diff: float
-    offset: int
-
-    def __post_init__(self):
-        if not -1.0 <= self.size_diff <= 1.0:
-            raise ValueError(f"size_diff {self.size_diff} outside [-1, 1]")
-        if self.offset < 0:
-            raise ValueError("offset must be >= 0")
-
-    def as_row(self) -> np.ndarray:
-        return np.array([1.0, self.ctr_l, self.ctr_r, self.size_diff, float(self.offset)])
-
-
 def build_swap_dataset(panes: Mapping[str, ClarificationPane]) -> list[SwapTriple]:
     """Find every unordered pane pair that is one adjacent transposition apart.
 
@@ -79,85 +73,84 @@ def build_swap_dataset(panes: Mapping[str, ClarificationPane]) -> list[SwapTripl
 
     triples = []
     for (query_id, _, _), ids in groups.items():
-        for a_idx in range(len(ids)):
-            for b_idx in range(a_idx + 1, len(ids)):
-                first, second = ids[a_idx], ids[b_idx]
-                i = _adjacent_swap_index(panes[first], panes[second])
-                if i is not None:
-                    triples.append(
-                        SwapTriple(
-                            query_id=query_id,
-                            pane_c=first,
-                            pane_c_prime=second,
-                            swap_index=i,
-                            answer_count=panes[first].answer_count,
-                        )
-                    )
+        for first, second in combinations(ids, 2):
+            i = _adjacent_swap_index(panes[first], panes[second])
+            if i is not None:
+                triples.append(SwapTriple(query_id, first, second, swap_index=i, answer_count=panes[first].answer_count))
     triples.sort(key=lambda t: (t.query_id, t.pane_c, t.pane_c_prime))
     return triples
 
 
 def _adjacent_swap_index(a: ClarificationPane, b: ClarificationPane) -> int | None:
-    texts_a, texts_b = a.answer_texts(), b.answer_texts()
-    if len(texts_a) != len(texts_b):
-        return None
-    diff = [idx for idx, (x, y) in enumerate(zip(texts_a, texts_b)) if x != y]
-    if len(diff) != 2 or diff[1] != diff[0] + 1:
-        return None
-    i = diff[0]
-    if texts_a[i] == texts_b[i + 1] and texts_a[i + 1] == texts_b[i]:
-        return i + 1  # 1-based
-    return None
+    """The 1-based index i of the adjacent transposition between two panes
+    whose answer texts are one multiset, or None: with equal multisets, two
+    adjacent positions that differ hold the same two texts swapped."""
+    diff = [idx for idx, (x, y) in enumerate(zip(a.answer_texts(), b.answer_texts())) if x != y]
+    return diff[0] + 1 if len(diff) == 2 and diff[1] == diff[0] + 1 else None
 
 
-def smoothed_rate(stats: EngagementStats, position: int) -> float:
-    """Laplace-smoothed per-impression click rate of the answer at a 1-based
-    position."""
-    if stats.impressions < 1:
-        raise ValueError("rate undefined for zero impressions")
-    return (stats.per_position_clicks[position - 1] + 1.0) / (stats.impressions + 2.0)
+class SwapTable:
+    """The arrays of the module docstring, with each triple's query and pane
+    ids, swap index and answer count; sizes are NaN when no panes are given."""
+
+    def __init__(self, triples: Iterable[SwapTriple], stats: Mapping[str, EngagementStats], panes=None):
+        self.stats, self.panes = stats, panes
+        pad, rows, sizes = (0,) * MAX_ANSWERS, [], []
+        for t in triples:
+            c, c_prime = stats[t.pane_c], stats[t.pane_c_prime]
+            rows.append((t.query_id, t.pane_c, t.pane_c_prime, t.swap_index, t.answer_count, c.impressions,
+                         *(c.per_position_clicks + pad)[:MAX_ANSWERS], c_prime.impressions,
+                         *(c_prime.per_position_clicks + pad)[:MAX_ANSWERS]))
+            if panes is not None:
+                sizes.append([a.render_size for a in panes[t.pane_c].answers[t.swap_index - 1 : t.swap_index + 1]])
+        n = len(rows)
+        gathered = np.array(rows, dtype=object).reshape(n, 5 + 2 * (1 + MAX_ANSWERS))
+        self.query_ids, self.pane_ids = gathered[:, 0], gathered[:, 1:3]
+        self.swap_index, self.answer_count = gathered[:, 3:5].astype(np.intp).T
+        counts = gathered[:, 5:].astype(np.float64).reshape(n, 2, 1 + MAX_ANSWERS)
+        self.impressions, self.clicks = counts[:, :, 0], counts[:, :, 1:]
+        self.sizes = np.array(sizes, dtype=np.float64).reshape(n, 2) if panes is not None else np.full((n, 2), np.nan)
+        empty = np.flatnonzero((self.impressions < 1).any(axis=1))
+        if empty.size:
+            raise ValueError(f"triple {'/'.join(self.pane_ids[empty[0]])} has a pane without impressions")
+        self.rates = (self.clicks + 1.0) / (self.impressions[:, :, None] + 2.0)
+        swapped = np.take_along_axis(self.rates, self.swap_index[:, None, None] - 1 + np.arange(2), axis=2)
+        (self.ctr_l, self.ctr_r), (self.target_l, self.target_r) = swapped.transpose(1, 2, 0).copy()
+        # the swap regression's feature rows, columns as FEATURE_NAMES
+        left, right = self.sizes.T
+        size_diff = (left - right) / (left + right)
+        self.rows = np.column_stack([np.ones(n), self.ctr_l, self.ctr_r, size_diff, self.swap_index - 1.0])
+
+    def points(self) -> tuple[np.ndarray, np.ndarray]:
+        """The scatter's x and y, shape (n, 2): one column per swapped answer, C[i]'s first."""
+        return np.column_stack([self.target_r, self.ctr_r]), np.column_stack([self.ctr_l, self.target_l])
 
 
-def log_odds(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"log odds undefined for p={p}")
-    return float(np.log(p / (1.0 - p)))
-
-
-def swap_points(
-    triple: SwapTriple, stats: Mapping[str, EngagementStats]
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """The two (rate at lower position, rate at higher position) points of a
-    triple: one for each swapped answer, x measured where it sat deeper."""
-    stats_c = stats[triple.pane_c]
-    stats_cp = stats[triple.pane_c_prime]
-    if stats_c.impressions < 1 or stats_cp.impressions < 1:
-        raise ValueError(f"triple {triple.pane_c}/{triple.pane_c_prime} has a pane without impressions")
-    i = triple.swap_index
-    # answer C[i]: shown at i in C (higher) and at i+1 in C' (lower)
-    point_one = (smoothed_rate(stats_cp, i + 1), smoothed_rate(stats_c, i))
-    # answer C[i+1]: shown at i+1 in C (lower) and at i in C' (higher)
-    point_two = (smoothed_rate(stats_c, i + 1), smoothed_rate(stats_cp, i))
-    return point_one, point_two
+def log_odds(p):
+    """log(p / (1 - p)), elementwise."""
+    p = np.asarray(p, dtype=np.float64)
+    outside = ~((0.0 < p) & (p < 1.0))
+    if outside.any():
+        raise ValueError(f"log odds undefined for p={p[outside].flat[0]}")
+    return np.log(p / (1.0 - p))
 
 
 def scatter_points(
     triples: Iterable[SwapTriple], stats: Mapping[str, EngagementStats]
 ) -> list[tuple[float, float, int, int]]:
-    """(x, y, answer_count, swap_index) rows in log-odds space, two per triple."""
-    rows = []
-    for t in triples:
-        for x, y in swap_points(t, stats):
-            rows.append((log_odds(x), log_odds(y), t.answer_count, t.swap_index))
-    return rows
+    """(x, y, answer_count, swap_index) rows in log-odds space, two per
+    triple: x is an answer's rate where it sat deeper, y where it sat
+    higher."""
+    table = SwapTable(triples, stats)
+    x, y = (log_odds(side).ravel().tolist() for side in table.points())
+    return list(zip(x, y, table.answer_count.repeat(2).tolist(), table.swap_index.repeat(2).tolist()))
 
 
 def fit_scatter_line(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """Ordinary least squares y = slope * x + intercept."""
     if len(points) < 2:
         raise ValueError("need at least 2 points")
-    x = np.array([p[0] for p in points])
-    y = np.array([p[1] for p in points])
+    x, y = map(np.array, zip(*points))
     if np.allclose(x, x[0]):
         raise ValueError("degenerate x values")
     x_mean, y_mean = x.mean(), y.mean()
@@ -172,40 +165,16 @@ def pct_above_diagonal(
     higher-position rate exceeds their lower-position rate, and the point
     count.  Ties sit on the diagonal and are excluded from both sides, which
     keeps the unbiased null calibrated at exactly 50%."""
-    above: dict[tuple[int, int], int] = {}
-    counted: dict[tuple[int, int], int] = {}
-    for t in triples:
-        key = (t.answer_count, t.swap_index)
-        for x, y in swap_points(t, stats):
-            if y == x:
-                continue
-            counted[key] = counted.get(key, 0) + 1
-            if y > x:
-                above[key] = above.get(key, 0) + 1
-    return {
-        key: (100.0 * above.get(key, 0) / counted[key], counted[key])
-        for key in sorted(counted)
-    }
-
-
-def swap_features(pane_c: ClarificationPane, stats_c: EngagementStats, swap_index: int) -> SwapFeatures:
-    """Features of the observed pane: the two click rates, the relative size
-    difference of the swapped answers, and the 0-based offset of the left one."""
-    i = swap_index
-    left, right = pane_c.answers[i - 1], pane_c.answers[i]
-    return SwapFeatures(
-        ctr_l=smoothed_rate(stats_c, i),
-        ctr_r=smoothed_rate(stats_c, i + 1),
-        size_diff=(left.render_size - right.render_size) / (left.render_size + right.render_size),
-        offset=i - 1,
-    )
-
-
-def swap_targets(stats_c_prime: EngagementStats, swap_index: int) -> tuple[float, float]:
-    """Labels: the swapped pane's click rates at the swap positions.  Label L
-    is the promoted answer's rate at position i, label R the demoted one's at
-    position i+1."""
-    return smoothed_rate(stats_c_prime, swap_index), smoothed_rate(stats_c_prime, swap_index + 1)
+    table = SwapTable(triples, stats)
+    x, y = table.points()
+    off = x != y
+    # one integer per (answer count, swap index) cell, in sorted order
+    cell = np.broadcast_to((MAX_ANSWERS + 1) * table.answer_count[:, None] + table.swap_index[:, None], x.shape)[off]
+    cells, where = np.unique(cell, return_inverse=True)
+    counted = np.bincount(where, minlength=len(cells)).tolist()
+    above = np.bincount(where[y[off] > x[off]], minlength=len(cells)).tolist()
+    keys = [divmod(key, MAX_ANSWERS + 1) for key in cells.tolist()]
+    return {key: (100.0 * up / count, count) for key, up, count in zip(keys, above, counted)}
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -308,15 +277,8 @@ def regression_data(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Feature rows from the observed panes, the two fractional targets from
     the swapped panes, and impression weights."""
-    rows, targets_l, targets_r, weights = [], [], [], []
-    for t in triples:
-        features = swap_features(panes[t.pane_c], stats[t.pane_c], t.swap_index)
-        label_l, label_r = swap_targets(stats[t.pane_c_prime], t.swap_index)
-        rows.append(features.as_row())
-        targets_l.append(label_l)
-        targets_r.append(label_r)
-        weights.append(stats[t.pane_c_prime].impressions)
-    return np.array(rows), np.array(targets_l), np.array(targets_r), np.array(weights, dtype=np.float64)
+    table = SwapTable(triples, stats, panes)
+    return table.rows, table.target_l, table.target_r, table.impressions[:, 1].copy()
 
 
 def cross_entropy(true_rates: Sequence[float], predicted_rates: Sequence[float]) -> float:
@@ -511,105 +473,81 @@ def fit_cascade_attractiveness(
 #
 # Each entry of CLICK_MODELS is fit on the training triples of one fold and
 # returns a predictor of the swapped pane's (label L, label R) rates for its
-# test triples; both sets are boolean masks over SwapData.triples:
-#   fit(data, train mask) -> predict(test mask) -> (rates L, rates R)
+# test triples; both sets are boolean masks over the rows of a SwapTable,
+# whose target_l and target_r are the evaluation truths:
+#   fit(table, train mask) -> predict(test mask) -> (rates L, rates R)
 
 
-@dataclass(frozen=True)
-class SwapData:
-    """The triples with what every click model reads of them: the swap
-    regression's feature rows (columns as FEATURE_NAMES), its two targets,
-    which are the evaluation truths, and its impression weights."""
-
-    triples: list[SwapTriple]
-    panes: Mapping[str, ClarificationPane]
-    stats: Mapping[str, EngagementStats]
-    rows: np.ndarray
-    targets_l: np.ndarray
-    targets_r: np.ndarray
-    weights: np.ndarray
-
-
-def _fit_best_possible(data: SwapData, train: np.ndarray):
+def _fit_best_possible(data: SwapTable, train: np.ndarray):
     """Echo the observed swapped-pane rates: the entropy floor."""
-    return lambda test: (data.targets_l[test], data.targets_r[test])
+    return lambda test: (data.target_l[test], data.target_r[test])
 
 
-def _fit_blind(data: SwapData, train: np.ndarray):
+def _fit_blind(data: SwapTable, train: np.ndarray):
     """One smoothed click rate over every training slot, predicted everywhere."""
-    observed = [data.stats[t.pane_c] for t in compress(data.triples, train)]
-    clicks = sum(sum(s.per_position_clicks) for s in observed)
-    slots = sum(s.impressions * len(s.per_position_clicks) for s in observed)
+    clicks = data.clicks[train, 0].sum()
+    slots = (data.impressions[train, 0] * data.answer_count[train]).sum()
     rate = (clicks + 1.0) / (slots + 2.0)
     return lambda test: (np.full(test.sum(), rate), np.full(test.sum(), rate))
 
 
-def _fit_no_bias(data: SwapData, train: np.ndarray):
+def _fit_no_bias(data: SwapTable, train: np.ndarray):
     """Each answer keeps the rate observed at its old position: label L is
     the observed ctr_r, label R the observed ctr_l."""
-    return lambda test: (data.rows[test, 2], data.rows[test, 1])
+    return lambda test: (data.ctr_r[test], data.ctr_l[test])
 
 
-def _fit_examination(data: SwapData, train: np.ndarray):
+def _fit_examination(data: SwapTable, train: np.ndarray):
     """Position examination probabilities fit by maximum likelihood on the
     training panes (position 1 pinned to 1.0); each swapped answer's
     attractiveness is its observed rate over the examination probability of
     its old position."""
-    observed = {}
-    for t in compress(data.triples, train):
-        observed[t.pane_c] = data.stats[t.pane_c]
-        observed[t.pane_c_prime] = data.stats[t.pane_c_prime]
+    observed = {pane_id: data.stats[pane_id] for pane_id in np.unique(data.pane_ids[train]).tolist()}
     eps = fit_examination_em(observed, data.panes).eps
 
     def predict(test):
-        ctr_l, ctr_r = data.rows[test, 1], data.rows[test, 2]
-        offset = data.rows[test, 4].astype(np.intp)
-        eps_i, eps_next = eps[offset], eps[offset + 1]  # swap positions i and i+1
+        i = data.swap_index[test]
+        eps_i, eps_next = eps[i - 1], eps[i]  # swap positions i and i+1
         # label L: the answer observed at i+1 moves up to i; label R: the
         # answer observed at i moves down to i+1
+        ctr_l, ctr_r = data.ctr_l[test], data.ctr_r[test]
         return ctr_r / np.maximum(eps_next, _EPS) * eps_i, ctr_l / np.maximum(eps_i, _EPS) * eps_next
 
     return predict
 
 
-def cascade_attractiveness(stats: EngagementStats) -> np.ndarray:
-    """Per-answer click probabilities of one pane under the sequential scan
-    model: the closed-form maximum-likelihood estimates from its smoothed
-    rates, since examinations are observable when at most one answer is
-    clicked."""
-    rates = np.array([smoothed_rate(stats, pos) for pos in range(1, len(stats.per_position_clicks) + 1)])
-    seen_before = np.concatenate([[0.0], np.cumsum(rates)[:-1]])
+def cascade_attractiveness(rates: np.ndarray) -> np.ndarray:
+    """Per-answer click probabilities under the sequential scan model from
+    smoothed rates by position (the last axis): the closed-form
+    maximum-likelihood estimates, since examinations are observable when at
+    most one answer is clicked."""
+    seen_before = np.zeros_like(rates)
+    seen_before[..., 1:] = np.cumsum(rates[..., :-1], axis=-1)
     return np.clip(rates / np.maximum(1.0 - seen_before, _EPS), _EPS, 1.0 - _EPS)
 
 
-def _fit_cascade(data: SwapData, train: np.ndarray):
+def _fit_cascade(data: SwapTable, train: np.ndarray):
     """The observed pane's own attractiveness recomposed in the swapped
     order; nothing is fit on the training folds."""
 
-    def predict_swap(t: SwapTriple) -> tuple[float, float]:
-        attract = cascade_attractiveness(data.stats[t.pane_c])
-        i = t.swap_index
-        order = list(range(len(attract)))
-        order[i - 1], order[i] = order[i], order[i - 1]
-        reordered = attract[order]
-        no_click_before = np.concatenate([[1.0], np.cumprod(1.0 - reordered)[:-1]])
-        predicted = reordered * no_click_before
-        return float(predicted[i - 1]), float(predicted[i])
-
     def predict(test):
-        pairs = np.array([predict_swap(t) for t in compress(data.triples, test)])
-        return pairs[:, 0], pairs[:, 1]
+        attract, i = cascade_attractiveness(data.rates[test, 0]), data.swap_index[test]
+        rows = np.arange(len(i))
+        # reach: no click on the i - 1 answers above the swap, which it leaves in place
+        reach = np.cumprod(np.column_stack([np.ones(len(i)), 1.0 - attract]), axis=1)[rows, i - 1]
+        promoted, demoted = attract[rows, i], attract[rows, i - 1]
+        return promoted * reach, demoted * (reach * (1.0 - promoted))
 
     return predict
 
 
-def _fit_logistic(data: SwapData, train: np.ndarray):
+def _fit_logistic(data: SwapTable, train: np.ndarray):
     """The swap regression: one fractional logistic fit per label on the
     training rows, applied to the test rows.  The predictor carries the two
     weight vectors (L, R) as its weights attribute."""
     weights = tuple(
-        fit_fractional_logreg(data.rows[train], targets[train], data.weights[train]).weights
-        for targets in (data.targets_l, data.targets_r)
+        fit_fractional_logreg(data.rows[train], targets[train], data.impressions[train, 1]).weights
+        for targets in (data.target_l, data.target_r)
     )
 
     def predict(test):
@@ -670,19 +608,21 @@ def evaluate_click_models(
     triples = list(triples)
     if len(triples) < folds:
         raise ValueError(f"need at least {folds} triples")
-    fold_ids = np.array([triple_fold(t, folds) for t in triples])
+    data = SwapTable(triples, stats, panes)
+    # a query's triples share its fold, so each query is hashed once
+    _, first, query_of = np.unique(data.query_ids, return_index=True, return_inverse=True)
+    fold_ids = np.array([triple_fold(triples[j], folds) for j in first.tolist()])[query_of]
     # a fold holding triples has training triples when another one does
     evaluated = sorted(set(fold_ids.tolist()))
     if len(evaluated) < 2:
         raise ValueError(f"no fold has both training and test triples: all {len(triples)} fall in fold {evaluated[0]}")
-    data = SwapData(triples, panes, stats, *regression_data(triples, panes, stats))
-    answer_counts = np.array([str(t.answer_count) for t in triples])
+    answer_counts = data.answer_count.astype(str)
     logreg = LogRegCvReport(FEATURE_NAMES, [], [], []) if "logistic" in kinds else None
 
     per_fold: dict[tuple[str, str], list[float]] = {}
     for fold in evaluated:
         test = fold_ids == fold
-        truths = np.concatenate([data.targets_l[test], data.targets_r[test]])
+        truths = np.concatenate([data.target_l[test], data.target_r[test]])
         groups = np.concatenate([answer_counts[test]] * 2)
         for kind in kinds:
             predict = CLICK_MODELS[kind](data, ~test)
@@ -696,8 +636,5 @@ def evaluate_click_models(
                 sel = groups == group
                 per_fold.setdefault((kind, group), []).append(cross_entropy(truths[sel], preds[sel]))
 
-    cells = {
-        key: CeCell(mean=float(np.mean(vals)), std=float(np.std(vals)), folds=len(vals))
-        for key, vals in per_fold.items()
-    }
-    return CeReport(cells=cells, logreg=logreg)
+    cells = {key: CeCell(float(np.mean(vals)), float(np.std(vals)), len(vals)) for key, vals in per_fold.items()}
+    return CeReport(cells, logreg)

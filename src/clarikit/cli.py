@@ -664,8 +664,11 @@ def cmd_eval(args, config: dict, out: Outputs) -> None:
 
 
 def cmd_plot_data(args, config: dict, out: Outputs) -> None:
-    header, rows = dataio.read_tsv(args.input)
     name = args.name or os.path.basename(args.input)
+    # the table goes into --out itself, beside the manifest written after it
+    if name in (".", "..", "manifest.json") or any(sep and sep in name for sep in (os.sep, os.altsep)):
+        raise ValueError(f"--name {name!r} must be a file name other than manifest.json, without a path separator")
+    header, rows = dataio.read_tsv(args.input)
     dataio.write_tsv(out.path(name), header, rows)
 
 

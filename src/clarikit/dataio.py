@@ -84,15 +84,29 @@ def _load_by_id(path: str, convert: Callable[[dict], object]) -> dict:
 
 def _line_chunks(path: str, size: int) -> Iterator[tuple[int, list[str]]]:
     """(number of the first line, the lines) of a UTF-8 text file, size
-    lines at a time.  Bytes that are not UTF-8 fail naming the path."""
+    lines at a time.  Bytes that are not UTF-8 fail naming the path and
+    line: the text reader decodes ahead of the lines it returns, so the file
+    is read again as bytes to find that line."""
     first = 1
     try:
         with open(path, "r", encoding="utf-8") as fh:
             while lines := list(itertools.islice(fh, size)):
                 yield first, lines
                 first += len(lines)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 at or after line {first}: {exc}") from None
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            # the text reader's line ends: \n, \r\n and a lone \r
+            lines = (line for raw in fh for line in raw.splitlines())
+            bad = next(lineno for lineno, line in enumerate(lines, start=1) if not _is_utf8(line))
+        raise ValueError(f"{path}:{bad}: not UTF-8") from None
+
+
+def _is_utf8(data: bytes) -> bool:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 def _nonblank_lines(path: str) -> Iterator[tuple[int, str]]:

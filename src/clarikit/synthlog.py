@@ -192,6 +192,10 @@ class CorpusConfig:
             raise ValueError(f"swap fraction {self.swap_fraction} not in [0, 1]")
         if self.panes_per_query < 1:
             raise ValueError("panes_per_query must be >= 1")
+        if not 0.0 <= self.question_fraction <= 1.0:
+            raise ValueError(f"question_fraction {self.question_fraction} not in [0, 1]")
+        if not 1 <= self.intents_per_query <= len(_FACETS):
+            raise ValueError(f"intents_per_query {self.intents_per_query} not in [1, {len(_FACETS)}]")
         weights = self.answer_count_weights
         if not (_is_list(weights) and len(weights) == 4 and all(map(_is_number, weights))
                 and min(weights) >= 0 and sum(weights) > 0):
@@ -317,10 +321,9 @@ def gen_corpus(config: CorpusConfig, seed: int) -> Corpus:
         )
         corpus.queries[qid] = query
 
-        n_intents = max(1, config.intents_per_query)
-        facet_pool = rng.permutation(len(_FACETS))[:n_intents]
+        facet_pool = rng.permutation(len(_FACETS))[: config.intents_per_query]
         facets = [_FACETS[j] for j in facet_pool]
-        intent_weights = np.array([max(1.0, round(12.0 / (r + 1))) for r in range(n_intents)])
+        intent_weights = np.array([max(1.0, round(12.0 / (r + 1))) for r in range(config.intents_per_query)])
         corpus.intent_sets[qid] = {
             "reformulation": IntentSet(
                 query_id=qid,

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clarikit.bias import (
+    _EPS,
     CLICK_MODELS,
     FEATURE_NAMES,
     NumericalError,
-    SwapData,
-    SwapFeatures,
+    SwapTable,
     _adjacent_swap_index,
+    _sigmoid,
     build_swap_dataset,
     cascade_attractiveness,
     cross_entropy,
@@ -25,18 +26,10 @@ from clarikit.bias import (
     pct_above_diagonal,
     regression_data,
     scatter_points,
-    smoothed_rate,
-    swap_features,
-    swap_points,
-    swap_targets,
     triple_fold,
 )
 from clarikit.core import CandidateAnswer, ClarificationPane, EngagementStats
 from clarikit.synthlog import CorpusConfig, UserModel, gen_corpus, simulate_stats
-
-
-def click_data(triples, panes, stats) -> SwapData:
-    return SwapData(triples, panes, stats, *regression_data(triples, panes, stats))
 
 
 def first(n_selected, n_triples):
@@ -44,8 +37,9 @@ def first(n_selected, n_triples):
     return np.arange(n_triples) < n_selected
 
 
-def pane_of(texts, pane_id="p", query_id="q", question="Which one do you mean?"):
-    answers = tuple(CandidateAnswer(text=t, position=i + 1) for i, t in enumerate(texts))
+def pane_of(texts, pane_id="p", query_id="q", question="Which one do you mean?", sizes=None):
+    sizes = sizes or [0.0] * len(texts)
+    answers = tuple(CandidateAnswer(text=t, position=i + 1, render_size=z) for i, (t, z) in enumerate(zip(texts, sizes)))
     return ClarificationPane(pane_id, query_id, question, answers)
 
 
@@ -143,9 +137,9 @@ class TestSwapGeometry:
         # vector reverses while each answer's own rate stays the same
         triple = self._triple()
         stats = self._stats([20, 5], [5, 20])
-        p1, p2 = swap_points(triple, stats)
-        assert p1[0] == p1[1]  # answer t0: rate at i+1 in C' equals rate at i in C
-        assert p2[0] == p2[1]
+        for x, y, _, _ in scatter_points([triple], stats):
+            assert x == y
+        assert pct_above_diagonal([triple], stats) == {}
 
     def test_points_match_oracle_rates(self):
         # examination user: exam probs (0.9, 0.6), relevance 0.5 everywhere,
@@ -156,25 +150,31 @@ class TestSwapGeometry:
             "a": EngagementStats(n, 0, (int(0.45 * n), int(0.30 * n))),
             "b": EngagementStats(n, 0, (int(0.45 * n), int(0.30 * n))),
         }
-        (x1, y1), (x2, y2) = swap_points(triple, stats)
-        assert x1 == pytest.approx(0.30, abs=1e-3)
-        assert y1 == pytest.approx(0.45, abs=1e-3)
-        assert x2 == pytest.approx(0.30, abs=1e-3)
-        assert y2 == pytest.approx(0.45, abs=1e-3)
+        (x1, y1, k, i), (x2, y2, _, _) = scatter_points([triple], stats)
+        assert (k, i) == (2, 1)
+        assert x1 == pytest.approx(log_odds(0.30), abs=1e-3)
+        assert y1 == pytest.approx(log_odds(0.45), abs=1e-3)
+        assert x2 == pytest.approx(log_odds(0.30), abs=1e-3)
+        assert y2 == pytest.approx(log_odds(0.45), abs=1e-3)
 
     def test_zero_impression_pane_rejected(self):
         triple = self._triple()
-        stats = {
-            "a": EngagementStats(0, 0, (0, 0)),
-            "b": EngagementStats(10, 1, (1, 0)),
-        }
-        with pytest.raises(ValueError):
-            swap_points(triple, stats)
+        panes = {"a": pane_of(["t0", "t1"], "a"), "b": pane_of(["t1", "t0"], "b")}
+        for empty in ("a", "b"):
+            stats = {"a": EngagementStats(10, 1, (1, 0)), "b": EngagementStats(10, 1, (1, 0))}
+            stats[empty] = EngagementStats(0, 0, (0, 0))
+            for output in (scatter_points, pct_above_diagonal):
+                with pytest.raises(ValueError, match="a/b has a pane without impressions"):
+                    output([triple], stats)
+            with pytest.raises(ValueError, match="a/b has a pane without impressions"):
+                regression_data([triple], panes, stats)
 
     def test_smoothing(self):
-        stats = EngagementStats(98, 40, (40, 0))
-        assert smoothed_rate(stats, 1) == pytest.approx(41 / 100)
-        assert smoothed_rate(stats, 2) == pytest.approx(1 / 100)
+        triple = self._triple()
+        stats = {"a": EngagementStats(98, 40, (40, 0)), "b": EngagementStats(98, 0, (0, 0))}
+        table = SwapTable([triple], stats)
+        np.testing.assert_array_equal(table.rates[0, 0], [41 / 100, 1 / 100, 1 / 100, 1 / 100, 1 / 100])
+        assert (table.ctr_l[0], table.ctr_r[0]) == (41 / 100, 1 / 100)
 
 
 class TestLogOdds:
@@ -238,34 +238,32 @@ class TestAboveDiagonal:
 
 class TestFeaturesAndTargets:
     def test_feature_values(self):
-        pane = pane_of(["abcd", "ab"], "a")  # sizes 4 and 2
-        stats = EngagementStats(98, 40, (40, 10))
-        features = swap_features(pane, stats, 1)
-        assert features.ctr_l == pytest.approx(41 / 100)
-        assert features.ctr_r == pytest.approx(11 / 100)
-        assert features.size_diff == pytest.approx((4 - 2) / 6)
-        assert features.offset == 0
+        panes = {"a": pane_of(["abcd", "ab"], "a"), "b": pane_of(["ab", "abcd"], "b")}  # sizes 4 and 2
+        stats = {"a": EngagementStats(98, 40, (40, 10)), "b": EngagementStats(98, 40, (10, 40))}
+        [row], _, _, _ = regression_data(build_swap_dataset(panes), panes, stats)
+        assert dict(zip(FEATURE_NAMES, row.tolist())) == {
+            "intercept": 1.0, "ctr_l": 41 / 100, "ctr_r": 11 / 100, "size_diff": (4 - 2) / 6, "offset": 0.0,
+        }
 
     def test_size_diff_antisymmetric_offset_stable(self):
-        base = pane_of(["abcd", "ab", "x"], "a")
-        swapped = pane_of(["ab", "abcd", "x"], "b")
-        stats = EngagementStats(98, 40, (40, 10, 5))
-        f_base = swap_features(base, stats, 1)
-        f_swapped = swap_features(swapped, stats, 1)
-        assert f_base.size_diff == pytest.approx(-f_swapped.size_diff)
-        assert f_base.offset == f_swapped.offset
+        # the same two orders, once with each as the observed pane
+        panes = {
+            "a": pane_of(["abcd", "ab", "x"], "a", query_id="q1"),
+            "b": pane_of(["ab", "abcd", "x"], "b", query_id="q1"),
+            "c": pane_of(["ab", "abcd", "x"], "c", query_id="q2"),
+            "d": pane_of(["abcd", "ab", "x"], "d", query_id="q2"),
+        }
+        stats = dict.fromkeys(panes, EngagementStats(98, 40, (40, 10, 5)))
+        rows, _, _, _ = regression_data(build_swap_dataset(panes), panes, stats)
+        size_diff, offset = FEATURE_NAMES.index("size_diff"), FEATURE_NAMES.index("offset")
+        assert rows[0, size_diff] == pytest.approx(1 / 3) and rows[0, size_diff] == -rows[1, size_diff]
+        assert rows[0, offset] == rows[1, offset] == 0.0
 
     def test_targets_are_swap_position_rates(self):
-        stats = EngagementStats(98, 0, (10, 20, 30))
-        label_l, label_r = swap_targets(stats, 2)
-        assert label_l == pytest.approx(21 / 100)
-        assert label_r == pytest.approx(31 / 100)
-
-    def test_feature_validation(self):
-        with pytest.raises(ValueError):
-            SwapFeatures(0.1, 0.1, 1.5, 0)
-        with pytest.raises(ValueError):
-            SwapFeatures(0.1, 0.1, 0.0, -1)
+        panes = {"a": pane_of(["x", "y", "z"], "a"), "b": pane_of(["x", "z", "y"], "b")}
+        stats = {"a": EngagementStats(98, 0, (1, 2, 3)), "b": EngagementStats(98, 0, (10, 20, 30))}
+        _, [label_l], [label_r], [weight] = regression_data(build_swap_dataset(panes), panes, stats)
+        assert (label_l, label_r, weight) == (21 / 100, 31 / 100, 98.0)
 
 
 class TestFractionalLogreg:
@@ -451,7 +449,8 @@ class TestCascadeModel:
         # cascade with attraction (0.2, 0.5, 0.5): observed rates (0.2, 0.4, 0.2)
         n = 1_000_000
         stats = EngagementStats(n, 0, tuple(int(r * n) for r in cascade_rates((0.2, 0.5, 0.5))))
-        np.testing.assert_allclose(cascade_attractiveness(stats), [0.2, 0.5, 0.5], atol=1e-3)
+        rates = np.array([(c + 1.0) / (n + 2.0) for c in stats.per_position_clicks])
+        np.testing.assert_allclose(cascade_attractiveness(rates), [0.2, 0.5, 0.5], atol=1e-3)
         panes = {
             "a": pane_of(["x", "y", "z"], "a"),
             "b": pane_of(["y", "x", "z"], "b"),
@@ -461,7 +460,7 @@ class TestCascadeModel:
         assert [(t.pane_c, t.pane_c_prime, t.swap_index) for t in triples] == [("a", "b", 1), ("a", "c", 2)]
         stats = {"a": stats, "b": EngagementStats(n, 0, (0, 0, 0)), "c": EngagementStats(n, 0, (0, 0, 0))}
         every = np.ones(2, dtype=bool)
-        q_l, q_r = CLICK_MODELS["cascade"](click_data(triples, panes, stats), every)(every)
+        q_l, q_r = CLICK_MODELS["cascade"](SwapTable(triples, stats, panes), every)(every)
         # the recovered attractions, recomposed in each swapped order
         expected = [cascade_rates((0.5, 0.2, 0.5)), cascade_rates((0.2, 0.5, 0.5))]
         np.testing.assert_allclose(q_l, [expected[0][0], expected[1][1]], atol=1e-3)
@@ -479,7 +478,7 @@ class TestCascadeModel:
             "b": EngagementStats(n, 0, (0, 0)),
         }
         every = np.ones(1, dtype=bool)
-        [q_l], [q_r] = CLICK_MODELS["cascade"](click_data([triple], panes, stats), every)(every)
+        [q_l], [q_r] = CLICK_MODELS["cascade"](SwapTable([triple], stats, panes), every)(every)
         # promoted answer y keeps attraction 0.5 at the top; x clicks at
         # 0.2 * (1 - 0.5) once behind it
         assert q_l == pytest.approx(0.5, abs=1e-3)
@@ -504,7 +503,7 @@ class TestFitClickModel:
     def test_blind_predicts_global_mean_everywhere(self, swap_data):
         corpus, stats, triples = swap_data
         every = np.ones(len(triples), dtype=bool)
-        predict = CLICK_MODELS["blind"](click_data(triples, corpus.panes, stats), every)
+        predict = CLICK_MODELS["blind"](SwapTable(triples, stats, corpus.panes), every)
         clicks = sum(sum(stats[t.pane_c].per_position_clicks) for t in triples)
         slots = sum(stats[t.pane_c].impressions * t.answer_count for t in triples)
         expected = (clicks + 1.0) / (slots + 2.0)
@@ -514,16 +513,16 @@ class TestFitClickModel:
     def test_no_bias_carries_old_position_rates(self, swap_data):
         corpus, stats, triples = swap_data
         t = triples[0]
-        data = click_data(triples, corpus.panes, stats)
+        data = SwapTable(triples, stats, corpus.panes)
         [q_l], [q_r] = CLICK_MODELS["no_bias"](data, np.ones(len(triples), dtype=bool))(first(1, len(triples)))
-        assert q_l == smoothed_rate(stats[t.pane_c], t.swap_index + 1)
-        assert q_r == smoothed_rate(stats[t.pane_c], t.swap_index)
+        assert q_l == oracle_rate(stats[t.pane_c], t.swap_index + 1)
+        assert q_r == oracle_rate(stats[t.pane_c], t.swap_index)
 
     @pytest.mark.parametrize("kind", ["best_possible", "blind", "no_bias", "examination", "cascade", "logistic"])
     def test_all_kinds_predict_valid_rates(self, swap_data, kind):
         corpus, stats, triples = swap_data
         train = np.array([triple_fold(t, 3) != 0 for t in triples])
-        q_l, q_r = CLICK_MODELS[kind](click_data(triples, corpus.panes, stats), train)(first(8, len(triples)))
+        q_l, q_r = CLICK_MODELS[kind](SwapTable(triples, stats, corpus.panes), train)(first(8, len(triples)))
         assert len(q_l) == len(q_r) == 8
         assert ((0.0 < q_l) & (q_l < 1.0)).all() and ((0.0 < q_r) & (q_r < 1.0)).all()
 
@@ -621,3 +620,163 @@ class TestUnbiasedNull:
         report = evaluate_click_models(triples, corpus.panes, stats, kinds=("best_possible", "cascade"))
         floor = report.mean("best_possible")
         assert report.mean("cascade") <= floor * 1.01
+
+
+# -- the per-triple reference code ---------------------------------------------
+#
+# The swap geometry as it was computed one triple at a time, kept as
+# straight-line oracles for the swap table's array code.
+
+
+def oracle_rate(stats, position):
+    """Laplace-smoothed click rate of the answer at a 1-based position."""
+    if stats.impressions < 1:
+        raise ValueError("rate undefined for zero impressions")
+    return (stats.per_position_clicks[position - 1] + 1.0) / (stats.impressions + 2.0)
+
+
+def oracle_points(triple, stats):
+    """The (lower-position rate, higher-position rate) points of a triple:
+    answer C[i] sits at i in C and at i+1 in C', answer C[i+1] the other way."""
+    stats_c, stats_cp, i = stats[triple.pane_c], stats[triple.pane_c_prime], triple.swap_index
+    point_one = (oracle_rate(stats_cp, i + 1), oracle_rate(stats_c, i))
+    point_two = (oracle_rate(stats_c, i + 1), oracle_rate(stats_cp, i))
+    return point_one, point_two
+
+
+def oracle_scatter(triples, stats):
+    rows = []
+    for t in triples:
+        for x, y in oracle_points(t, stats):
+            rows.append((float(np.log(x / (1.0 - x))), float(np.log(y / (1.0 - y))), t.answer_count, t.swap_index))
+    return rows
+
+
+def oracle_above(triples, stats):
+    above, counted = {}, {}
+    for t in triples:
+        key = (t.answer_count, t.swap_index)
+        for x, y in oracle_points(t, stats):
+            if y == x:
+                continue
+            counted[key] = counted.get(key, 0) + 1
+            if y > x:
+                above[key] = above.get(key, 0) + 1
+    return {key: (100.0 * above.get(key, 0) / counted[key], counted[key]) for key in sorted(counted)}
+
+
+def oracle_regression(triples, panes, stats):
+    """Feature rows (intercept, ctr_l, ctr_r, size_diff, offset) of the
+    observed panes, the swapped panes' rates at i and i+1, and the swapped
+    panes' impressions."""
+    rows, targets_l, targets_r, weights = [], [], [], []
+    for t in triples:
+        i, stats_c, stats_cp = t.swap_index, stats[t.pane_c], stats[t.pane_c_prime]
+        left, right = panes[t.pane_c].answers[i - 1], panes[t.pane_c].answers[i]
+        size_diff = (left.render_size - right.render_size) / (left.render_size + right.render_size)
+        rows.append(np.array([1.0, oracle_rate(stats_c, i), oracle_rate(stats_c, i + 1), size_diff, float(i - 1)]))
+        targets_l.append(oracle_rate(stats_cp, i))
+        targets_r.append(oracle_rate(stats_cp, i + 1))
+        weights.append(stats_cp.impressions)
+    return np.array(rows), np.array(targets_l), np.array(targets_r), np.array(weights, dtype=np.float64)
+
+
+def oracle_cascade(stats, i):
+    """One triple's cascade prediction: the observed pane's attractiveness
+    recomposed with answers i and i+1 swapped."""
+    rates = np.array([oracle_rate(stats, pos) for pos in range(1, len(stats.per_position_clicks) + 1)])
+    seen_before = np.concatenate([[0.0], np.cumsum(rates)[:-1]])
+    attract = np.clip(rates / np.maximum(1.0 - seen_before, _EPS), _EPS, 1.0 - _EPS)
+    order = list(range(len(attract)))
+    order[i - 1], order[i] = order[i], order[i - 1]
+    reordered = attract[order]
+    no_click_before = np.concatenate([[1.0], np.cumprod(1.0 - reordered)[:-1]])
+    predicted = reordered * no_click_before
+    return float(predicted[i - 1]), float(predicted[i])
+
+
+def oracle_predictions(kind, triples, panes, stats, train, test):
+    rows, targets_l, targets_r, weights = oracle_regression(triples, panes, stats)
+    training = [t for t, keep in zip(triples, train) if keep]
+    if kind == "best_possible":
+        return targets_l[test], targets_r[test]
+    if kind == "blind":
+        clicks = sum(sum(stats[t.pane_c].per_position_clicks) for t in training)
+        slots = sum(stats[t.pane_c].impressions * len(stats[t.pane_c].per_position_clicks) for t in training)
+        rate = (clicks + 1.0) / (slots + 2.0)
+        return np.full(test.sum(), rate), np.full(test.sum(), rate)
+    if kind == "no_bias":
+        return rows[test, 2], rows[test, 1]
+    if kind == "examination":
+        observed = {}
+        for t in training:
+            observed[t.pane_c] = stats[t.pane_c]
+            observed[t.pane_c_prime] = stats[t.pane_c_prime]
+        eps = fit_examination_em(observed, panes).eps
+        ctr_l, ctr_r, offset = rows[test, 1], rows[test, 2], rows[test, 4].astype(np.intp)
+        eps_i, eps_next = eps[offset], eps[offset + 1]
+        return ctr_r / np.maximum(eps_next, _EPS) * eps_i, ctr_l / np.maximum(eps_i, _EPS) * eps_next
+    if kind == "cascade":
+        pairs = np.array([oracle_cascade(stats[t.pane_c], t.swap_index) for t, keep in zip(triples, test) if keep])
+        return pairs[:, 0], pairs[:, 1]
+    assert kind == "logistic"
+    fitted = [fit_fractional_logreg(rows[train], y[train], weights[train]).weights for y in (targets_l, targets_r)]
+    return tuple(_sigmoid(rows[test] @ w) for w in fitted)
+
+
+def outcome(compute):
+    """compute()'s value, or the type and message of what it raised."""
+    try:
+        return compute()
+    except (NumericalError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def same(got, expected) -> bool:
+    if isinstance(got, tuple) and got and isinstance(got[0], type):
+        return got == expected
+    return len(got) == len(expected) and all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+
+@st.composite
+def swap_experiments(draw):
+    """Queries of 2–5 answers with random render sizes, each with a base
+    pane and one or two adjacent-swap variants, and random stats: clicks
+    per position anywhere in [0, impressions], so ties and equal panes
+    occur.  Which pane is the observed side depends on the drawn ids."""
+    panes, stats = {}, {}
+    for q in range(draw(st.integers(1, 8))):
+        k = draw(st.integers(2, 5))
+        texts = [f"q{q}a{j}" for j in range(k)]
+        sizes = draw(st.lists(st.integers(1, 40).map(float), min_size=k, max_size=k))
+        swaps = draw(st.lists(st.integers(1, k - 1), min_size=1, max_size=2, unique=True))
+        orders = [texts] + [texts[: i - 1] + [texts[i], texts[i - 1]] + texts[i + 1 :] for i in swaps]
+        ids = draw(st.permutations([f"q{q}p{j}" for j in range(len(orders))]))
+        by_text = dict(zip(texts, sizes))
+        for pane_id, order in zip(ids, orders):
+            panes[pane_id] = pane_of(order, pane_id, query_id=f"q{q}", sizes=[by_text[t] for t in order])
+            n = draw(st.integers(1, 30))
+            clicks = tuple(draw(st.lists(st.integers(0, n), min_size=k, max_size=k)))
+            stats[pane_id] = EngagementStats(n, max(clicks), clicks)
+    triples = build_swap_dataset(panes)
+    masks = st.lists(st.booleans(), min_size=len(triples), max_size=len(triples)).map(lambda m: np.array(m, dtype=bool))
+    # as in cross-validation, every test mask holds a triple
+    return panes, stats, triples, draw(masks), draw(masks.filter(np.any))
+
+
+class TestAgainstTheReferenceCode:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(swap_experiments())
+    def test_every_output_equals_the_oracle(self, experiment):
+        panes, stats, triples, train, test = experiment
+        assert np.array_equal(np.array(scatter_points(triples, stats)), np.array(oracle_scatter(triples, stats)))
+        assert pct_above_diagonal(triples, stats) == oracle_above(triples, stats)
+        got, expected = regression_data(triples, panes, stats), oracle_regression(triples, panes, stats)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+        table = SwapTable(triples, stats, panes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for kind, fit in CLICK_MODELS.items():
+                got = outcome(lambda: fit(table, train)(test))
+                expected = outcome(lambda: oracle_predictions(kind, triples, panes, stats, train, test))
+                assert same(got, expected), kind

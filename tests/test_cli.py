@@ -157,6 +157,36 @@ class TestSynthGen:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("question_fraction", 7.5, "question_fraction 7.5 not in [0, 1]"),
+        ("question_fraction", -0.5, "question_fraction -0.5 not in [0, 1]"),
+        ("intents_per_query", 0, "intents_per_query 0 not in [1, 16]"),
+        ("intents_per_query", 17, "intents_per_query 17 not in [1, 16]"),
+    ], ids=["question_fraction_above", "question_fraction_below", "intents_zero", "intents_past_the_facets"])
+    def test_out_of_range_key_exits_one(self, tmp_path, capsys, key, value, message):
+        """From the config file or from its flag, a value outside the key's
+        domain exits 1 naming the key, with nothing under --out."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({key: value, "n_queries": 2, "n_per_pane": 1}))
+        assert run_cli("synth-gen", "--out", tmp_path / "o", "--config", config_path, "--seed", 1) == 1
+        assert f"{config_path}: {message}" in capsys.readouterr().err
+        flag = "--" + key.replace("_", "-")
+        assert run_cli("synth-gen", "--out", tmp_path / "o", "--seed", 1, "--n-queries", 2, f"{flag}={value}") == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("values", [{"question_fraction": 1.0, "intents_per_query": 16},
+                                        {"question_fraction": 0.0, "intents_per_query": 1}], ids=["upper", "lower"])
+    def test_domain_bounds_are_accepted(self, tmp_path, values):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(dict(values, n_queries=3, n_per_pane=1)))
+        assert run_cli("synth-gen", "--out", tmp_path / "o", "--config", config_path, "--seed", 1) == 0
+        queries = dataio.load_queries(str(tmp_path / "o" / "queries.jsonl"))
+        assert {q.is_question for q in queries.values()} == {bool(values["question_fraction"])}
+        sets = [json.loads(line) for line in open(tmp_path / "o" / "intents.jsonl")]
+        assert {len(s["items"]) for s in sets if s["source"] == "reformulation"} == {values["intents_per_query"]}
+
 
 class TestAnalyze:
     def test_reports_written(self, corpus_dir, tmp_path):
@@ -550,6 +580,25 @@ def test_unexpected_exception_leaves_no_partial_output(tmp_path, monkeypatch):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("name", [".", "..", "manifest.json", "../x.tsv", "sub/x.tsv"],
+                         ids=["dot", "dot_dot", "manifest", "parent_path", "sub_path"])
+def test_plot_data_name_must_be_a_plain_file_name(tmp_path, capsys, name):
+    """A table named manifest.json would be overwritten by the manifest, and
+    one with a path would be written around the staging directory: both
+    exit 1 and leave --out as it was."""
+    source = tmp_path / "table.tsv"
+    source.write_text("metric\tvalue\nx\t1\n")
+    out = tmp_path / "out" / "r"
+    assert run_cli("plot-data", "--out", out, "--input", source) == 0
+    before = {path: open(path, "rb").read() for path in glob.glob(f"{tmp_path}/**", recursive=True) if os.path.isfile(path)}
+    assert run_cli("plot-data", "--out", out, "--input", source, "--name", name) == 1
+    err = capsys.readouterr().err
+    assert f"--name {name!r}" in err and "Traceback" not in err
+    after = {path: open(path, "rb").read() for path in glob.glob(f"{tmp_path}/**", recursive=True) if os.path.isfile(path)}
+    assert after == before
+    assert sorted(os.listdir(out)) == ["manifest.json", "table.tsv"]
+
+
 def test_failed_rerun_leaves_the_previous_run_intact(corpus_dir, tmp_path):
     """A rerun into the same --out that fails after writing some artifacts
     (bias writes its scatter and above-diagonal tables before the folds are
@@ -804,15 +853,16 @@ def test_bad_input_line_exits_one_naming_it(side_files, tmp_path, capsys, flag, 
 def test_non_utf8_tsv_input_exits_one_naming_it(side_files, tmp_path, capsys, flag):
     """A TSV input holding bytes that are not UTF-8: exit 1, a message naming
     its path and line, no traceback, nothing under --out."""
+    good = open(side_files[flag], "rb").read()
     bad = tmp_path / "bad.tsv"
-    bad.write_bytes(open(side_files[flag], "rb").read() + b"caf\xff\tx\t1\n")
+    bad.write_bytes(good + b"caf\xff\tx\t1\n")
     command = READER.get(flag, "plot-data")
     argv = [command, "--out", tmp_path / "r"]
     for needed in NEEDS.get(command, ()):
         argv += [needed, side_files[needed]]
     assert run_cli(*argv, flag, bad) == 1
     err = capsys.readouterr().err
-    assert f"{bad}: not UTF-8 at or after line 1" in err
+    assert f"{bad}:{len(good.splitlines()) + 1}: not UTF-8\n" in err
     assert "Traceback" not in err
     assert not (tmp_path / "r").exists()
 

@@ -309,7 +309,15 @@ def test_duplicate_id_rejected(tmp_path, loader, records):
 
 @pytest.mark.parametrize("loader", [dataio.load_queries, dataio.load_impressions], ids=["records", "impressions"])
 def test_bytes_that_are_not_utf8_name_the_file(tmp_path, loader):
+    """The exact line of the first bytes that are not UTF-8, counting lines
+    as the text reader does (\n, \r\n and a lone \r end one), also when
+    it lies past the first chunk of lines read."""
     path = tmp_path / "records.jsonl"
-    path.write_bytes(b'{"id": "q1", "text": "a"}\n{"id": "q\xff"}\n')
-    with pytest.raises(ValueError, match=re.escape(f"{path}: not UTF-8 at or after line 1: ")):
-        loader(str(path))
+    for before, line in [
+        (b'{"id": "q1", "text": "a"}\n', 2),
+        (b"\n" * 5000, 5001),
+        (b"\r\n" * 3000 + b"\n" * 500 + b"\r" * 1500, 5001),
+    ]:
+        path.write_bytes(before + b'{"id": "q\xff"}\n{"id": "\xfe"}\n')
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: not UTF-8") + "$"):
+            loader(str(path))
