@@ -25,10 +25,11 @@ from .core import (
     EngagementStats,
     ImpressionLog,
     ImpressionRecord,
+    PaneStats,
     Query,
     TEMPLATE_IDS,
     conditional_click_distribution,
-    engagement_rate,
+    conditional_click_matrix,
 )
 
 MIN_IMPRESSIONS = 10
@@ -64,8 +65,10 @@ def click_entropy(stats: EngagementStats) -> float:
     return float(-(positive * np.log(positive)).sum())
 
 
-def _eligible(stats: Mapping[str, EngagementStats]) -> dict[str, EngagementStats]:
-    return {pid: s for pid, s in stats.items() if s.impressions >= MIN_IMPRESSIONS}
+def _eligible(stats: Mapping[str, EngagementStats]) -> PaneStats:
+    """The rows with at least MIN_IMPRESSIONS impressions, in id order."""
+    stats = PaneStats.of(stats).by_id()
+    return stats.take(np.flatnonzero(stats.impressions >= MIN_IMPRESSIONS))
 
 
 def url_stats(history: Sequence[tuple[str, int]]) -> tuple[int, float]:
@@ -144,8 +147,9 @@ def engagement_breakdown(
     historical_clicks: Mapping[str, Sequence[tuple[str, int]]] | None = None,
     n_bins: int = 5,
 ) -> BreakdownTable:
-    """Relative engagement per bucket of a DIMENSIONS entry, from the
-    per-pane stats of `collect_stats`.  A pane in one bucket per facet group
+    """Relative engagement per bucket of a DIMENSIONS entry, from the columns
+    of the PaneStats table of `collect_stats` (a mapping of pane id ->
+    EngagementStats is read as one).  A pane in one bucket per facet group
     makes each group average to 1.0 under impression weighting; quartiles
     are unweighted over panes.  Raises DomainError when no pane is eligible.
     """
@@ -158,30 +162,28 @@ def engagement_breakdown(
         raise ValueError(f"n_bins must be at least 1, got {n_bins}")
     stats = _eligible(stats)
     if rule.five_answers_only:
-        stats = {pid: s for pid, s in stats.items() if panes[pid].answer_count == 5}
+        stats = stats.take([row for row, pid in enumerate(stats.ids) if panes[pid].answer_count == 5])
     if not stats:
         raise DomainError(f"no panes with >= {MIN_IMPRESSIONS} impressions for dimension {dimension!r}")
 
-    pane_ids = sorted(stats)
     history = historical_clicks or {}
-    qids = [panes[pid].query_id for pid in pane_ids]
-    keys = [rule.bucket(panes[pid], queries[q], stats[pid], history.get(q, ())) for pid, q in zip(pane_ids, qids)]
+    qids = [panes[pid].query_id for pid in stats.ids]
+    keys = [rule.bucket(panes[pid], queries[q], stats[pid], history.get(q, ())) for pid, q in zip(stats.ids, qids)]
     if rule.binned:
         keys = [(f"bin{j + 1}",) for j in _equal_width_bins(np.array(keys), n_bins)]
-    buckets: dict[str, list[str]] = {}
-    for pid, labels in zip(pane_ids, keys):
+    buckets: dict[str, list[int]] = {}
+    for row, labels in enumerate(keys):
         for label in labels:
-            buckets.setdefault(label, []).append(pid)
+            buckets.setdefault(label, []).append(row)
 
-    overall = sum(stats[pid].engaged_impressions for pid in pane_ids) / sum(stats[pid].impressions for pid in pane_ids)
+    overall = int(stats.engaged.sum()) / int(stats.impressions.sum())
     rows = []
     for bucket in sorted(buckets, key=rule.order):
-        members = buckets[bucket]
-        impressions = sum(stats[pid].impressions for pid in members)
-        engaged = sum(stats[pid].engaged_impressions for pid in members)
+        members = np.array(buckets[bucket])
+        impressions, engaged = int(stats.impressions[members].sum()), int(stats.engaged[members].sum())
         quartiles = None
         if rule.binned:
-            per_pane = np.array([engagement_rate(stats[pid]) / overall for pid in members])
+            per_pane = stats.engaged[members] / stats.impressions[members] / overall
             quartiles = tuple(float(q) for q in np.percentile(per_pane, [0, 25, 50, 75, 100]))
         rows.append(BreakdownRow(bucket, impressions, (engaged / impressions) / overall, quartiles))
     return BreakdownTable(rows=tuple(rows))
@@ -198,17 +200,15 @@ def conditional_click_by_position(
     panes whose query has the given ambiguity class and which have exactly
     answer_count answers."""
     stats = _eligible(stats)
-    selected = [
-        pid
-        for pid in sorted(stats)
-        if panes[pid].answer_count == answer_count
-        and queries[panes[pid].query_id].ambiguity_class == ambiguity_class
-        and stats[pid].engaged_impressions > 0
+    matching = [
+        panes[pid].answer_count == answer_count and queries[panes[pid].query_id].ambiguity_class == ambiguity_class
+        for pid in stats.ids
     ]
-    if not selected:
+    selected = np.flatnonzero(np.array(matching, dtype=bool) & (stats.engaged > 0))
+    if not selected.size:
         raise ValueError(f"no engaged {ambiguity_class} panes with {answer_count} answers")
-    weights = np.array([stats[pid].engaged_impressions for pid in selected], dtype=np.float64)
-    dists = np.stack([conditional_click_distribution(stats[pid]) for pid in selected])
+    weights = stats.engaged[selected].astype(np.float64)
+    dists = conditional_click_matrix(stats.clicks[selected, :answer_count])
     return (weights[:, None] * dists).sum(axis=0) / weights.sum()
 
 

@@ -8,9 +8,10 @@ scatter data, above-diagonal percentages per (answer count, swap position),
 a four-feature logistic regression predicting the swapped pane's click rates,
 and a family of baseline click models compared by cross entropy.
 
-Every output reads one SwapTable, gathered once from the triples' panes:
-row t is triple t, side 0 its observed pane C and side 1 its swapped pane C',
-p a 0-based position and i the triple's 1-based swap index.
+Every output reads one SwapTable, whose rows are taken by index from the
+PaneStats table of the triples' panes: row t is triple t, side 0 its observed
+pane C and side 1 its swapped pane C', p a 0-based position and i the
+triple's 1-based swap index.
 
     impressions[t, side]   shape (n, 2)
     clicks[t, side, p]     shape (n, 2, MAX_ANSWERS), zero past a pane's answers
@@ -21,6 +22,10 @@ p a 0-based position and i the triple's 1-based swap index.
 
 The scatter's points are (target_r, ctr_l) for answer C[i] and (ctr_r,
 target_l) for answer C[i + 1]: x where the answer sat deeper, y higher.
+
+The examination and cascade fits pool their cells by answer, one
+(query, answer text) across panes, through one answer-item index over the
+pane rows (_answer_items).
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import MAX_ANSWERS, ClarificationPane, EngagementStats
+from .core import MAX_ANSWERS, ClarificationPane, EngagementStats, PaneStats
 from .intents import normalize_phrase
 from .tensor.text import fnv1a
 
@@ -90,29 +95,31 @@ def _adjacent_swap_index(a: ClarificationPane, b: ClarificationPane) -> int | No
 
 
 class SwapTable:
-    """The arrays of the module docstring, with each triple's query and pane
-    ids, swap index and answer count; sizes are NaN when no panes are given."""
+    """The arrays of the module docstring, with each triple's query id, swap
+    index, answer count and the stats rows of its two panes (pane_rows,
+    shape (n, 2)); sizes are NaN when no panes are given."""
 
     def __init__(self, triples: Iterable[SwapTriple], stats: Mapping[str, EngagementStats], panes=None):
-        self.stats, self.panes = stats, panes
-        pad, rows, sizes = (0,) * MAX_ANSWERS, [], []
-        for t in triples:
-            c, c_prime = stats[t.pane_c], stats[t.pane_c_prime]
-            rows.append((t.query_id, t.pane_c, t.pane_c_prime, t.swap_index, t.answer_count, c.impressions,
-                         *(c.per_position_clicks + pad)[:MAX_ANSWERS], c_prime.impressions,
-                         *(c_prime.per_position_clicks + pad)[:MAX_ANSWERS]))
-            if panes is not None:
-                sizes.append([a.render_size for a in panes[t.pane_c].answers[t.swap_index - 1 : t.swap_index + 1]])
-        n = len(rows)
-        gathered = np.array(rows, dtype=object).reshape(n, 5 + 2 * (1 + MAX_ANSWERS))
-        self.query_ids, self.pane_ids = gathered[:, 0], gathered[:, 1:3]
-        self.swap_index, self.answer_count = gathered[:, 3:5].astype(np.intp).T
-        counts = gathered[:, 5:].astype(np.float64).reshape(n, 2, 1 + MAX_ANSWERS)
-        self.impressions, self.clicks = counts[:, :, 0], counts[:, :, 1:]
-        self.sizes = np.array(sizes, dtype=np.float64).reshape(n, 2) if panes is not None else np.full((n, 2), np.nan)
+        self.stats, self.panes = PaneStats.of(stats), panes
+        triples, index = list(triples), self.stats.index
+        n = len(triples)
+        rows = [(index[t.pane_c], index[t.pane_c_prime], t.swap_index, t.answer_count) for t in triples]
+        gathered = np.array(rows, dtype=np.intp).reshape(n, 4)
+        self.pane_rows, (self.swap_index, self.answer_count) = gathered[:, :2], gathered[:, 2:].T
+        self.query_ids = np.array([t.query_id for t in triples], dtype=object)
+        if panes is None:
+            self.sizes = np.full((n, 2), np.nan)
+        else:
+            pairs = (panes[t.pane_c].answers[t.swap_index - 1 : t.swap_index + 1] for t in triples)
+            self.sizes = np.array([[a.render_size for a in pair] for pair in pairs], dtype=np.float64).reshape(n, 2)
+        self.impressions = self.stats.impressions[self.pane_rows].astype(np.float64)
+        clicks = self.stats.clicks[self.pane_rows, :MAX_ANSWERS]
+        self.clicks = np.zeros((n, 2, MAX_ANSWERS))
+        self.clicks[..., : clicks.shape[2]] = clicks
         empty = np.flatnonzero((self.impressions < 1).any(axis=1))
         if empty.size:
-            raise ValueError(f"triple {'/'.join(self.pane_ids[empty[0]])} has a pane without impressions")
+            pair = "/".join(self.stats.ids[row] for row in self.pane_rows[empty[0]].tolist())
+            raise ValueError(f"triple {pair} has a pane without impressions")
         self.rates = (self.clicks + 1.0) / (self.impressions[:, :, None] + 2.0)
         swapped = np.take_along_axis(self.rates, self.swap_index[:, None, None] - 1 + np.arange(2), axis=2)
         (self.ctr_l, self.ctr_r), (self.target_l, self.target_r) = swapped.transpose(1, 2, 0).copy()
@@ -315,6 +322,23 @@ def _connected_to_first(left: np.ndarray, right: np.ndarray, n_nodes: int) -> np
         label = new
 
 
+def _answer_items(pane_stats: Mapping[str, EngagementStats], panes: Mapping[str, ClarificationPane]):
+    """The answer-item index both click-model fits read: for the stats rows
+    in id order, their impressions and clicks, the item shown at each
+    (row, position), shape (n, widest pane), and the item keys.  An item is
+    one (query, answer text), numbered in order of first appearance;
+    positions past a pane's answers hold -1."""
+    stats = PaneStats.of(pane_stats).by_id()
+    shown = [panes[pane_id] for pane_id in stats.ids]
+    counts = np.array([pane.answer_count for pane in shown], dtype=np.intp)
+    keys: dict[tuple[str, str], int] = {}
+    items = np.full((len(shown), counts.max(initial=0)), -1, dtype=np.intp)
+    items[np.arange(items.shape[1]) < counts[:, None]] = [
+        keys.setdefault((pane.query_id, answer.text), len(keys)) for pane in shown for answer in pane.answers
+    ]
+    return stats.impressions, stats.clicks[:, : items.shape[1]], items, list(keys)
+
+
 def fit_examination_em(
     pane_stats: Mapping[str, EngagementStats],
     panes: Mapping[str, ClarificationPane],
@@ -345,21 +369,14 @@ def fit_examination_em(
     out of the box is held for the step.  Stops once the max-norm of the
     projected gradient in (eps, alpha) is below tol.
     """
-    cells = []  # (position index, item index, impressions, clicks)
-    item_ids: dict[tuple[str, str], int] = {}
-    for pane_id in sorted(pane_stats):
-        pane = panes[pane_id]
-        stats = pane_stats[pane_id]
-        for pos in range(1, pane.answer_count + 1):
-            item_key = (pane.query_id, pane.answers[pos - 1].text)
-            item = item_ids.setdefault(item_key, len(item_ids))
-            cells.append((pos - 1, item, stats.impressions, stats.per_position_clicks[pos - 1]))
-
-    n_params = max_positions + len(item_ids)  # log eps per position, then log alpha per item
-    positions = np.array([c[0] for c in cells], dtype=np.intp)
-    items = max_positions + np.array([c[1] for c in cells], dtype=np.intp)
-    impressions = np.array([c[2] for c in cells], dtype=np.float64)
-    clicks = np.array([c[3] for c in cells], dtype=np.float64)
+    impressions, clicks, items, keys = _answer_items(pane_stats, panes)
+    shown = items >= 0
+    n_params = max_positions + len(keys)  # log eps per position, then log alpha per item
+    # one cell per shown (pane, position), pane by pane
+    positions = np.nonzero(shown)[1]
+    items = max_positions + items[shown]
+    impressions = impressions.repeat(shown.sum(axis=1)).astype(np.float64)
+    clicks = clicks[shown].astype(np.float64)
     total = max(impressions.sum(), 1.0)
     k, m = clicks / total, (impressions - clicks) / total
 
@@ -435,7 +452,7 @@ def fit_examination_em(
 
     theta, iterations, gnorm = _newton("examination fit", loss, newton, theta, tol, max_iter, lower, upper)
     fitted = np.exp(theta)
-    return ExaminationFit(fitted[:max_positions], dict(zip(item_ids, fitted[max_positions:].tolist())), iterations, gnorm)
+    return ExaminationFit(fitted[:max_positions], dict(zip(keys, fitted[max_positions:].tolist())), iterations, gnorm)
 
 
 def fit_cascade_attractiveness(
@@ -448,25 +465,15 @@ def fit_cascade_attractiveness(
     k, so the MLE is pooled clicks over pooled examinations.  Answers whose
     positions were never examined are pinned to 0.5 with a warning.
     """
-    clicks: dict[tuple[str, str], float] = {}
-    examined: dict[tuple[str, str], float] = {}
-    for pane_id in sorted(pane_stats):
-        pane = panes[pane_id]
-        stats = pane_stats[pane_id]
-        seen_before = 0
-        for pos in range(1, pane.answer_count + 1):
-            key = (pane.query_id, pane.answers[pos - 1].text)
-            clicks[key] = clicks.get(key, 0.0) + stats.per_position_clicks[pos - 1]
-            examined[key] = examined.get(key, 0.0) + max(stats.impressions - seen_before, 0)
-            seen_before += stats.per_position_clicks[pos - 1]
-    out = {}
-    for key in clicks:
-        if examined[key] <= 0:
-            warnings.warn(f"answer {key} never examined; attractiveness pinned")
-            out[key] = 0.5
-        else:
-            out[key] = float(np.clip(clicks[key] / examined[key], _EPS, 1.0 - _EPS))
-    return out
+    impressions, clicks, items, keys = _answer_items(pane_stats, panes)
+    shown = items >= 0
+    examined = np.maximum(impressions[:, None] - (np.cumsum(clicks, axis=1) - clicks), 0)
+    pooled_clicks, pooled_examined = (np.bincount(items[shown], cells[shown], len(keys)) for cells in (clicks, examined))
+    never = pooled_examined <= 0
+    for j in np.flatnonzero(never).tolist():
+        warnings.warn(f"answer {keys[j]} never examined; attractiveness pinned")
+    rates = np.clip(pooled_clicks / np.where(never, 1.0, pooled_examined), _EPS, 1.0 - _EPS)
+    return dict(zip(keys, np.where(never, 0.5, rates).tolist()))
 
 
 # -- comparison click models ---------------------------------------------------
@@ -502,8 +509,7 @@ def _fit_examination(data: SwapTable, train: np.ndarray):
     training panes (position 1 pinned to 1.0); each swapped answer's
     attractiveness is its observed rate over the examination probability of
     its old position."""
-    observed = {pane_id: data.stats[pane_id] for pane_id in np.unique(data.pane_ids[train]).tolist()}
-    eps = fit_examination_em(observed, data.panes).eps
+    eps = fit_examination_em(data.stats.take(np.unique(data.pane_rows[train])), data.panes).eps
 
     def predict(test):
         i = data.swap_index[test]

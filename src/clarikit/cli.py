@@ -35,7 +35,7 @@ import numpy as np
 
 from . import analytics, bias, dataio, intents as intents_mod, ranker as ranker_mod, rlc as rlc_mod
 from .bias import NumericalError
-from .core import DomainError, collect_stats, engagement_rate
+from .core import DomainError, ImpressionLog, collect_stats, engagement_rate
 from .synthlog import CorpusConfig, UserModel, gen_corpus, simulate_impressions
 from .tensor.optim import AdamConfig, NonFiniteGradientError
 
@@ -160,6 +160,16 @@ def _load_corpus_files(args) -> tuple[dict, dict]:
     return queries, panes
 
 
+def _load_log(args, panes) -> ImpressionLog:
+    """The --impressions log; an impression of a pane that --panes does not
+    hold fails naming the file."""
+    log = dataio.load_impressions(args.impressions)
+    unknown = next((pane_id for pane_id in log.pane_ids if pane_id not in panes), None)
+    if unknown is not None:
+        raise ValueError(f"{args.impressions}: impression references unknown pane {unknown!r}")
+    return log
+
+
 def _load_text_inputs(args) -> tuple[dict, dict[str, str]]:
     """The --intents sets and the --lexicon entity types, empty when not given."""
     intent_sets = intents_mod.load_intent_sets(args.intents) if args.intents else {}
@@ -176,9 +186,9 @@ def _history(args, log, panes) -> dict[str, list[tuple[str, int]]]:
     elif log is None:
         rows = ()
     else:
-        query_ids = [panes[pane_id].query_id if pane_id in panes else None for pane_id in log.pane_ids]
+        query_ids = [panes[pane_id].query_id for pane_id in log.pane_ids]
         click_queries = (query_ids[pane] for pane in log.pane_index[log.rows(log.result_offsets)].tolist())
-        rows = ((query_id, url, 1) for query_id, url in zip(click_queries, log.result_urls) if query_id is not None)
+        rows = ((query_id, url, 1) for query_id, url in zip(click_queries, log.result_urls))
     history: dict[str, dict[str, int]] = {}
     for query_id, url, count in rows:
         bucket = history.setdefault(query_id, {})
@@ -307,7 +317,7 @@ ANALYZE_DEFAULTS = {
 
 def cmd_analyze(args, config: dict, out: Outputs) -> None:
     queries, panes = _load_corpus_files(args)
-    log = dataio.load_impressions(args.impressions)
+    log = _load_log(args, panes)
     history = _history(args, log, panes)
     stats = collect_stats(log, panes)
 
@@ -364,7 +374,7 @@ BIAS_DEFAULTS = {"folds": 10}
 def cmd_bias(args, config: dict, out: Outputs) -> None:
     _, panes = _load_corpus_files(args)
     # the log is dropped once counted, so what the fits allocate stays below the load's peak
-    stats = collect_stats(dataio.load_impressions(args.impressions), panes)
+    stats = collect_stats(_load_log(args, panes), panes)
     triples = bias.build_swap_dataset(panes)
     triples = [t for t in triples if t.pane_c in stats and t.pane_c_prime in stats]
     if not triples:
@@ -462,7 +472,7 @@ def cmd_train_rlc(args, config: dict, out: Outputs) -> None:
     queries, panes = _load_corpus_files(args)
     # the log is dropped once the triples are built, so it is not held through training
     triples = _engagement_triples(
-        queries, panes, dataio.load_impressions(args.impressions), config["min_impressions"]
+        queries, panes, _load_log(args, panes), config["min_impressions"]
     )
     intent_sets, lexicon = _load_text_inputs(args)
     if not triples:
@@ -537,7 +547,7 @@ def _label_scale(rates: Sequence[float]) -> list[float]:
 
 def cmd_train_ranker(args, config: dict, out: Outputs) -> None:
     queries, panes = _load_corpus_files(args)
-    log = dataio.load_impressions(args.impressions)
+    log = _load_log(args, panes)
     history = _history(args, log, panes)
     make_scorer = _load_scorer(args)
     triples = _engagement_triples(queries, panes, log, config["min_impressions"])
@@ -592,7 +602,7 @@ def cmd_eval(args, config: dict, out: Outputs) -> None:
     make_scorer = _load_scorer(args)
     ensemble = ranker_mod.BoostedEnsemble.load(args.ensemble) if args.ensemble else None
 
-    log = dataio.load_impressions(args.impressions) if args.impressions else None
+    log = _load_log(args, panes) if args.impressions else None
     history = _history(args, log, panes)
 
     test_set = []  # (query, panes, engagement rate per pane id)

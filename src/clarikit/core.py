@@ -9,6 +9,7 @@ candidate answer.
 from __future__ import annotations
 
 import re
+from collections import abc
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -293,6 +294,60 @@ class EngagementStats:
             raise ValueError("per-position clicks must be in [0, impressions]")
 
 
+class PaneStats(abc.Mapping):
+    """Per-pane engagement statistics as int64 columns, one row per pane in
+    the order given: ids, impressions, engaged (impressions), answer_counts
+    and clicks (n, widest pane) per position, zero past a row's answers.
+
+    As a mapping it is pane id -> EngagementStats, each built only when
+    read; in and len use index (id -> row), and the repr is the dict's."""
+
+    def __init__(self, ids, impressions, engaged, clicks, answer_counts):
+        self.ids = tuple(ids)
+        self.index = dict(zip(self.ids, range(len(self.ids))))
+        self.impressions, self.engaged, self.clicks, self.answer_counts = (
+            np.asarray(column, dtype=np.int64) for column in (impressions, engaged, clicks, answer_counts)
+        )
+
+    @classmethod
+    def of(cls, stats: Mapping[str, EngagementStats]) -> "PaneStats":
+        """The table itself, or a mapping of pane id -> EngagementStats as a table."""
+        if isinstance(stats, cls):
+            return stats
+        rows = list(stats.values())
+        counts = np.array([len(s.per_position_clicks) for s in rows], dtype=np.int64)
+        clicks = np.zeros((len(rows), counts.max(initial=0)), dtype=np.int64)
+        clicks[np.arange(clicks.shape[1]) < counts[:, None]] = [c for s in rows for c in s.per_position_clicks]
+        return cls(stats, [s.impressions for s in rows], [s.engaged_impressions for s in rows], clicks, counts)
+
+    def take(self, rows) -> "PaneStats":
+        """The given rows, in the given order, as a table."""
+        rows = np.asarray(rows, dtype=np.intp)
+        ids = [self.ids[row] for row in rows.tolist()]
+        return PaneStats(ids, self.impressions[rows], self.engaged[rows], self.clicks[rows], self.answer_counts[rows])
+
+    def by_id(self) -> "PaneStats":
+        """The rows in ascending id order."""
+        return self.take(sorted(range(len(self)), key=self.ids.__getitem__))
+
+    def __getitem__(self, pane_id: str) -> EngagementStats:
+        row = self.index[pane_id]
+        clicks = self.clicks[row, : self.answer_counts[row]].tolist()
+        return EngagementStats(int(self.impressions[row]), int(self.engaged[row]), tuple(clicks))
+
+    def __contains__(self, pane_id) -> bool:
+        return pane_id in self.index
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 @dataclass(frozen=True)
 class PaneLabels:
     """Human labels: one overall pane label plus one landing-page label per answer."""
@@ -322,29 +377,33 @@ def conditional_click_distribution(stats: EngagementStats) -> np.ndarray:
     Panes with no observed clicks get equal conditional click probability on
     every answer.
     """
-    clicks = np.asarray(stats.per_position_clicks, dtype=np.float64)
-    total = clicks.sum()
-    if total == 0:
-        return np.full(len(clicks), 1.0 / len(clicks))
-    return clicks / total
+    return conditional_click_matrix([stats.per_position_clicks])[0]
+
+
+def conditional_click_matrix(clicks) -> np.ndarray:
+    """conditional_click_distribution of each row of a (panes, positions)
+    matrix of click counts."""
+    clicks = np.asarray(clicks, dtype=np.float64)
+    totals = clicks.sum(axis=1, keepdims=True)
+    return np.where(totals == 0, 1.0 / clicks.shape[1], clicks / np.where(totals == 0, 1.0, totals))
 
 
 def collect_stats(
     log: ImpressionLog | Iterable[ImpressionRecord], panes: Mapping[str, ClarificationPane]
-) -> dict[str, EngagementStats]:
-    """Aggregate an impression log into per-pane engagement statistics.
+) -> PaneStats:
+    """Aggregate an impression log into a table of per-pane engagement
+    statistics, counted with one bincount per column; a pane's row is as
+    wide as its answers.
 
     Clicks on positions outside the pane's answer range are ignored rather
     than fatal; validate_pane is the place to surface malformed data.  Panes
     come in order of first appearance in the log.
     """
     log = ImpressionLog.of(log)
-    answer_counts = []
-    for pane_id in log.pane_ids:
-        pane = panes.get(pane_id)
-        if pane is None:
-            raise KeyError(f"impression references unknown pane {pane_id!r}")
-        answer_counts.append(pane.answer_count)
+    unknown = [pane_id for pane_id in log.pane_ids if pane_id not in panes]
+    if unknown:
+        raise KeyError(f"impression references unknown pane {unknown[0]!r}")
+    answer_counts = [panes[pane_id].answer_count for pane_id in log.pane_ids]
     n_panes = len(answer_counts)
     width = max(answer_counts, default=0)
     click_rows = log.rows(log.click_offsets)
@@ -354,14 +413,10 @@ def collect_stats(
     click_pane, positions = click_pane[valid], positions[valid].astype(np.int64)
     engaged_rows = np.zeros(len(log), dtype=bool)
     engaged_rows[click_rows[valid]] = True
-    impressions = np.bincount(log.pane_index, minlength=n_panes).tolist()
-    engaged = np.bincount(log.pane_index[engaged_rows], minlength=n_panes).tolist()
-    clicks = np.bincount(click_pane * width + positions - 1, minlength=n_panes * width).reshape(n_panes, width)
-    return {
-        pane_id: EngagementStats(
-            impressions=impressions[i],
-            engaged_impressions=engaged[i],
-            per_position_clicks=tuple(clicks[i, : answer_counts[i]].tolist()),
-        )
-        for i, pane_id in enumerate(log.pane_ids)
-    }
+    return PaneStats(
+        log.pane_ids,
+        np.bincount(log.pane_index, minlength=n_panes),
+        np.bincount(log.pane_index[engaged_rows], minlength=n_panes),
+        np.bincount(click_pane * width + positions - 1, minlength=n_panes * width).reshape(n_panes, width),
+        answer_counts,
+    )

@@ -57,6 +57,13 @@ def write_jsonl(path: str, records: Iterable[dict]) -> None:
             fh.write("\n")
 
 
+def _string(value, field: str) -> str:
+    """A record's string field, checked where it is loaded."""
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string, got {_dumps(value)}")
+    return value
+
+
 def _load_records(path: str, convert: Callable[[dict], object]) -> list:
     """Every non-blank line of a JSON-lines file, decoded and passed through
     convert.  A line that is not JSON, or whose record does not convert
@@ -190,7 +197,7 @@ def pane_from_dict(d: dict) -> ClarificationPane:
     )
     pane = ClarificationPane(
         id=d["id"],
-        query_id=d["query_id"],
+        query_id=_string(d["query_id"], "query_id"),
         question_text=d["question_text"],
         answers=answers,
         template_id=d.get("template_id", "other"),
@@ -207,7 +214,7 @@ def impression_from_dict(d: dict) -> ImpressionRecord:
         pane_id=d["pane_id"],
         timestamp=int(d["timestamp"]),
         answer_clicks=d.get("answer_clicks", ()),
-        result_clicks=d.get("result_clicks", ()),
+        result_clicks=[(_string(url, "result click URL"), dwell) for url, dwell in d.get("result_clicks", ())],
         reformulation=d.get("reformulation") or None,
     )
 
@@ -300,7 +307,8 @@ def _canonical_impressions(rows: list) -> ImpressionLog | None:
     """Decoded impression lines as a log, when every field has the shape a
     written log gives it: integer timestamps, ascending distinct click
     positions of at least 1, and [url, dwell] result clicks and [text,
-    delta] reformulations with numbers of at least 0 (or NaN).  None for
+    delta] reformulations with string URLs and numbers of at least 0 (or
+    NaN).  None for
     any other rows; they may still be valid records."""
     lookup: dict = {}
     pane_index, timestamps, positions, click_counts = [], [], [], []
@@ -330,7 +338,7 @@ def _canonical_impressions(rows: list) -> ImpressionLog | None:
     positions = _numbers(positions, "bi", np.int64)
     dwells = _numbers(dwells, "bif", np.float64)
     deltas = _numbers(deltas, "bif", np.float64)
-    if timestamps is None or positions is None or dwells is None or deltas is None:
+    if timestamps is None or positions is None or dwells is None or deltas is None or not set(map(type, urls)) <= {str}:
         return None
     log = ImpressionLog(
         lookup, pane_index, timestamps, offsets_from_counts(click_counts), positions,

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import tokenize
-from .dataio import _load_records, read_tsv_rows, write_jsonl
+from .dataio import _load_records, _string, read_tsv_rows, write_jsonl
 
 SOURCES = ("reformulation", "click_title")
 
@@ -164,7 +164,8 @@ def save_intent_sets(path: str, sets: Iterable[IntentSet]) -> None:
 
 
 def intent_set_from_dict(d: dict) -> IntentSet:
-    return IntentSet(query_id=d["query_id"], source=d["source"], items=tuple((t, float(w)) for t, w in d["items"]))
+    items = tuple((_string(t, "intent text"), float(w)) for t, w in d["items"])
+    return IntentSet(query_id=_string(d["query_id"], "query_id"), source=d["source"], items=items)
 
 
 def load_intent_sets(path: str) -> dict[str, dict[str, IntentSet]]:

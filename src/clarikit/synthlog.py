@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CandidateAnswer, ClarificationPane, EngagementStats, ImpressionLog, Query, offsets_from_counts
+from .core import CandidateAnswer, ClarificationPane, ImpressionLog, PaneStats, Query, offsets_from_counts
 from .intents import IntentSet
 from .tensor.text import fnv1a
 
@@ -445,16 +445,20 @@ def _click_blocks(corpus: Corpus, model: UserModel, n_per_pane: int, seed: int):
         yield block, rngs, clicks
 
 
-def simulate_stats(corpus: Corpus, model: UserModel, n_per_pane: int, seed: int) -> dict[str, EngagementStats]:
+def simulate_stats(corpus: Corpus, model: UserModel, n_per_pane: int, seed: int) -> PaneStats:
     """Aggregate engagement statistics from the same per-pane draws as
-    simulate_impressions, without building the log."""
-    stats = {}
-    for block, _, clicks in _click_blocks(corpus, model, n_per_pane, seed):
-        engaged = clicks.any(axis=1).sum(axis=1).tolist()
-        per_position = clicks.sum(axis=2).tolist()
-        for pane_id, pane_engaged, pane_clicks in zip(block, engaged, per_position):
-            stats[pane_id] = EngagementStats(n_per_pane, pane_engaged, pane_clicks[:len(corpus.panes[pane_id].answers)])
-    return stats
+    simulate_impressions, without building the log: each block's clicks
+    reduce to its rows of the table, panes in id order."""
+    ids, engaged, clicks = [], [], []
+    for block, _, drawn in _click_blocks(corpus, model, n_per_pane, seed):
+        ids += block
+        engaged.append(drawn.any(axis=1).sum(axis=1))
+        clicks.append(drawn.sum(axis=2))
+    answer_counts = [len(corpus.panes[pane_id].answers) for pane_id in ids]
+    return PaneStats(
+        ids, np.full(len(ids), n_per_pane), np.concatenate(engaged or [[]]),
+        np.concatenate(clicks or [np.zeros((0, 5))])[:, : max(answer_counts, default=0)], answer_counts,
+    )
 
 
 def simulate_impressions(

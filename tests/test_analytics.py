@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from clarikit.analytics import (
     click_entropy,
@@ -251,7 +251,6 @@ def reference_rates(log, dwell_threshold_s, reformulation_window_s):
 event_seconds = st.sampled_from([0.0, 29.5, 30.0, 30.5, 299.0, 300.0, 301.0, math.inf, math.nan])
 
 
-@settings(derandomize=True, deadline=None)
 @given(st.lists(st.builds(
     ImpressionRecord,
     pane_id=st.sampled_from(["p1", "p2"]),

@@ -2,6 +2,7 @@ import collections
 import glob
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 from clarikit import dataio
 from clarikit.cli import main
+from clarikit.core import EngagementStats
 
 
 def run_cli(*argv) -> int:
@@ -801,18 +803,27 @@ BAD_INPUTS = [
     ("--impressions", "unhashable_pane_id", LATE_LINE, _edited(pane_id=["q000000:p0"])),
     ("--impressions", "not_an_object", LATE_LINE, lambda lines, i: json.dumps(sorted(json.loads(lines[i])))),
     ("--impressions", "first_line", 2, lambda lines, i: "{}"),
+    ("--impressions", "url_not_a_string", LATE_LINE, _edited(result_clicks=[[7, 1.0]])),
     ("--queries", "duplicate_id", 3, lambda lines, i: lines[0]),
     ("--queries", "no_tokens", 3, _edited(text="?!")),
     ("--queries", "is_question_a_string", 3, _edited(is_question="false")),
     ("--panes", "duplicate_id", 3, lambda lines, i: lines[0]),
     ("--panes", "unhashable_id", 3, _edited(id=["p"])),
+    ("--panes", "query_id_not_a_string", 3, _edited(query_id=["q000000"])),
     ("--intents", "items_not_pairs", 2, _edited(items=5)),
+    ("--intents", "intent_text_not_a_string", 2, _edited(items=[[7, 1.0]])),
+    ("--intents", "query_id_not_a_string", 2, _edited(query_id=["q000000"])),
     ("--labels", "unknown_grade", 2, _edited(overall="Great")),
     ("--lexicon", "three_columns", 2, lambda lines, i: "a\tb\tc"),
     ("--history", "non_integer_count", 2, lambda lines, i: "q000000\thttp://x\tmany"),
     ("--reformulations", "zero_frequency", 2, lambda lines, i: "a\ta b\t0"),
     ("--click-titles", "three_columns", 2, lambda lines, i: "a\thttp://x\t4"),
 ]
+# the field named by the cases whose value has the wrong JSON type
+MISTYPED = {
+    "url_not_a_string": "result click URL", "query_id_not_a_string": "query_id",
+    "intent_text_not_a_string": "intent text",
+}
 # a command that reads the input, and the inputs it needs besides
 READER = {
     "--queries": "analyze", "--panes": "analyze", "--impressions": "analyze", "--history": "analyze",
@@ -845,6 +856,8 @@ def test_bad_input_line_exits_one_naming_it(side_files, tmp_path, capsys, flag, 
     assert run_cli(*argv, flag, bad) == 1
     err = capsys.readouterr().err
     assert f"{bad}:{line}: " in err
+    if case in MISTYPED:
+        assert f"{bad}:{line}: invalid record: {MISTYPED[case]} must be a string, got " in err
     assert "Traceback" not in err
     assert not (tmp_path / "r").exists()
 
@@ -971,3 +984,49 @@ def test_number_outside_its_domain_exits_one(side_files, tmp_path, capsys, comma
     assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "r").exists()
+
+
+def test_string_url_check_holds_on_both_impression_paths(tmp_path):
+    """A result-click URL that is not a string fails at its line whether its
+    chunk is read as columns or record by record (here: after a chunk-mate
+    whose click positions are not ascending)."""
+    good = {"answer_clicks": [1], "pane_id": "p", "result_clicks": [["http://a", 1.0]], "timestamp": 1}
+    bad = dict(good, result_clicks=[["http://a", 1.0], [7, 2.0]])
+    for first in (good, dict(good, answer_clicks=[2, 1])):
+        path = tmp_path / "impressions.jsonl"
+        path.write_text("".join(json.dumps(d) + "\n" for d in (first, bad)))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: invalid record: result click URL must be a string, got 7$"):
+            dataio.load_impressions(str(path))
+
+
+@pytest.mark.parametrize("command", ["analyze", "bias", "train-rlc", "train-ranker", "eval"])
+def test_impression_of_an_unknown_pane_names_the_file(side_files, tmp_path, capsys, command):
+    """Every command that reads --impressions names that file when an
+    impression's pane is not in --panes."""
+    with open(side_files["--impressions"], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    bad = tmp_path / "impressions.jsonl"
+    bad.write_text("\n".join(lines + [_edited(pane_id="nope")(lines, 0)]) + "\n", encoding="utf-8")
+    corpus = ["--queries", side_files["--queries"], "--panes", side_files["--panes"]]
+    assert run_cli(command, "--out", tmp_path / "r", "--impressions", bad, *corpus) == 1
+    assert capsys.readouterr().err == f"error: {bad}: impression references unknown pane 'nope'\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_bias_builds_no_per_pane_stats_object(corpus_dir, tmp_path, monkeypatch):
+    """bias reads the stats table by columns and rows: no EngagementStats is
+    built from loading the log to writing the last report."""
+    built = []
+    original = EngagementStats.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(EngagementStats, "__post_init__", counted)
+    files = corpus_files(corpus_dir)
+    assert run_cli("bias", "--out", tmp_path / "r", "--queries", files["queries"], "--panes", files["panes"],
+                   "--impressions", files["impressions"], "--folds", 3) == 0
+    assert built == []
+    EngagementStats(1, 0, (0,))
+    assert len(built) == 1  # the count sees a row that is built

@@ -3,7 +3,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from clarikit.core import (
     CandidateAnswer,
@@ -13,6 +13,7 @@ from clarikit.core import (
     ImpressionLog,
     ImpressionRecord,
     PaneLabels,
+    PaneStats,
     Query,
     collect_stats,
     conditional_click_distribution,
@@ -180,7 +181,6 @@ class TestCollectStats:
     # fall outside a pane and must be ignored the same way in every part
     PANES = {f"p{k}": make_pane(f"p{k}", texts=tuple(f"a{i}" for i in range(k))) for k in range(2, 6)}
 
-    @settings(derandomize=True, deadline=None)
     @given(st.lists(st.tuples(
         st.sampled_from(sorted(PANES)), st.frozensets(st.integers(1, 6), max_size=4), st.integers(0, 3),
     ), max_size=60))
@@ -219,7 +219,6 @@ def reference_collect_stats(log, panes):
     }
 
 
-@settings(derandomize=True, deadline=None)
 @given(st.lists(st.tuples(
     st.sampled_from(sorted(TestCollectStats.PANES) + ["unknown"]), st.frozensets(st.integers(1, 7), max_size=5),
 ), max_size=80))
@@ -236,3 +235,27 @@ def test_collect_stats_matches_the_record_loop(entries):
         return
     assert list(collect_stats(log, panes).items()) == expected
     assert list(collect_stats(ImpressionLog.of(log), panes).items()) == expected
+
+
+def test_pane_stats_of_round_trips_a_hand_built_dict():
+    """A dict of rows of any widths becomes a table once, in its order, and
+    reads back as the same rows; a table passes through unchanged."""
+    hand = {
+        "b": EngagementStats(5, 2, (2, 0, 1)),
+        "a": EngagementStats(0, 0, (0, 0)),
+        "c": EngagementStats(9, 9, (9, 4, 0, 0, 2)),
+    }
+    table = PaneStats.of(hand)
+    assert PaneStats.of(table) is table
+    assert table == hand
+    assert list(table.items()) == list(hand.items())
+    assert repr(table) == repr(hand)
+    assert table.clicks.tolist() == [[2, 0, 1, 0, 0], [0, 0, 0, 0, 0], [9, 4, 0, 0, 2]]
+    assert table.answer_counts.tolist() == [3, 2, 5]
+    assert len(table) == 3 and "a" in table and "z" not in table
+    with pytest.raises(KeyError):
+        table["z"]
+    assert list(table.by_id().items()) == sorted(hand.items())
+    assert dict(table.take([2, 0]).items()) == {"c": hand["c"], "b": hand["b"]}
+    empty = PaneStats.of({})
+    assert empty == {} and repr(empty) == "{}" and empty.clicks.shape == (0, 0)

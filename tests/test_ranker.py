@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from clarikit.core import CandidateAnswer, ClarificationPane, Query
 from clarikit.ranker import (
@@ -78,7 +78,6 @@ class TestNdcg:
         with pytest.raises(ValueError):
             ndcg_at_k([1], 0)
 
-    @settings(derandomize=True, deadline=None)
     @given(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=12), st.integers(1, 15))
     def test_lies_in_unit_interval(self, labels, k):
         assert 0.0 <= ndcg_at_k(labels, k) <= 1.0
