@@ -1,7 +1,8 @@
-"""Golden artifacts: synth-gen, analyze and bias on one small seeded corpus;
-train-rlc, train-ranker with the trained scorer and rank on the same corpus;
-and fine-tune-rlc, train-ranker without a scorer and eval on it too, must
-keep writing byte-identical files, manifest.json included.
+"""Golden artifacts: synth-gen, analyze and bias on one small seeded corpus,
+and intents on TSVs written for its queries; train-rlc, train-ranker with
+the trained scorer and rank on the same corpus; and fine-tune-rlc,
+train-ranker without a scorer and eval on it too, must keep writing
+byte-identical files, manifest.json included.
 
 The digests were recorded before the analytics and click-model code was
 restructured; a change meant to preserve behaviour must leave them as they
@@ -63,6 +64,11 @@ GOLDEN = {
         "scatter.tsv": "c752c1d6344d4711e59b65fb2f83bea3dbad065ec6bb371b9c8723ddd3b24896",
         "scatter_fit.tsv": "ff58ebb465752f121518f3b8d5d6784992afeb5ee4f927568090267692c4bf93",
     },
+    # the TSVs of golden_intent_tsvs, mined with the corpus's queries
+    "intents": {
+        "intents.jsonl": "a07c4eca2de9f8d92122ddcbba0d1c11e0b45ffb174cb644ba088902e4bb579a",
+        "manifest.json": "daad2b36142d920f1b7d54bbda8a00a6435035d81bcdf305f0aee8776dfb9c83",
+    },
 }
 
 
@@ -89,10 +95,52 @@ def golden_corpus(tmp_path) -> list:
     ]
 
 
+def golden_intent_tsvs(tmp_path) -> list:
+    """Writes reformulation and click-title TSVs for the golden corpus's
+    queries under tmp_path; the intents flags that read them.  Rows come in
+    case variants and duplicates, between blank lines; follow-ups may equal
+    or not contain their query, titles carry ' - Site' and ' | Site'
+    suffixes, and some rows stay below --min-freq.  The first query has more
+    intents than --n-max keeps, and one query is not in the corpus."""
+    texts = [json.loads(line)["text"] for line in (tmp_path / "data" / "queries.jsonl").read_text().splitlines()]
+    texts.append("unknown zebra query")
+    reformulations, titles = [], []
+    for i, text in enumerate(texts):
+        shown = (text, text.upper(), text.title() + "!")[i % 3]
+        reformulations += [
+            f"{shown}\t{text} guide\t{1 + i % 3}",
+            f"{text}\t{text.upper()} GUIDE\t{2 + i % 2}",
+            f"{shown}\tbest {text}\t{i % 4 + 1}",
+            f"{text}\t{text.title()}\t7",  # equals the query
+            f"{text}\tsomething else entirely\t9",  # does not contain it
+            f"{text}\t{text} rare {i}\t1",  # below --min-freq
+            "",
+            f"{shown}\t{text} guide\t{1 + i % 3}",  # a duplicate row
+        ]
+        titles += [
+            f"{shown}\thttps://{i}.example/a\t{text.title()} Reviews - Site\t{2 + i % 3}",
+            f"{text}\thttps://{i}.example/b\t{text} reviews | Other Site\t{1 + i % 2}",
+            f"{text}\thttps://{i}.example/a\t{text.upper()} Manual - Wiki | Daily\t3",
+            f"{text}\thttps://{i}.example/c\t!!! - Site\t5",  # nothing left once stripped
+            f"{shown}\thttps://{i}.example/d\t{text} rare title {i}\t1",
+            "",
+            f"{shown}\thttps://{i}.example/a\t{text.title()} Reviews - Site\t{2 + i % 3}",
+        ]
+    reformulations += [f"{texts[0]}\t{texts[0]} extra {n}\t{2 + n}" for n in range(10)]
+    (tmp_path / "reformulations.tsv").write_text("\n".join(reformulations) + "\n", encoding="utf-8")
+    (tmp_path / "click_titles.tsv").write_text("\n".join(titles) + "\n", encoding="utf-8")
+    return [
+        "--reformulations", str(tmp_path / "reformulations.tsv"),
+        "--click-titles", str(tmp_path / "click_titles.tsv"),
+        "--queries", str(tmp_path / "data" / "queries.jsonl"),
+    ]
+
+
 def test_golden_artifacts(tmp_path):
     corpus = golden_corpus(tmp_path)
     assert main(["analyze", "--out", str(tmp_path / "analyze"), *corpus]) == 0
     assert main(["bias", "--out", str(tmp_path / "bias"), *corpus, "--folds", "3"]) == 0
+    assert main(["intents", "--out", str(tmp_path / "intents"), *golden_intent_tsvs(tmp_path)]) == 0
     for out, expected in GOLDEN.items():
         assert tree_digests(tmp_path / out) == expected, out
 
