@@ -28,7 +28,6 @@ from .core import (
     PaneStats,
     Query,
     TEMPLATE_IDS,
-    conditional_click_distribution,
     conditional_click_matrix,
 )
 
@@ -60,9 +59,14 @@ def normalized_entropy(probabilities: Sequence[float]) -> float:
 
 
 def click_entropy(stats: EngagementStats) -> float:
-    dist = conditional_click_distribution(stats)
-    positive = dist[dist > 0]
-    return float(-(positive * np.log(positive)).sum())
+    return float(click_entropies([stats.per_position_clicks])[0])
+
+
+def click_entropies(clicks) -> np.ndarray:
+    """The entropy of each row's conditional click distribution, for a
+    (panes, positions) matrix of click counts; a zero share adds nothing."""
+    dist = conditional_click_matrix(clicks)
+    return -(dist * np.log(np.where(dist > 0, dist, 1.0))).sum(axis=1)
 
 
 def _eligible(stats: Mapping[str, EngagementStats]) -> PaneStats:
@@ -92,11 +96,14 @@ def _equal_width_bins(values: np.ndarray, n_bins: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dimension:
-    """One breakdown.  bucket(pane, query, its stats, the query's URL click
-    history) gives the pane's labels, one per facet group, or, if binned, a
-    number cut into equal-width bins; order sorts the labels for the report."""
+    """One breakdown.  bucket(pane, query, the query's URL click history)
+    gives the pane's labels, one per facet group, or, if binned, a number cut
+    into equal-width bins; a dimension read from the stats instead has
+    column(table), those numbers for every row of the PaneStats table at
+    once.  order sorts the labels for the report."""
 
-    bucket: Callable[[ClarificationPane, Query, EngagementStats, Sequence[tuple[str, int]]], object]
+    bucket: Callable[[ClarificationPane, Query, Sequence[tuple[str, int]]], object] | None = None
+    column: Callable[[PaneStats], np.ndarray] | None = None
     order: Callable[[str], object] = str
     binned: bool = False
     needs_history: bool = False
@@ -108,7 +115,7 @@ _QUERY_TYPES = (  # three facet groups: question-ness, ambiguity, traffic
 )
 
 
-def _query_type(pane, query, stats, clicks) -> tuple[str, str, str]:
+def _query_type(pane, query, clicks) -> tuple[str, str, str]:
     return (
         "question" if query.is_question else "not_question",
         "ambiguity_unknown" if query.ambiguity_class == "unknown" else query.ambiguity_class,
@@ -122,19 +129,19 @@ def _bin_number(label: str) -> int:
 
 # in the order analyze reports them
 DIMENSIONS = {
-    "template": Dimension(lambda pane, query, stats, clicks: (pane.template_id,), order=TEMPLATE_IDS.index),
-    "answer_count": Dimension(lambda pane, query, stats, clicks: (str(pane.answer_count),), order=int),
+    "template": Dimension(lambda pane, query, clicks: (pane.template_id,), order=TEMPLATE_IDS.index),
+    "answer_count": Dimension(lambda pane, query, clicks: (str(pane.answer_count),), order=int),
     "click_entropy_bin": Dimension(
-        lambda pane, query, stats, clicks: click_entropy(stats), order=_bin_number, binned=True, five_answers_only=True
+        column=lambda stats: click_entropies(stats.clicks),  # its rows are all five answers wide
+        order=_bin_number, binned=True, five_answers_only=True,
     ),
-    "query_length": Dimension(lambda pane, query, stats, clicks: (str(query.length),), order=int),
+    "query_length": Dimension(lambda pane, query, clicks: (str(query.length),), order=int),
     "query_type": Dimension(_query_type, order=_QUERY_TYPES.index),
     "unique_url_bin": Dimension(
-        lambda pane, query, stats, clicks: float(url_stats(clicks)[0]),
-        order=_bin_number, binned=True, needs_history=True,
+        lambda pane, query, clicks: float(url_stats(clicks)[0]), order=_bin_number, binned=True, needs_history=True
     ),
     "url_entropy_bin": Dimension(
-        lambda pane, query, stats, clicks: url_stats(clicks)[1], order=_bin_number, binned=True, needs_history=True
+        lambda pane, query, clicks: url_stats(clicks)[1], order=_bin_number, binned=True, needs_history=True
     ),
 }
 
@@ -166,9 +173,12 @@ def engagement_breakdown(
     if not stats:
         raise DomainError(f"no panes with >= {MIN_IMPRESSIONS} impressions for dimension {dimension!r}")
 
-    history = historical_clicks or {}
-    qids = [panes[pid].query_id for pid in stats.ids]
-    keys = [rule.bucket(panes[pid], queries[q], stats[pid], history.get(q, ())) for pid, q in zip(stats.ids, qids)]
+    if rule.column is not None:
+        keys = rule.column(stats)
+    else:
+        history = historical_clicks or {}
+        qids = [panes[pid].query_id for pid in stats.ids]
+        keys = [rule.bucket(panes[pid], queries[q], history.get(q, ())) for pid, q in zip(stats.ids, qids)]
     if rule.binned:
         keys = [(f"bin{j + 1}",) for j in _equal_width_bins(np.array(keys), n_bins)]
     buckets: dict[str, list[int]] = {}

@@ -30,6 +30,7 @@ pane rows (_answer_items).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -71,9 +72,10 @@ def build_swap_dataset(panes: Mapping[str, ClarificationPane]) -> list[SwapTripl
     input order.
     """
     groups: dict[tuple, list[str]] = {}
+    questions = functools.cache(normalize_phrase)  # a few question texts recur over many panes
     for pane_id in sorted(panes):
         pane = panes[pane_id]
-        key = (pane.query_id, normalize_phrase(pane.question_text), tuple(sorted(pane.answer_texts())))
+        key = (pane.query_id, questions(pane.question_text), tuple(sorted(pane.answer_texts())))
         groups.setdefault(key, []).append(pane_id)
 
     triples = []

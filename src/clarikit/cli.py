@@ -29,15 +29,19 @@ import sys
 import tempfile
 import threading
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from . import analytics, bias, dataio, intents as intents_mod, ranker as ranker_mod, rlc as rlc_mod
-from .bias import NumericalError
+from . import dataio, intents as intents_mod
 from .core import DomainError, ImpressionLog, collect_stats, engagement_rate
-from .synthlog import CorpusConfig, UserModel, gen_corpus, simulate_impressions
-from .tensor.optim import AdamConfig, NonFiniteGradientError
+from .synthconfig import CorpusConfig, UserModel
+
+# each command imports the modules it runs when it runs, so a process
+# loads only its own command's code
+if TYPE_CHECKING:
+    from . import rlc as rlc_mod
+    from .tensor.optim import AdamConfig
 
 
 _STAGING = re.compile(r"\.staging-(\d+)-")
@@ -200,6 +204,8 @@ def _load_scorer(args) -> Callable:
     """Reads --intents, --lexicon and --rlc-model, each if given, so a
     malformed file fails even when no model will use it.  Returns
     panes_by_query -> the scorer of _rlc_scorer."""
+    from . import rlc as rlc_mod
+
     intent_sets, lexicon = _load_text_inputs(args)
     # scoring only: without parameters that need a gradient a forward keeps
     # no graph, so a batch's intermediates are freed as it goes
@@ -232,6 +238,8 @@ def _rlc_scorer(model: rlc_mod.RlcModel | None, intent_sets, lexicon, panes_by_q
 def _engagement_triples(queries, panes, log, min_impressions: int) -> list[rlc_mod.TrainTriple]:
     """Queries with >= 2 sufficiently shown panes whose engagement rates
     differ become training triples labeled by those rates."""
+    from . import rlc as rlc_mod
+
     stats = collect_stats(log, panes)
     by_query: dict[str, list[tuple[str, float]]] = {}
     for pane_id, pane_stats in sorted(stats.items()):
@@ -269,6 +277,8 @@ def _tuples(value):
 
 
 def cmd_synth_gen(args, config: dict, out: Outputs) -> None:
+    from .synthlog import gen_corpus, simulate_impressions
+
     # the structured keys are set only by the config file, so a value of the
     # wrong shape is reported against it
     spec = config["user_model"]
@@ -316,6 +326,8 @@ ANALYZE_DEFAULTS = {
 
 
 def cmd_analyze(args, config: dict, out: Outputs) -> None:
+    from . import analytics
+
     queries, panes = _load_corpus_files(args)
     log = _load_log(args, panes)
     history = _history(args, log, panes)
@@ -372,6 +384,8 @@ BIAS_DEFAULTS = {"folds": 10}
 
 
 def cmd_bias(args, config: dict, out: Outputs) -> None:
+    from . import bias
+
     _, panes = _load_corpus_files(args)
     # the log is dropped once counted, so what the fits allocate stays below the load's peak
     stats = collect_stats(_load_log(args, panes), panes)
@@ -456,6 +470,8 @@ def _adam_config(config: dict) -> AdamConfig:
     """The optimizer settings of train-rlc and fine-tune-rlc.  A run shorter
     than its warmup never reaches its peak learning rate, so it is
     rejected."""
+    from .tensor.optim import AdamConfig
+
     steps, warmup = config["steps"], config["warmup_steps"]
     if steps < warmup:
         raise ValueError(f"steps ({steps}) is less than warmup_steps ({warmup}): the learning rate would never reach its peak")
@@ -468,6 +484,8 @@ def _adam_config(config: dict) -> AdamConfig:
 
 
 def cmd_train_rlc(args, config: dict, out: Outputs) -> None:
+    from . import rlc as rlc_mod
+
     adam = _adam_config(config)
     queries, panes = _load_corpus_files(args)
     # the log is dropped once the triples are built, so it is not held through training
@@ -505,6 +523,8 @@ FINE_TUNE_DEFAULTS = {
 
 
 def cmd_fine_tune_rlc(args, config: dict, out: Outputs) -> None:
+    from . import rlc as rlc_mod
+
     adam = _adam_config(config)
     queries, panes = _load_corpus_files(args)
     labels = {pane_id: pane_labels.overall for _qid, pane_id, pane_labels in dataio.load_labels(args.labels)}
@@ -546,6 +566,8 @@ def _label_scale(rates: Sequence[float]) -> list[float]:
 
 
 def cmd_train_ranker(args, config: dict, out: Outputs) -> None:
+    from . import ranker as ranker_mod
+
     queries, panes = _load_corpus_files(args)
     log = _load_log(args, panes)
     history = _history(args, log, panes)
@@ -573,6 +595,8 @@ def cmd_train_ranker(args, config: dict, out: Outputs) -> None:
 
 
 def cmd_rank(args, config: dict, out: Outputs) -> None:
+    from . import ranker as ranker_mod
+
     queries, panes = _load_corpus_files(args)
     history = _history(args, None, panes)
     make_scorer = _load_scorer(args)
@@ -598,6 +622,8 @@ EVAL_DEFAULTS = {"min_impressions": 10, "randomization_rounds": 10000}
 
 
 def cmd_eval(args, config: dict, out: Outputs) -> None:
+    from . import ranker as ranker_mod, rlc as rlc_mod
+
     queries, panes = _load_corpus_files(args)
     make_scorer = _load_scorer(args)
     ensemble = ranker_mod.BoostedEnsemble.load(args.ensemble) if args.ensemble else None
@@ -777,6 +803,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numerical_errors() -> tuple[type[BaseException], ...]:
+    """The failures that exit 2, a fit that did not converge
+    (bias.NumericalError) and a non-finite gradient
+    (tensor.optim.NonFiniteGradientError), of whichever of their modules
+    the command imported: one it did not import raised neither."""
+    sources = (("bias", "NumericalError"), ("tensor.optim", "NonFiniteGradientError"))
+    loaded = ((sys.modules.get(f"{__package__}.{module}"), name) for module, name in sources)
+    return tuple(getattr(module, name) for module, name in loaded if module is not None)
+
+
 class _Terminated(BaseException):
     """SIGTERM arrived while a command ran."""
 
@@ -813,7 +849,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             # exceptions keep their traceback
             outputs.discard()
             raise
-    except (NumericalError, NonFiniteGradientError) as exc:
+    except _numerical_errors() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError) as exc:

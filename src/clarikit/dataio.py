@@ -402,6 +402,38 @@ def read_tsv_rows(path: str, types: tuple[Callable, ...]) -> Iterator[tuple]:
             yield tuple(cols)
 
 
+def read_tsv_counts(path: str, n_columns: int) -> list[tuple]:
+    """The rows of a headerless TSV input of n_columns columns whose last is
+    a frequency, an integer of at least 1: one row per distinct set of
+    leading columns, in order of first appearance, with its frequencies
+    summed.  Each line is cut at its last tab and its frequency converted;
+    only a line whose leading columns are new has its column count checked.
+    Blank lines are skipped, and a wrong column count or frequency fails as
+    a ValueError naming its path:line, as in read_tsv_rows."""
+    totals: dict[str, int] = {}
+    for first, lines in _line_chunks(path, IMPRESSION_CHUNK_LINES):
+        for lineno, line in enumerate(lines, start=first):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            leading, tab, value = line.rpartition("\t")
+            total = totals.get(leading)
+            # leading columns already seen hold n_columns - 2 tabs
+            if total is None or not tab:
+                if not tab or leading.count("\t") != n_columns - 2:
+                    got = line.count("\t") + 1
+                    raise ValueError(f"{path}:{lineno}: expected {n_columns} tab-separated columns, got {got}")
+                total = 0
+            try:
+                frequency = int(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if frequency < 1:
+                raise ValueError(f"{path}:{lineno}: frequency must be >= 1, got {frequency}")
+            totals[leading] = total + frequency
+    return [(*leading.split("\t"), total) for leading, total in totals.items()]
+
+
 def _format_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)

@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .core import tokenize
-from .dataio import _load_records, _string, read_tsv_rows, write_jsonl
+from .dataio import _load_records, _string, read_tsv_counts, write_jsonl
 
 SOURCES = ("reformulation", "click_title")
 
@@ -67,11 +67,11 @@ def intents_from_reformulations(
     texts unless a query_ids mapping (normalized text -> id) is given.
     """
 
-    def intent(query_tokens: list[str], row: tuple[str, str, int]) -> str:
-        tokens = tokenize(row[1])
+    def intent(query_tokens: list[str], follow_up: str) -> str:
+        tokens = tokenize(follow_up)
         return " ".join(tokens) if len(tokens) > len(query_tokens) and contains_query(query_tokens, tokens) else ""
 
-    return _mine(triples, "reformulation", intent, min_freq, query_ids)
+    return _mine(triples, 1, "reformulation", intent, min_freq, query_ids)
 
 
 def intents_from_click_titles(
@@ -79,40 +79,57 @@ def intents_from_click_titles(
     min_freq: int = 2,
     query_ids: Mapping[str, str] | None = None,
 ) -> dict[str, IntentSet]:
-    """Build one click-title-sourced intent set per query.  Titles are
-    normalized (site-name suffix stripped, lowercased, punctuation removed)
-    and weights are summed click frequencies."""
-    return _mine(records, "click_title", lambda _tokens, row: normalize_phrase(strip_site_suffix(row[2])), min_freq, query_ids)
+    """Build one click-title-sourced intent set per query from (query, URL,
+    title, frequency) records; the URL is not read.  Titles are normalized
+    (site-name suffix stripped, lowercased, punctuation removed) and weights
+    are summed click frequencies."""
+    titles: dict[str, str] = {}
+
+    def intent(_query_tokens: list[str], title: str) -> str:
+        if title not in titles:
+            titles[title] = normalize_phrase(strip_site_suffix(title))
+        return titles[title]
+
+    return _mine(records, 2, "click_title", intent, min_freq, query_ids)
 
 
 def _mine(
     rows: Iterable[tuple],
+    column: int,
     source: str,
-    intent: Callable[[list[str], tuple], str],
+    intent: Callable[[list[str], str], str],
     min_freq: int,
     query_ids: Mapping[str, str] | None,
 ) -> dict[str, IntentSet]:
     """One source's intent sets from rows of (query text, ..., frequency):
-    intent(query tokens, row) is the row's normalized intent, "" for none.
-    Each distinct query text is tokenized once: a log repeats few queries
-    over many rows."""
-    parsed: dict[str, tuple[str, list[str]]] = {}
-    weights: dict[str, dict[str, float]] = {}
+    intent(query tokens, text) is the normalized intent of a row whose
+    column `column` holds text, "" for none.  Frequencies are summed per
+    distinct query and text first, so each query is tokenized once and each
+    (query, text) intent found once: a log repeats few pairs over many rows.
+    Weights are summed as integers and made floats once each."""
+    counts: dict[str, dict[str, int]] = {}  # query -> text -> frequency
     for row in rows:
-        query, count = row[0], row[-1]
+        count = row[-1]
         if count < 1:
             raise ValueError(f"{source} frequency must be >= 1, got {count}")
-        if query not in parsed:
-            tokens = tokenize(query)
-            parsed[query] = (" ".join(tokens), tokens)
-        q_norm, q_tokens = parsed[query]
-        text = intent(q_tokens, row) if q_norm else ""
-        if text:
-            bucket = weights.setdefault(q_norm, {})
-            bucket[text] = bucket.get(text, 0.0) + float(count)
+        texts = counts.get(row[0])
+        if texts is None:
+            texts = counts[row[0]] = {}
+        text = row[column]
+        texts[text] = texts.get(text, 0) + count
+    weights: dict[str, dict[str, int]] = {}
+    for query, texts in counts.items():
+        q_tokens = tokenize(query)
+        if not q_tokens:
+            continue
+        bucket = weights.setdefault(" ".join(q_tokens), {})
+        for text, count in texts.items():
+            mined = intent(q_tokens, text)
+            if mined:
+                bucket[mined] = bucket.get(mined, 0) + count
     out = {}
     for q_norm, bucket in weights.items():
-        items = tuple((text, w) for text, w in bucket.items() if w >= min_freq)
+        items = tuple((text, float(w)) for text, w in bucket.items() if w >= min_freq)
         if not items:
             continue
         if query_ids is None:
@@ -137,20 +154,14 @@ def truncate_intents(intent_set: IntentSet, n_max: int) -> IntentSet:
     )
 
 
-def _frequency(value: str) -> int:
-    """A count column: an integer of at least 1."""
-    count = int(value)
-    if count < 1:
-        raise ValueError(f"frequency must be >= 1, got {count}")
-    return count
+def read_reformulations_tsv(path: str) -> list[tuple[str, str, int]]:
+    """(query, follow-up, frequency) rows, one per distinct pair."""
+    return read_tsv_counts(path, 3)
 
 
-def read_reformulations_tsv(path: str) -> Iterator[tuple[str, str, int]]:
-    return read_tsv_rows(path, (str, str, _frequency))
-
-
-def read_click_titles_tsv(path: str) -> Iterator[tuple[str, str, str, int]]:
-    return read_tsv_rows(path, (str, str, str, _frequency))
+def read_click_titles_tsv(path: str) -> list[tuple[str, str, str, int]]:
+    """(query, URL, title, frequency) rows, one per distinct triple."""
+    return read_tsv_counts(path, 4)
 
 
 def save_intent_sets(path: str, sets: Iterable[IntentSet]) -> None:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from clarikit.analytics import (
+    click_entropies,
     click_entropy,
     conditional_click_by_position,
     dissatisfaction_rate,
@@ -13,7 +14,16 @@ from clarikit.analytics import (
     multi_click_rate,
     normalized_entropy,
 )
-from clarikit.core import CandidateAnswer, ClarificationPane, ImpressionLog, ImpressionRecord, Query, collect_stats
+from clarikit.core import (
+    CandidateAnswer,
+    ClarificationPane,
+    EngagementStats,
+    ImpressionLog,
+    ImpressionRecord,
+    Query,
+    collect_stats,
+    conditional_click_distribution,
+)
 from clarikit.synthlog import CorpusConfig, UserModel, gen_corpus, simulate_impressions
 
 
@@ -341,3 +351,12 @@ class TestEntropyHelpers:
 
         stats = EngagementStats(20, 20, (4, 4, 4, 4, 4))
         assert click_entropy(stats) == pytest.approx(math.log(5), abs=1e-12)
+
+    @given(st.lists(st.lists(st.integers(0, 50), min_size=5, max_size=5), min_size=1, max_size=20))
+    def test_click_entropies_equal_the_per_pane_entropy(self, rows):
+        """The column equals, bit for bit, the entropy each pane's stats gave
+        one at a time: the sum over its positive click shares."""
+        for got, clicks in zip(click_entropies(rows).tolist(), rows):
+            dist = conditional_click_distribution(EngagementStats(sum(clicks), 0, tuple(clicks)))
+            positive = dist[dist > 0]
+            assert got == float(-(positive * np.log(positive)).sum())

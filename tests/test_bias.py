@@ -85,6 +85,21 @@ class TestBuildSwapDataset:
         found = {(t.pane_c, t.pane_c_prime, t.swap_index) for t in triples}
         assert found == set(corpus.swap_pairs)
 
+    def test_each_distinct_question_normalized_once(self, monkeypatch):
+        import clarikit.bias as bias_mod
+        from clarikit.intents import normalize_phrase
+
+        corpus = gen_corpus(CorpusConfig(n_queries=40, swap_fraction=1.0), seed=5)
+        normalized = []
+
+        def counted(text):
+            normalized.append(text)
+            return normalize_phrase(text)
+
+        monkeypatch.setattr(bias_mod, "normalize_phrase", counted)
+        build_swap_dataset(corpus.panes)
+        assert sorted(normalized) == sorted({pane.question_text for pane in corpus.panes.values()})
+
 
 TEXTS = ("a", "b", "c", "d", "e")
 

@@ -1030,3 +1030,58 @@ def test_bias_builds_no_per_pane_stats_object(corpus_dir, tmp_path, monkeypatch)
     assert built == []
     EngagementStats(1, 0, (0,))
     assert len(built) == 1  # the count sees a row that is built
+
+
+def test_analyze_builds_no_per_pane_stats_object(corpus_dir, tmp_path, monkeypatch):
+    """analyze reads the stats table by columns, the click entropies
+    included: no EngagementStats is built for any breakdown."""
+    built = []
+    original = EngagementStats.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(EngagementStats, "__post_init__", counted)
+    files = corpus_files(corpus_dir)
+    assert run_cli("analyze", "--out", tmp_path / "r", "--queries", files["queries"], "--panes", files["panes"],
+                   "--impressions", files["impressions"]) == 0
+    assert (tmp_path / "r" / "breakdown_click_entropy_bin.tsv").exists()
+    assert built == []
+
+
+def test_cli_import_loads_no_command_module():
+    """Each command imports its own modules when it runs: importing the CLI
+    loads none of them."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, clarikit.cli; print(' '.join(sorted(sys.modules)))"
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True).stdout.split()
+    deferred = ("clarikit.analytics", "clarikit.bias", "clarikit.ranker", "clarikit.rlc", "clarikit.synthlog")
+    assert [name for name in loaded if name in deferred or name.startswith("clarikit.tensor")] == []
+    assert "clarikit.cli" in loaded
+
+
+@pytest.mark.parametrize("command,module,name", [
+    ("bias", "clarikit.bias", "NumericalError"),
+    ("train-rlc", "clarikit.tensor.optim", "NonFiniteGradientError"),
+])
+def test_numerical_failure_exits_two(corpus_dir, tmp_path, capsys, monkeypatch, command, module, name):
+    """A numerical failure raised by a module its command imported exits 2."""
+    import importlib
+
+    error = getattr(importlib.import_module(module), name)
+
+    def fail(*args, **kwargs):
+        raise error("did not converge")
+
+    target = "clarikit.bias.evaluate_click_models" if command == "bias" else "clarikit.rlc.train_pairwise"
+    monkeypatch.setattr(target, fail)
+    files = corpus_files(corpus_dir)
+    argv = [command, "--out", tmp_path / "r", "--queries", files["queries"], "--panes", files["panes"],
+            "--impressions", files["impressions"]]
+    if command == "train-rlc":
+        argv += ["--steps", 50]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == "numerical failure: did not converge\n"
+    assert not (tmp_path / "r").exists()

@@ -1,5 +1,10 @@
-import pytest
+import os
+import tempfile
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from clarikit.core import tokenize
 from clarikit.intents import (
     IntentSet,
     contains_query,
@@ -7,6 +12,8 @@ from clarikit.intents import (
     intents_from_reformulations,
     load_intent_sets,
     normalize_phrase,
+    read_click_titles_tsv,
+    read_reformulations_tsv,
     save_intent_sets,
     strip_site_suffix,
     truncate_intents,
@@ -131,3 +138,166 @@ def test_round_trip_jsonl(tmp_path):
     loaded = load_intent_sets(path)
     assert loaded["q1"]["reformulation"] == sets[0]
     assert loaded["q1"]["click_title"] == sets[1]
+
+
+# -- the per-row reader and miner the count-summing ones replaced, kept as
+# oracles: every line split and converted, every row tokenized and matched,
+# weights summed as floats row by row
+
+
+def oracle_read(path: str, n_columns: int) -> list[tuple]:
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            cols = line.split("\t")
+            if len(cols) != n_columns:
+                raise ValueError(f"{path}:{lineno}: expected {n_columns} tab-separated columns, got {len(cols)}")
+            try:
+                count = int(cols[-1])
+                if count < 1:
+                    raise ValueError(f"frequency must be >= 1, got {count}")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            rows.append((*cols[:-1], count))
+    return rows
+
+
+def oracle_reformulation(query_tokens, row):
+    tokens = tokenize(row[1])
+    return " ".join(tokens) if len(tokens) > len(query_tokens) and contains_query(query_tokens, tokens) else ""
+
+
+def oracle_click_title(query_tokens, row):
+    return normalize_phrase(strip_site_suffix(row[2]))
+
+
+def oracle_mine(rows, source, intent, min_freq, query_ids):
+    parsed, weights = {}, {}
+    for row in rows:
+        query, count = row[0], row[-1]
+        if count < 1:
+            raise ValueError(f"{source} frequency must be >= 1, got {count}")
+        if query not in parsed:
+            tokens = tokenize(query)
+            parsed[query] = (" ".join(tokens), tokens)
+        q_norm, q_tokens = parsed[query]
+        text = intent(q_tokens, row) if q_norm else ""
+        if text:
+            bucket = weights.setdefault(q_norm, {})
+            bucket[text] = bucket.get(text, 0.0) + float(count)
+    out = {}
+    for q_norm, bucket in weights.items():
+        items = tuple((text, w) for text, w in bucket.items() if w >= min_freq)
+        if not items:
+            continue
+        if query_ids is None:
+            key = query_id = q_norm
+        elif q_norm in query_ids:
+            key = query_id = query_ids[q_norm]
+        else:
+            continue
+        out[key] = IntentSet(query_id=query_id, source=source, items=items)
+    return out
+
+
+SOURCES = {  # source: (columns, reader, miner, oracle intent)
+    "reformulation": (3, read_reformulations_tsv, intents_from_reformulations, oracle_reformulation),
+    "click_title": (4, read_click_titles_tsv, intents_from_click_titles, oracle_click_title),
+}
+
+WORDS = ("jaguar", "car", "cars", "art", "cartoon", "red", "fox", "the", "")
+
+
+def _variant(text: str, case: int) -> str:
+    """Same tokens after normalization, another surface form."""
+    return (text, text.upper(), text.title(), f" {text}!", text.replace(" ", "  "))[case]
+
+
+@st.composite
+def tsv_lines(draw, source: str) -> list[str]:
+    """Rows over a few words, each drawn again in case variants and as
+    duplicates, with blank lines between them."""
+    phrase = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join)
+    queries = draw(st.lists(phrase, min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(1, 20))):
+        query = draw(st.sampled_from(queries))
+        if source == "reformulation":
+            extra = draw(phrase)
+            text = draw(st.sampled_from((query, f"{query} {extra}", f"{extra} {query}", extra)))
+            row = [query, text]
+        else:
+            title = draw(st.sampled_from((f"{query} {draw(phrase)}", draw(phrase), "!!")))
+            suffix = draw(st.sampled_from(("", " - Site", " | Site", " - Wiki | Daily")))
+            row = [query, f"http://{draw(st.integers(0, 2))}.example", title + suffix]
+        rows.append(row + [str(draw(st.integers(1, 5)))])
+    lines = []
+    for _ in range(draw(st.integers(1, 40))):
+        query, *rest = draw(st.sampled_from(rows))
+        lines.append("\t".join([_variant(query, draw(st.integers(0, 4))), *rest]))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+    return lines
+
+
+def _write(directory: str, lines: list[str]) -> str:
+    path = os.path.join(directory, "rows.tsv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@settings(max_examples=100)
+@given(data=st.data())
+def test_count_summing_reader_and_miner_equal_the_oracle(source, data):
+    lines = data.draw(tsv_lines(source))
+    min_freq = data.draw(st.integers(1, 6))
+    columns, read, mine, oracle_intent = SOURCES[source]
+    with tempfile.TemporaryDirectory() as directory:
+        path = _write(directory, lines)
+        oracle_rows = oracle_read(path, columns)
+        query_ids = data.draw(st.none() | st.just({normalize_phrase(r[0]): f"id-{r[0]}" for r in oracle_rows[::2]}))
+        expected = oracle_mine(oracle_rows, source, oracle_intent, min_freq, query_ids)
+        assert mine(read(path), min_freq=min_freq, query_ids=query_ids) == expected
+
+
+# (case, the bad line made from a good line's columns)
+MUTATIONS = [
+    ("too_few_columns", lambda cols: "\t".join(cols[1:])),
+    ("too_many_columns", lambda cols: "\t".join(cols[:-1] + ["extra", cols[-1]])),
+    ("trailing_tab", lambda cols: "\t".join(cols) + "\t"),
+    ("no_tab", lambda cols: " ".join(cols)),
+    ("frequency_zero", lambda cols: "\t".join(cols[:-1] + ["0"])),
+    ("frequency_negative", lambda cols: "\t".join(cols[:-1] + ["-3"])),
+    ("frequency_fraction", lambda cols: "\t".join(cols[:-1] + ["4.5"])),
+    ("frequency_word", lambda cols: "\t".join(cols[:-1] + ["five"])),
+]
+
+GOOD_LINES = {
+    "reformulation": ["jaguar\tjaguar car\t3", "", "Jaguar\tjaguar cars\t2", "jaguar\tjaguar car\t1"],
+    "click_title": ["jaguar\thttp://a\tJaguar Cars - Site\t3", "", "jaguar\thttp://b\tcars\t2", "jaguar\thttp://a\tJaguar Cars - Site\t1"],
+}
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("seen", [True, False], ids=["seen_columns", "new_columns"])
+@pytest.mark.parametrize("case,mutate", MUTATIONS, ids=[case for case, _ in MUTATIONS])
+def test_bad_line_fails_as_the_oracle_does(tmp_path, source, seen, case, mutate):
+    """A bad line after good ones, whose leading columns an earlier line
+    has (so the count-summing reader does not split it) or not: the same
+    path:line message from both readers."""
+    lines = list(GOOD_LINES[source])
+    cols = lines[0].split("\t") if seen else ["other", *lines[0].split("\t")[1:]]
+    lines.insert(3, mutate(cols))
+    path = _write(str(tmp_path), lines)
+    columns, read, _, _ = SOURCES[source]
+    with pytest.raises(ValueError) as expected:
+        oracle_read(path, columns)
+    with pytest.raises(ValueError) as got:
+        read(path)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith(f"{path}:4: ")
