@@ -1,8 +1,9 @@
 """Golden artifacts: synth-gen, analyze and bias on one small seeded corpus,
 and intents on TSVs written for its queries; train-rlc, train-ranker with
 the trained scorer and rank on the same corpus; and fine-tune-rlc,
-train-ranker without a scorer and eval on it too, must keep writing
-byte-identical files, manifest.json included.
+train-ranker without a scorer and eval on it too, and eval with the trained
+scorer on reordered inputs, must keep writing byte-identical files,
+manifest.json included.
 
 The digests were recorded before the analytics and click-model code was
 restructured; a change meant to preserve behaviour must leave them as they
@@ -13,6 +14,9 @@ say which one and why.
 import hashlib
 import json
 import os
+import re
+
+import pytest
 
 from clarikit.cli import main
 
@@ -250,3 +254,91 @@ def test_golden_fine_tune_ranker_and_eval_artifacts(tmp_path):
     ]) == 0
     for out, expected in TRAINING_GOLDEN.items():
         assert tree_digests(tmp_path / out) == expected, out
+
+
+# eval with the golden scorer and the ensemble trained with it, on the
+# impressions in the order of a digest of each line and on the labels in
+# reverse id order: eval batches each query's panes in the orders of these
+# two files, and a pane's score moves in its last bits with its batch.  The
+# impressions of the first ten queries and of the p1s panes are left out, so
+# some batches hold labelled panes only and some both kinds.
+SCORED_EVAL_GOLDEN = {
+    "eval.tsv": "a6f148107948ddbe4e7c93dacfd3a0efe121d3e641afe6a50bee98d7bd80068c",
+    "manifest.json": "9fe5b6a0c1b2253a3f394924ba5adc46c07d22f30f0b04ec12c5c4672c9bf499",
+}
+
+# (query id, pane ids) of every batch the scorer scores in that eval, in order
+SCORED_EVAL_BATCHES = [
+    ('q000010', ('q000010:p1', 'q000010:p0')),
+    ('q000011', ('q000011:p1', 'q000011:p0', 'q000011:p0s', 'q000011:p1s')),
+    ('q000012', ('q000012:p0', 'q000012:p1')),
+    ('q000013', ('q000013:p0s', 'q000013:p1', 'q000013:p0')),
+    ('q000014', ('q000014:p0s', 'q000014:p1', 'q000014:p0')),
+    ('q000015', ('q000015:p1', 'q000015:p0', 'q000015:p0s')),
+    ('q000016', ('q000016:p1', 'q000016:p0')),
+    ('q000017', ('q000017:p0', 'q000017:p1')),
+    ('q000018', ('q000018:p0', 'q000018:p1', 'q000018:p1s')),
+    ('q000019', ('q000019:p1', 'q000019:p0', 'q000019:p0s')),
+    ('q000020', ('q000020:p1', 'q000020:p0')),
+    ('q000021', ('q000021:p0', 'q000021:p1', 'q000021:p0s')),
+    ('q000022', ('q000022:p1', 'q000022:p0', 'q000022:p1s')),
+    ('q000023', ('q000023:p0', 'q000023:p0s', 'q000023:p1', 'q000023:p1s')),
+    ('q000000', ('q000000:p1', 'q000000:p0')),
+    ('q000001', ('q000001:p1s', 'q000001:p1', 'q000001:p0')),
+    ('q000002', ('q000002:p1s', 'q000002:p1', 'q000002:p0s', 'q000002:p0')),
+    ('q000003', ('q000003:p1s', 'q000003:p1', 'q000003:p0s', 'q000003:p0')),
+    ('q000004', ('q000004:p1', 'q000004:p0s', 'q000004:p0')),
+    ('q000005', ('q000005:p1s', 'q000005:p1', 'q000005:p0s', 'q000005:p0')),
+    ('q000006', ('q000006:p1', 'q000006:p0')),
+    ('q000007', ('q000007:p1', 'q000007:p0')),
+    ('q000008', ('q000008:p1', 'q000008:p0')),
+    ('q000009', ('q000009:p1', 'q000009:p0')),
+]
+
+
+@pytest.fixture(scope="module")
+def scored_eval(tmp_path_factory):
+    """Runs the scored eval; its --out and the batches it scored."""
+    from clarikit import rlc
+
+    tmp_path = tmp_path_factory.mktemp("scored_eval")
+    corpus = golden_corpus(tmp_path)
+    text = text_flags(tmp_path)
+    model = train_golden_rlc(tmp_path, corpus, text)
+    assert main([
+        "train-ranker", "--out", str(tmp_path / "ranker"), *corpus, *text, "--rlc-model", model,
+        "--trees", "5", "--depth", "2", "--seed", "3",
+    ]) == 0
+    lines = (tmp_path / "data" / "impressions.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    impressions = tmp_path / "impressions.jsonl"
+    kept = [line for line in lines if not re.match(r"q00000\d:|.*:p1s$", json.loads(line)["pane_id"])]
+    impressions.write_text("".join(sorted(kept, key=lambda line: hashlib.sha256(line.encode()).hexdigest())))
+    labels = golden_labels(tmp_path)
+    reversed_labels = tmp_path / "reversed_labels.jsonl"
+    reversed_labels.write_text("".join(reversed(open(labels, encoding="utf-8").readlines())))
+    batches = []
+    score_tensor = rlc.RlcModel.score_tensor
+
+    def recorded(model, query, panes, *args):
+        batches.append((query.id, tuple(pane.id for pane in panes)))
+        return score_tensor(model, query, panes, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rlc.RlcModel, "score_tensor", recorded)
+        assert main([
+            "eval", "--out", str(tmp_path / "eval"), *corpus[:4], "--impressions", str(impressions), *text,
+            "--labels", str(reversed_labels), "--rlc-model", model,
+            "--ensemble", str(tmp_path / "ranker" / "ensemble.json"),
+            "--randomization-rounds", "2345", "--seed", "3",
+        ]) == 0
+    return tmp_path / "eval", batches
+
+
+def test_golden_scored_eval_artifacts(scored_eval):
+    out, _ = scored_eval
+    assert tree_digests(out) == SCORED_EVAL_GOLDEN
+
+
+def test_scored_eval_batches_keep_their_order(scored_eval):
+    _, batches = scored_eval
+    assert batches == SCORED_EVAL_BATCHES
