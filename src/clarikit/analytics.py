@@ -158,7 +158,9 @@ def engagement_breakdown(
     of the PaneStats table of `collect_stats` (a mapping of pane id ->
     EngagementStats is read as one).  A pane in one bucket per facet group
     makes each group average to 1.0 under impression weighting; quartiles
-    are unweighted over panes.  Raises DomainError when no pane is eligible.
+    are unweighted over panes.  Raises DomainError when no pane is eligible,
+    or when the eligible panes hold no engaged impression: relative
+    engagement is then undefined.
     """
     if dimension not in DIMENSIONS:
         raise ValueError(f"unknown breakdown dimension {dimension!r}")
@@ -186,6 +188,8 @@ def engagement_breakdown(
         for label in labels:
             buckets.setdefault(label, []).append(row)
 
+    if not stats.engaged.any():
+        raise DomainError(f"no engaged impression among the eligible panes for dimension {dimension!r}")
     overall = int(stats.engaged.sum()) / int(stats.impressions.sum())
     rows = []
     for bucket in sorted(buckets, key=rule.order):

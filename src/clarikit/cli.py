@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from . import dataio, intents as intents_mod
-from .core import DomainError, ImpressionLog, collect_stats, engagement_rate
+from .core import DomainError, ImpressionLog, PaneStats, collect_stats
 from .synthconfig import CorpusConfig, UserModel
 
 # each command imports the modules it runs when it runs, so a process
@@ -160,7 +160,7 @@ def _load_corpus_files(args) -> tuple[dict, dict]:
     panes = dataio.load_panes(args.panes)
     for pane in panes.values():
         if pane.query_id not in queries:
-            raise ValueError(f"pane {pane.id} references unknown query {pane.query_id}")
+            raise ValueError(f"{args.panes}: pane {pane.id!r} references unknown query {pane.query_id!r}")
     return queries, panes
 
 
@@ -235,30 +235,35 @@ def _rlc_scorer(model: rlc_mod.RlcModel | None, intent_sets, lexicon, panes_by_q
     return scorer
 
 
+def _click_ratings(stats: PaneStats, min_impressions: int) -> dict[str, float]:
+    """The engagement rate of each pane of stats shown at least
+    min_impressions times, in the order of its rows."""
+    shown = np.flatnonzero(stats.impressions >= min_impressions)
+    rates = stats.engaged[shown] / stats.impressions[shown]
+    return dict(zip([stats.ids[row] for row in shown.tolist()], rates.tolist()))
+
+
 def _engagement_triples(queries, panes, log, min_impressions: int) -> list[rlc_mod.TrainTriple]:
-    """Queries with >= 2 sufficiently shown panes whose engagement rates
-    differ become training triples labeled by those rates."""
+    """Queries whose sufficiently shown panes differ in engagement rate
+    become training triples labeled by those rates, panes in id order."""
     from . import rlc as rlc_mod
 
-    stats = collect_stats(log, panes)
-    by_query: dict[str, list[tuple[str, float]]] = {}
-    for pane_id, pane_stats in sorted(stats.items()):
-        if pane_stats.impressions < min_impressions:
-            continue
-        by_query.setdefault(panes[pane_id].query_id, []).append((pane_id, engagement_rate(pane_stats)))
-    triples = []
-    for query_id in sorted(by_query):
-        entries = by_query[query_id]
-        if len(entries) < 2 or len({rate for _, rate in entries}) < 2:
-            continue
-        triples.append(
-            rlc_mod.TrainTriple(
-                query=queries[query_id],
-                panes=tuple(panes[pid] for pid, _ in entries),
-                labels=tuple(rate for _, rate in entries),
-            )
-        )
-    return triples
+    ratings = _click_ratings(collect_stats(log, panes).by_id(), min_impressions)
+    return [t for t in rlc_mod.group_by_query(queries, panes, ratings) if len(set(t.labels)) >= 2]
+
+
+def _load_grades(args, panes) -> dict[str, float]:
+    """The overall --labels grades as pane id -> Bad 0.0, Fair 1.0 or Good
+    2.0, in file order; a later label of a pane replaces its grade.  A label
+    of a pane that --panes does not hold fails naming the file."""
+    from .rlc import LABEL_VALUES
+
+    grades = {}
+    for _query_id, pane_id, pane_labels in dataio.load_labels(args.labels):
+        if pane_id not in panes:
+            raise ValueError(f"{args.labels}: label references unknown pane {pane_id!r}")
+        grades[pane_id] = LABEL_VALUES[pane_labels.overall]
+    return grades
 
 
 # -- commands ----------------------------------------------------------------
@@ -527,10 +532,10 @@ def cmd_fine_tune_rlc(args, config: dict, out: Outputs) -> None:
 
     adam = _adam_config(config)
     queries, panes = _load_corpus_files(args)
-    labels = {pane_id: pane_labels.overall for _qid, pane_id, pane_labels in dataio.load_labels(args.labels)}
+    grades = _load_grades(args, panes)
     intent_sets, lexicon = _load_text_inputs(args)
     model = rlc_mod.RlcModel.load(args.model)
-    triples = rlc_mod.triples_from_labels(queries, panes, labels)
+    triples = rlc_mod.group_by_query(queries, panes, dict(sorted(grades.items())))
     report = rlc_mod.fine_tune(
         model,
         triples,
@@ -576,15 +581,10 @@ def cmd_train_ranker(args, config: dict, out: Outputs) -> None:
     if not triples:
         raise ValueError("no trainable queries in the impression log")
     scorer = make_scorer({t.query.id: t.panes for t in triples})
-    per_query = []
-    for triple in triples:
-        rows = np.array(
-            [
-                ranker_mod.extract_features(triple.query, pane, history.get(triple.query.id), scorer).as_array()
-                for pane in triple.panes
-            ]
-        )
-        per_query.append((rows, np.array(_label_scale(triple.labels))))
+    per_query = [
+        (ranker_mod.feature_rows(t.query, t.panes, history.get(t.query.id), scorer), np.array(_label_scale(t.labels)))
+        for t in triples
+    ]
     ensemble = ranker_mod.train_lambdamart(
         per_query,
         ranker_mod.LambdaMartConfig(
@@ -631,36 +631,17 @@ def cmd_eval(args, config: dict, out: Outputs) -> None:
     log = _load_log(args, panes) if args.impressions else None
     history = _history(args, log, panes)
 
-    test_set = []  # (query, panes, engagement rate per pane id)
-    if log is not None:
-        stats = collect_stats(log, panes)
-        by_query: dict[str, list] = {}
-        for pane_id, pane_stats in stats.items():
-            if pane_stats.impressions >= config["min_impressions"]:
-                by_query.setdefault(panes[pane_id].query_id, []).append(pane_id)
-        for query_id in sorted(by_query):
-            pane_ids = by_query[query_id]
-            if len(pane_ids) < 2:
-                continue
-            rates = {pid: engagement_rate(stats[pid]) for pid in pane_ids}
-            test_set.append((queries[query_id], [panes[pid] for pid in pane_ids], rates))
-
-    labeled = []  # (query, labelled panes)
-    if args.labels:
-        labels = {
-            pane_id: rlc_mod.LABEL_VALUES[pane_labels.overall]
-            for _qid, pane_id, pane_labels in dataio.load_labels(args.labels)
-        }
-        by_query = {}
-        for pane_id in labels:
-            if pane_id in panes:
-                by_query.setdefault(panes[pane_id].query_id, []).append(pane_id)
-        labeled = [(queries[qid], [panes[pid] for pid in by_query[qid]]) for qid in sorted(by_query)]
+    # the scorer batches each query's panes in these orders: the click set's
+    # follows the stats rows (first appearance in the log), the labelled set's the labels file
+    rates = _click_ratings(collect_stats(log, panes), config["min_impressions"]) if log is not None else {}
+    test_set = [t for t in rlc_mod.group_by_query(queries, panes, rates) if len(t.panes) >= 2]
+    grades = _load_grades(args, panes) if args.labels else {}
+    labeled = rlc_mod.group_by_query(queries, panes, grades)
 
     # both sets rank mostly the same panes: each query's are scored in one forward
     scored: dict[str, dict] = {}
-    for query, query_panes, *_ in test_set + labeled:
-        scored.setdefault(query.id, {}).update((p.id, p) for p in query_panes)
+    for triple in test_set + labeled:
+        scored.setdefault(triple.query.id, {}).update((p.id, p) for p in triple.panes)
     scorer = make_scorer({qid: list(by_id.values()) for qid, by_id in scored.items()})
 
     def method_ranker(query, query_panes):
@@ -669,17 +650,17 @@ def cmd_eval(args, config: dict, out: Outputs) -> None:
     baseline = ranker_mod.entropy_baseline_ranker(history)
     rows = []
     if test_set:
-        improvement = ranker_mod.engagement_improvement(method_ranker, test_set, baseline)
+        improvement = ranker_mod.engagement_improvement(
+            method_ranker, [(t.query, t.panes, rates) for t in test_set], baseline
+        )
         rows.append(["engagement_improvement_pct", improvement])
         rows.append(["engagement_queries", len(test_set)])
 
     if args.labels:
         method_labels, baseline_labels = [], []
-        for query, query_panes in labeled:
-            ranked = method_ranker(query, query_panes)
-            method_labels.append([labels[p.id] for p in ranked])
-            ranked_baseline = baseline(query, query_panes)
-            baseline_labels.append([labels[p.id] for p in ranked_baseline])
+        for triple in labeled:
+            method_labels.append([grades[p.id] for p in method_ranker(triple.query, triple.panes)])
+            baseline_labels.append([grades[p.id] for p in baseline(triple.query, triple.panes)])
         for k in (1, 3, 5):
             method_scores = [ranker_mod.ndcg_at_k(l, k) for l in method_labels]
             baseline_scores = [ranker_mod.ndcg_at_k(l, k) for l in baseline_labels]

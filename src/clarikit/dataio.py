@@ -79,10 +79,7 @@ def _load_by_id(path: str, convert: Callable[[dict], object]) -> dict:
     first_line: dict = {}
     for lineno, line in _nonblank_lines(path):
         record = _convert_line(path, lineno, line, convert)
-        try:
-            first = first_line.setdefault(record.id, lineno)
-        except TypeError as exc:
-            raise ValueError(f"{path}:{lineno}: invalid record: id {record.id!r}: {exc}") from None
+        first = first_line.setdefault(record.id, lineno)
         if first != lineno:
             raise ValueError(f"{path}:{lineno}: invalid record: duplicate id {record.id!r}, first on line {first}")
         out[record.id] = record
@@ -157,7 +154,7 @@ def query_from_dict(d: dict) -> Query:
     if not isinstance(is_question, bool):
         raise ValueError(f"is_question must be true or false, got {is_question!r}")
     return Query(
-        id=d["id"],
+        id=_string(d["id"], "id"),
         text=d["text"],
         is_question=is_question,
         ambiguity_class=d.get("ambiguity_class", "unknown"),
@@ -196,7 +193,7 @@ def pane_from_dict(d: dict) -> ClarificationPane:
         for a in d["answers"]
     )
     pane = ClarificationPane(
-        id=d["id"],
+        id=_string(d["id"], "id"),
         query_id=_string(d["query_id"], "query_id"),
         question_text=d["question_text"],
         answers=answers,
@@ -211,7 +208,7 @@ def pane_from_dict(d: dict) -> ClarificationPane:
 def impression_from_dict(d: dict) -> ImpressionRecord:
     # ImpressionRecord converts the click and reformulation fields itself
     return ImpressionRecord(
-        pane_id=d["pane_id"],
+        pane_id=_string(d["pane_id"], "pane_id"),
         timestamp=int(d["timestamp"]),
         answer_clicks=d.get("answer_clicks", ()),
         result_clicks=[(_string(url, "result click URL"), dwell) for url, dwell in d.get("result_clicks", ())],
@@ -220,7 +217,8 @@ def impression_from_dict(d: dict) -> ImpressionRecord:
 
 
 def labels_from_dict(d: dict) -> tuple[str, str, PaneLabels]:
-    return d["query_id"], d["pane_id"], PaneLabels(overall=d["overall"], landing=tuple(d["landing"]))
+    query_id, pane_id = _string(d["query_id"], "query_id"), _string(d["pane_id"], "pane_id")
+    return query_id, pane_id, PaneLabels(overall=d["overall"], landing=tuple(d["landing"]))
 
 
 def load_labels(path: str) -> list[tuple[str, str, PaneLabels]]:
@@ -291,25 +289,19 @@ def _impression_chunk(path: str, first: int, lines: list[str]) -> ImpressionLog:
         log = None
     if log is None:
         log = ImpressionLog.of(
-            _convert_line(path, lineno, line, _indexable_impression)
+            _convert_line(path, lineno, line, impression_from_dict)
             for lineno, line in enumerate(lines, start=first) if line.strip()
         )
     return log
 
 
-def _indexable_impression(d: dict) -> ImpressionRecord:
-    record = impression_from_dict(d)
-    hash(record.pane_id)  # a log indexes its rows' panes by id
-    return record
-
-
 def _canonical_impressions(rows: list) -> ImpressionLog | None:
     """Decoded impression lines as a log, when every field has the shape a
-    written log gives it: integer timestamps, ascending distinct click
-    positions of at least 1, and [url, dwell] result clicks and [text,
-    delta] reformulations with string URLs and numbers of at least 0 (or
-    NaN).  None for
-    any other rows; they may still be valid records."""
+    written log gives it: string pane ids, integer timestamps, ascending
+    distinct click positions of at least 1, and [url, dwell] result clicks
+    and [text, delta] reformulations with string URLs and numbers of at
+    least 0 (or NaN).  None for any other rows; they may still be valid
+    records."""
     lookup: dict = {}
     pane_index, timestamps, positions, click_counts = [], [], [], []
     results, result_counts, reformulations, reformulation_counts = [], [], [], []
@@ -338,7 +330,8 @@ def _canonical_impressions(rows: list) -> ImpressionLog | None:
     positions = _numbers(positions, "bi", np.int64)
     dwells = _numbers(dwells, "bif", np.float64)
     deltas = _numbers(deltas, "bif", np.float64)
-    if timestamps is None or positions is None or dwells is None or deltas is None or not set(map(type, urls)) <= {str}:
+    strings = {*map(type, urls), *map(type, lookup)} <= {str}  # the URLs and the distinct pane ids
+    if timestamps is None or positions is None or dwells is None or deltas is None or not strings:
         return None
     log = ImpressionLog(
         lookup, pane_index, timestamps, offsets_from_counts(click_counts), positions,

@@ -70,6 +70,11 @@ def extract_features(
     return FeatureVector(values=values)
 
 
+def feature_rows(query: Query, panes: Sequence[ClarificationPane], historical_clicks=None, rlc_scorer=None) -> np.ndarray:
+    """extract_features of each of a query's panes, as a (panes, features) matrix."""
+    return np.array([extract_features(query, p, historical_clicks, rlc_scorer).as_array() for p in panes])
+
+
 # -- nDCG ------------------------------------------------------------------
 
 
@@ -333,7 +338,7 @@ def rank_panes(
     ensemble) break by pane id, so the order is total and stable."""
     if not panes:
         raise ValueError("need at least one pane")
-    rows = np.array([extract_features(query, p, historical_clicks, rlc_scorer).as_array() for p in panes])
+    rows = feature_rows(query, panes, historical_clicks, rlc_scorer)
     scores = ensemble.predict(rows) if ensemble is not None and ensemble.trees else np.zeros(len(panes))
     keyed = sorted(zip(scores, panes), key=lambda sp: (-sp[0], sp[1].id))
     return [p for _, p in keyed]

@@ -415,25 +415,17 @@ def fine_tune(
     )
 
 
-def triples_from_labels(
+def group_by_query(
     queries: Mapping[str, Query],
     panes: Mapping[str, ClarificationPane],
-    labels: Mapping[str, str],
+    ratings: Mapping[str, float],
 ) -> list[TrainTriple]:
-    """Assemble labeled training triples from overall pane labels
-    (pane id -> Good/Fair/Bad), ordinalized Good=2, Fair=1, Bad=0."""
-    by_query: dict[str, list[tuple[ClarificationPane, float]]] = {}
-    for pane_id, label in labels.items():
-        pane = panes[pane_id]
-        by_query.setdefault(pane.query_id, []).append((pane, LABEL_VALUES[label]))
-    triples = []
-    for query_id in sorted(by_query):
-        entries = sorted(by_query[query_id], key=lambda e: e[0].id)
-        triples.append(
-            TrainTriple(
-                query=queries[query_id],
-                panes=tuple(p for p, _ in entries),
-                labels=tuple(v for _, v in entries),
-            )
-        )
-    return triples
+    """Rated panes (pane id -> rating) as one triple per query, queries in
+    id order and each query's panes in the order of ratings."""
+    by_query: dict[str, list[str]] = {}
+    for pane_id in ratings:
+        by_query.setdefault(panes[pane_id].query_id, []).append(pane_id)
+    return [
+        TrainTriple(queries[query_id], tuple(panes[p] for p in pane_ids), tuple(ratings[p] for p in pane_ids))
+        for query_id, pane_ids in sorted(by_query.items())
+    ]

@@ -17,6 +17,7 @@ from clarikit.analytics import (
 from clarikit.core import (
     CandidateAnswer,
     ClarificationPane,
+    DomainError,
     EngagementStats,
     ImpressionLog,
     ImpressionRecord,
@@ -111,6 +112,16 @@ class TestEngagementBreakdown:
     def test_unknown_dimension(self):
         with pytest.raises(ValueError):
             engagement_breakdown({}, {}, {}, "astrology")
+
+    def test_no_engaged_impression_rejected(self):
+        """Relative engagement divides by the overall rate: with no engaged
+        impression among the eligible panes it is undefined."""
+        panes = {"p1": make_pane("p1", "q1"), "p2": make_pane("p2", "q2")}
+        queries = {"q1": Query("q1", "jaguar"), "q2": Query("q2", "python")}
+        # p2's clicks do not count: it is shown fewer times than eligibility needs
+        log = impressions("p1", 20) + impressions("p2", 5, [{1}] * 5)
+        with pytest.raises(DomainError, match="no engaged impression"):
+            engagement_breakdown(collect_stats(log, panes), panes, queries, "template")
 
     def test_empty_log_rejected(self):
         panes = {"p1": make_pane("p1", "q1")}

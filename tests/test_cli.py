@@ -213,6 +213,19 @@ class TestAnalyze:
             by_count[str(pane.answer_count)] = by_count.get(str(pane.answer_count), 0) + 60
         assert {r[0]: int(r[1]) for r in rows} == by_count
 
+    def test_no_answer_click_writes_no_breakdown(self, tmp_path):
+        """A log without an answer click: no breakdown is defined, so none is
+        written, and the summary still is."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"user_model": {"kind": "examination", "exam_probs": [0, 0, 0, 0, 0]}}))
+        assert run_cli("synth-gen", "--out", tmp_path / "data", "--config", config, "--seed", 1,
+                       "--n-queries", 6, "--n-per-pane", 12) == 0
+        files = corpus_files(str(tmp_path / "data"))
+        assert run_cli("analyze", "--out", tmp_path / "r", "--queries", files["queries"], "--panes", files["panes"],
+                       "--impressions", files["impressions"]) == 0
+        assert not glob.glob(str(tmp_path / "r" / "breakdown_*"))
+        assert (tmp_path / "r" / "summary.tsv").exists()
+
     def test_missing_input_exits_one(self, corpus_dir, tmp_path):
         files = corpus_files(corpus_dir)
         code = run_cli("analyze", "--out", tmp_path / "r", "--queries", files["queries"],
@@ -801,19 +814,24 @@ BAD_INPUTS = [
     ("--impressions", "missing_timestamp", LATE_LINE, _edited(timestamp=None)),
     ("--impressions", "infinite_timestamp", LATE_LINE, _edited(timestamp=float("inf"))),
     ("--impressions", "unhashable_pane_id", LATE_LINE, _edited(pane_id=["q000000:p0"])),
+    ("--impressions", "pane_id_null", LATE_LINE, lambda lines, i: json.dumps(dict(json.loads(lines[i]), pane_id=None))),
     ("--impressions", "not_an_object", LATE_LINE, lambda lines, i: json.dumps(sorted(json.loads(lines[i])))),
     ("--impressions", "first_line", 2, lambda lines, i: "{}"),
     ("--impressions", "url_not_a_string", LATE_LINE, _edited(result_clicks=[[7, 1.0]])),
     ("--queries", "duplicate_id", 3, lambda lines, i: lines[0]),
     ("--queries", "no_tokens", 3, _edited(text="?!")),
     ("--queries", "is_question_a_string", 3, _edited(is_question="false")),
+    ("--queries", "id_not_a_string", 3, _edited(id=7)),
     ("--panes", "duplicate_id", 3, lambda lines, i: lines[0]),
     ("--panes", "unhashable_id", 3, _edited(id=["p"])),
+    ("--panes", "id_not_a_string", 3, _edited(id=7)),
     ("--panes", "query_id_not_a_string", 3, _edited(query_id=["q000000"])),
     ("--intents", "items_not_pairs", 2, _edited(items=5)),
     ("--intents", "intent_text_not_a_string", 2, _edited(items=[[7, 1.0]])),
     ("--intents", "query_id_not_a_string", 2, _edited(query_id=["q000000"])),
     ("--labels", "unknown_grade", 2, _edited(overall="Great")),
+    ("--labels", "pane_id_not_a_string", 2, _edited(pane_id=True)),
+    ("--labels", "query_id_not_a_string", 2, _edited(query_id=2.5)),
     ("--lexicon", "three_columns", 2, lambda lines, i: "a\tb\tc"),
     ("--history", "non_integer_count", 2, lambda lines, i: "q000000\thttp://x\tmany"),
     ("--reformulations", "zero_frequency", 2, lambda lines, i: "a\ta b\t0"),
@@ -822,7 +840,8 @@ BAD_INPUTS = [
 # the field named by the cases whose value has the wrong JSON type
 MISTYPED = {
     "url_not_a_string": "result click URL", "query_id_not_a_string": "query_id",
-    "intent_text_not_a_string": "intent text",
+    "intent_text_not_a_string": "intent text", "id_not_a_string": "id", "unhashable_id": "id",
+    "pane_id_null": "pane_id", "unhashable_pane_id": "pane_id", "pane_id_not_a_string": "pane_id",
 }
 # a command that reads the input, and the inputs it needs besides
 READER = {
@@ -1013,6 +1032,16 @@ def test_impression_of_an_unknown_pane_names_the_file(side_files, tmp_path, caps
     assert not (tmp_path / "r").exists()
 
 
+def test_pane_of_an_unknown_query_names_the_file(side_files, tmp_path, capsys):
+    with open(side_files["--panes"], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    bad = tmp_path / "panes.jsonl"
+    bad.write_text("\n".join(lines + [_edited(id="x:p0", query_id="nope")(lines, 0)]) + "\n", encoding="utf-8")
+    assert run_cli("rank", "--out", tmp_path / "r", "--queries", side_files["--queries"], "--panes", bad) == 1
+    assert capsys.readouterr().err == f"error: {bad}: pane 'x:p0' references unknown query 'nope'\n"
+    assert not (tmp_path / "r").exists()
+
+
 def test_bias_builds_no_per_pane_stats_object(corpus_dir, tmp_path, monkeypatch):
     """bias reads the stats table by columns and rows: no EngagementStats is
     built from loading the log to writing the last report."""
@@ -1048,6 +1077,52 @@ def test_analyze_builds_no_per_pane_stats_object(corpus_dir, tmp_path, monkeypat
                    "--impressions", files["impressions"]) == 0
     assert (tmp_path / "r" / "breakdown_click_entropy_bin.tsv").exists()
     assert built == []
+
+
+LEARNING_RUNS = {
+    "train-rlc": (CORPUS_FLAGS + ["--impressions"] + TEXT_FLAGS,
+                  ["--dim", 16, "--hash-buckets", 256, "--steps", 2, "--warmup-steps", 1]),
+    "train-ranker": (CORPUS_FLAGS + ["--impressions"] + TEXT_FLAGS + ["--rlc-model"], ["--trees", 2, "--depth", 1]),
+    "eval": (CORPUS_FLAGS + TEXT_FLAGS + ["--impressions", "--labels", "--ensemble", "--rlc-model"],
+             ["--randomization-rounds", 10]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LEARNING_RUNS))
+def test_learning_commands_build_no_per_pane_stats_object(side_files, tmp_path, monkeypatch, command):
+    """The learning commands read each pane's click rate from the stats
+    columns: no EngagementStats is built."""
+    built = []
+    original = EngagementStats.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(EngagementStats, "__post_init__", counted)
+    input_flags, extra = LEARNING_RUNS[command]
+    argv = [command, "--out", tmp_path / "r"]
+    for flag in input_flags:
+        argv += [flag, side_files[flag]]
+    assert run_cli(*argv, *extra) == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("command", ["fine-tune-rlc", "eval"])
+def test_label_of_an_unknown_pane_names_the_file(side_files, tmp_path, capsys, command):
+    """A label of a pane that --panes does not hold: exit 1 naming the
+    labels file and the pane, nothing under --out."""
+    with open(side_files["--labels"], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    bad = tmp_path / "labels.jsonl"
+    bad.write_text("\n".join(lines + [_edited(pane_id="nope:p9")(lines, 0)]) + "\n", encoding="utf-8")
+    argv = [command, "--out", tmp_path / "r", "--queries", side_files["--queries"], "--panes", side_files["--panes"],
+            "--labels", bad]
+    if command == "fine-tune-rlc":
+        argv += ["--model", side_files["--model"], "--steps", 2, "--warmup-steps", 1]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}: label references unknown pane 'nope:p9'\n"
+    assert not (tmp_path / "r").exists()
 
 
 def test_cli_import_loads_no_command_module():

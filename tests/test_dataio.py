@@ -242,7 +242,7 @@ EDGE_RECORDS = {
     "infinite_dwell": ImpressionRecord("p", 3, frozenset(), (("u", float("inf")), ("u", 0.0), ("v", 1e-300))),
     "nan_dwell_and_delta": ImpressionRecord("p", 4, frozenset(), (("u", float("nan")),), ("t", float("nan"))),
     "beyond_64_bits": ImpressionRecord("p", 2**70, frozenset({2**64})),
-    "non_string_ids": ImpressionRecord(7, -5, frozenset({1}), (("u", 1.0),), ([1, "x"], 2.0)),
+    "non_string_ids": ImpressionRecord("7", -5, frozenset({1}), (("u", 1.0),), ([1, "x"], 2.0)),
 }
 
 
@@ -262,11 +262,23 @@ def test_non_string_url_is_written_but_not_loaded(tmp_path):
     """save_impressions writes a record's result-click URL whatever its
     type, byte for byte as json.dumps does; the loader takes string URLs
     only."""
-    record = ImpressionRecord(7, -5, frozenset({1}), ((None, 1.0),), ([1, "x"], 2.0))
+    record = ImpressionRecord("7", -5, frozenset({1}), ((None, 1.0),), ([1, "x"], 2.0))
     path = tmp_path / "impressions.jsonl"
     dataio.save_impressions(str(path), [record])
     assert path.read_text(encoding="utf-8") == _record_line(record)
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: invalid record: result click URL must be a string, got null$"):
+        dataio.load_impressions(str(path))
+
+
+def test_non_string_pane_id_is_written_but_not_loaded(tmp_path):
+    """save_impressions writes a record's pane id whatever its type, byte
+    for byte as json.dumps does; the loader takes string pane ids only, on
+    the columnar path too (the line is otherwise canonical)."""
+    record = ImpressionRecord(7, -5, frozenset({1}), (("u", 1.0),), ([1, "x"], 2.0))
+    path = tmp_path / "impressions.jsonl"
+    dataio.save_impressions(str(path), [ImpressionRecord("p", 1), record])
+    assert path.read_text(encoding="utf-8").splitlines(keepends=True)[1] == _record_line(record)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: invalid record: pane_id must be a string, got 7$"):
         dataio.load_impressions(str(path))
 
 

@@ -8,15 +8,16 @@ import pytest
 from clarikit.core import CandidateAnswer, ClarificationPane, Query, tokenize
 from clarikit.intents import IntentSet
 from clarikit.rlc import (
+    LABEL_VALUES,
     RlcConfig,
     RlcModel,
     TrainTriple,
     fine_tune,
+    group_by_query,
     pair_loss,
     pair_probabilities,
     pairwise_accuracy,
     train_pairwise,
-    triples_from_labels,
 )
 from clarikit.tensor import autodiff as ad
 from clarikit.tensor.autodiff import Tensor
@@ -470,15 +471,21 @@ class TestFineTune:
                 labels[pid] = lab
         return queries, panes, labels
 
-    def test_triples_from_labels_ordinalize(self):
+    def test_group_by_query_keeps_the_rating_order(self):
+        """One triple per query in id order, each query's panes in the order
+        rated, with the ordinal grades."""
         queries, panes, labels = self._labeled()
-        triples = triples_from_labels(queries, panes, labels)
+        ratings = {pid: LABEL_VALUES[labels[pid]] for pid in reversed(panes)}
+        triples = group_by_query(queries, panes, ratings)
         assert len(triples) == 3
         assert set(triples[0].labels) == {2.0, 0.0}
+        assert [t.query.id for t in triples] == ["q0", "q1", "q2"]
+        assert [p.id for p in triples[0].panes] == ["q0:p1", "q0:p0"]
+        assert triples[0].labels == (0.0, 2.0)
 
     def test_padding_to_ten_with_foreign_negatives(self):
         queries, panes, labels = self._labeled()
-        triples = triples_from_labels(queries, panes, labels)
+        triples = group_by_query(queries, panes, {pid: LABEL_VALUES[label] for pid, label in sorted(labels.items())})
         model = RlcModel.init(MICRO, seed=2)
         pool = list(panes.values())
         config = AdamConfig(lr=1e-4, warmup_steps=2, total_steps=100)
