@@ -1079,16 +1079,7 @@ def test_analyze_builds_no_per_pane_stats_object(corpus_dir, tmp_path, monkeypat
     assert built == []
 
 
-LEARNING_RUNS = {
-    "train-rlc": (CORPUS_FLAGS + ["--impressions"] + TEXT_FLAGS,
-                  ["--dim", 16, "--hash-buckets", 256, "--steps", 2, "--warmup-steps", 1]),
-    "train-ranker": (CORPUS_FLAGS + ["--impressions"] + TEXT_FLAGS + ["--rlc-model"], ["--trees", 2, "--depth", 1]),
-    "eval": (CORPUS_FLAGS + TEXT_FLAGS + ["--impressions", "--labels", "--ensemble", "--rlc-model"],
-             ["--randomization-rounds", 10]),
-}
-
-
-@pytest.mark.parametrize("command", sorted(LEARNING_RUNS))
+@pytest.mark.parametrize("command", ["eval", "train-ranker", "train-rlc"])
 def test_learning_commands_build_no_per_pane_stats_object(side_files, tmp_path, monkeypatch, command):
     """The learning commands read each pane's click rate from the stats
     columns: no EngagementStats is built."""
@@ -1100,7 +1091,7 @@ def test_learning_commands_build_no_per_pane_stats_object(side_files, tmp_path, 
         original(self)
 
     monkeypatch.setattr(EngagementStats, "__post_init__", counted)
-    input_flags, extra = LEARNING_RUNS[command]
+    _, input_flags, extra = next(run for run in PROVENANCE_RUNS if run[0] == command)
     argv = [command, "--out", tmp_path / "r"]
     for flag in input_flags:
         argv += [flag, side_files[flag]]

@@ -315,7 +315,8 @@ def scored_eval(tmp_path_factory):
     impressions.write_text("".join(sorted(kept, key=lambda line: hashlib.sha256(line.encode()).hexdigest())))
     labels = golden_labels(tmp_path)
     reversed_labels = tmp_path / "reversed_labels.jsonl"
-    reversed_labels.write_text("".join(reversed(open(labels, encoding="utf-8").readlines())))
+    with open(labels, encoding="utf-8") as fh:
+        reversed_labels.write_text("".join(reversed(fh.readlines())))
     batches = []
     score_tensor = rlc.RlcModel.score_tensor
 

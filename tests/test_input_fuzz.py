@@ -39,6 +39,12 @@ def paths(value, at=()):
         yield from paths(inner, at + (key,))
 
 
+def lookup(record, path):
+    for key in path:
+        record = record[key]
+    return record
+
+
 def mutations(record: dict) -> list:
     """(kind, path, new value) of every mutation of one field of a record;
     the value is None for a dropped key, and the path of an extra key ends
@@ -53,12 +59,6 @@ def mutations(record: dict) -> list:
         if json_type(value) == "number":
             out += [("number", path, new) for new in OUT_OF_DOMAIN]
     return out
-
-
-def lookup(record, path):
-    for key in path:
-        record = record[key]
-    return record
 
 
 def mutated(record: dict, kind: str, path: tuple, value) -> dict:
