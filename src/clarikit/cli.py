@@ -255,13 +255,19 @@ def _engagement_triples(queries, panes, log, min_impressions: int) -> list[rlc_m
 def _load_grades(args, panes) -> dict[str, float]:
     """The overall --labels grades as pane id -> Bad 0.0, Fair 1.0 or Good
     2.0, in file order; a later label of a pane replaces its grade.  A label
-    of a pane that --panes does not hold fails naming the file."""
+    of a pane that --panes does not hold, or naming a query other than its
+    pane's, fails naming the file."""
     from .rlc import LABEL_VALUES
 
     grades = {}
-    for _query_id, pane_id, pane_labels in dataio.load_labels(args.labels):
+    for query_id, pane_id, pane_labels in dataio.load_labels(args.labels):
         if pane_id not in panes:
             raise ValueError(f"{args.labels}: label references unknown pane {pane_id!r}")
+        if query_id != panes[pane_id].query_id:
+            raise ValueError(
+                f"{args.labels}: label of pane {pane_id!r} names query {query_id!r}, "
+                f"but the pane belongs to {panes[pane_id].query_id!r}"
+            )
         grades[pane_id] = LABEL_VALUES[pane_labels.overall]
     return grades
 

@@ -64,6 +64,30 @@ def _string(value, field: str) -> str:
     return value
 
 
+def _integer(value, field: str) -> int:
+    """A record's integer field: a JSON integer, not a bool or a float."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be an integer, got {_dumps(value)}")
+    return value
+
+
+def _integers(value, field: str) -> list:
+    """A record's list-of-integers field."""
+    if type(value) is not list or not all(type(v) is int for v in value):
+        raise ValueError(f"{field} must be a list of integers, got {_dumps(value)}")
+    return value
+
+
+def _render_size(value) -> float:
+    """An answer's render size: a number >= 0, where 0 or a missing value
+    stands for the default (see CandidateAnswer)."""
+    if value is None:
+        return 0.0
+    if type(value) not in (int, float) or not value >= 0:
+        raise ValueError(f"render_size must be a number >= 0, got {_dumps(value)}")
+    return float(value)
+
+
 def _load_records(path: str, convert: Callable[[dict], object]) -> list:
     """Every non-blank line of a JSON-lines file, decoded and passed through
     convert.  A line that is not JSON, or whose record does not convert
@@ -186,8 +210,8 @@ def pane_from_dict(d: dict) -> ClarificationPane:
     answers = tuple(
         CandidateAnswer(
             text=a["text"],
-            position=int(a["position"]),
-            render_size=float(a.get("render_size") or 0.0),
+            position=_integer(a["position"], "position"),
+            render_size=_render_size(a.get("render_size")),
             entity_type=a.get("entity_type"),
         )
         for a in d["answers"]
@@ -209,8 +233,8 @@ def impression_from_dict(d: dict) -> ImpressionRecord:
     # ImpressionRecord converts the click and reformulation fields itself
     return ImpressionRecord(
         pane_id=_string(d["pane_id"], "pane_id"),
-        timestamp=int(d["timestamp"]),
-        answer_clicks=d.get("answer_clicks", ()),
+        timestamp=_integer(d["timestamp"], "timestamp"),
+        answer_clicks=_integers(d.get("answer_clicks", []), "answer_clicks"),
         result_clicks=[(_string(url, "result click URL"), dwell) for url, dwell in d.get("result_clicks", ())],
         reformulation=d.get("reformulation") or None,
     )
@@ -326,12 +350,14 @@ def _canonical_impressions(rows: list) -> ImpressionLog | None:
     for text, delta in reformulations:
         texts.append(text)
         deltas.append(delta)
-    timestamps = _numbers(timestamps, "bi", np.int64)
-    positions = _numbers(positions, "bi", np.int64)
+    # JSON integers, not bools, which numpy would read as 0 and 1 beside them
+    integers = {*map(type, timestamps), *map(type, positions)} <= {int}
+    timestamps = _numbers(timestamps, "i", np.int64)
+    positions = _numbers(positions, "i", np.int64)
     dwells = _numbers(dwells, "bif", np.float64)
     deltas = _numbers(deltas, "bif", np.float64)
     strings = {*map(type, urls), *map(type, lookup)} <= {str}  # the URLs and the distinct pane ids
-    if timestamps is None or positions is None or dwells is None or deltas is None or not strings:
+    if timestamps is None or positions is None or dwells is None or deltas is None or not (strings and integers):
         return None
     log = ImpressionLog(
         lookup, pane_index, timestamps, offsets_from_counts(click_counts), positions,

@@ -9,6 +9,12 @@ be shared freely; only the optimizer writes to parameter data in place.
 Ops broadcast like numpy.  matmul and transpose act on the last two axes, so
 a leading batch axis runs a whole batch through one op; the gradient of an
 operand with fewer batch axes (a shared parameter) is summed over the rest.
+
+A composite op can be one node too: softmax and layer_norm expose their
+numpy forward and backward (softmax_data / softmax_grad, layer_norm_data /
+layer_norm_backward), and a composite's backward applies them with
+_accumulate and _unbroadcast as the ops would (nn.transformer_encoder_layer
+does).
 """
 
 from __future__ import annotations
@@ -214,38 +220,56 @@ def softplus(a: Tensor) -> Tensor:
     return _make(out_data, (a,), backward, "softplus")
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+def softmax_data(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_grad(grad: np.ndarray, out: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The input adjoint of a softmax whose output is out."""
+    # dx = y * (g - sum(g * y)) along the softmax axis
+    inner = (grad * out).sum(axis=axis, keepdims=True)
+    return out * (grad - inner)
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    out_data = softmax_data(a.data, axis)
 
     def backward(grad):
-        # dx = y * (g - sum(g * y)) along the softmax axis
-        inner = (grad * out_data).sum(axis=axis, keepdims=True)
-        _accumulate(a, out_data * (grad - inner))
+        _accumulate(a, softmax_grad(grad, out_data, axis))
 
     return _make(out_data, (a,), backward, "softmax")
+
+
+def layer_norm_data(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5):
+    """(output, normed rows, 1 / row std): each row (last axis) normalized
+    to zero mean and unit variance, then scaled by gain and shifted by bias."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered**2).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    normed = centered * inv_std
+    return normed * gain + bias, normed, inv_std
+
+
+def layer_norm_backward(grad: np.ndarray, gain: Tensor, bias: Tensor, normed: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
+    """Accumulate a layer norm's gain and bias adjoints and return its input
+    adjoint, from its forward's normed rows and 1 / row std."""
+    _accumulate(gain, _unbroadcast(grad * normed, gain.shape))
+    _accumulate(bias, _unbroadcast(grad, bias.shape))
+    g = grad * gain.data
+    # standard layer-norm backward over the last axis
+    return inv_std * (g - g.mean(axis=-1, keepdims=True) - normed * (g * normed).mean(axis=-1, keepdims=True))
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each row (last axis) to zero mean and unit variance, then
     apply elementwise gain and bias."""
-    mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    normed = centered * inv_std
-    out_data = normed * gain.data + bias.data
-    n = a.shape[-1]
+    out_data, normed, inv_std = layer_norm_data(a.data, gain.data, bias.data, eps)
 
     def backward(grad):
-        _accumulate(gain, _unbroadcast(grad * normed, gain.shape))
-        _accumulate(bias, _unbroadcast(grad, bias.shape))
-        if a.requires_grad:
-            g = grad * gain.data
-            # standard layer-norm backward over the last axis
-            dx = inv_std * (g - g.mean(axis=-1, keepdims=True) - normed * (g * normed).mean(axis=-1, keepdims=True))
-            _accumulate(a, dx)
+        _accumulate(a, layer_norm_backward(grad, gain, bias, normed, inv_std))
 
     return _make(out_data, (a, gain, bias), backward, "layer_norm")
 

@@ -11,6 +11,11 @@ its own.
 Parameters live in one flat name -> Tensor dict: a layer reads its weights
 as params[f"{prefix}.<name>"] and its head count from their shapes, and
 encoder_layer_layout declares those names, shapes and initialisations.
+
+An encoder layer is one graph node, not the ~31 of its ops: its forward runs
+in numpy and keeps only what its hand-written backward reads, and that
+backward applies the autodiff ops' adjoints in the tape's order, so values
+and gradients equal the composed graph's bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +25,18 @@ from typing import Iterator
 
 import numpy as np
 
-from .autodiff import Tensor, add, layer_norm, matmul, mul, relu, softmax, transpose
+from .autodiff import (
+    Tensor,
+    _accumulate,
+    _make,
+    _swap_last,
+    _unbroadcast,
+    layer_norm_backward,
+    layer_norm_data,
+    matmul,
+    softmax_data,
+    softmax_grad,
+)
 
 MASK_NEG = -1e9
 
@@ -67,7 +83,7 @@ def encoder_layer_layout(prefix: str, dim: int, n_heads: int, ff_dim: int) -> It
         yield f"{prefix}.{norm}_bias", ParamSpec((dim,))
 
 
-def _mask_bias(key_mask: np.ndarray | None, x_shape: tuple[int, ...]) -> Tensor | None:
+def _mask_bias(key_mask: np.ndarray | None, x_shape: tuple[int, ...]) -> np.ndarray | None:
     """Additive attention bias: 0 where kept, MASK_NEG where masked.  A
     (seq,) key mask applies to every query row; a (seq, seq) mask gives each
     query row its own keys; a (batch, seq, seq) mask gives each sequence of
@@ -78,44 +94,74 @@ def _mask_bias(key_mask: np.ndarray | None, x_shape: tuple[int, ...]) -> Tensor 
     seq_len = x_shape[-2]
     if key_mask.shape not in ((seq_len,), (seq_len, seq_len), x_shape[:-2] + (seq_len, seq_len)):
         raise ValueError(f"key mask shape {key_mask.shape} does not match input shape {x_shape}")
-    return Tensor((1.0 - key_mask) * MASK_NEG)
-
-
-def multi_head_self_attention(
-    x: Tensor, params: dict[str, Tensor], prefix: str, key_mask: np.ndarray | None = None
-) -> Tensor:
-    """Scaled dot-product self-attention; per-head results are projected back
-    to model dim and summed (equivalent to concat followed by one output
-    projection)."""
-    dim, head_dim = params[f"{prefix}.h0.wq"].shape
-    scale = Tensor(1.0 / np.sqrt(head_dim))
-    bias = _mask_bias(key_mask, x.shape)
-    out = None
-    for head in (f"{prefix}.h{i}" for i in range(dim // head_dim)):
-        q = matmul(x, params[f"{head}.wq"])
-        k = matmul(x, params[f"{head}.wk"])
-        v = matmul(x, params[f"{head}.wv"])
-        scores = mul(matmul(q, transpose(k)), scale)
-        if bias is not None:
-            scores = add(scores, bias)
-        attn = softmax(scores, axis=-1)
-        projected = matmul(matmul(attn, v), params[f"{head}.wo"])
-        out = projected if out is None else add(out, projected)
-    return out
+    return (1.0 - key_mask) * MASK_NEG
 
 
 def transformer_encoder_layer(
     x: Tensor, params: dict[str, Tensor], prefix: str, key_mask: np.ndarray | None = None
 ) -> Tensor:
-    """Attention sublayer with residual + layer norm, then a position-wise
-    feed-forward sublayer with residual + layer norm.  Reads the weights of
-    encoder_layer_layout(prefix, ...) from params."""
+    """Multi-head self-attention with residual + layer norm, then a
+    position-wise feed-forward sublayer with residual + layer norm, as one
+    graph node.  Reads the weights of encoder_layer_layout(prefix, ...) from
+    params.  Each head runs scaled dot-product attention, and its result is
+    projected back to model dim by its own wo and summed (equivalent to
+    concat followed by one output projection).
+
+    The forward is the composition of the autodiff ops (matmul, softmax,
+    layer_norm, ...) in numpy, and the backward applies each op's adjoint in
+    the order the tape would: into x the residual first, then each head's
+    wq, wk and wv products in head order; into the first layer norm's output
+    the residual, then the feed-forward product.  Gradients therefore equal
+    the composed graph's bit for bit."""
     p = f"{prefix}."
-    attended = multi_head_self_attention(x, params, prefix, key_mask=key_mask)
-    x1 = layer_norm(add(x, attended), params[p + "ln1_gain"], params[p + "ln1_bias"])
-    hidden = relu(add(matmul(x1, params[p + "ff_w1"]), params[p + "ff_b1"]))
-    ff = add(matmul(hidden, params[p + "ff_w2"]), params[p + "ff_b2"])
-    return layer_norm(add(x1, ff), params[p + "ln2_gain"], params[p + "ln2_bias"])
+    dim, head_dim = params[p + "h0.wq"].shape
+    heads = [tuple(params[f"{p}h{i}.{name}"] for name in ("wq", "wk", "wv", "wo")) for i in range(dim // head_dim)]
+    gain1, shift1, w1, b1, w2, b2, gain2, shift2 = (
+        params[p + name] for name in ("ln1_gain", "ln1_bias", "ff_w1", "ff_b1", "ff_w2", "ff_b2", "ln2_gain", "ln2_bias")
+    )
+    scale = 1.0 / np.sqrt(head_dim)
+    bias = _mask_bias(key_mask, x.shape)
+
+    saved = []  # per head: (q, k, v, attention weights, weighted values)
+    attended = None
+    for wq, wk, wv, wo in heads:
+        q, k, v = x.data @ wq.data, x.data @ wk.data, x.data @ wv.data
+        scores = (q @ _swap_last(k)) * scale
+        if bias is not None:
+            scores = scores + bias
+        attn = softmax_data(scores)
+        av = attn @ v
+        projected = av @ wo.data
+        attended = projected if attended is None else attended + projected
+        saved.append((q, k, v, attn, av))
+    x1, normed1, inv_std1 = layer_norm_data(x.data + attended, gain1.data, shift1.data)
+    pre = x1 @ w1.data + b1.data
+    hidden = pre * (pre > 0).astype(np.float64)
+    out_data, normed2, inv_std2 = layer_norm_data(x1 + (hidden @ w2.data + b2.data), gain2.data, shift2.data)
+
+    def backward(grad):
+        d_r2 = layer_norm_backward(grad, gain2, shift2, normed2, inv_std2)
+        _accumulate(b2, _unbroadcast(d_r2, b2.shape))
+        _accumulate(w2, _unbroadcast(_swap_last(hidden) @ d_r2, w2.shape))
+        # relu passes the adjoint where its input was positive, as hidden is
+        d_pre = (d_r2 @ _swap_last(w2.data)) * (hidden > 0)
+        _accumulate(b1, _unbroadcast(d_pre, b1.shape))
+        _accumulate(w1, _unbroadcast(_swap_last(x1) @ d_pre, w1.shape))
+        d_x1 = d_r2 + d_pre @ _swap_last(w1.data)
+        d_r1 = layer_norm_backward(d_x1, gain1, shift1, normed1, inv_std1)
+        _accumulate(x, d_r1)
+        for (wq, wk, wv, wo), (q, k, v, attn, av) in zip(heads, saved):
+            _accumulate(wo, _unbroadcast(_swap_last(av) @ d_r1, wo.shape))
+            d_av = d_r1 @ _swap_last(wo.data)
+            d_scores = softmax_grad(d_av @ _swap_last(v), attn) * scale
+            # d_k is the transpose of the adjoint of k's transpose
+            for w, d in ((wq, d_scores @ k), (wk, _swap_last(_swap_last(q) @ d_scores)), (wv, _swap_last(attn) @ d_av)):
+                _accumulate(w, _unbroadcast(_swap_last(x.data) @ d, w.shape))
+                if x.requires_grad:
+                    _accumulate(x, d @ _swap_last(w.data))
+
+    parents = (x, *(w for head in heads for w in head), gain1, shift1, w1, b1, w2, b2, gain2, shift2)
+    return _make(out_data, parents, backward, "transformer_encoder_layer")
 
 
 def masked_mean_rows(x: Tensor, mask: np.ndarray) -> Tensor:

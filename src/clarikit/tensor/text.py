@@ -23,9 +23,9 @@ END = "<e>"
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-# token and bigram hashes, and the ids of whole items, are reused across
-# steps, epochs and panes; the bound keeps a long run over a large vocabulary
-# from growing without limit
+# token and bigram hashes, and the ids of each part, are reused across steps,
+# epochs and panes; the bound keeps a long run over a large vocabulary from
+# growing without limit
 _HASH_CACHE_SIZE = 1 << 16
 
 
@@ -49,32 +49,35 @@ def hash_bigram(left: str, right: str, buckets: int) -> int:
     return fnv1a(left + "\x1f" + right) % buckets
 
 
-def boundary_sequence(parts: list[list[str]]) -> list[str]:
-    """Join token lists as <b> part <s> part ... <e>."""
-    tokens = [BEGIN]
-    for i, part in enumerate(parts):
-        if i > 0:
-            tokens.append(SEP)
-        tokens.extend(part)
-    tokens.append(END)
-    return tokens
-
-
 def sequence_ids(parts: list[list[str]], buckets: int) -> np.ndarray:
     """Hash bucket ids for every token and adjacent-token bigram of the
-    boundary-joined sequence, as a read-only array shared by every call
-    with the same parts and bucket count."""
-    return _sequence_ids(tuple(map(tuple, parts)), buckets)
+    sequence <b> part <s> part ... <e>, as a multiset in no fixed order.
+
+    Every bigram lies in the window of one part and the boundary tokens on
+    either side of it, so the ids are the boundary tokens' plus, per part,
+    its tokens' and its window's bigrams, each part's from a cache.  (No
+    parts join to <b> <e>, as one empty part does.)"""
+    parts = parts or [[]]
+    last = len(parts) - 1
+    return np.concatenate([_boundary_ids(len(parts), buckets)] + [
+        _part_ids(BEGIN if i == 0 else SEP, tuple(part), END if i == last else SEP, buckets)
+        for i, part in enumerate(parts)
+    ])
+
+
+@functools.lru_cache(maxsize=None)
+def _boundary_ids(n_parts: int, buckets: int) -> np.ndarray:
+    """The ids of <b>, <e> and the n_parts - 1 separators."""
+    return np.array([hash_token(t, buckets) for t in [BEGIN, END] + [SEP] * (n_parts - 1)], dtype=np.int64)
 
 
 @functools.lru_cache(maxsize=_HASH_CACHE_SIZE)
-def _sequence_ids(parts: tuple[tuple[str, ...], ...], buckets: int) -> np.ndarray:
-    tokens = boundary_sequence(parts)
-    ids = [hash_token(t, buckets) for t in tokens]
-    ids.extend(hash_bigram(a, b, buckets) for a, b in zip(tokens, tokens[1:]))
-    ids = np.asarray(ids, dtype=np.int64)
-    ids.flags.writeable = False
-    return ids
+def _part_ids(left: str, part: tuple[str, ...], right: str, buckets: int) -> np.ndarray:
+    """The ids of a part's tokens and of the bigrams of left part right."""
+    window = (left, *part, right)
+    ids = [hash_token(t, buckets) for t in part]
+    ids.extend(hash_bigram(a, b, buckets) for a, b in zip(window, window[1:]))
+    return np.array(ids, dtype=np.int64)
 
 
 def text_encode(batch: list[list[list[list[str]] | None]], table: Tensor, projection: Tensor) -> Tensor:

@@ -801,6 +801,16 @@ def _edited(**fields):
     return edit
 
 
+def _answer_edited(**fields):
+    """A bad-line maker: the pane record with fields of its first answer set."""
+    def edit(lines, index):
+        record = json.loads(lines[index])
+        record["answers"][0].update(fields)
+        return json.dumps(record)
+
+    return edit
+
+
 # past the impression loader's first chunk, so a chunk read again record by
 # record must still count its lines
 LATE_LINE = dataio.IMPRESSION_CHUNK_LINES + 7
@@ -818,6 +828,10 @@ BAD_INPUTS = [
     ("--impressions", "not_an_object", LATE_LINE, lambda lines, i: json.dumps(sorted(json.loads(lines[i])))),
     ("--impressions", "first_line", 2, lambda lines, i: "{}"),
     ("--impressions", "url_not_a_string", LATE_LINE, _edited(result_clicks=[[7, 1.0]])),
+    ("--impressions", "answer_clicks_a_string", LATE_LINE, _edited(answer_clicks="12")),
+    ("--impressions", "timestamp_a_bool", LATE_LINE, _edited(timestamp=True)),
+    ("--impressions", "fractional_timestamp", LATE_LINE, _edited(timestamp=2.5)),
+    ("--impressions", "click_position_a_bool", LATE_LINE, _edited(answer_clicks=[True])),
     ("--queries", "duplicate_id", 3, lambda lines, i: lines[0]),
     ("--queries", "no_tokens", 3, _edited(text="?!")),
     ("--queries", "is_question_a_string", 3, _edited(is_question="false")),
@@ -826,6 +840,8 @@ BAD_INPUTS = [
     ("--panes", "unhashable_id", 3, _edited(id=["p"])),
     ("--panes", "id_not_a_string", 3, _edited(id=7)),
     ("--panes", "query_id_not_a_string", 3, _edited(query_id=["q000000"])),
+    ("--panes", "fractional_position", 3, _answer_edited(position=2.9)),
+    ("--panes", "negative_render_size", 3, _answer_edited(render_size=-4)),
     ("--intents", "items_not_pairs", 2, _edited(items=5)),
     ("--intents", "intent_text_not_a_string", 2, _edited(items=[[7, 1.0]])),
     ("--intents", "query_id_not_a_string", 2, _edited(query_id=["q000000"])),
@@ -842,6 +858,16 @@ MISTYPED = {
     "url_not_a_string": "result click URL", "query_id_not_a_string": "query_id",
     "intent_text_not_a_string": "intent text", "id_not_a_string": "id", "unhashable_id": "id",
     "pane_id_null": "pane_id", "unhashable_pane_id": "pane_id", "pane_id_not_a_string": "pane_id",
+}
+# the message of the cases whose number has the wrong JSON type or is out of
+# its domain: loaders reject it, not coerce it
+MISVALUED = {
+    "answer_clicks_a_string": 'answer_clicks must be a list of integers, got "12"',
+    "timestamp_a_bool": "timestamp must be an integer, got true",
+    "fractional_timestamp": "timestamp must be an integer, got 2.5",
+    "click_position_a_bool": "answer_clicks must be a list of integers, got [true]",
+    "fractional_position": "position must be an integer, got 2.9",
+    "negative_render_size": "render_size must be a number >= 0, got -4",
 }
 # a command that reads the input, and the inputs it needs besides
 READER = {
@@ -877,6 +903,8 @@ def test_bad_input_line_exits_one_naming_it(side_files, tmp_path, capsys, flag, 
     assert f"{bad}:{line}: " in err
     if case in MISTYPED:
         assert f"{bad}:{line}: invalid record: {MISTYPED[case]} must be a string, got " in err
+    if case in MISVALUED:
+        assert f"{bad}:{line}: invalid record: {MISVALUED[case]}\n" in err
     assert "Traceback" not in err
     assert not (tmp_path / "r").exists()
 
@@ -1113,6 +1141,28 @@ def test_label_of_an_unknown_pane_names_the_file(side_files, tmp_path, capsys, c
         argv += ["--model", side_files["--model"], "--steps", 2, "--warmup-steps", 1]
     assert run_cli(*argv) == 1
     assert capsys.readouterr().err == f"error: {bad}: label references unknown pane 'nope:p9'\n"
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["fine-tune-rlc", "eval"])
+def test_label_naming_another_query_names_the_file(side_files, tmp_path, capsys, command):
+    """A label whose query_id is not its pane's query: exit 1 naming the
+    labels file, the pane and both queries, nothing under --out."""
+    with open(side_files["--labels"], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    labels = [json.loads(line) for line in lines]
+    pane_id, owner = labels[0]["pane_id"], labels[0]["query_id"]
+    other = next(label["query_id"] for label in labels if label["query_id"] != owner)
+    bad = tmp_path / "labels.jsonl"
+    bad.write_text("\n".join(lines + [_edited(query_id=other)(lines, 0)]) + "\n", encoding="utf-8")
+    argv = [command, "--out", tmp_path / "r", "--queries", side_files["--queries"], "--panes", side_files["--panes"],
+            "--labels", bad]
+    if command == "fine-tune-rlc":
+        argv += ["--model", side_files["--model"], "--steps", 2, "--warmup-steps", 1]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: label of pane {pane_id!r} names query {other!r}, but the pane belongs to {owner!r}\n"
+    )
     assert not (tmp_path / "r").exists()
 
 

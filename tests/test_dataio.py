@@ -283,17 +283,17 @@ def test_non_string_pane_id_is_written_but_not_loaded(tmp_path):
 
 
 def test_non_canonical_lines_load_as_their_records(tmp_path):
-    """Lines a written log never holds (a float timestamp, unsorted or
-    repeated clicks, numbers as strings or bools, an empty reformulation)
-    load as impression_from_dict reads them, in a file of several chunks
-    whose other chunks take the columnar path."""
+    """Lines a written log never holds (unsorted or repeated clicks, numbers
+    as strings or bools where a number is read, an empty reformulation) load
+    as impression_from_dict reads them, in a file of several chunks whose
+    other chunks take the columnar path."""
     import json
 
     canonical = [{"pane_id": f"p{i % 3}", "timestamp": i, "answer_clicks": [1, 3]} for i in range(2 * dataio.IMPRESSION_CHUNK_LINES)]
     odd = [
-        {"pane_id": "p9", "timestamp": 1.9, "answer_clicks": [3, 1, 3, True]},
-        {"pane_id": "p1", "timestamp": "12", "result_clicks": [["u", "2.5"], "v7"], "reformulation": ""},
-        {"pane_id": "p2", "timestamp": True, "reformulation": ["again", 4]},
+        {"pane_id": "p9", "timestamp": 19, "answer_clicks": [3, 1, 3]},
+        {"pane_id": "p1", "timestamp": 12, "result_clicks": [["u", "2.5"], "v7"], "reformulation": ""},
+        {"pane_id": "p2", "timestamp": 2, "result_clicks": [["u", True]], "reformulation": ["again", "4"]},
     ]
     rows = canonical[:5] + odd + canonical[5:]
     path = tmp_path / "impressions.jsonl"

@@ -1,19 +1,58 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from clarikit.core import CandidateAnswer, ClarificationPane, Query
+from clarikit.intents import IntentSet
+from clarikit.rlc import RlcConfig, RlcModel, TrainTriple, train_pairwise
 from clarikit.tensor import autodiff as ad
-from clarikit.tensor.autodiff import Tensor
+from clarikit.tensor.autodiff import Tensor, add, layer_norm, matmul, mul, relu, softmax, transpose
 from clarikit.tensor.nn import (
+    MASK_NEG,
     encoder_layer_layout,
     init_params,
     masked_mean_rows,
-    multi_head_self_attention,
     transformer_encoder_layer,
 )
+from clarikit.tensor.optim import AdamConfig
 
 
 def encoder_layer(dim, n_heads, ff_dim, seed):
     return init_params(encoder_layer_layout("enc", dim=dim, n_heads=n_heads, ff_dim=ff_dim), np.random.default_rng(seed))
+
+
+# -- the reference: the encoder layer composed of autodiff ops -----------------
+
+
+def composed_attention(x, params, prefix, key_mask=None):
+    """Scaled dot-product self-attention; per-head results are projected back
+    to model dim and summed."""
+    dim, head_dim = params[f"{prefix}.h0.wq"].shape
+    scale = Tensor(1.0 / np.sqrt(head_dim))
+    bias = None if key_mask is None else Tensor((1.0 - np.asarray(key_mask, dtype=np.float64)) * MASK_NEG)
+    out = None
+    for head in (f"{prefix}.h{i}" for i in range(dim // head_dim)):
+        q = matmul(x, params[f"{head}.wq"])
+        k = matmul(x, params[f"{head}.wk"])
+        v = matmul(x, params[f"{head}.wv"])
+        scores = mul(matmul(q, transpose(k)), scale)
+        if bias is not None:
+            scores = add(scores, bias)
+        attn = softmax(scores, axis=-1)
+        projected = matmul(matmul(attn, v), params[f"{head}.wo"])
+        out = projected if out is None else add(out, projected)
+    return out
+
+
+def composed_layer(x, params, prefix, key_mask=None):
+    """Attention sublayer with residual + layer norm, then a position-wise
+    feed-forward sublayer with residual + layer norm."""
+    p = f"{prefix}."
+    attended = composed_attention(x, params, prefix, key_mask=key_mask)
+    x1 = layer_norm(add(x, attended), params[p + "ln1_gain"], params[p + "ln1_bias"])
+    hidden = relu(add(matmul(x1, params[p + "ff_w1"]), params[p + "ff_b1"]))
+    ff = add(matmul(hidden, params[p + "ff_w2"]), params[p + "ff_b2"])
+    return layer_norm(add(x1, ff), params[p + "ln2_gain"], params[p + "ln2_bias"])
 
 
 @pytest.fixture
@@ -23,10 +62,10 @@ def layer():
 
 
 def head_attention(seq, key_mask=None, batch=()):
-    """Each head's attention matrices, (*batch, seq, seq), as
-    multi_head_self_attention applies them: with one-hot input rows,
-    identity value and output projections and every other head's wo zeroed,
-    the first seq columns of the output are that head's attention matrix."""
+    """Each head's attention matrices, (*batch, seq, seq), as the reference
+    attention applies them: with one-hot input rows, identity value and
+    output projections and every other head's wo zeroed, the first seq
+    columns of the output are that head's attention matrix."""
     dim, n_heads = 16, 2
     head_dim = dim // n_heads
     params = encoder_layer(dim=dim, n_heads=n_heads, ff_dim=4, seed=11)
@@ -36,8 +75,71 @@ def head_attention(seq, key_mask=None, batch=()):
         for i in range(n_heads):
             params[f"enc.h{i}.wv"].data = np.eye(dim, head_dim)
             params[f"enc.h{i}.wo"].data = np.eye(head_dim, dim) if i == head else np.zeros((head_dim, dim))
-        matrices.append(multi_head_self_attention(x, params, "enc", key_mask=key_mask).data[..., :seq])
+        matrices.append(composed_attention(x, params, "enc", key_mask=key_mask).data[..., :seq])
     return matrices
+
+
+@st.composite
+def layer_cases(draw):
+    """A layer's shape, input, key mask and whether x requires a gradient."""
+    heads = draw(st.sampled_from([1, 2, 4]))
+    dim = heads * draw(st.integers(1, 3))
+    seq = draw(st.integers(1, 5))
+    batch = draw(st.sampled_from([(), (1,), (3,)]))
+    masks = [None, (seq,), (seq, seq)] + ([batch + (seq, seq)] if batch else [])
+    mask_shape = draw(st.sampled_from(masks))
+    return heads, dim, draw(st.integers(1, 6)), batch + (seq, dim), mask_shape, draw(st.booleans()), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=120)
+@given(layer_cases())
+def test_fused_layer_equals_the_composed_reference(case):
+    """Output, x's gradient and every parameter's gradient are the composed
+    graph's, bit for bit, over head counts, (seq, dim) and (batch, seq, dim)
+    inputs, every key mask shape, and x with and without a gradient."""
+    heads, dim, ff_dim, x_shape, mask_shape, x_requires_grad, seed = case
+    rng = np.random.default_rng(seed)
+    params = {name: t.data + rng.standard_normal(t.shape) * 0.1 for name, t in encoder_layer(dim, heads, ff_dim, seed).items()}
+    x = rng.standard_normal(x_shape)
+    mask = None if mask_shape is None else (rng.random(mask_shape) < 0.7).astype(np.float64)
+    target = Tensor(rng.standard_normal(x_shape))
+    results = []
+    for run in (transformer_encoder_layer, composed_layer):
+        tensors = {name: Tensor(value.copy(), requires_grad=True) for name, value in params.items()}
+        x_in = Tensor(x, requires_grad=x_requires_grad)
+        out = run(x_in, tensors, "enc", key_mask=mask)
+        ad.sum_(ad.mul(out, target)).backward()
+        results.append((out.data, x_in.grad, {name: t.grad for name, t in tensors.items()}))
+    (out, x_grad, grads), (ref_out, ref_x_grad, ref_grads) = results
+    assert np.array_equal(out, ref_out)
+    assert (x_grad is None) == (not x_requires_grad)
+    if x_requires_grad:
+        assert np.array_equal(x_grad, ref_x_grad)
+    for name, grad in grads.items():
+        assert np.array_equal(grad, ref_grads[name]), name
+
+
+def test_training_step_builds_one_node_per_layer(monkeypatch):
+    """One train_pairwise step of a two-head, one-layer model builds at
+    most 70 tensors: each encoder layer is one node, not ~31."""
+    query = Query("q1", "jaguar parts")
+    panes = tuple(
+        ClarificationPane(f"q1:p{i}", "q1", "Which one?", tuple(CandidateAnswer(t, j + 1) for j, t in enumerate(texts)))
+        for i, texts in enumerate([("car engine", "animal habitat"), ("book review", "city map")])
+    )
+    sets = {"q1": {"reformulation": IntentSet("q1", "reformulation", (("jaguar parts car", 6.0),))}}
+    config = RlcConfig(dim=8, heads=2, layers=1, answer_slots=2, max_intents=2, hash_buckets=64, ff_dim=16, head_hidden=8)
+    model = RlcModel.init(config, seed=5)
+    built = []
+    init = Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    train_pairwise(model, [TrainTriple(query, panes, (0.4, 0.1))], sets, None, AdamConfig(warmup_steps=1, total_steps=2), steps=1)
+    assert len(built) <= 70
 
 
 def test_head_count_must_divide_dim():
@@ -88,7 +190,7 @@ def test_one_head_identity_projections_match_hand_softmax():
     for name in ("wq", "wk", "wv", "wo"):
         layer[f"enc.h0.{name}"].data = np.eye(dim)
     x = np.array([[1.0, 0.5], [-0.25, 2.0]])
-    out = multi_head_self_attention(Tensor(x), layer, "enc")
+    out = composed_attention(Tensor(x), layer, "enc")
 
     scores = x @ x.T / np.sqrt(dim)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))

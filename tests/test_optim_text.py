@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from clarikit.tensor import autodiff as ad
 from clarikit.tensor.autodiff import Tensor
@@ -11,7 +12,8 @@ from clarikit.tensor.checkpoint import load_tensors, save_tensors
 from clarikit.tensor.optim import Adam, AdamConfig, NonFiniteGradientError, schedule_factor
 from clarikit.core import tokenize
 from clarikit.rlc import RlcConfig, RlcModel
-from clarikit.tensor.text import hash_token, sequence_ids, text_encode
+from clarikit.tensor import text
+from clarikit.tensor.text import BEGIN, END, SEP, hash_bigram, hash_token, sequence_ids, text_encode
 
 
 class TestSchedule:
@@ -195,6 +197,49 @@ class TestTextEncoder:
 
         errors = ad.check_gradients(f, {"table": table, "proj": proj})
         assert max(errors.values()) < 1e-4
+
+
+def whole_item_ids(parts, buckets):
+    """The reference: hash every token, then every adjacent-token bigram, of
+    the item joined whole as <b> part <s> part ... <e>."""
+    tokens = [BEGIN]
+    for i, part in enumerate(parts):
+        if i > 0:
+            tokens.append(SEP)
+        tokens.extend(part)
+    tokens.append(END)
+    ids = [hash_token(t, buckets) for t in tokens]
+    ids.extend(hash_bigram(a, b, buckets) for a, b in zip(tokens, tokens[1:]))
+    return np.asarray(ids, dtype=np.int64)
+
+
+# a small vocabulary, so parts repeat tokens and items repeat parts
+item_parts = st.lists(st.lists(st.sampled_from(["a", "b", "c", "jaguar", BEGIN, SEP]), max_size=4), max_size=4)
+
+
+@given(
+    st.integers(2, 7),
+    st.lists(st.lists(st.one_of(st.none(), item_parts), min_size=3, max_size=3), min_size=1, max_size=3),
+    st.integers(0, 2**16),
+)
+def test_part_pieces_equal_whole_item_hashing(buckets, batch, seed):
+    """Ids assembled from per-part pieces are the whole item's ids as a
+    multiset (2-7 buckets, so ids collide), and text_encode's output is the
+    reference's bit for bit."""
+    for items in batch:
+        for parts in items:
+            if parts is not None:
+                np.testing.assert_array_equal(np.sort(sequence_ids(parts, buckets)), np.sort(whole_item_ids(parts, buckets)))
+    rng = np.random.default_rng(seed)
+    table, proj = Tensor(rng.standard_normal((buckets, 4))), Tensor(rng.standard_normal((4, 3)))
+    out = text_encode(batch, table, proj).data
+    pieces = text.sequence_ids
+    text.sequence_ids = whole_item_ids
+    try:
+        reference = text_encode(batch, table, proj).data
+    finally:
+        text.sequence_ids = pieces
+    assert np.array_equal(out, reference)
 
 
 class TestCheckpoint:
