@@ -122,31 +122,6 @@ class ImpressionRecord:
     result_clicks: tuple[tuple[str, float], ...] = ()
     reformulation: tuple[str, float] | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "answer_clicks", frozenset(int(p) for p in self.answer_clicks))
-        object.__setattr__(
-            self, "result_clicks", tuple((url, float(dwell)) for url, dwell in self.result_clicks)
-        )
-        if any(p < 1 for p in self.answer_clicks):
-            raise ValueError("answer click positions are 1-based")
-        if any(dwell < 0 for _, dwell in self.result_clicks):
-            raise ValueError("dwell seconds must be >= 0")
-        if self.reformulation is not None:
-            text, delta = self.reformulation
-            delta = float(delta)
-            if delta < 0:
-                raise ValueError("reformulation delta seconds must be >= 0")
-            object.__setattr__(self, "reformulation", (text, delta))
-
-
-def _int_column(values) -> np.ndarray:
-    """Python ints as an int64 column, or as an object column when one does
-    not fit in 64 bits, so every value a record holds survives."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
 
 def offsets_from_counts(counts) -> np.ndarray:
     """Offsets of a variable-length column from its per-row value counts."""
@@ -165,7 +140,7 @@ class ImpressionLog:
     any, is the one entry of reformulation_texts and reformulation_deltas
     over reformulation_offsets.  pane_ids lists the distinct pane ids in
     order of first appearance, and pane_index gives each row's entry.
-    Integer columns are int64, or object when a value does not fit.
+    Integer columns are int64.
 
     Iterating yields one ImpressionRecord per row.  The log functions take a
     log or any iterable of records, which they turn into a log once (of).
@@ -204,9 +179,9 @@ class ImpressionLog:
         return cls(
             lookup,
             [lookup.setdefault(rec.pane_id, len(lookup)) for rec in records],
-            _int_column([rec.timestamp for rec in records]),
+            np.array([rec.timestamp for rec in records], dtype=np.int64),
             offsets_from_counts([len(rec.answer_clicks) for rec in records]),
-            _int_column([p for rec in records for p in sorted(rec.answer_clicks)]),
+            np.array([p for rec in records for p in sorted(rec.answer_clicks)], dtype=np.int64),
             offsets_from_counts([len(rec.result_clicks) for rec in records]),
             [url for url, _ in results],
             [dwell for _, dwell in results],
@@ -410,7 +385,7 @@ def collect_stats(
     click_pane = log.pane_index[click_rows]
     positions = log.click_positions
     valid = (positions >= 1) & (positions <= np.asarray(answer_counts, dtype=np.int64)[click_pane])
-    click_pane, positions = click_pane[valid], positions[valid].astype(np.int64)
+    click_pane, positions = click_pane[valid], positions[valid]
     engaged_rows = np.zeros(len(log), dtype=bool)
     engaged_rows[click_rows[valid]] = True
     return PaneStats(

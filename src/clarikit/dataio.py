@@ -7,10 +7,11 @@ always produce byte-identical files.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
+from itertools import chain, compress, islice, repeat
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -27,10 +28,11 @@ from .core import (
 )
 
 # lines read, and impression lines decoded and checked, together: a bound on
-# the decoded rows held at once
-IMPRESSION_CHUNK_LINES = 4096
+# the decoded rows held at once, small enough that checking finds them in cache
+IMPRESSION_CHUNK_LINES = 1024
 
-_raw_decode = json.JSONDecoder().raw_decode
+# json.loads' scanner: _scan(s, 0) is (the value at the start of s, its end)
+_scan = json.scanner.make_scanner(json.JSONDecoder())
 _encode_str = json.encoder.encode_basestring
 
 
@@ -68,13 +70,6 @@ def _integer(value, field: str) -> int:
     """A record's integer field: a JSON integer, not a bool or a float."""
     if type(value) is not int:
         raise ValueError(f"{field} must be an integer, got {_dumps(value)}")
-    return value
-
-
-def _integers(value, field: str) -> list:
-    """A record's list-of-integers field."""
-    if type(value) is not list or not all(type(v) is int for v in value):
-        raise ValueError(f"{field} must be a list of integers, got {_dumps(value)}")
     return value
 
 
@@ -118,7 +113,7 @@ def _line_chunks(path: str, size: int) -> Iterator[tuple[int, list[str]]]:
     first = 1
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            while lines := list(itertools.islice(fh, size)):
+            while lines := list(islice(fh, size)):
                 yield first, lines
                 first += len(lines)
     except UnicodeDecodeError:
@@ -146,21 +141,22 @@ def _nonblank_lines(path: str) -> Iterator[tuple[int, str]]:
 
 def _convert_line(path: str, lineno: int, line: str, convert: Callable[[dict], object]):
     try:
-        return convert(_loads(line))
+        return convert(json.loads(line))
     except KeyError as exc:
         raise ValueError(f"{path}:{lineno}: invalid record: missing field {exc}") from None
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}:{lineno}: invalid record: {exc}") from None
 
 
-def _loads(line: str):
-    """json.loads(line).  A line that is one JSON value and its newline
-    skips json.loads' whitespace handling; any other goes through it."""
-    try:
-        value, end = _raw_decode(line)
-    except ValueError:
-        return json.loads(line)
-    return value if line[end:] == "\n" else json.loads(line)
+def _values(lines: list[str]) -> list:
+    """json.loads of lines that each hold one JSON value and its newline."""
+    # a line with no value at its start raises StopIteration, ending the map early
+    values = list(map(_scan, lines, repeat(0)))
+    # a value ends at most at its line's newline, and only a file's last line has none
+    newlines = len(lines) - (not lines[-1].endswith("\n")) if lines else 0
+    if len(values) < len(lines) or sum(map(itemgetter(1), values)) != sum(map(len, lines)) - newlines:
+        raise ValueError("not one JSON value per line")
+    return list(map(itemgetter(0), values))
 
 
 def query_to_dict(q: Query) -> dict:
@@ -179,7 +175,7 @@ def query_from_dict(d: dict) -> Query:
         raise ValueError(f"is_question must be true or false, got {is_question!r}")
     return Query(
         id=_string(d["id"], "id"),
-        text=d["text"],
+        text=_string(d["text"], "text"),
         is_question=is_question,
         ambiguity_class=d.get("ambiguity_class", "unknown"),
         traffic_class=d.get("traffic_class", "unknown"),
@@ -209,17 +205,17 @@ def pane_from_dict(d: dict) -> ClarificationPane:
     core.validate_pane) raises ValueError listing every violation."""
     answers = tuple(
         CandidateAnswer(
-            text=a["text"],
+            text=_string(a["text"], "answer text"),
             position=_integer(a["position"], "position"),
             render_size=_render_size(a.get("render_size")),
-            entity_type=a.get("entity_type"),
+            entity_type=None if a.get("entity_type") is None else _string(a["entity_type"], "entity_type"),
         )
         for a in d["answers"]
     )
     pane = ClarificationPane(
         id=_string(d["id"], "id"),
         query_id=_string(d["query_id"], "query_id"),
-        question_text=d["question_text"],
+        question_text=_string(d["question_text"], "question_text"),
         answers=answers,
         template_id=d.get("template_id", "other"),
     )
@@ -229,20 +225,12 @@ def pane_from_dict(d: dict) -> ClarificationPane:
     return pane
 
 
-def impression_from_dict(d: dict) -> ImpressionRecord:
-    # ImpressionRecord converts the click and reformulation fields itself
-    return ImpressionRecord(
-        pane_id=_string(d["pane_id"], "pane_id"),
-        timestamp=_integer(d["timestamp"], "timestamp"),
-        answer_clicks=_integers(d.get("answer_clicks", []), "answer_clicks"),
-        result_clicks=[(_string(url, "result click URL"), dwell) for url, dwell in d.get("result_clicks", ())],
-        reformulation=d.get("reformulation") or None,
-    )
-
-
 def labels_from_dict(d: dict) -> tuple[str, str, PaneLabels]:
     query_id, pane_id = _string(d["query_id"], "query_id"), _string(d["pane_id"], "pane_id")
-    return query_id, pane_id, PaneLabels(overall=d["overall"], landing=tuple(d["landing"]))
+    landing = d["landing"]
+    if type(landing) is not list or not all(isinstance(label, str) for label in landing):
+        raise ValueError(f"landing must be a list of strings, got {_dumps(landing)}")
+    return query_id, pane_id, PaneLabels(overall=d["overall"], landing=tuple(landing))
 
 
 def load_labels(path: str) -> list[tuple[str, str, PaneLabels]]:
@@ -295,89 +283,92 @@ def _impression_lines(log: ImpressionLog) -> Iterator[str]:
 
 
 def load_impressions(path: str) -> ImpressionLog:
-    """The impressions of a JSON-lines file as columns, read in chunks of
-    IMPRESSION_CHUNK_LINES lines.  A chunk whose fields all have their
-    canonical shape goes straight into columns; any other is read record by
-    record through impression_from_dict, so every line is accepted or
-    rejected (with its path:line) as its record would be."""
-    return ImpressionLog.concat([
-        _impression_chunk(path, first, lines) for first, lines in _line_chunks(path, IMPRESSION_CHUNK_LINES)
-    ])
+    """The impressions of a JSON-lines file as columns (see _impressions),
+    IMPRESSION_CHUNK_LINES lines at a time.  A chunk that fails is read again
+    line by line, so the error names the first line that fails."""
+    logs = []
+    for first, lines in _line_chunks(path, IMPRESSION_CHUNK_LINES):
+        try:
+            logs.append(_impressions(_values([line for line in lines if not line.isspace()])))
+        except (KeyError, TypeError, ValueError, OverflowError):
+            logs += [
+                _convert_line(path, lineno, line, lambda d: _impressions([d]))
+                for lineno, line in enumerate(lines, start=first) if not line.isspace()
+            ]
+    return ImpressionLog.concat(logs)
 
 
-def _impression_chunk(path: str, first: int, lines: list[str]) -> ImpressionLog:
-    """The impressions of lines first, first + 1, ... of a file."""
-    try:
-        log = _canonical_impressions([_loads(line) for line in lines if line.strip()])
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
-        log = None
-    if log is None:
-        log = ImpressionLog.of(
-            _convert_line(path, lineno, line, impression_from_dict)
-            for lineno, line in enumerate(lines, start=first) if line.strip()
-        )
-    return log
+def _impressions(rows: list) -> ImpressionLog:
+    """Decoded impression lines as a log, each field checked once per column
+    for its JSON type and domain (a bool is no number here):
+    - pane_id: a string
+    - timestamp: an integer in the int64 range
+    - answer_clicks: a list of such integers >= 1, optional; each row's
+      are sorted and made distinct
+    - result_clicks: a list of [URL string, dwell] pairs, optional
+    - reformulation: a [text string, delta] pair, or absent, null or empty
+    where dwells and deltas are numbers >= 0, or NaN."""
+    _check(rows, _typed(dict), "impression", "a JSON object")
+    pane_ids, timestamps = (list(map(itemgetter(key), rows)) for key in ("pane_id", "timestamp"))
+    click_lists, result_lists = ([d.get(key, []) for d in rows] for key in ("answer_clicks", "result_clicks"))
+    reformulations = [d.get("reformulation") for d in rows]
+    _check(pane_ids, _typed(str), "pane_id", "a string")
+    _check(timestamps, _typed(int), "timestamp", "an integer")
+    _check(timestamps, lambda v: _fits(v, np.int64), "timestamp", "a 64-bit integer")
+    _check(click_lists, _typed(list), "answer_clicks", "a list of integers")
+    positions = list(chain.from_iterable(click_lists))
+    _check(positions, _typed(int), "answer_clicks", "a list of integers", click_lists)
+    _check(positions, lambda v: _fits(v, np.int64, 1), "answer_clicks", "a list of 64-bit integers >= 1", click_lists)
+    _check(result_lists, _typed(list), "result_clicks", "a list")
+    urls, dwells = _pairs(list(chain.from_iterable(result_lists)), "result click", "URL", "dwell")
+    _check(reformulations, _typed(type(None), str, list), "reformulation", "a [text, delta] pair, null or empty")
+    present = list(map(bool, reformulations))
+    texts, deltas = _pairs(list(compress(reformulations, present)), "reformulation", "text", "delta")
 
-
-def _canonical_impressions(rows: list) -> ImpressionLog | None:
-    """Decoded impression lines as a log, when every field has the shape a
-    written log gives it: string pane ids, integer timestamps, ascending
-    distinct click positions of at least 1, and [url, dwell] result clicks
-    and [text, delta] reformulations with string URLs and numbers of at
-    least 0 (or NaN).  None for any other rows; they may still be valid
-    records."""
-    lookup: dict = {}
-    pane_index, timestamps, positions, click_counts = [], [], [], []
-    results, result_counts, reformulations, reformulation_counts = [], [], [], []
-    for d in rows:
-        pane_index.append(lookup.setdefault(d["pane_id"], len(lookup)))
-        timestamps.append(d["timestamp"])
-        clicks = d.get("answer_clicks", ())
-        positions += clicks
-        click_counts.append(len(clicks))
-        result_clicks = d.get("result_clicks", ())
-        results += result_clicks
-        result_counts.append(len(result_clicks))
-        reformulation = d.get("reformulation")
-        if reformulation:
-            reformulations.append(reformulation)
-        reformulation_counts.append(1 if reformulation else 0)
-    urls, dwells = [], []
-    for url, dwell in results:
-        urls.append(url)
-        dwells.append(dwell)
-    texts, deltas = [], []
-    for text, delta in reformulations:
-        texts.append(text)
-        deltas.append(delta)
-    # JSON integers, not bools, which numpy would read as 0 and 1 beside them
-    integers = {*map(type, timestamps), *map(type, positions)} <= {int}
-    timestamps = _numbers(timestamps, "i", np.int64)
-    positions = _numbers(positions, "i", np.int64)
-    dwells = _numbers(dwells, "bif", np.float64)
-    deltas = _numbers(deltas, "bif", np.float64)
-    strings = {*map(type, urls), *map(type, lookup)} <= {str}  # the URLs and the distinct pane ids
-    if timestamps is None or positions is None or dwells is None or deltas is None or not (strings and integers):
-        return None
-    log = ImpressionLog(
-        lookup, pane_index, timestamps, offsets_from_counts(click_counts), positions,
-        offsets_from_counts(result_counts), urls, dwells,
-        offsets_from_counts(reformulation_counts), texts, deltas,
+    n = len(rows)
+    lookup = {pane_id: i for i, pane_id in enumerate(dict.fromkeys(pane_ids))}
+    positions = np.array(positions, dtype=np.int64)
+    click_rows = np.repeat(np.arange(n), np.fromiter(map(len, click_lists), np.int64, n))
+    order = np.lexsort((positions, click_rows))
+    positions, click_rows = positions[order], click_rows[order]
+    distinct = (np.diff(positions, prepend=0) != 0) | (np.diff(click_rows, prepend=-1) != 0)
+    return ImpressionLog(
+        lookup, np.fromiter(map(lookup.__getitem__, pane_ids), np.intp, n), np.array(timestamps, dtype=np.int64),
+        offsets_from_counts(np.bincount(click_rows[distinct], minlength=n)), positions[distinct],
+        offsets_from_counts(np.fromiter(map(len, result_lists), np.int64, n)), urls, dwells,
+        offsets_from_counts(present), texts, deltas,
     )
-    # within a row each position is above the one before it
-    ascending = (np.diff(positions) > 0) | (np.diff(log.rows(log.click_offsets)) > 0)
-    if (positions < 1).any() or not ascending.all() or (dwells < 0).any() or (deltas < 0).any():
-        return None
-    return log
 
 
-def _numbers(values: list, kinds: str, dtype) -> np.ndarray | None:
-    """values as a dtype column when numpy reads them all as numbers of the
-    given kinds ("b" bool, "i" signed int, "f" float), else None."""
-    array = np.array(values)
-    if len(values) and (array.ndim != 1 or array.dtype.kind not in kinds):
-        return None
-    return array.astype(dtype)
+def _pairs(pairs: list, field: str, text: str, number: str) -> tuple[list, list]:
+    """The strings and the numbers >= 0 or NaN of a field's [text, number] pairs."""
+    _check(pairs, lambda v: _typed(list)(v) and {*map(len, v)} <= {2}, field, f"a [{text}, {number}] pair")
+    texts, values = (list(map(itemgetter(i), pairs)) for i in (0, 1))
+    _check(texts, _typed(str), f"{field} {text}", "a string")
+    _check(values, lambda v: _typed(int, float)(v) and _fits(v, np.float64, 0), f"{field} {number}",
+           "a number >= 0 or NaN")
+    return texts, values
+
+
+def _check(values: list, valid: Callable[[list], bool], field: str, domain: str, lists: list | None = None) -> None:
+    """A ValueError naming field unless valid(values), quoting the first value
+    valid rejects alone, or when values are the lists given joined, the list."""
+    if not valid(values):
+        bad = next(v for v in values if not valid([v])) if lists is None else next(v for v in lists if not valid(v))
+        raise ValueError(f"{field} must be {domain}, got {_dumps(bad)}")
+
+
+def _typed(*types: type) -> Callable[[list], bool]:
+    """Whether every value is of one of types exactly: a bool is no int."""
+    return lambda values: {*map(type, values)} <= {*types}
+
+
+def _fits(values: list, dtype, low: float = -math.inf) -> bool:
+    """Whether numbers fit in a dtype column and none is below low (NaN is not)."""
+    try:
+        return not (np.array(values, dtype=dtype) < low).any()
+    except OverflowError:
+        return False
 
 
 def write_tsv(path: str, header: Iterable[str], rows: Iterable[Iterable]) -> None:

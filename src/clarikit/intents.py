@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .core import tokenize
-from .dataio import _load_records, _string, read_tsv_counts, write_jsonl
+from .dataio import _dumps, _load_records, _string, read_tsv_counts, write_jsonl
 
 SOURCES = ("reformulation", "click_title")
 
@@ -175,8 +175,22 @@ def save_intent_sets(path: str, sets: Iterable[IntentSet]) -> None:
 
 
 def intent_set_from_dict(d: dict) -> IntentSet:
-    items = tuple((_string(t, "intent text"), float(w)) for t, w in d["items"])
-    return IntentSet(query_id=_string(d["query_id"], "query_id"), source=d["source"], items=items)
+    items = d["items"]
+    if type(items) is not list:
+        raise ValueError(f"items must be a list, got {_dumps(items)}")
+    return IntentSet(
+        query_id=_string(d["query_id"], "query_id"), source=d["source"], items=tuple(map(_intent_item, items))
+    )
+
+
+def _intent_item(item) -> tuple[str, float]:
+    """An intent set's [text, weight] item: a string and a number, not a bool."""
+    if type(item) is not list or len(item) != 2:
+        raise ValueError(f"intent item must be a [text, weight] pair, got {_dumps(item)}")
+    text, weight = item
+    if type(weight) not in (int, float):
+        raise ValueError(f"intent weight must be a number, got {_dumps(weight)}")
+    return _string(text, "intent text"), float(weight)
 
 
 def load_intent_sets(path: str) -> dict[str, dict[str, IntentSet]]:

@@ -832,22 +832,34 @@ BAD_INPUTS = [
     ("--impressions", "timestamp_a_bool", LATE_LINE, _edited(timestamp=True)),
     ("--impressions", "fractional_timestamp", LATE_LINE, _edited(timestamp=2.5)),
     ("--impressions", "click_position_a_bool", LATE_LINE, _edited(answer_clicks=[True])),
+    ("--impressions", "timestamp_beyond_64_bits", LATE_LINE, _edited(timestamp=2**70)),
+    ("--impressions", "click_position_beyond_64_bits", LATE_LINE, _edited(answer_clicks=[2**64])),
+    ("--impressions", "dwell_a_string", LATE_LINE, _edited(result_clicks=[["http://a", "2.5"]])),
+    ("--impressions", "dwell_a_bool", LATE_LINE, _edited(result_clicks=[["http://a", True]])),
+    ("--impressions", "result_click_a_string", LATE_LINE, _edited(result_clicks=["v7"])),
+    ("--impressions", "reformulation_delta_a_string", LATE_LINE, _edited(reformulation=["again", "4"])),
+    ("--impressions", "reformulation_text_not_a_string", LATE_LINE, _edited(reformulation=[["x"], 4.0])),
     ("--queries", "duplicate_id", 3, lambda lines, i: lines[0]),
     ("--queries", "no_tokens", 3, _edited(text="?!")),
     ("--queries", "is_question_a_string", 3, _edited(is_question="false")),
     ("--queries", "id_not_a_string", 3, _edited(id=7)),
+    ("--queries", "text_not_a_string", 3, _edited(text=7)),
     ("--panes", "duplicate_id", 3, lambda lines, i: lines[0]),
     ("--panes", "unhashable_id", 3, _edited(id=["p"])),
     ("--panes", "id_not_a_string", 3, _edited(id=7)),
     ("--panes", "query_id_not_a_string", 3, _edited(query_id=["q000000"])),
+    ("--panes", "question_text_not_a_string", 3, _edited(question_text=7)),
     ("--panes", "fractional_position", 3, _answer_edited(position=2.9)),
     ("--panes", "negative_render_size", 3, _answer_edited(render_size=-4)),
     ("--intents", "items_not_pairs", 2, _edited(items=5)),
     ("--intents", "intent_text_not_a_string", 2, _edited(items=[[7, 1.0]])),
     ("--intents", "query_id_not_a_string", 2, _edited(query_id=["q000000"])),
+    ("--intents", "intent_weight_a_string", 2, _edited(items=[["a", "2.5"]])),
+    ("--intents", "intent_item_a_string", 2, _edited(items=["a2"])),
     ("--labels", "unknown_grade", 2, _edited(overall="Great")),
     ("--labels", "pane_id_not_a_string", 2, _edited(pane_id=True)),
     ("--labels", "query_id_not_a_string", 2, _edited(query_id=2.5)),
+    ("--labels", "landing_a_string", 2, _edited(landing="")),
     ("--lexicon", "three_columns", 2, lambda lines, i: "a\tb\tc"),
     ("--history", "non_integer_count", 2, lambda lines, i: "q000000\thttp://x\tmany"),
     ("--reformulations", "zero_frequency", 2, lambda lines, i: "a\ta b\t0"),
@@ -858,6 +870,8 @@ MISTYPED = {
     "url_not_a_string": "result click URL", "query_id_not_a_string": "query_id",
     "intent_text_not_a_string": "intent text", "id_not_a_string": "id", "unhashable_id": "id",
     "pane_id_null": "pane_id", "unhashable_pane_id": "pane_id", "pane_id_not_a_string": "pane_id",
+    "reformulation_text_not_a_string": "reformulation text", "text_not_a_string": "text",
+    "question_text_not_a_string": "question_text",
 }
 # the message of the cases whose number has the wrong JSON type or is out of
 # its domain: loaders reject it, not coerce it
@@ -868,6 +882,15 @@ MISVALUED = {
     "click_position_a_bool": "answer_clicks must be a list of integers, got [true]",
     "fractional_position": "position must be an integer, got 2.9",
     "negative_render_size": "render_size must be a number >= 0, got -4",
+    "timestamp_beyond_64_bits": "timestamp must be a 64-bit integer, got 1180591620717411303424",
+    "click_position_beyond_64_bits": "answer_clicks must be a list of 64-bit integers >= 1, got [18446744073709551616]",
+    "dwell_a_string": 'result click dwell must be a number >= 0 or NaN, got "2.5"',
+    "dwell_a_bool": "result click dwell must be a number >= 0 or NaN, got true",
+    "result_click_a_string": 'result click must be a [URL, dwell] pair, got "v7"',
+    "reformulation_delta_a_string": 'reformulation delta must be a number >= 0 or NaN, got "4"',
+    "intent_weight_a_string": 'intent weight must be a number, got "2.5"',
+    "intent_item_a_string": 'intent item must be a [text, weight] pair, got "a2"',
+    "landing_a_string": 'landing must be a list of strings, got ""',
 }
 # a command that reads the input, and the inputs it needs besides
 READER = {

@@ -125,14 +125,6 @@ class TestTypes:
     def test_answer_explicit_render_size(self):
         assert CandidateAnswer(text="x", position=1, render_size=42.0).render_size == 42.0
 
-    def test_impression_rejects_negative_dwell(self):
-        with pytest.raises(ValueError):
-            ImpressionRecord("p", 0, frozenset(), (("u", -1.0),))
-
-    def test_impression_rejects_negative_delta(self):
-        with pytest.raises(ValueError):
-            ImpressionRecord("p", 0, reformulation=("q2", -5.0))
-
     def test_stats_invariants(self):
         with pytest.raises(ValueError):
             EngagementStats(5, 6, (0,))
