@@ -149,13 +149,14 @@ def _convert_line(path: str, lineno: int, line: str, convert: Callable[[dict], o
 
 
 def _values(lines: list[str]) -> list:
-    """json.loads of lines that each hold one JSON value and its newline."""
+    """json.loads of each line: one scan over all the lines when each holds
+    one JSON value and its newline, else json.loads line by line."""
     # a line with no value at its start raises StopIteration, ending the map early
     values = list(map(_scan, lines, repeat(0)))
     # a value ends at most at its line's newline, and only a file's last line has none
     newlines = len(lines) - (not lines[-1].endswith("\n")) if lines else 0
     if len(values) < len(lines) or sum(map(itemgetter(1), values)) != sum(map(len, lines)) - newlines:
-        raise ValueError("not one JSON value per line")
+        return [json.loads(line) for line in lines]
     return list(map(itemgetter(0), values))
 
 
@@ -290,7 +291,7 @@ def load_impressions(path: str) -> ImpressionLog:
     for first, lines in _line_chunks(path, IMPRESSION_CHUNK_LINES):
         try:
             logs.append(_impressions(_values([line for line in lines if not line.isspace()])))
-        except (KeyError, TypeError, ValueError, OverflowError):
+        except (KeyError, ValueError):
             logs += [
                 _convert_line(path, lineno, line, lambda d: _impressions([d]))
                 for lineno, line in enumerate(lines, start=first) if not line.isspace()

@@ -811,8 +811,8 @@ def _answer_edited(**fields):
     return edit
 
 
-# past the impression loader's first chunk, so a chunk read again record by
-# record must still count its lines
+# past the impression loader's first chunk, so a chunk read again line by
+# line must still count its lines
 LATE_LINE = dataio.IMPRESSION_CHUNK_LINES + 7
 
 # (input flag, case, 1-based line, (good lines, line index) -> bad line)
@@ -1057,9 +1057,8 @@ def test_number_outside_its_domain_exits_one(side_files, tmp_path, capsys, comma
 
 
 def test_string_url_check_holds_on_both_impression_paths(tmp_path):
-    """A result-click URL that is not a string fails at its line whether its
-    chunk is read as columns or record by record (here: after a chunk-mate
-    whose click positions are not ascending)."""
+    """A result-click URL that is not a string fails at its line, also after
+    a chunk-mate whose click positions the loader has to sort."""
     good = {"answer_clicks": [1], "pane_id": "p", "result_clicks": [["http://a", 1.0]], "timestamp": 1}
     bad = dict(good, result_clicks=[["http://a", 1.0], [7, 2.0]])
     for first in (good, dict(good, answer_clicks=[2, 1])):

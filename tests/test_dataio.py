@@ -284,21 +284,25 @@ def test_non_string_pane_id_is_written_but_not_loaded(tmp_path):
 
 def test_non_canonical_lines_load_as_their_records(tmp_path):
     """Valid lines a written log never holds (unsorted or repeated clicks,
-    missing optional keys, an empty or null reformulation, integer dwells)
-    load as the log they stand for, in a file of several chunks whose other
-    chunks hold written lines."""
+    missing optional keys, an empty or null reformulation, integer dwells,
+    spaces around the value) load as the log they stand for, in a file of
+    several chunks whose other chunks hold written lines."""
     import json
 
-    canonical = [{"pane_id": f"p{i % 3}", "timestamp": i, "answer_clicks": [1, 3]} for i in range(2 * dataio.IMPRESSION_CHUNK_LINES)]
+    canonical = [
+        {"pane_id": f"p{i % 3}", "timestamp": i, "answer_clicks": [1, 3]}
+        for i in range(2 * dataio.IMPRESSION_CHUNK_LINES)
+    ]
     odd = [
         {"pane_id": "p9", "timestamp": 19, "answer_clicks": [3, 1, 3]},
         {"pane_id": "p1", "timestamp": 12, "result_clicks": [["u", 2], ["v", 7.5]], "reformulation": ""},
         {"pane_id": "p2", "timestamp": 2, "answer_clicks": [2, 2], "reformulation": None},
         {"pane_id": "p0", "timestamp": 3, "reformulation": [], "result_clicks": []},
     ]
-    rows = canonical[:5] + odd + canonical[5:]
+    lines = [json.dumps(row) for row in canonical[:5] + odd + canonical[5:]]
+    lines[7] = f" \t{lines[7]}  "
     path = tmp_path / "impressions.jsonl"
-    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    path.write_text("\n".join(lines) + "\n")
     expected = [ImpressionRecord(row["pane_id"], row["timestamp"], frozenset({1, 3})) for row in canonical]
     expected[5:5] = [
         ImpressionRecord("p9", 19, frozenset({1, 3})),
@@ -312,10 +316,31 @@ def test_non_canonical_lines_load_as_their_records(tmp_path):
     assert log.result_dwells.dtype == np.float64 and log.pane_ids == ("p0", "p1", "p2", "p9")
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("answer_clicks", {}, "answer_clicks must be a list of integers, got {}"),
+    ("answer_clicks", "", 'answer_clicks must be a list of integers, got ""'),
+    ("result_clicks", {}, "result_clicks must be a list, got {}"),
+    ("reformulation", 0, "reformulation must be a [text, delta] pair, null or empty, got 0"),
+    ("reformulation", False, "reformulation must be a [text, delta] pair, null or empty, got false"),
+    ("reformulation", {}, "reformulation must be a [text, delta] pair, null or empty, got {}"),
+], ids=["clicks_object", "clicks_string", "results_object", "reformulation_zero", "reformulation_false",
+        "reformulation_object"])
+def test_empty_values_of_another_type_are_rejected(tmp_path, field, value, message):
+    """An empty or false value of the wrong JSON type fails naming its
+    field; it is not read as a missing one."""
+    import json
+
+    path = tmp_path / "impressions.jsonl"
+    rows = [{"pane_id": "p", "timestamp": 1}, {"pane_id": "p", "timestamp": 2, field: value}]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:2: invalid record: {message}')}$"):
+        dataio.load_impressions(str(path))
+
+
 def test_chunk_size_does_not_change_what_loads(tmp_path, monkeypatch):
     """A file loads to equal logs whatever IMPRESSION_CHUNK_LINES is, and a
     file with one bad line fails at the same path:line with the same
-    message, the bad line past several chunks of 7 or in the first of 4096."""
+    message, whether that line is in the 42nd chunk, the 6th or the first."""
     import json
 
     rows = [
@@ -323,10 +348,11 @@ def test_chunk_size_does_not_change_what_loads(tmp_path, monkeypatch):
          "result_clicks": [[f"u{i}", i / 4]] * (i % 3), **({"reformulation": ["again", 1.5]} if i % 4 == 0 else {})}
         for i in range(60)
     ]
-    good = tmp_path / "good.jsonl"
-    good.write_text("".join(json.dumps(row) + "\n" for row in rows))
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("".join(json.dumps(row) + "\n" for row in rows[:40]) + "\n" + '{"pane_id": "p", "timestamp": 1, "result_clicks": [["u", 1.0], ["v", "2"]]}\n' + "".join(json.dumps(row) + "\n" for row in rows[40:]))
+    lines = [json.dumps(row) for row in rows]
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    good.write_text("\n".join(lines) + "\n")
+    bad_line = '{"pane_id": "p", "timestamp": 1, "result_clicks": [["u", 1.0], ["v", "2"]]}'
+    bad.write_text("\n".join(lines[:40] + ["", bad_line] + lines[40:]) + "\n")
     logs, errors = [], []
     for size in (1, 7, 4096):
         monkeypatch.setattr(dataio, "IMPRESSION_CHUNK_LINES", size)
