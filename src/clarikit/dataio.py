@@ -352,8 +352,9 @@ def _pairs(pairs: list, field: str, text: str, number: str) -> tuple[list, list]
 
 
 def _check(values: list, valid: Callable[[list], bool], field: str, domain: str, lists: list | None = None) -> None:
-    """A ValueError naming field unless valid(values), quoting the first value
-    valid rejects alone, or when values are the lists given joined, the list."""
+    """Raise a ValueError naming field unless valid(values). It quotes the
+    first value valid rejects alone, or the first of lists it rejects when
+    values are those lists joined."""
     if not valid(values):
         bad = next(v for v in values if not valid([v])) if lists is None else next(v for v in lists if not valid(v))
         raise ValueError(f"{field} must be {domain}, got {_dumps(bad)}")
