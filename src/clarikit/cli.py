@@ -122,9 +122,8 @@ def _refuse_other_command(out_dir: str, command: str) -> None:
     if not os.path.exists(path):
         return
     try:
-        with open(path, encoding="utf-8") as fh:
-            previous = json.load(fh)["command"]
-    except (ValueError, KeyError, TypeError):
+        previous = dataio.read_json(path)["command"]
+    except (ValueError, KeyError):
         raise ValueError(f"{path}: --out holds a manifest.json that is not a clarikit manifest") from None
     if previous != command:
         raise ValueError(f"{path}: --out holds the outputs of {previous!r}; give {command!r} a directory of its own")
@@ -135,13 +134,7 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     then explicit flags.  Numbers must be finite, from either source."""
     merged = dict(defaults)
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                file_values = json.load(fh)
-            except (ValueError, RecursionError) as exc:
-                raise ValueError(f"{args.config}: not JSON: {exc}") from None
-        if not isinstance(file_values, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
+        file_values = dataio.read_json(args.config)
         unknown = set(file_values) - set(defaults)
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {sorted(unknown)}")

@@ -104,8 +104,6 @@ def validate_pane(pane: ClarificationPane) -> list[str]:
     for a in pane.answers:
         if not a.text.strip():
             violations.append(f"empty text: answer at position {a.position}")
-        if a.render_size <= 0:
-            violations.append(f"render size: answer at position {a.position} has size {a.render_size}")
     if pane.template_id not in TEMPLATE_IDS:
         violations.append(f"template: unknown id {pane.template_id!r}")
     return violations

@@ -1,4 +1,4 @@
-"""Line-delimited record I/O for queries, panes, impressions, and reports.
+"""Record I/O: JSON documents, JSON-lines records, TSV tables and reports.
 
 Every record is one JSON object per line with field names matching the domain
 types.  Writers emit sorted keys and fixed separators so identical inputs
@@ -83,21 +83,32 @@ def _render_size(value) -> float:
     return float(value)
 
 
-def _load_records(path: str, convert: Callable[[dict], object]) -> list:
-    """Every non-blank line of a JSON-lines file, decoded and passed through
-    convert.  A line that is not JSON, or whose record does not convert
-    (missing field, wrong shape or value), fails as a ValueError naming its
-    path:line."""
-    return [_convert_line(path, lineno, line, convert) for lineno, line in _nonblank_lines(path)]
+def read_json(path: str) -> dict:
+    """The JSON object a UTF-8 file holds.  A file that is not JSON (nested
+    past the decoder's limit included), or whose value is not an object,
+    fails as a ValueError naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            value = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: not JSON: {exc}") from None
+    if type(value) is not dict:
+        raise ValueError(f"{path}: not a JSON object")
+    return value
 
 
-def _load_by_id(path: str, convert: Callable[[dict], object]) -> dict:
+def _load_records(path: str, kind: str, convert: Callable[[dict], object]) -> list:
+    """_convert_line of every non-blank line of a JSON-lines file."""
+    return [_convert_line(path, lineno, line, kind, convert) for lineno, line in _nonblank_lines(path)]
+
+
+def _load_by_id(path: str, kind: str, convert: Callable[[dict], object]) -> dict:
     """_load_records keyed by each record's id.  A record whose id an
     earlier line already holds fails naming its path:line."""
     out: dict = {}
     first_line: dict = {}
     for lineno, line in _nonblank_lines(path):
-        record = _convert_line(path, lineno, line, convert)
+        record = _convert_line(path, lineno, line, kind, convert)
         first = first_line.setdefault(record.id, lineno)
         if first != lineno:
             raise ValueError(f"{path}:{lineno}: invalid record: duplicate id {record.id!r}, first on line {first}")
@@ -139,12 +150,18 @@ def _nonblank_lines(path: str) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
-def _convert_line(path: str, lineno: int, line: str, convert: Callable[[dict], object]):
+def _convert_line(path: str, lineno: int, line: str, kind: str, convert: Callable[[dict], object]):
+    """A JSON-lines line decoded and converted.  A line that is not JSON (too
+    deeply nested included), holds no kind object, or whose object does not
+    convert (missing field, wrong shape or value) fails naming its path:line."""
     try:
-        return convert(json.loads(line))
+        value = json.loads(line)
+        if type(value) is not dict:
+            raise ValueError(f"{kind} must be a JSON object, got {_dumps(value)}")
+        return convert(value)
     except KeyError as exc:
         raise ValueError(f"{path}:{lineno}: invalid record: missing field {exc}") from None
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ValueError(f"{path}:{lineno}: invalid record: {exc}") from None
 
 
@@ -235,7 +252,7 @@ def labels_from_dict(d: dict) -> tuple[str, str, PaneLabels]:
 
 
 def load_labels(path: str) -> list[tuple[str, str, PaneLabels]]:
-    return _load_records(path, labels_from_dict)
+    return _load_records(path, "label", labels_from_dict)
 
 
 def save_queries(path: str, queries: Iterable[Query]) -> None:
@@ -243,7 +260,7 @@ def save_queries(path: str, queries: Iterable[Query]) -> None:
 
 
 def load_queries(path: str) -> dict[str, Query]:
-    return _load_by_id(path, query_from_dict)
+    return _load_by_id(path, "query", query_from_dict)
 
 
 def save_panes(path: str, panes: Iterable[ClarificationPane]) -> None:
@@ -251,7 +268,7 @@ def save_panes(path: str, panes: Iterable[ClarificationPane]) -> None:
 
 
 def load_panes(path: str) -> dict[str, ClarificationPane]:
-    return _load_by_id(path, pane_from_dict)
+    return _load_by_id(path, "pane", pane_from_dict)
 
 
 def save_impressions(path: str, log: ImpressionLog | Iterable[ImpressionRecord]) -> None:
@@ -291,9 +308,9 @@ def load_impressions(path: str) -> ImpressionLog:
     for first, lines in _line_chunks(path, IMPRESSION_CHUNK_LINES):
         try:
             logs.append(_impressions(_values([line for line in lines if not line.isspace()])))
-        except (KeyError, ValueError):
+        except (KeyError, ValueError, RecursionError):
             logs += [
-                _convert_line(path, lineno, line, lambda d: _impressions([d]))
+                _convert_line(path, lineno, line, "impression", lambda d: _impressions([d]))
                 for lineno, line in enumerate(lines, start=first) if not line.isspace()
             ]
     return ImpressionLog.concat(logs)
@@ -412,38 +429,6 @@ def read_tsv_rows(path: str, types: tuple[Callable, ...]) -> Iterator[tuple]:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             yield tuple(cols)
-
-
-def read_tsv_counts(path: str, n_columns: int) -> list[tuple]:
-    """The rows of a headerless TSV input of n_columns columns whose last is
-    a frequency, an integer of at least 1: one row per distinct set of
-    leading columns, in order of first appearance, with its frequencies
-    summed.  Each line is cut at its last tab and its frequency converted;
-    only a line whose leading columns are new has its column count checked.
-    Blank lines are skipped, and a wrong column count or frequency fails as
-    a ValueError naming its path:line, as in read_tsv_rows."""
-    totals: dict[str, int] = {}
-    for first, lines in _line_chunks(path, IMPRESSION_CHUNK_LINES):
-        for lineno, line in enumerate(lines, start=first):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            leading, tab, value = line.rpartition("\t")
-            total = totals.get(leading)
-            # leading columns already seen hold n_columns - 2 tabs
-            if total is None or not tab:
-                if not tab or leading.count("\t") != n_columns - 2:
-                    got = line.count("\t") + 1
-                    raise ValueError(f"{path}:{lineno}: expected {n_columns} tab-separated columns, got {got}")
-                total = 0
-            try:
-                frequency = int(value)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if frequency < 1:
-                raise ValueError(f"{path}:{lineno}: frequency must be >= 1, got {frequency}")
-            totals[leading] = total + frequency
-    return [(*leading.split("\t"), total) for leading, total in totals.items()]
 
 
 def _format_cell(value) -> str:

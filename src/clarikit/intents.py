@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .core import tokenize
-from .dataio import _dumps, _load_records, _string, read_tsv_counts, write_jsonl
+from .dataio import _dumps, _load_records, _string, read_tsv_rows, write_jsonl
 
 SOURCES = ("reformulation", "click_title")
 
@@ -154,14 +154,22 @@ def truncate_intents(intent_set: IntentSet, n_max: int) -> IntentSet:
     )
 
 
+def _frequency(value: str) -> int:
+    """A frequency column: an integer of at least 1."""
+    frequency = int(value)
+    if frequency < 1:
+        raise ValueError(f"frequency must be >= 1, got {frequency}")
+    return frequency
+
+
 def read_reformulations_tsv(path: str) -> list[tuple[str, str, int]]:
-    """(query, follow-up, frequency) rows, one per distinct pair."""
-    return read_tsv_counts(path, 3)
+    """(query, follow-up, frequency) rows, one per line."""
+    return list(read_tsv_rows(path, (str, str, _frequency)))
 
 
 def read_click_titles_tsv(path: str) -> list[tuple[str, str, str, int]]:
-    """(query, URL, title, frequency) rows, one per distinct triple."""
-    return read_tsv_counts(path, 4)
+    """(query, URL, title, frequency) rows, one per line."""
+    return list(read_tsv_rows(path, (str, str, str, _frequency)))
 
 
 def save_intent_sets(path: str, sets: Iterable[IntentSet]) -> None:
@@ -197,6 +205,6 @@ def load_intent_sets(path: str) -> dict[str, dict[str, IntentSet]]:
     """Load as query_id -> source -> IntentSet; a malformed record fails as
     a ValueError naming its path:line."""
     out: dict[str, dict[str, IntentSet]] = {}
-    for s in _load_records(path, intent_set_from_dict):
+    for s in _load_records(path, "intent set", intent_set_from_dict):
         out.setdefault(s.query_id, {})[s.source] = s
     return out

@@ -19,6 +19,7 @@ import numpy as np
 
 from .analytics import url_stats
 from .core import ClarificationPane, Query, TEMPLATE_IDS
+from .dataio import read_json
 
 TRAFFIC_ONE_HOT = ("head", "torso", "tail", "unknown")
 
@@ -192,12 +193,8 @@ class BoostedEnsemble:
     def load(path: str) -> "BoostedEnsemble":
         """A saved ensemble; a ValueError naming the path unless it is one
         over FEATURE_NAMES."""
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except (ValueError, RecursionError) as exc:
-                raise ValueError(f"{path}: not JSON: {exc}") from None
-        if not isinstance(payload, dict) or payload.get("format") != "clarikit-ensemble":
+        payload = read_json(path)
+        if payload.get("format") != "clarikit-ensemble":
             raise ValueError(f"{path}: not an ensemble file")
         try:
             ensemble = BoostedEnsemble(

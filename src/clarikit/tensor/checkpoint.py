@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 
+from ..dataio import read_json
 from .autodiff import Tensor
 
 FORMAT = "clarikit-tensors"
@@ -33,12 +34,8 @@ def save_tensors(path: str, tensors: dict[str, Tensor], config: dict | None = No
 
 
 def load_tensors(path: str, requires_grad: bool = True) -> tuple[dict[str, Tensor], dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"{path}: not JSON: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("format") != FORMAT:
+    payload = read_json(path)
+    if payload.get("format") != FORMAT:
         raise ValueError(f"{path}: not a {FORMAT} file")
     if payload.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {payload.get('format_version')}")

@@ -700,6 +700,22 @@ def test_out_holding_another_commands_manifest_is_refused(corpus_dir, tmp_path, 
     assert {name: (data / name).read_bytes() for name in os.listdir(data)} == before
 
 
+def test_out_holding_a_manifest_nested_too_deep_is_refused(tmp_path, capsys):
+    """A manifest.json nested past the JSON decoder's limit is no clarikit
+    manifest: refused naming it, no traceback, the directory untouched."""
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "manifest.json").write_text('{"command": ' + "[" * 5000 + "]" * 5000 + "}")
+    before = {name: (data / name).read_bytes() for name in os.listdir(data)}
+    reform = tmp_path / "reform.tsv"
+    reform.write_text("jaguar\tjaguar car\t5\n")
+    assert run_cli("intents", "--out", data, "--reformulations", reform) == 1
+    err = capsys.readouterr().err
+    assert f"{data / 'manifest.json'}: --out holds a manifest.json that is not a clarikit manifest" in err
+    assert "Traceback" not in err
+    assert {name: (data / name).read_bytes() for name in os.listdir(data)} == before
+
+
 @pytest.fixture(scope="module")
 def side_files(corpus_dir, trained_dir, tmp_path_factory):
     """Every input file some command takes, by flag."""
@@ -811,6 +827,17 @@ def _answer_edited(**fields):
     return edit
 
 
+def _key_list(lines, index):
+    """A bad-line maker: the sorted keys of the line's record, a JSON array."""
+    return json.dumps(sorted(json.loads(lines[index])))
+
+
+def _nested_too_deep(lines, index):
+    """A bad-line maker: the line's record with a value nested 5,000 arrays
+    deep, past the JSON decoder's limit."""
+    return lines[index][:-1] + ', "deep": ' + "[" * 5000 + "]" * 5000 + "}"
+
+
 # past the impression loader's first chunk, so a chunk read again line by
 # line must still count its lines
 LATE_LINE = dataio.IMPRESSION_CHUNK_LINES + 7
@@ -825,7 +852,7 @@ BAD_INPUTS = [
     ("--impressions", "infinite_timestamp", LATE_LINE, _edited(timestamp=float("inf"))),
     ("--impressions", "unhashable_pane_id", LATE_LINE, _edited(pane_id=["q000000:p0"])),
     ("--impressions", "pane_id_null", LATE_LINE, lambda lines, i: json.dumps(dict(json.loads(lines[i]), pane_id=None))),
-    ("--impressions", "not_an_object", LATE_LINE, lambda lines, i: json.dumps(sorted(json.loads(lines[i])))),
+    ("--impressions", "not_an_object", LATE_LINE, _key_list),
     ("--impressions", "first_line", 2, lambda lines, i: "{}"),
     ("--impressions", "url_not_a_string", LATE_LINE, _edited(result_clicks=[[7, 1.0]])),
     ("--impressions", "answer_clicks_a_string", LATE_LINE, _edited(answer_clicks="12")),
@@ -839,11 +866,14 @@ BAD_INPUTS = [
     ("--impressions", "result_click_a_string", LATE_LINE, _edited(result_clicks=["v7"])),
     ("--impressions", "reformulation_delta_a_string", LATE_LINE, _edited(reformulation=["again", "4"])),
     ("--impressions", "reformulation_text_not_a_string", LATE_LINE, _edited(reformulation=[["x"], 4.0])),
+    ("--impressions", "nested_too_deep", LATE_LINE, _nested_too_deep),
     ("--queries", "duplicate_id", 3, lambda lines, i: lines[0]),
     ("--queries", "no_tokens", 3, _edited(text="?!")),
     ("--queries", "is_question_a_string", 3, _edited(is_question="false")),
     ("--queries", "id_not_a_string", 3, _edited(id=7)),
     ("--queries", "text_not_a_string", 3, _edited(text=7)),
+    ("--queries", "nested_too_deep", 3, _nested_too_deep),
+    ("--queries", "query_not_an_object", 3, _key_list),
     ("--panes", "duplicate_id", 3, lambda lines, i: lines[0]),
     ("--panes", "unhashable_id", 3, _edited(id=["p"])),
     ("--panes", "id_not_a_string", 3, _edited(id=7)),
@@ -851,15 +881,21 @@ BAD_INPUTS = [
     ("--panes", "question_text_not_a_string", 3, _edited(question_text=7)),
     ("--panes", "fractional_position", 3, _answer_edited(position=2.9)),
     ("--panes", "negative_render_size", 3, _answer_edited(render_size=-4)),
+    ("--panes", "nested_too_deep", 3, _nested_too_deep),
+    ("--panes", "pane_not_an_object", 3, _key_list),
     ("--intents", "items_not_pairs", 2, _edited(items=5)),
     ("--intents", "intent_text_not_a_string", 2, _edited(items=[[7, 1.0]])),
     ("--intents", "query_id_not_a_string", 2, _edited(query_id=["q000000"])),
     ("--intents", "intent_weight_a_string", 2, _edited(items=[["a", "2.5"]])),
     ("--intents", "intent_item_a_string", 2, _edited(items=["a2"])),
+    ("--intents", "nested_too_deep", 2, _nested_too_deep),
+    ("--intents", "intent_set_not_an_object", 2, _key_list),
     ("--labels", "unknown_grade", 2, _edited(overall="Great")),
     ("--labels", "pane_id_not_a_string", 2, _edited(pane_id=True)),
     ("--labels", "query_id_not_a_string", 2, _edited(query_id=2.5)),
     ("--labels", "landing_a_string", 2, _edited(landing="")),
+    ("--labels", "nested_too_deep", 2, _nested_too_deep),
+    ("--labels", "label_not_an_object", 2, _key_list),
     ("--lexicon", "three_columns", 2, lambda lines, i: "a\tb\tc"),
     ("--history", "non_integer_count", 2, lambda lines, i: "q000000\thttp://x\tmany"),
     ("--reformulations", "zero_frequency", 2, lambda lines, i: "a\ta b\t0"),
@@ -891,6 +927,10 @@ MISVALUED = {
     "intent_weight_a_string": 'intent weight must be a number, got "2.5"',
     "intent_item_a_string": 'intent item must be a [text, weight] pair, got "a2"',
     "landing_a_string": 'landing must be a list of strings, got ""',
+    "query_not_an_object": 'query must be a JSON object, got ["ambiguity_class","id","is_question","text","traffic_class"]',
+    "pane_not_an_object": 'pane must be a JSON object, got ["answers","id","query_id","question_text","template_id"]',
+    "intent_set_not_an_object": 'intent set must be a JSON object, got ["items","query_id","source"]',
+    "label_not_an_object": 'label must be a JSON object, got ["landing","overall","pane_id","query_id"]',
 }
 # a command that reads the input, and the inputs it needs besides
 READER = {

@@ -116,18 +116,6 @@ def test_tsv_round_trip(tmp_path):
     assert float(got[1][2]) == 2 / 3
 
 
-def test_count_reader_sums_per_leading_columns_and_checks_a_line_without_tab(tmp_path):
-    """Two columns: a line without a tab has the empty leading text of an
-    earlier '<tab>count' line, yet is one column, not a repeat of that row."""
-    path = tmp_path / "counts.tsv"
-    path.write_text("a\t2\n\t5\na\t3\n\n")
-    assert dataio.read_tsv_counts(str(path), 2) == [("a", 5), ("", 5)]
-    path.write_text("\t5\n7\n")
-    with pytest.raises(ValueError) as got:
-        dataio.read_tsv_counts(str(path), 2)
-    assert str(got.value) == f"{path}:2: expected 2 tab-separated columns, got 1"
-
-
 def test_manifest(tmp_path, sample):
     _, queries, _, _ = sample
     qpath = str(tmp_path / "queries.jsonl")
