@@ -38,17 +38,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import MAX_ANSWERS, ClarificationPane, EngagementStats, PaneStats
+from .core import MAX_ANSWERS, ClarificationPane, EngagementStats, NumericalError, PaneStats
 from .intents import normalize_phrase
 from .tensor.text import fnv1a
 
 FEATURE_NAMES = ("intercept", "ctr_l", "ctr_r", "size_diff", "offset")
 
 _EPS = 1e-6
-
-
-class NumericalError(RuntimeError):
-    """An iterative fit did not converge, or met a non-finite or singular step."""
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,12 @@ command writes plain delimited or line-delimited artifacts into --out and a
 manifest.json (command, version, seed, resolved config, a digest of every
 input file given) next to them.  An --out that holds another command's
 manifest is refused.  A failed command leaves --out as it was, and leaves
-no directory it created; so does one stopped by SIGTERM or SIGINT.
+no directory it created; so does one stopped by SIGTERM or SIGINT, whose
+handler discards them and ends the process.  Error messages are cut to
+MESSAGE_CHARS characters.
 
 Exit codes: 0 success, 1 usage, input or validation error, 2 numerical
-failure, 130 stopped by SIGINT, 143 stopped by SIGTERM.
+failure (core.NumericalError), 130 stopped by SIGINT, 143 stopped by SIGTERM.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from . import dataio, intents as intents_mod
-from .core import DomainError, ImpressionLog, PaneStats, collect_stats
+from .core import DomainError, ImpressionLog, NumericalError, PaneStats, collect_stats
 from .synthconfig import CorpusConfig, UserModel
 
 # each command imports the modules it runs when it runs, so a process
@@ -669,7 +671,7 @@ def cmd_eval(args, config: dict, out: Outputs) -> None:
                 [
                     f"ndcg@{k}_randomization_p",
                     ranker_mod.randomization_test(
-                        method_scores, baseline_scores, rounds=config["randomization_rounds"], seed=args.seed or 0
+                        method_scores, baseline_scores, rounds=config["randomization_rounds"], seed=args.seed
                     ),
                 ]
             )
@@ -783,37 +785,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _numerical_errors() -> tuple[type[BaseException], ...]:
-    """The failures that exit 2, a fit that did not converge
-    (bias.NumericalError) and a non-finite gradient
-    (tensor.optim.NonFiniteGradientError), of whichever of their modules
-    the command imported: one it did not import raised neither."""
-    sources = (("bias", "NumericalError"), ("tensor.optim", "NonFiniteGradientError"))
-    loaded = ((sys.modules.get(f"{__package__}.{module}"), name) for module, name in sources)
-    return tuple(getattr(module, name) for module, name in loaded if module is not None)
+# how a stop by each signal is reported
+_STOPS = {signal.SIGINT: "interrupted by SIGINT", signal.SIGTERM: "terminated by SIGTERM"}
+
+# the longest error message printed: a message quotes the value it rejects,
+# which can be megabytes long, so it is cut to this many characters
+MESSAGE_CHARS = 1000
 
 
-class _Terminated(BaseException):
-    """SIGTERM arrived while a command ran."""
-
-
-def _terminate(signum, frame):
-    raise _Terminated()
+def _report(message: str) -> None:
+    if len(message) > MESSAGE_CHARS:
+        message = message[: MESSAGE_CHARS - 3] + "..."
+    print(message, file=sys.stderr)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Runs one command and returns its exit code.  SIGINT and SIGTERM (in
+    the main thread, unless ignored) end the process from their handler:
+    it discards the staged outputs and the --out directories the command
+    created, says so on stderr and calls os._exit(128 + signum), so no
+    exception is left to unwind, and a caller that runs main in-process is
+    ended too.  main restores the handlers it replaced when it returns."""
     parser = build_parser()
     args = parser.parse_args(argv)
     out_dir = args.out or os.environ.get("CLARIKIT_OUT_DIR")
     if not out_dir:
         parser.error("--out (or CLARIKIT_OUT_DIR) is required")
     command = COMMANDS[args.command]
-    # SIGTERM becomes an exception, as SIGINT is KeyboardInterrupt, so a
-    # stopped command discards its staged outputs as a failed one does; only
-    # the main thread may set it
-    previous = None
+    outputs = None
+
+    def stop(signum, frame):
+        try:
+            if outputs is not None:
+                outputs.discard()
+            print(f"{_STOPS[signum]}; --out left as it was", file=sys.stderr, flush=True)
+        finally:
+            os._exit(128 + signum)
+
+    previous = {}
     if threading.current_thread() is threading.main_thread():
-        previous = signal.signal(signal.SIGTERM, _terminate)
+        previous = {signum: signal.getsignal(signum) for signum in _STOPS}
+        for signum, handler in previous.items():
+            if handler is not signal.SIG_IGN:
+                signal.signal(signum, stop)
     try:
         _refuse_other_command(out_dir, args.command)
         outputs = Outputs(out_dir)
@@ -829,24 +843,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             # exceptions keep their traceback
             outputs.discard()
             raise
-    except _numerical_errors() as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except NumericalError as exc:
+        _report(f"numerical failure: {exc}")
         return 2
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return 1
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        _report(f"error: out of memory: {exc}")
         return 1
-    except _Terminated:
-        print("terminated by SIGTERM; --out left as it was", file=sys.stderr)
-        return 128 + signal.SIGTERM
-    except KeyboardInterrupt:
-        print("interrupted by SIGINT; --out left as it was", file=sys.stderr)
-        return 128 + signal.SIGINT
     finally:
-        if previous is not None:
-            signal.signal(signal.SIGTERM, previous)
+        for signum, handler in previous.items():
+            if handler is not None:
+                signal.signal(signum, handler)
     return 0
 
 

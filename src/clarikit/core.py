@@ -29,6 +29,11 @@ class DomainError(ValueError):
     """An operation was called outside its domain (e.g. zero impressions)."""
 
 
+class NumericalError(RuntimeError):
+    """An iterative fit did not converge, or met a non-finite or singular
+    step; or a training step saw a non-finite gradient.  The CLI exits 2."""
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercased whitespace/punctuation tokenization used everywhere."""
     return _TOKEN_RE.findall(text.lower())

@@ -97,6 +97,13 @@ def read_json(path: str) -> dict:
     return value
 
 
+def write_json(path: str, document, indent: int) -> None:
+    """One JSON document, keys sorted, indented, and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(document, sort_keys=True, indent=indent, ensure_ascii=False))
+        fh.write("\n")
+
+
 def _load_records(path: str, kind: str, convert: Callable[[dict], object]) -> list:
     """_convert_line of every non-blank line of a JSON-lines file."""
     return [_convert_line(path, lineno, line, kind, convert) for lineno, line in _nonblank_lines(path)]
@@ -449,9 +456,7 @@ def write_manifest(out_dir: str, command: str, config: dict, inputs: dict[str, s
         "inputs": {name: file_digest(path) for name, path in sorted(inputs.items())},
     }
     path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, sort_keys=True, indent=2, ensure_ascii=False))
-        fh.write("\n")
+    write_json(path, manifest, indent=2)
     return path
 
 

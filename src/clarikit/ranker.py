@@ -10,7 +10,6 @@ seed for nothing but the data order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -19,7 +18,7 @@ import numpy as np
 
 from .analytics import url_stats
 from .core import ClarificationPane, Query, TEMPLATE_IDS
-from .dataio import read_json
+from .dataio import read_json, write_json
 
 TRAFFIC_ONE_HOT = ("head", "torso", "tail", "unknown")
 
@@ -185,9 +184,7 @@ class BoostedEnsemble:
             "feature_names": list(self.feature_names),
             "trees": [tree_to_dict(t) for t in self.trees],
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        write_json(path, payload, indent=1)
 
     @staticmethod
     def load(path: str) -> "BoostedEnsemble":

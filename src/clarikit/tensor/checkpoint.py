@@ -6,20 +6,15 @@ written one at a time, in name order, straight to the file."""
 from __future__ import annotations
 
 import base64
-import json
 
 import numpy as np
 
-from ..dataio import read_json
+from ..dataio import _dumps, read_json
 from .autodiff import Tensor
 
 FORMAT = "clarikit-tensors"
 FORMAT_VERSION = 2
 DTYPE = "<f8"
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def save_tensors(path: str, tensors: dict[str, Tensor], config: dict | None = None) -> None:

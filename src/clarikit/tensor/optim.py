@@ -6,10 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import NumericalError
 from .autodiff import Tensor
 
 
-class NonFiniteGradientError(RuntimeError):
+class NonFiniteGradientError(NumericalError):
     """A step saw NaN or inf gradients and was rejected; parameters unchanged."""
 
 

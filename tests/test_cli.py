@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import glob
 import json
 import os
@@ -10,7 +11,7 @@ import time
 
 import pytest
 
-from clarikit import dataio
+from clarikit import cli, dataio
 from clarikit.cli import main
 from clarikit.core import EngagementStats
 
@@ -687,6 +688,75 @@ def test_sigterm_discards_the_staged_outputs(corpus_dir, tmp_path, signum, code)
     assert not (tmp_path / "o").exists()
 
 
+def _swallowing_stop(signum):
+    """A plot-data whose command catches whatever raising signum in it
+    raises, then writes its table."""
+    def func(args, config, out):
+        try:
+            signal.raise_signal(signum)
+        except BaseException:
+            pass
+        dataio.write_tsv(out.path("table.tsv"), ["metric"], [])
+
+    return dataclasses.replace(cli.COMMANDS["plot-data"], func=func)
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_stop_ends_the_process_from_its_handler(tmp_path, capsys, monkeypatch, signum):
+    """A stop cannot be lost to a command that catches what it raises: its
+    handler ends the process through os._exit(128 + signum), once the
+    staging directory and the --out the command created are gone."""
+    exits = []
+
+    def exit_(code):
+        exits.append((code, os.path.exists(tmp_path / "o")))
+        raise SystemExit(code)
+
+    monkeypatch.setattr(os, "_exit", exit_)
+    monkeypatch.setitem(cli.COMMANDS, "plot-data", _swallowing_stop(signum))
+    source = tmp_path / "table.tsv"
+    source.write_text("metric\tvalue\nx\t1\n")
+    run_cli("plot-data", "--out", tmp_path / "o" / "sub", "--input", source)
+    assert exits == [(128 + signum, False)]
+    assert f"{signal.Signals(signum).name}; --out left as it was\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_restores_the_signal_handlers(tmp_path):
+    """main leaves the SIGINT and SIGTERM handlers as it found them, after a
+    command that succeeded and after one that failed."""
+    def handler(signum, frame):
+        pass
+
+    previous = {signum: signal.signal(signum, handler) for signum in (signal.SIGINT, signal.SIGTERM)}
+    try:
+        source = tmp_path / "table.tsv"
+        source.write_text("metric\tvalue\nx\t1\n")
+        assert run_cli("plot-data", "--out", tmp_path / "r", "--input", source) == 0
+        assert [signal.getsignal(signum) for signum in previous] == [handler, handler]
+        assert run_cli("plot-data", "--out", tmp_path / "r", "--input", tmp_path / "missing.tsv") == 1
+        assert [signal.getsignal(signum) for signum in previous] == [handler, handler]
+    finally:
+        for signum, before in previous.items():
+            signal.signal(signum, before)
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_an_ignored_stop_signal_stays_ignored(tmp_path, monkeypatch, signum):
+    """A process that ignores a stop signal (a shell's background job
+    ignores SIGINT) keeps ignoring it while a command runs."""
+    monkeypatch.setitem(cli.COMMANDS, "plot-data", _swallowing_stop(signum))
+    previous = signal.signal(signum, signal.SIG_IGN)
+    try:
+        source = tmp_path / "table.tsv"
+        source.write_text("metric\tvalue\nx\t1\n")
+        assert run_cli("plot-data", "--out", tmp_path / "r", "--input", source) == 0
+        assert signal.getsignal(signum) is signal.SIG_IGN
+    finally:
+        signal.signal(signum, previous)
+    assert sorted(os.listdir(tmp_path / "r")) == ["manifest.json", "table.tsv"]
+
+
 def test_out_holding_another_commands_manifest_is_refused(corpus_dir, tmp_path, capsys):
     """intents into synth-gen's --out would replace its manifest (and its
     intents.jsonl): refused, with the directory untouched."""
@@ -969,6 +1039,24 @@ def test_bad_input_line_exits_one_naming_it(side_files, tmp_path, capsys, flag, 
     if case in MISVALUED:
         assert f"{bad}:{line}: invalid record: {MISVALUED[case]}\n" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_message_quoting_a_huge_value_is_cut(side_files, tmp_path, capsys):
+    """A message quotes the value it rejects: one of a megabyte is cut to
+    cli.MESSAGE_CHARS characters, still naming the path:line and field."""
+    with open(side_files["--impressions"], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines[1] = _edited(pane_id=[0] * 2**19)(lines, 1)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["analyze", "--out", tmp_path / "r"]
+    for needed in NEEDS["analyze"]:
+        argv += [needed, bad if needed == "--impressions" else side_files[needed]]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:2: invalid record: pane_id must be a string, got [0,0,")
+    assert err.endswith("...\n") and len(err) <= cli.MESSAGE_CHARS + 1
     assert not (tmp_path / "r").exists()
 
 

@@ -140,9 +140,10 @@ def test_round_trip_jsonl(tmp_path):
     assert loaded["q1"]["click_title"] == sets[1]
 
 
-# -- the per-row reader and miner the count-summing ones replaced, kept as
-# oracles: every line split and converted, every row tokenized and matched,
-# weights summed as floats row by row
+# -- a plain reader and miner, kept as oracles for the ones in intents (which
+# read through dataio.read_tsv_rows and mine each distinct text once): every
+# line split and converted, every row tokenized and matched, weights summed
+# as floats row by row
 
 
 def oracle_read(path: str, n_columns: int) -> list[tuple]:
@@ -253,7 +254,7 @@ def _write(directory: str, lines: list[str]) -> str:
 @pytest.mark.parametrize("source", SOURCES)
 @settings(max_examples=100)
 @given(data=st.data())
-def test_count_summing_reader_and_miner_equal_the_oracle(source, data):
+def test_reader_and_miner_equal_the_oracle(source, data):
     lines = data.draw(tsv_lines(source))
     min_freq = data.draw(st.integers(1, 6))
     columns, read, mine, oracle_intent = SOURCES[source]
@@ -288,8 +289,8 @@ GOOD_LINES = {
 @pytest.mark.parametrize("case,mutate", MUTATIONS, ids=[case for case, _ in MUTATIONS])
 def test_bad_line_fails_as_the_oracle_does(tmp_path, source, seen, case, mutate):
     """A bad line after good ones, whose leading columns an earlier line
-    has (so the count-summing reader does not split it) or not: the same
-    path:line message from both readers."""
+    has or not: the same path:line message from the reader and the
+    oracle."""
     lines = list(GOOD_LINES[source])
     cols = lines[0].split("\t") if seen else ["other", *lines[0].split("\t")[1:]]
     lines.insert(3, mutate(cols))
