@@ -11,8 +11,7 @@ manifest.json (command, version, seed, resolved config, a digest of every
 input file given) next to them.  An --out that holds another command's
 manifest is refused.  A failed command leaves --out as it was, and leaves
 no directory it created; so does one stopped by SIGTERM or SIGINT, whose
-handler discards them and ends the process.  Error messages are cut to
-MESSAGE_CHARS characters.
+handler ends the process.  Error messages are cut to MESSAGE_CHARS characters.
 
 Exit codes: 0 success, 1 usage, input or validation error, 2 numerical
 failure (core.NumericalError), 130 stopped by SIGINT, 143 stopped by SIGTERM.
@@ -28,7 +27,6 @@ import re
 import shutil
 import signal
 import sys
-import tempfile
 import threading
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -64,24 +62,27 @@ def _alive(pid: int) -> bool:
 class Outputs:
     """Stages the files of one command in a directory inside --out, named by
     the command's pid.  Only a command that succeeded moves them into --out,
-    the manifest last; a failed one, rerun or not, leaves --out as it was,
-    and removes the directories it created for it.  The staging directory
-    of a command that could not clean up (killed by SIGKILL) is removed by
-    the next command in that --out, once no process has its pid."""
+    the manifest last; a failed or stopped one leaves --out as it was, and
+    removes what make created of the directories it names.  The staging
+    directory of a command that could not clean up (killed by SIGKILL) is
+    removed by the next command in that --out, once no process has its pid."""
 
     def __init__(self, out_dir: str):
+        self.out_dir = out_dir
+        self.staging = os.path.join(os.path.abspath(out_dir), f".staging-{os.getpid()}-{os.urandom(4).hex()}")
         self.created: list[str] = []  # deepest first
         missing = os.path.abspath(out_dir)
         while not os.path.exists(missing):
             self.created.append(missing)
             missing = os.path.dirname(missing)
-        os.makedirs(out_dir, exist_ok=True)
-        self.out_dir = out_dir
-        for name in os.listdir(out_dir):
+
+    def make(self) -> None:
+        os.makedirs(self.out_dir, exist_ok=True)
+        for name in os.listdir(self.out_dir):
             match = _STAGING.match(name)
             if match and not _alive(int(match[1])):
-                shutil.rmtree(os.path.join(out_dir, name), ignore_errors=True)
-        self.staging = tempfile.mkdtemp(prefix=f".staging-{os.getpid()}-", dir=out_dir)
+                shutil.rmtree(os.path.join(self.out_dir, name), ignore_errors=True)
+        os.mkdir(self.staging, 0o700)
 
     def path(self, name: str) -> str:
         return os.path.join(self.staging, name)
@@ -93,7 +94,7 @@ class Outputs:
 
     def discard(self) -> None:
         shutil.rmtree(self.staging, ignore_errors=True)
-        for directory in self.created:
+        for directory in filter(os.path.exists, self.created):  # a stop can come before make made them all
             try:
                 os.rmdir(directory)
             except OSError:
@@ -785,53 +786,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# how a stop by each signal is reported
 _STOPS = {signal.SIGINT: "interrupted by SIGINT", signal.SIGTERM: "terminated by SIGTERM"}
 
-# the longest error message printed: a message quotes the value it rejects,
-# which can be megabytes long, so it is cut to this many characters
+# a message quotes the value it rejects, which can be megabytes long
 MESSAGE_CHARS = 1000
 
 
 def _report(message: str) -> None:
-    if len(message) > MESSAGE_CHARS:
-        message = message[: MESSAGE_CHARS - 3] + "..."
-    print(message, file=sys.stderr)
+    """Prints message to stderr, cut to MESSAGE_CHARS characters."""
+    print(message if len(message) <= MESSAGE_CHARS else message[: MESSAGE_CHARS - 3] + "...", file=sys.stderr)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Runs one command and returns its exit code.  SIGINT and SIGTERM (in
-    the main thread, unless ignored) end the process from their handler:
-    it discards the staged outputs and the --out directories the command
-    created, says so on stderr and calls os._exit(128 + signum), so no
-    exception is left to unwind, and a caller that runs main in-process is
-    ended too.  main restores the handlers it replaced when it returns."""
+    """Runs one command; returns its exit code.  SIGINT and SIGTERM end the
+    process from their handler, through os._exit, also when main runs in-process."""
     parser = build_parser()
     args = parser.parse_args(argv)
     out_dir = args.out or os.environ.get("CLARIKIT_OUT_DIR")
     if not out_dir:
         parser.error("--out (or CLARIKIT_OUT_DIR) is required")
     command = COMMANDS[args.command]
-    outputs = None
 
     def stop(signum, frame):
         try:
-            if outputs is not None:
-                outputs.discard()
+            outputs.discard()
             print(f"{_STOPS[signum]}; --out left as it was", file=sys.stderr, flush=True)
         finally:
             os._exit(128 + signum)
 
     previous = {}
-    if threading.current_thread() is threading.main_thread():
-        previous = {signum: signal.getsignal(signum) for signum in _STOPS}
-        for signum, handler in previous.items():
-            if handler is not signal.SIG_IGN:
-                signal.signal(signum, stop)
     try:
+        outputs = Outputs(out_dir)  # names the directories that make creates
+        # only the main thread may set handlers; an ignored stop signal stays
+        # ignored, and a handler not set from Python (None) could not be restored
+        if threading.current_thread() is threading.main_thread():
+            previous = {signum: signal.signal(signum, stop) for signum in _STOPS if signal.getsignal(signum) not in (signal.SIG_IGN, None)}
         _refuse_other_command(out_dir, args.command)
-        outputs = Outputs(out_dir)
         try:
+            outputs.make()
             config = _merge_config(args, command.defaults or {})
             command.func(args, config, outputs)
             given = [dest for dest in command.required + command.optional if getattr(args, dest)]
@@ -854,8 +846,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     finally:
         for signum, handler in previous.items():
-            if handler is not None:
-                signal.signal(signum, handler)
+            signal.signal(signum, handler)
     return 0
 
 

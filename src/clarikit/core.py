@@ -30,8 +30,8 @@ class DomainError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """An iterative fit did not converge, or met a non-finite or singular
-    step; or a training step saw a non-finite gradient.  The CLI exits 2."""
+    """A fit did not converge or met a non-finite or singular step, or a
+    training step saw a non-finite gradient: the CLI exits 2."""
 
 
 def tokenize(text: str) -> list[str]:
