@@ -69,9 +69,9 @@ class Outputs:
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
-        self.staging = os.path.join(os.path.abspath(out_dir), f".staging-{os.getpid()}-{os.urandom(4).hex()}")
-        self.created: list[str] = []  # deepest first
         missing = os.path.abspath(out_dir)
+        self.staging = os.path.join(missing, f".staging-{os.getpid()}-{os.urandom(4).hex()}")
+        self.created: list[str] = []  # deepest first
         while not os.path.exists(missing):
             self.created.append(missing)
             missing = os.path.dirname(missing)

@@ -639,6 +639,16 @@ def test_failed_run_removes_the_directories_it_created(tmp_path):
     assert os.listdir(tmp_path / "fresh") == ["keep.txt"]
 
 
+def test_discard_removes_what_exists_of_the_named_directories(tmp_path):
+    """A stop can come while make creates --out: discard removes the part of
+    it that exists, and nothing else."""
+    outputs = cli.Outputs(str(tmp_path / "a" / "b" / "c"))
+    (tmp_path / "a").mkdir()  # make was stopped after its first directory
+    (tmp_path / "keep").mkdir()
+    outputs.discard()
+    assert os.listdir(tmp_path) == ["keep"]
+
+
 def test_staging_directory_of_a_gone_process_is_removed(tmp_path):
     """A staging directory left by a process that no longer runs (one killed
     by SIGKILL cannot remove its own) is removed by the next command in that
