@@ -8,10 +8,10 @@ scatter data, above-diagonal percentages per (answer count, swap position),
 a four-feature logistic regression predicting the swapped pane's click rates,
 and a family of baseline click models compared by cross entropy.
 
-Every output reads one SwapTable, whose rows are taken by index from the
-PaneStats table of the triples' panes: row t is triple t, side 0 its observed
-pane C and side 1 its swapped pane C', p a 0-based position and i the
-triple's 1-based swap index.
+Every output reads the one SwapTable a bias run builds.  Its rows are taken
+by index from the PaneStats table of the triples' panes: row t is triple t,
+side 0 its observed pane C and side 1 its swapped pane C', p a 0-based
+position and i the triple's 1-based swap index.
 
     impressions[t, side]   shape (n, 2)
     clicks[t, side, p]     shape (n, 2, MAX_ANSWERS), zero past a pane's answers
@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -45,6 +44,7 @@ from .tensor.text import fnv1a
 FEATURE_NAMES = ("intercept", "ctr_l", "ctr_r", "size_diff", "offset")
 
 _EPS = 1e-6
+_TOL = 1e-10  # the max-norm of the gradient at which a Newton fit stops
 
 
 @dataclass(frozen=True)
@@ -62,54 +62,44 @@ class SwapTriple:
 def build_swap_dataset(panes: Mapping[str, ClarificationPane]) -> list[SwapTriple]:
     """Find every unordered pane pair that is one adjacent transposition apart.
 
-    Panes are grouped by (query, normalized question, answer text multiset);
-    within a group every pair is tested.  The pane with the smaller id is
-    taken as the observed side, which makes the construction independent of
-    input order.
+    Panes are walked in id order, and for each adjacent position whose two
+    texts differ, the answer texts with those two swapped are looked up among
+    the earlier panes of the same query and normalized question.  So the pane
+    with the smaller id is the observed side, whatever the input order.
     """
-    groups: dict[tuple, list[str]] = {}
+    # keys and values are flat tuples of strings: unlike lists, the garbage collector stops tracking them
+    earlier: dict[tuple, tuple] = {}  # (query, normalized question, *answer texts) -> pane ids
     questions = functools.cache(normalize_phrase)  # a few question texts recur over many panes
+    triples = []
     for pane_id in sorted(panes):
         pane = panes[pane_id]
-        key = (pane.query_id, questions(pane.question_text), tuple(sorted(pane.answer_texts())))
-        groups.setdefault(key, []).append(pane_id)
-
-    triples = []
-    for (query_id, _, _), ids in groups.items():
-        for first, second in combinations(ids, 2):
-            i = _adjacent_swap_index(panes[first], panes[second])
-            if i is not None:
-                triples.append(SwapTriple(query_id, first, second, swap_index=i, answer_count=panes[first].answer_count))
+        group, texts = (pane.query_id, questions(pane.question_text)), pane.answer_texts()
+        for i in range(1, len(texts)):
+            if texts[i - 1] != texts[i]:
+                for first in earlier.get((*group, *texts[: i - 1], texts[i], texts[i - 1], *texts[i + 1 :]), ()):
+                    triples.append(SwapTriple(pane.query_id, first, pane_id, swap_index=i, answer_count=len(texts)))
+        key = (*group, *texts)
+        earlier[key] = earlier.get(key, ()) + (pane_id,)
     triples.sort(key=lambda t: (t.query_id, t.pane_c, t.pane_c_prime))
     return triples
 
 
-def _adjacent_swap_index(a: ClarificationPane, b: ClarificationPane) -> int | None:
-    """The 1-based index i of the adjacent transposition between two panes
-    whose answer texts are one multiset, or None: with equal multisets, two
-    adjacent positions that differ hold the same two texts swapped."""
-    diff = [idx for idx, (x, y) in enumerate(zip(a.answer_texts(), b.answer_texts())) if x != y]
-    return diff[0] + 1 if len(diff) == 2 and diff[1] == diff[0] + 1 else None
-
-
 class SwapTable:
-    """The arrays of the module docstring, with each triple's query id, swap
-    index, answer count and the stats rows of its two panes (pane_rows,
-    shape (n, 2)); sizes are NaN when no panes are given."""
+    """The arrays of the module docstring, with the triples themselves and
+    each triple's query id, swap index, answer count and the stats rows of
+    its two panes (pane_rows, shape (n, 2))."""
 
-    def __init__(self, triples: Iterable[SwapTriple], stats: Mapping[str, EngagementStats], panes=None):
-        self.stats, self.panes = PaneStats.of(stats), panes
-        triples, index = list(triples), self.stats.index
-        n = len(triples)
+    def __init__(
+        self, triples: Iterable[SwapTriple], stats: Mapping[str, EngagementStats], panes: Mapping[str, ClarificationPane]
+    ):
+        self.triples, self.stats, self.panes = list(triples), PaneStats.of(stats), panes
+        triples, index, n = self.triples, self.stats.index, len(self.triples)
         rows = [(index[t.pane_c], index[t.pane_c_prime], t.swap_index, t.answer_count) for t in triples]
         gathered = np.array(rows, dtype=np.intp).reshape(n, 4)
         self.pane_rows, (self.swap_index, self.answer_count) = gathered[:, :2], gathered[:, 2:].T
         self.query_ids = np.array([t.query_id for t in triples], dtype=object)
-        if panes is None:
-            self.sizes = np.full((n, 2), np.nan)
-        else:
-            pairs = (panes[t.pane_c].answers[t.swap_index - 1 : t.swap_index + 1] for t in triples)
-            self.sizes = np.array([[a.render_size for a in pair] for pair in pairs], dtype=np.float64).reshape(n, 2)
+        pairs = (panes[t.pane_c].answers[t.swap_index - 1 : t.swap_index + 1] for t in triples)
+        self.sizes = np.array([[a.render_size for a in pair] for pair in pairs], dtype=np.float64).reshape(n, 2)
         self.impressions = self.stats.impressions[self.pane_rows].astype(np.float64)
         clicks = self.stats.clicks[self.pane_rows, :MAX_ANSWERS]
         self.clicks = np.zeros((n, 2, MAX_ANSWERS))
@@ -140,13 +130,10 @@ def log_odds(p):
     return np.log(p / (1.0 - p))
 
 
-def scatter_points(
-    triples: Iterable[SwapTriple], stats: Mapping[str, EngagementStats]
-) -> list[tuple[float, float, int, int]]:
+def scatter_points(table: SwapTable) -> list[tuple[float, float, int, int]]:
     """(x, y, answer_count, swap_index) rows in log-odds space, two per
     triple: x is an answer's rate where it sat deeper, y where it sat
     higher."""
-    table = SwapTable(triples, stats)
     x, y = (log_odds(side).ravel().tolist() for side in table.points())
     return list(zip(x, y, table.answer_count.repeat(2).tolist(), table.swap_index.repeat(2).tolist()))
 
@@ -163,14 +150,11 @@ def fit_scatter_line(points: Sequence[tuple[float, float]]) -> tuple[float, floa
     return slope, float(y_mean - slope * x_mean)
 
 
-def pct_above_diagonal(
-    triples: Iterable[SwapTriple], stats: Mapping[str, EngagementStats]
-) -> dict[tuple[int, int], tuple[float, int]]:
+def pct_above_diagonal(table: SwapTable) -> dict[tuple[int, int], tuple[float, int]]:
     """Per (answer_count, swap_index) cell: the percentage of points whose
     higher-position rate exceeds their lower-position rate, and the point
     count.  Ties sit on the diagonal and are excluded from both sides, which
     keeps the unbiased null calibrated at exactly 50%."""
-    table = SwapTable(triples, stats)
     x, y = table.points()
     off = x != y
     # one integer per (answer count, swap index) cell, in sorted order
@@ -225,7 +209,7 @@ def fit_fractional_logreg(
     rows: np.ndarray,
     targets: np.ndarray,
     sample_weights: np.ndarray | None = None,
-    tol: float = 1e-10,
+    tol: float = _TOL,
     max_iter: int = 100,
 ) -> LogisticFit:
     """Logistic regression with fractional labels (targets are rates), fit by
@@ -273,17 +257,6 @@ class LogRegCvReport:
 
 def triple_fold(triple: SwapTriple, folds: int) -> int:
     return fnv1a(triple.query_id) % folds
-
-
-def regression_data(
-    triples: Sequence[SwapTriple],
-    panes: Mapping[str, ClarificationPane],
-    stats: Mapping[str, EngagementStats],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Feature rows from the observed panes, the two fractional targets from
-    the swapped panes, and impression weights."""
-    table = SwapTable(triples, stats, panes)
-    return table.rows, table.target_l, table.target_r, table.impressions[:, 1].copy()
 
 
 def cross_entropy(true_rates: Sequence[float], predicted_rates: Sequence[float]) -> float:
@@ -338,11 +311,7 @@ def _answer_items(pane_stats: Mapping[str, EngagementStats], panes: Mapping[str,
 
 
 def fit_examination_em(
-    pane_stats: Mapping[str, EngagementStats],
-    panes: Mapping[str, ClarificationPane],
-    max_positions: int = 5,
-    tol: float = 1e-10,
-    max_iter: int = 100,
+    pane_stats: Mapping[str, EngagementStats], panes: Mapping[str, ClarificationPane], max_iter: int = 100
 ) -> ExaminationFit:
     """Maximum-likelihood position examination probabilities eps and answer
     attractiveness alpha under the examination model (click probability
@@ -362,17 +331,17 @@ def fit_examination_em(
     the loss of a cell depends on log eps + log alpha only and is convex, so
     every cell adds one weight to its position's diagonal, its item's
     diagonal and their cross entry.  The Newton step solves the Schur
-    complement onto the free positions (at most max_positions - 1) and
+    complement onto the free positions (at most MAX_ANSWERS - 1) and
     back-substitutes the items.  A variable at a bound whose gradient points
     out of the box is held for the step.  Stops once the max-norm of the
-    projected gradient in (eps, alpha) is below tol.
+    projected gradient in (eps, alpha) is below _TOL.
     """
     impressions, clicks, items, keys = _answer_items(pane_stats, panes)
     shown = items >= 0
-    n_params = max_positions + len(keys)  # log eps per position, then log alpha per item
+    n_params = MAX_ANSWERS + len(keys)  # log eps per position, then log alpha per item
     # one cell per shown (pane, position), pane by pane
     positions = np.nonzero(shown)[1]
-    items = max_positions + items[shown]
+    items = MAX_ANSWERS + items[shown]
     impressions = impressions.repeat(shown.sum(axis=1)).astype(np.float64)
     clicks = clicks[shown].astype(np.float64)
     total = max(impressions.sum(), 1.0)
@@ -383,20 +352,20 @@ def fit_examination_em(
 
     param_k, param_m = per_param(k), per_param(m)
     movable = param_k + param_m > 0.0
-    missing = np.flatnonzero(~movable[:max_positions])
+    missing = np.flatnonzero(~movable[:MAX_ANSWERS])
     if missing.size:
         warnings.warn(f"positions {(missing + 1).tolist()} never observed; examination probability pinned")
     movable[0] = False
     lower = np.full(n_params, np.log(_EPS))
     upper = np.full(n_params, np.log1p(-_EPS))
-    upper[:max_positions] = 0.0
+    upper[:MAX_ANSWERS] = 0.0
     # start with every observed position examined and every answer at its
     # pooled click rate; a parameter whose cells were never (always) clicked
     # has its optimum at the lower (upper) bound whatever the others are, and
     # started there it is held from the first step (it has no curvature when
     # always clicked)
     theta = np.log(np.clip(param_k / np.maximum(param_k + param_m, _EPS), 0.01, 0.99))
-    theta[:max_positions] = np.where(movable[:max_positions], 0.0, np.log(0.5))
+    theta[:MAX_ANSWERS] = np.where(movable[:MAX_ANSWERS], 0.0, np.log(0.5))
     theta[0] = 0.0
     never, always = movable & (param_k == 0.0), movable & (param_m == 0.0)
     theta[never], theta[always] = lower[never], upper[always]
@@ -406,7 +375,7 @@ def fit_examination_em(
     # attractiveness along a flat ridge
     linking = (impressions > 0) & ~(never | always)[items]
     anchored = _connected_to_first(positions[linking], items[linking], n_params)
-    unanchored = np.flatnonzero(movable[:max_positions] & ~anchored[:max_positions])
+    unanchored = np.flatnonzero(movable[:MAX_ANSWERS] & ~anchored[:MAX_ANSWERS])
     if unanchored.size:
         warnings.warn(
             f"positions {(unanchored + 1).tolist()} share no answers with position 1; examination probability not identified"
@@ -428,8 +397,8 @@ def fit_examination_em(
         def solve() -> np.ndarray:
             curvature = per_param(d2)
             free = np.flatnonzero(~held)
-            free_eps, free_alpha = free[free < max_positions], free[free >= max_positions]
-            cross = np.bincount(positions * n_params + items, d2, max_positions * n_params).reshape(max_positions, n_params)
+            free_eps, free_alpha = free[free < MAX_ANSWERS], free[free >= MAX_ANSWERS]
+            cross = np.bincount(positions * n_params + items, d2, MAX_ANSWERS * n_params).reshape(MAX_ANSWERS, n_params)
             cross = cross[np.ix_(free_eps, free_alpha)]
             scaled = cross / curvature[free_alpha]
             schur = np.diag(curvature[free_eps]) - scaled @ cross.T
@@ -448,9 +417,9 @@ def fit_examination_em(
         # d loss / d eps = (d loss / d log eps) / eps, and the same for alpha
         return float(np.abs(np.where(held, 0.0, grad / np.exp(params))).max()), solve
 
-    theta, iterations, gnorm = _newton("examination fit", loss, newton, theta, tol, max_iter, lower, upper)
+    theta, iterations, gnorm = _newton("examination fit", loss, newton, theta, _TOL, max_iter, lower, upper)
     fitted = np.exp(theta)
-    return ExaminationFit(fitted[:max_positions], dict(zip(keys, fitted[max_positions:].tolist())), iterations, gnorm)
+    return ExaminationFit(fitted[:MAX_ANSWERS], dict(zip(keys, fitted[MAX_ANSWERS:].tolist())), iterations, gnorm)
 
 
 def fit_cascade_attractiveness(
@@ -588,14 +557,13 @@ class CeReport:
     cells: dict[tuple[str, str], CeCell]  # (model, group) -> cell
     logreg: LogRegCvReport | None = None
 
-    def mean(self, model: str, group: str = "overall") -> float:
-        return self.cells[(model, group)].mean
+    def mean(self, model: str) -> float:
+        """The model's overall cross entropy."""
+        return self.cells[(model, "overall")].mean
 
 
 def evaluate_click_models(
-    triples: Sequence[SwapTriple],
-    panes: Mapping[str, ClarificationPane],
-    stats: Mapping[str, EngagementStats],
+    table: SwapTable,
     kinds: Sequence[str] = tuple(CLICK_MODELS),
     folds: int = 10,
 ) -> CeReport:
@@ -609,27 +577,25 @@ def evaluate_click_models(
             raise ValueError(f"unknown click model kind {kind!r}")
     if folds < 2:
         raise ValueError(f"cross-validation needs at least 2 folds, got {folds}")
-    triples = list(triples)
-    if len(triples) < folds:
+    if len(table.triples) < folds:
         raise ValueError(f"need at least {folds} triples")
-    data = SwapTable(triples, stats, panes)
     # a query's triples share its fold, so each query is hashed once
-    _, first, query_of = np.unique(data.query_ids, return_index=True, return_inverse=True)
-    fold_ids = np.array([triple_fold(triples[j], folds) for j in first.tolist()])[query_of]
+    _, first, query_of = np.unique(table.query_ids, return_index=True, return_inverse=True)
+    fold_ids = np.array([triple_fold(table.triples[j], folds) for j in first.tolist()])[query_of]
     # a fold holding triples has training triples when another one does
     evaluated = sorted(set(fold_ids.tolist()))
     if len(evaluated) < 2:
-        raise ValueError(f"no fold has both training and test triples: all {len(triples)} fall in fold {evaluated[0]}")
-    answer_counts = data.answer_count.astype(str)
+        raise ValueError(f"no fold has both training and test triples: all {len(table.triples)} fall in fold {evaluated[0]}")
+    answer_counts = table.answer_count.astype(str)
     logreg = LogRegCvReport(FEATURE_NAMES, [], [], []) if "logistic" in kinds else None
 
     per_fold: dict[tuple[str, str], list[float]] = {}
     for fold in evaluated:
         test = fold_ids == fold
-        truths = np.concatenate([data.target_l[test], data.target_r[test]])
+        truths = np.concatenate([table.target_l[test], table.target_r[test]])
         groups = np.concatenate([answer_counts[test]] * 2)
         for kind in kinds:
-            predict = CLICK_MODELS[kind](data, ~test)
+            predict = CLICK_MODELS[kind](table, ~test)
             if kind == "logistic":
                 logreg.folds.append(fold)
                 logreg.fold_weights_l.append(predict.weights[0])

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from . import dataio, intents as intents_mod
-from .core import DomainError, ImpressionLog, NumericalError, PaneStats, collect_stats
+from .core import AMBIGUITY_CLASSES, DomainError, ImpressionLog, NumericalError, PaneStats, collect_stats
 from .synthconfig import CorpusConfig, UserModel
 
 # each command imports the modules it runs when it runs, so a process
@@ -361,7 +361,7 @@ def cmd_analyze(args, config: dict, out: Outputs) -> None:
         dataio.write_tsv(out.path(f"breakdown_{dimension}.tsv"), header, rows)
 
     curves = []
-    for ambiguity in ("ambiguous", "faceted"):
+    for ambiguity in AMBIGUITY_CLASSES[:2]:
         for count in (2, 3, 4, 5):
             try:
                 curve = analytics.conditional_click_by_position(stats, panes, queries, ambiguity, count)
@@ -401,21 +401,22 @@ def cmd_bias(args, config: dict, out: Outputs) -> None:
     if not triples:
         raise ValueError("no swap triples found in the pane set")
 
-    points = bias.scatter_points(triples, stats)
+    table = bias.SwapTable(triples, stats, panes)
+    points = bias.scatter_points(table)
     dataio.write_tsv(
         out.path("scatter.tsv"),
         ["log_odds_lower", "log_odds_higher", "answer_count", "swap_position"],
         points,
     )
     slope, intercept = bias.fit_scatter_line([(x, y) for x, y, _, _ in points])
-    cells = bias.pct_above_diagonal(triples, stats)
+    cells = bias.pct_above_diagonal(table)
     dataio.write_tsv(
         out.path("above_diagonal.tsv"),
         ["answer_count", "swap_position", "pct_above", "points"],
         [[k, i, pct, n] for (k, i), (pct, n) in sorted(cells.items())],
     )
 
-    ce_report = bias.evaluate_click_models(triples, panes, stats, folds=config["folds"])
+    ce_report = bias.evaluate_click_models(table, folds=config["folds"])
     report = ce_report.logreg
     weight_rows = []
     for label, per_fold in (("L", report.fold_weights_l), ("R", report.fold_weights_r)):

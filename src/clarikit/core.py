@@ -17,6 +17,7 @@ import numpy as np
 
 AMBIGUITY_CLASSES = ("ambiguous", "faceted", "unknown")
 TRAFFIC_CLASSES = ("head", "torso", "tail", "unknown")
+LABEL_VALUES = {"Bad": 0.0, "Fair": 1.0, "Good": 2.0}  # the human grades, as ranking label values
 TEMPLATE_IDS = ("T1", "T2", "T3", "T4", "T5", "T6", "T7", "other")
 
 MIN_ANSWERS = 2
@@ -334,11 +335,11 @@ class PaneLabels:
     landing: tuple[str, ...]
 
     def __post_init__(self):
-        if self.overall not in ("Good", "Fair", "Bad"):
+        if self.overall not in LABEL_VALUES:
             raise ValueError(f"bad overall label {self.overall!r}")
         object.__setattr__(self, "landing", tuple(self.landing))
         for lab in self.landing:
-            if lab not in ("Good", "Fair", "Bad"):
+            if lab not in LABEL_VALUES:
                 raise ValueError(f"bad landing label {lab!r}")
 
 

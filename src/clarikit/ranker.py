@@ -17,10 +17,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .analytics import url_stats
-from .core import ClarificationPane, Query, TEMPLATE_IDS
+from .core import TEMPLATE_IDS, TRAFFIC_CLASSES, ClarificationPane, Query
 from .dataio import read_json, write_json
-
-TRAFFIC_ONE_HOT = ("head", "torso", "tail", "unknown")
 
 # the rank depth whose nDCG LambdaMART's gradients follow
 NDCG_CUTOFF = 10
@@ -28,7 +26,7 @@ NDCG_CUTOFF = 10
 FEATURE_NAMES = tuple(
     [f"template_{t}" for t in TEMPLATE_IDS]
     + ["query_length", "is_question", "is_faceted", "is_ambiguous"]
-    + [f"traffic_{t}" for t in TRAFFIC_ONE_HOT]
+    + [f"traffic_{t}" for t in TRAFFIC_CLASSES]
     + ["answer_count", "unique_clicked_urls", "url_click_entropy_norm", "rlc_score"]
 )
 
@@ -53,7 +51,7 @@ def extract_features(
     template = [1.0 if pane.template_id == t else 0.0 for t in TEMPLATE_IDS]
     if sum(template) != 1.0:
         template = [0.0] * (len(TEMPLATE_IDS) - 1) + [1.0]  # unknown ids count as "other"
-    traffic = [1.0 if query.traffic_class == t else 0.0 for t in TRAFFIC_ONE_HOT]
+    traffic = [1.0 if query.traffic_class == t else 0.0 for t in TRAFFIC_CLASSES]
     unique_urls, url_entropy = url_stats(historical_clicks or ())
     rlc_score = float(rlc_scorer(query, pane)) if rlc_scorer is not None else 0.0
     values = tuple(

@@ -23,16 +23,14 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import ClarificationPane, Query, tokenize
-from .intents import IntentSet
+from .core import LABEL_VALUES, ClarificationPane, Query, tokenize
+from .intents import SOURCES, IntentSet
 from .tensor import autodiff as ad
 from .tensor.autodiff import Tensor
 from .tensor.nn import ParamSpec, dense, encoder_layer_layout, init_params, masked_mean_rows, transformer_encoder_layer
 from .tensor.optim import Adam, AdamConfig
 from .tensor.text import text_encode
 from .tensor import checkpoint
-
-INTENT_SOURCES = ("reformulation", "click_title")
 
 # the panes of one query, scored as one batch; a single pane is a batch of one
 PaneBatch = ClarificationPane | Sequence[ClarificationPane]
@@ -78,7 +76,7 @@ def param_layout(config: RlcConfig) -> Iterator[tuple[str, ParamSpec]]:
     yield "embed.table", ParamSpec((config.hash_buckets, d), 0.1)
     for role in ("ice.reformulation", "ice.click_title", "ace.answer", "ace.question"):
         yield f"{role}.proj", dense(d, d)
-    for source in INTENT_SOURCES:
+    for source in SOURCES:
         for stage in ("answers_enc", "intents_enc"):
             for layer in range(config.layers):
                 yield from encoder_layer_layout(f"ice.{source}.{stage}.l{layer}", d, config.heads, config.ff_dim)
@@ -241,7 +239,7 @@ class RlcModel:
         intent_sets = intent_sets or {}
         branches = [
             self.encode_intent_coverage(query, panes, intent_sets.get(source), source)
-            for source in INTENT_SOURCES
+            for source in SOURCES
         ]
         branches.append(self.encode_answer_consistency(panes, entity_lexicon))
         joined = ad.concat(branches, axis=1)
@@ -375,9 +373,6 @@ def pairwise_accuracy(
         if scores[t_idx][win] > scores[t_idx][lose]:
             correct += 1
     return correct / len(pairs)
-
-
-LABEL_VALUES = {"Bad": 0.0, "Fair": 1.0, "Good": 2.0}
 
 
 def fine_tune(

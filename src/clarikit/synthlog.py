@@ -35,7 +35,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CandidateAnswer, ClarificationPane, ImpressionLog, PaneStats, Query, offsets_from_counts
+from .core import (
+    AMBIGUITY_CLASSES,
+    TRAFFIC_CLASSES,
+    CandidateAnswer,
+    ClarificationPane,
+    ImpressionLog,
+    PaneStats,
+    Query,
+    offsets_from_counts,
+)
 from .intents import IntentSet
 from .synthconfig import _FACETS, CorpusConfig, UserModel
 from .tensor.text import fnv1a
@@ -202,8 +211,8 @@ def gen_corpus(config: CorpusConfig, seed: int) -> Corpus:
             id=qid,
             text=text,
             is_question=is_question,
-            ambiguity_class=("ambiguous", "faceted", "unknown")[_draw_index(_AMBIGUITY_CDF, rng)],
-            traffic_class=("head", "torso", "tail")[int(rng.integers(3))],
+            ambiguity_class=AMBIGUITY_CLASSES[_draw_index(_AMBIGUITY_CDF, rng)],
+            traffic_class=TRAFFIC_CLASSES[:3][int(rng.integers(3))],
         )
         corpus.queries[qid] = query
 
@@ -298,6 +307,7 @@ def gen_corpus(config: CorpusConfig, seed: int) -> Corpus:
 # the uniforms one block of panes holds at most (512 KB), unless one pane's
 # draws alone are more
 _BLOCK_DRAWS = 1 << 16
+_BASE_TIMESTAMP = 1_600_000_000  # each pane's impressions take consecutive seconds from here
 
 
 def _pane_rng(master_seed: int, pane_id: str) -> np.random.Generator:
@@ -347,9 +357,7 @@ def simulate_stats(corpus: Corpus, model: UserModel, n_per_pane: int, seed: int)
     )
 
 
-def simulate_impressions(
-    corpus: Corpus, model: UserModel, n_per_pane: int, seed: int, base_timestamp: int = 1_600_000_000
-) -> ImpressionLog:
+def simulate_impressions(corpus: Corpus, model: UserModel, n_per_pane: int, seed: int) -> ImpressionLog:
     """Draw an impression log; empirical per-answer rates converge to
     oracle_click_rates.  Reformulation and result-click events are sampled
     i.i.d. at the corpus-config rates, after the click draws, so per-pane
@@ -358,7 +366,7 @@ def simulate_impressions(
     pieces = []
     for block, rngs, clicks in _click_blocks(corpus, model, n_per_pane, seed):
         no_events = np.zeros(n_per_pane, dtype=bool)
-        timestamps = base_timestamp + np.arange(n_per_pane, dtype=np.int64)
+        timestamps = _BASE_TIMESTAMP + np.arange(n_per_pane, dtype=np.int64)
         result_rows, reform_rows, urls, dwells, texts, deltas = [], [], [], [], [], []
         for pane_id, rng in zip(block, rngs):
             query_id = corpus.panes[pane_id].query_id

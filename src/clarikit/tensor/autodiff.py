@@ -188,12 +188,12 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(out_data, tuple(tensors), backward, "concat")
 
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+def sum_(a: Tensor, axis=None) -> Tensor:
+    out_data = a.data.sum(axis=axis)
 
     def backward(grad):
         g = np.asarray(grad)
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.shape).copy())
 

@@ -19,6 +19,7 @@ import pytest
 
 from clarikit import analytics
 from clarikit.bias import (
+    SwapTable,
     build_swap_dataset,
     evaluate_click_models,
     fit_cascade_attractiveness,
@@ -26,7 +27,6 @@ from clarikit.bias import (
     fit_fractional_logreg,
     fit_scatter_line,
     pct_above_diagonal,
-    regression_data,
     scatter_points,
     triple_fold,
 )
@@ -147,9 +147,10 @@ def test_criterion_02_unbiased_null_calibration():
     )
     stats = simulate_stats(corpus, UserModel.relevance_only(), 600, seed=77)
     triples = build_swap_dataset(corpus.panes)
-    points = scatter_points(triples, stats)
+    table = SwapTable(triples, stats, corpus.panes)
+    points = scatter_points(table)
     slope, _ = fit_scatter_line([(x, y) for x, y, _, _ in points])
-    cells = pct_above_diagonal(triples, stats)
+    cells = pct_above_diagonal(table)
     checks = {
         "enough_points": len(points) >= 10_000,
         "all_cells_present": len(cells) == 10,
@@ -177,7 +178,7 @@ def test_criterion_03_click_model_recovery():
     n_per = math.ceil(200_000 / len(corpus.panes))
     stats = simulate_stats(corpus, UserModel.cascade(), n_per, seed=301)
     triples = build_swap_dataset(corpus.panes)
-    report = evaluate_click_models(triples, corpus.panes, stats, kinds=("best_possible", "cascade"))
+    report = evaluate_click_models(SwapTable(triples, stats, corpus.panes), kinds=("best_possible", "cascade"))
     floor = report.mean("best_possible")
     checks["cascade_ce_within_1pct"] = report.mean("cascade") <= floor * 1.01
     recovered = fit_cascade_attractiveness(stats, corpus.panes)
@@ -197,7 +198,7 @@ def test_criterion_03_click_model_recovery():
     n_per = math.ceil(200_000 / len(corpus.panes))
     stats = simulate_stats(corpus, UserModel.examination(exam_probs), n_per, seed=311)
     triples = build_swap_dataset(corpus.panes)
-    report = evaluate_click_models(triples, corpus.panes, stats, kinds=("best_possible", "examination"))
+    report = evaluate_click_models(SwapTable(triples, stats, corpus.panes), kinds=("best_possible", "examination"))
     floor = report.mean("best_possible")
     checks["examination_ce_within_1pct"] = report.mean("examination") <= floor * 1.01
     recovered = fit_examination_em(stats, corpus.panes).eps
@@ -219,7 +220,7 @@ def size_offset_experiment():
     model = UserModel.size_offset_logistic(bias=-3.5, w_relevance=4.0, w_size=-1.8, w_offset=-1.2, w_pixel=-0.35)
     stats = simulate_stats(corpus, model, 200, seed=3)
     triples = build_swap_dataset(corpus.panes)
-    ce = evaluate_click_models(triples, corpus.panes, stats)
+    ce = evaluate_click_models(SwapTable(triples, stats, corpus.panes))
     return corpus, stats, triples, ce.logreg, ce, time.time() - started
 
 
@@ -262,7 +263,8 @@ def test_swap_regression_folds_converge(size_offset_experiment):
     # every fold's regression behind criteria 4 and 5 is a converged Newton
     # fit; the gradient at the reported weights is recomputed here
     corpus, stats, triples, logreg, _, _ = size_offset_experiment
-    rows, targets_l, targets_r, impressions = regression_data(triples, corpus.panes, stats)
+    table = SwapTable(triples, stats, corpus.panes)
+    rows, targets_l, targets_r, impressions = table.rows, table.target_l, table.target_r, table.impressions[:, 1]
     folds = len(logreg.fold_weights_l)
     fold_ids = np.array([triple_fold(t, folds) for t in triples])
     for fold in range(folds):

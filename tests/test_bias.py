@@ -13,7 +13,7 @@ from clarikit.bias import (
     ExaminationFit,
     NumericalError,
     SwapTable,
-    _adjacent_swap_index,
+    SwapTriple,
     _connected_to_first,
     _newton,
     _sigmoid,
@@ -27,11 +27,11 @@ from clarikit.bias import (
     fit_scatter_line,
     log_odds,
     pct_above_diagonal,
-    regression_data,
     scatter_points,
     triple_fold,
 )
 from clarikit.core import CandidateAnswer, ClarificationPane, EngagementStats, PaneStats
+from clarikit.intents import normalize_phrase
 from clarikit.synthlog import CorpusConfig, UserModel, gen_corpus, simulate_stats
 
 
@@ -87,7 +87,6 @@ class TestBuildSwapDataset:
 
     def test_each_distinct_question_normalized_once(self, monkeypatch):
         import clarikit.bias as bias_mod
-        from clarikit.intents import normalize_phrase
 
         corpus = gen_corpus(CorpusConfig(n_queries=40, swap_fraction=1.0), seed=5)
         normalized = []
@@ -101,36 +100,66 @@ class TestBuildSwapDataset:
         assert sorted(normalized) == sorted({pane.question_text for pane in corpus.panes.values()})
 
 
-TEXTS = ("a", "b", "c", "d", "e")
+TEXTS = ("a", "b", "c")
+QUESTIONS = ("Which one?", "which one", "Which other?")  # the first two normalize alike
+
+
+def oracle_swap_index(a, b):
+    """The 1-based index i of the adjacent transposition between two panes,
+    or None, by comparing their answers text by text: with equal text
+    multisets, two adjacent positions that differ hold the same two texts
+    swapped."""
+    if sorted(a.answer_texts()) != sorted(b.answer_texts()):
+        return None
+    diff = [idx for idx, (x, y) in enumerate(zip(a.answer_texts(), b.answer_texts())) if x != y]
+    return diff[0] + 1 if len(diff) == 2 and diff[1] == diff[0] + 1 else None
+
+
+def oracle_swap_dataset(panes):
+    """Every pair of panes in id order with the same query and normalized
+    question, compared pairwise, in build_swap_dataset's order."""
+    triples = []
+    for x, y in itertools.combinations(sorted(panes), 2):
+        a, b = panes[x], panes[y]
+        i = oracle_swap_index(a, b)
+        same_group = (a.query_id, normalize_phrase(a.question_text)) == (b.query_id, normalize_phrase(b.question_text))
+        if same_group and i is not None:
+            triples.append(SwapTriple(a.query_id, x, y, swap_index=i, answer_count=a.answer_count))
+    return sorted(triples, key=lambda t: (t.query_id, t.pane_c, t.pane_c_prime))
 
 
 @st.composite
-def answer_orders(draw):
-    """Two answer orders over the same texts; the second is a permutation
-    of the first, often followed by one adjacent transposition."""
-    first = draw(st.permutations(TEXTS[: draw(st.integers(2, 5))]))
-    second = list(draw(st.one_of(st.just(first), st.permutations(first))))
-    if draw(st.booleans()):
-        i = draw(st.integers(0, len(second) - 2))
-        second[i], second[i + 1] = second[i + 1], second[i]
-    return first, second
+def swap_pane_sets(draw):
+    """Up to eight panes under two queries and the QUESTIONS, inserted in
+    drawn id order.  Each pane's texts are one shared base order or a fresh
+    one, often with one adjacent pair swapped; texts repeat within and across
+    panes, so identical panes, panes sharing a text at two positions and
+    several partners of one pane all occur."""
+    orders = st.lists(st.sampled_from(TEXTS), min_size=2, max_size=4)
+    base, panes = draw(orders), {}
+    for pane_id in draw(st.permutations([f"p{j}" for j in range(draw(st.integers(0, 8)))])):
+        texts = list(base) if draw(st.booleans()) else draw(orders)
+        if draw(st.booleans()):
+            i = draw(st.integers(1, len(texts) - 1))
+            texts[i - 1], texts[i] = texts[i], texts[i - 1]
+        panes[pane_id] = pane_of(texts, pane_id, draw(st.sampled_from(("q1", "q2"))), draw(st.sampled_from(QUESTIONS)))
+    return panes
 
 
 class TestSwapProperties:
-    @given(answer_orders())
-    def test_swap_index_is_symmetric(self, orders):
-        a, b = pane_of(orders[0], "a"), pane_of(orders[1], "b")
-        assert _adjacent_swap_index(a, b) == _adjacent_swap_index(b, a)
+    @given(swap_pane_sets())
+    def test_each_swap_pair_found_once(self, panes):
+        assert build_swap_dataset(panes) == oracle_swap_dataset(panes)
 
-    @given(st.lists(st.tuples(st.sampled_from(("q1", "q2")), st.permutations(TEXTS[:4])), max_size=8))
-    def test_each_swap_pair_found_once(self, specs):
-        panes = {f"p{j}": pane_of(texts, f"p{j}", query_id=q) for j, (q, texts) in enumerate(specs)}
-        found = sorted((t.pane_c, t.pane_c_prime) for t in build_swap_dataset(panes))
-        expected = [
-            (x, y) for x, y in itertools.combinations(sorted(panes), 2)
-            if panes[x].query_id == panes[y].query_id and _adjacent_swap_index(panes[x], panes[y]) is not None
-        ]
-        assert found == expected
+    def test_identical_panes_are_no_swap_of_each_other(self):
+        """a and b are the same pane, whose answers 1 and 2 share a text; c
+        swaps their answers 2 and 3.  Swapping the shared text changes
+        nothing, so a and b form no triple, and each forms one with c."""
+        panes = {pane_id: pane_of(["x", "x", "y"], pane_id) for pane_id in ("a", "b")}
+        panes["c"] = pane_of(["x", "y", "x"], "c")
+        triples = build_swap_dataset(panes)
+        assert [(t.pane_c, t.pane_c_prime, t.swap_index) for t in triples] == [("a", "c", 2), ("b", "c", 2)]
+        assert triples == oracle_swap_dataset(panes)
 
 
 class TestSwapGeometry:
@@ -140,33 +169,32 @@ class TestSwapGeometry:
             "b": EngagementStats(n, max(clicks_cp), tuple(clicks_cp)),
         }
 
-    def _triple(self, k=2, i=1):
+    @staticmethod
+    def _table(stats, k=2, i=1):
+        """The swap table of pane a and its swap b at i, over k answers."""
         panes = {"a": pane_of([f"t{j}" for j in range(k)], "a")}
         texts = [f"t{j}" for j in range(k)]
         texts[i - 1], texts[i] = texts[i], texts[i - 1]
         panes["b"] = pane_of(texts, "b")
-        [triple] = build_swap_dataset(panes)
-        return triple
+        return SwapTable(build_swap_dataset(panes), stats, panes)
 
     def test_identical_rates_sit_on_diagonal(self):
         # clicks follow the answers through the swap, so the per-position
         # vector reverses while each answer's own rate stays the same
-        triple = self._triple()
-        stats = self._stats([20, 5], [5, 20])
-        for x, y, _, _ in scatter_points([triple], stats):
+        table = self._table(self._stats([20, 5], [5, 20]))
+        for x, y, _, _ in scatter_points(table):
             assert x == y
-        assert pct_above_diagonal([triple], stats) == {}
+        assert pct_above_diagonal(table) == {}
 
     def test_points_match_oracle_rates(self):
         # examination user: exam probs (0.9, 0.6), relevance 0.5 everywhere,
         # so the same answer clicks at 0.45 up top and 0.30 below
-        triple = self._triple()
         n = 200_000
         stats = {
             "a": EngagementStats(n, 0, (int(0.45 * n), int(0.30 * n))),
             "b": EngagementStats(n, 0, (int(0.45 * n), int(0.30 * n))),
         }
-        (x1, y1, k, i), (x2, y2, _, _) = scatter_points([triple], stats)
+        (x1, y1, k, i), (x2, y2, _, _) = scatter_points(self._table(stats))
         assert (k, i) == (2, 1)
         assert x1 == pytest.approx(log_odds(0.30), abs=1e-3)
         assert y1 == pytest.approx(log_odds(0.45), abs=1e-3)
@@ -174,21 +202,14 @@ class TestSwapGeometry:
         assert y2 == pytest.approx(log_odds(0.45), abs=1e-3)
 
     def test_zero_impression_pane_rejected(self):
-        triple = self._triple()
-        panes = {"a": pane_of(["t0", "t1"], "a"), "b": pane_of(["t1", "t0"], "b")}
         for empty in ("a", "b"):
             stats = {"a": EngagementStats(10, 1, (1, 0)), "b": EngagementStats(10, 1, (1, 0))}
             stats[empty] = EngagementStats(0, 0, (0, 0))
-            for output in (scatter_points, pct_above_diagonal):
-                with pytest.raises(ValueError, match="a/b has a pane without impressions"):
-                    output([triple], stats)
             with pytest.raises(ValueError, match="a/b has a pane without impressions"):
-                regression_data([triple], panes, stats)
+                self._table(stats)
 
     def test_smoothing(self):
-        triple = self._triple()
-        stats = {"a": EngagementStats(98, 40, (40, 0)), "b": EngagementStats(98, 0, (0, 0))}
-        table = SwapTable([triple], stats)
+        table = self._table({"a": EngagementStats(98, 40, (40, 0)), "b": EngagementStats(98, 0, (0, 0))})
         np.testing.assert_array_equal(table.rates[0, 0], [41 / 100, 1 / 100, 1 / 100, 1 / 100, 1 / 100])
         assert (table.ctr_l[0], table.ctr_r[0]) == (41 / 100, 1 / 100)
 
@@ -235,28 +256,26 @@ class TestScatterLine:
 
 class TestAboveDiagonal:
     def test_all_above(self):
-        triple = TestSwapGeometry()._triple()
         stats = {
             "a": EngagementStats(100, 50, (50, 10)),
             "b": EngagementStats(100, 50, (50, 10)),
         }
-        cells = pct_above_diagonal([triple], stats)
+        cells = pct_above_diagonal(TestSwapGeometry._table(stats))
         assert cells[(2, 1)][0] == 100.0
 
     def test_ties_excluded(self):
-        triple = TestSwapGeometry()._triple()
         stats = {
             "a": EngagementStats(100, 20, (20, 20)),
             "b": EngagementStats(100, 20, (20, 20)),
         }
-        assert pct_above_diagonal([triple], stats) == {}
+        assert pct_above_diagonal(TestSwapGeometry._table(stats)) == {}
 
 
 class TestFeaturesAndTargets:
     def test_feature_values(self):
         panes = {"a": pane_of(["abcd", "ab"], "a"), "b": pane_of(["ab", "abcd"], "b")}  # sizes 4 and 2
         stats = {"a": EngagementStats(98, 40, (40, 10)), "b": EngagementStats(98, 40, (10, 40))}
-        [row], _, _, _ = regression_data(build_swap_dataset(panes), panes, stats)
+        [row] = SwapTable(build_swap_dataset(panes), stats, panes).rows
         assert dict(zip(FEATURE_NAMES, row.tolist())) == {
             "intercept": 1.0, "ctr_l": 41 / 100, "ctr_r": 11 / 100, "size_diff": (4 - 2) / 6, "offset": 0.0,
         }
@@ -270,7 +289,7 @@ class TestFeaturesAndTargets:
             "d": pane_of(["abcd", "ab", "x"], "d", query_id="q2"),
         }
         stats = dict.fromkeys(panes, EngagementStats(98, 40, (40, 10, 5)))
-        rows, _, _, _ = regression_data(build_swap_dataset(panes), panes, stats)
+        rows = SwapTable(build_swap_dataset(panes), stats, panes).rows
         size_diff, offset = FEATURE_NAMES.index("size_diff"), FEATURE_NAMES.index("offset")
         assert rows[0, size_diff] == pytest.approx(1 / 3) and rows[0, size_diff] == -rows[1, size_diff]
         assert rows[0, offset] == rows[1, offset] == 0.0
@@ -278,8 +297,8 @@ class TestFeaturesAndTargets:
     def test_targets_are_swap_position_rates(self):
         panes = {"a": pane_of(["x", "y", "z"], "a"), "b": pane_of(["x", "z", "y"], "b")}
         stats = {"a": EngagementStats(98, 0, (1, 2, 3)), "b": EngagementStats(98, 0, (10, 20, 30))}
-        _, [label_l], [label_r], [weight] = regression_data(build_swap_dataset(panes), panes, stats)
-        assert (label_l, label_r, weight) == (21 / 100, 31 / 100, 98.0)
+        table = SwapTable(build_swap_dataset(panes), stats, panes)
+        assert (table.target_l[0], table.target_r[0], table.impressions[0, 1]) == (21 / 100, 31 / 100, 98.0)
 
 
 class TestFractionalLogreg:
@@ -345,7 +364,7 @@ class TestFractionalLogreg:
 
     def test_cv_needs_enough_triples(self):
         with pytest.raises(ValueError):
-            evaluate_click_models([], {}, {}, kinds=("logistic",), folds=10)
+            evaluate_click_models(SwapTable([], {}, {}), kinds=("logistic",), folds=10)
 
 
 class TestCrossEntropy:
@@ -514,7 +533,7 @@ class TestFitClickModel:
     def test_unknown_kind_rejected(self, swap_data):
         corpus, stats, triples = swap_data
         with pytest.raises(ValueError, match="oracle"):
-            evaluate_click_models(triples, corpus.panes, stats, kinds=("blind", "oracle"), folds=3)
+            evaluate_click_models(SwapTable(triples, stats, corpus.panes), kinds=("blind", "oracle"), folds=3)
 
     def test_blind_predicts_global_mean_everywhere(self, swap_data):
         corpus, stats, triples = swap_data
@@ -544,8 +563,9 @@ class TestFitClickModel:
 
     def test_report_carries_the_logistic_fold_weights(self, swap_data):
         corpus, stats, triples = swap_data
-        report = evaluate_click_models(triples, corpus.panes, stats, kinds=("logistic",), folds=3)
-        rows, targets_l, targets_r, weights = regression_data(triples, corpus.panes, stats)
+        table = SwapTable(triples, stats, corpus.panes)
+        report = evaluate_click_models(table, kinds=("logistic",), folds=3)
+        rows, targets_l, targets_r, weights = table.rows, table.target_l, table.target_r, table.impressions[:, 1]
         fold_ids = np.array([triple_fold(t, 3) for t in triples])
         assert report.logreg.feature_names == FEATURE_NAMES
         assert report.logreg.folds == [0, 1, 2]
@@ -553,7 +573,7 @@ class TestFitClickModel:
             train = fold_ids != fold
             np.testing.assert_array_equal(got_l, fit_fractional_logreg(rows[train], targets_l[train], weights[train]).weights)
             np.testing.assert_array_equal(got_r, fit_fractional_logreg(rows[train], targets_r[train], weights[train]).weights)
-        assert evaluate_click_models(triples, corpus.panes, stats, kinds=("blind",), folds=3).logreg is None
+        assert evaluate_click_models(table, kinds=("blind",), folds=3).logreg is None
 
     def test_fold_without_test_triples_gets_no_logistic_weights(self, monkeypatch):
         """Twelve queries over ten folds leave two folds without test
@@ -567,7 +587,7 @@ class TestFitClickModel:
         triples = build_swap_dataset(corpus.panes)
         fits = []
         monkeypatch.setattr(bias_mod, "fit_fractional_logreg", lambda *a: fits.append(1) or fit_fractional_logreg(*a))
-        report = evaluate_click_models(triples, corpus.panes, stats, folds=10)
+        report = evaluate_click_models(SwapTable(triples, stats, corpus.panes), folds=10)
         with_test = sorted({triple_fold(t, 10) for t in triples})
         assert len(with_test) < 10
         assert report.logreg.folds == with_test
@@ -585,13 +605,13 @@ class TestFitClickModel:
         assert len(triples) == 3
         for kinds in (("blind",), tuple(CLICK_MODELS)):
             with pytest.raises(ValueError, match="no fold has both training and test triples"):
-                evaluate_click_models(triples, corpus.panes, stats, kinds=kinds, folds=3)
+                evaluate_click_models(SwapTable(triples, stats, corpus.panes), kinds=kinds, folds=3)
 
     @pytest.mark.parametrize("folds", [1, 0, -3])
     def test_fewer_than_two_folds_rejected(self, swap_data, folds):
         corpus, stats, triples = swap_data
         with pytest.raises(ValueError, match="at least 2 folds"):
-            evaluate_click_models(triples, corpus.panes, stats, kinds=("blind",), folds=folds)
+            evaluate_click_models(SwapTable(triples, stats, corpus.panes), kinds=("blind",), folds=folds)
 
     def test_pooled_cascade_attractiveness_identifiable(self, swap_data):
         corpus, stats, _ = swap_data
@@ -601,26 +621,24 @@ class TestFitClickModel:
 
 @pytest.fixture(scope="module")
 def null_experiment():
-    """Unbiased relevance_only corpus for the null calibrations."""
+    """The swap table of an unbiased relevance_only corpus, for the null
+    calibrations."""
     plan = tuple((k, i, 150) for k in range(2, 6) for i in range(1, k))
     corpus = gen_corpus(
         CorpusConfig(n_queries=0, cell_plan=plan, relevance=("uniform", 0.1, 0.5)), seed=42
     )
     stats = simulate_stats(corpus, UserModel.relevance_only(), 800, seed=7)
-    triples = build_swap_dataset(corpus.panes)
-    return corpus, stats, triples
+    return SwapTable(build_swap_dataset(corpus.panes), stats, corpus.panes)
 
 
 class TestUnbiasedNull:
     def test_points_scatter_symmetrically(self, null_experiment):
-        _, stats, triples = null_experiment
-        cells = pct_above_diagonal(triples, stats)
+        cells = pct_above_diagonal(null_experiment)
         pooled_above = sum(v[0] * v[1] for v in cells.values()) / sum(v[1] for v in cells.values())
         assert 47.0 <= pooled_above <= 53.0
 
     def test_slope_near_one(self, null_experiment):
-        _, stats, triples = null_experiment
-        pts = scatter_points(triples, stats)
+        pts = scatter_points(null_experiment)
         slope, _ = fit_scatter_line([(x, y) for x, y, _, _ in pts])
         assert 0.93 <= slope <= 1.07
 
@@ -632,8 +650,8 @@ class TestUnbiasedNull:
             CorpusConfig(n_queries=0, cell_plan=plan, relevance=("uniform", 0.15, 0.6)), seed=31
         )
         stats = simulate_stats(corpus, UserModel.cascade(), 4000, seed=32)
-        triples = build_swap_dataset(corpus.panes)
-        report = evaluate_click_models(triples, corpus.panes, stats, kinds=("best_possible", "cascade"))
+        table = SwapTable(build_swap_dataset(corpus.panes), stats, corpus.panes)
+        report = evaluate_click_models(table, kinds=("best_possible", "cascade"))
         floor = report.mean("best_possible")
         assert report.mean("cascade") <= floor * 1.01
 
@@ -785,11 +803,11 @@ class TestAgainstTheReferenceCode:
     @given(swap_experiments())
     def test_every_output_equals_the_oracle(self, experiment):
         panes, stats, triples, train, test = experiment
-        assert np.array_equal(np.array(scatter_points(triples, stats)), np.array(oracle_scatter(triples, stats)))
-        assert pct_above_diagonal(triples, stats) == oracle_above(triples, stats)
-        got, expected = regression_data(triples, panes, stats), oracle_regression(triples, panes, stats)
-        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
         table = SwapTable(triples, stats, panes)
+        assert np.array_equal(np.array(scatter_points(table)), np.array(oracle_scatter(triples, stats)))
+        assert pct_above_diagonal(table) == oracle_above(triples, stats)
+        got = table.rows, table.target_l, table.target_r, table.impressions[:, 1]
+        assert all(np.array_equal(g, e) for g, e in zip(got, oracle_regression(triples, panes, stats)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for kind, fit in CLICK_MODELS.items():

@@ -1249,6 +1249,25 @@ def test_bias_builds_no_per_pane_stats_object(corpus_dir, tmp_path, monkeypatch)
     assert len(built) == 1  # the count sees a row that is built
 
 
+def test_bias_builds_one_swap_table(corpus_dir, tmp_path, monkeypatch):
+    """bias gathers its triples once: the scatter, the above-diagonal cells
+    and the click-model comparison all read one SwapTable."""
+    from clarikit.bias import SwapTable
+
+    built = []
+    original = SwapTable.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SwapTable, "__init__", counted)
+    files = corpus_files(corpus_dir)
+    assert run_cli("bias", "--out", tmp_path / "r", "--queries", files["queries"], "--panes", files["panes"],
+                   "--impressions", files["impressions"], "--folds", 3) == 0
+    assert len(built) == 1
+
+
 def test_analyze_builds_no_per_pane_stats_object(corpus_dir, tmp_path, monkeypatch):
     """analyze reads the stats table by columns, the click entropies
     included: no EngagementStats is built for any breakdown."""
